@@ -8,7 +8,4 @@ decomposition identities, and an explicit piecewise-linear counterexample
 construction.
 """
 
-from skewlab.backend import backend_name, using_numba
-
-__all__ = ["backend_name", "using_numba"]
 __version__ = "0.1.0"

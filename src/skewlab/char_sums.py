@@ -5,10 +5,10 @@ on the cyclic parts; values live as exact roots of unity (group exponent L,
 integer exponents) and materialize to complex rows on demand, so a table for
 q up to 1e6 costs O(q * omega(q)) memory rather than phi(q) * q.
 
-The sliding-window prime statistics keep one counter per residue class and an
-incrementally maintained L1 deviation, so a full pass over [0, x) costs
-O(x + pi(x)) updates; the numba kernel walks y directly, the numpy fallback
-walks the sorted enter/leave events.
+The sliding-window prime statistics treat each residue-class count as a step
+function of the window start y that changes only where a prime enters or
+leaves the window, so a full pass over [0, x) costs O(pi(x) log pi(x)) array
+work, independent of x.
 """
 
 import math
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from skewlab.backend import USE_NUMBA, maybe_njit
 from skewlab.errors import InvalidInputError, PreconditionError, RangeError, ResourceError
 from skewlab.primes import default_source, euler_phi, factorize
 from skewlab.skew_dynamics import e
@@ -324,71 +323,33 @@ def windowed_twisted_stat(q: int, Hp: int, chi: Character,
 # sliding-window prime statistics
 
 
-@maybe_njit(cache=True)
-def _window_l1_numba(positions, weights, classes, x, H, r, target):
+def _window_l1(positions, weights, classes, x, H, r, target):
     """sum over y in [0, x) of sum_v |S_v(y) - target| for windows [y, y+H].
 
-    positions must be sorted ascending; classes in [0, r).
+    S_v(y) sums the weights of the positions p in [y, y+H] with class v; it is
+    constant between the events y = max(p - H, 0), where p enters, and
+    y = p + 1, where p leaves.  classes must lie in [0, r).
     """
-    counts = np.zeros(r, dtype=np.float64)
-    npr = positions.shape[0]
-    lo = 0  # first prime with p >= y
-    hi = 0  # first prime with p > y + H
-    T = r * target
-    total = 0.0
-    while hi < npr and positions[hi] <= H:
-        c = classes[hi]
-        T -= abs(counts[c] - target)
-        counts[c] += weights[hi]
-        T += abs(counts[c] - target)
-        hi += 1
-    total += T
-    for y in range(1, x):
-        while lo < npr and positions[lo] < y:
-            c = classes[lo]
-            T -= abs(counts[c] - target)
-            counts[c] -= weights[lo]
-            T += abs(counts[c] - target)
-            lo += 1
-        while hi < npr and positions[hi] <= y + H:
-            c = classes[hi]
-            T -= abs(counts[c] - target)
-            counts[c] += weights[hi]
-            T += abs(counts[c] - target)
-            hi += 1
-        total += T
-    return total
-
-
-def _window_l1_numpy(positions, weights, classes, x, H, r, target):
-    """Event-walk equivalent of the numba kernel."""
-    # enter events at y = p - H (prime enters window), leave at y = p + 1
-    enter = np.maximum(positions - H, 0)
-    leave = positions + 1
-    ev_y = np.concatenate([enter, leave])
+    ev_y = np.concatenate([np.maximum(positions - H, 0), positions + 1])
     ev_c = np.concatenate([classes, classes])
     ev_w = np.concatenate([weights, -weights])
-    order = np.lexsort((np.arange(len(ev_y)), ev_y))
+    order = np.lexsort((ev_y, ev_c))
     ev_y, ev_c, ev_w = ev_y[order], ev_c[order], ev_w[order]
-    counts = np.zeros(r, dtype=np.float64)
-    T = r * target
-    total = 0.0
-    prev_y = 0
-    for yy, cc, ww in zip(ev_y.tolist(), ev_c.tolist(), ev_w.tolist()):
-        if yy >= x:
-            break
-        if yy > prev_y:
-            total += T * (yy - prev_y)
-            prev_y = yy
-        T -= abs(counts[cc] - target)
-        counts[cc] += ww
-        T += abs(counts[cc] - target)
-    if prev_y < x:
-        total += T * (x - prev_y)
-    return total
-
-
-_window_l1 = _window_l1_numba if USE_NUMBA else _window_l1_numpy
+    first = np.ones(len(ev_c), dtype=bool)  # first event of its class
+    first[1:] = ev_c[1:] != ev_c[:-1]
+    # S_v right after each event: the running sum restarted at each class
+    csum = np.cumsum(ev_w)
+    before = np.concatenate([[0.0], csum[:-1]])
+    counts = csum - before[first][np.cumsum(first) - 1]
+    # each count holds until the class's next event, the last one until x
+    seg_end = np.empty_like(ev_y)
+    seg_end[:-1] = ev_y[1:]
+    seg_end[np.roll(first, -1)] = x
+    lengths = np.minimum(seg_end, x) - np.minimum(ev_y, x)
+    total = float(np.sum(np.abs(counts - target) * lengths))
+    # S_v = 0 before a class's first event and throughout a class without events
+    idle = np.sum(np.minimum(ev_y[first], x)) + x * (r - np.count_nonzero(first))
+    return total + target * float(idle)
 
 
 def huxley_stat_progressions(x: int, H: int, q: int, r: int, primes=None) -> dict:

@@ -282,7 +282,6 @@ def cmd_charsum(cfg):
 def cmd_identities(cfg):
     from skewlab.identities import (buchstab_check, heathbrown_coeff_check,
                                     linnik_check, vaughan_decompose)
-    from skewlab.identities import LogVector
     from skewlab.primes import von_mangoldt
 
     n_max = int(cfg.get("n_max", 2000))
@@ -290,8 +289,8 @@ def cmd_identities(cfg):
     ks = _int_list(cfg.get("k", "1,2"))
     seed = int(cfg.get("seed", 0))
     rows = []
-    worst = 0.0
     for z in zs:
+        worst = 0.0
         for n in range(z + 1, n_max + 1):
             t1, t2, t3, tot = vaughan_decompose(n, z)
             defect = abs(tot.to_float() - von_mangoldt(n))
@@ -453,6 +452,10 @@ def main(argv=None):
         return 3
     except SkewlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, KeyError) as exc:
+        # a malformed or missing config value, e.g. --N abc
+        print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     _emit(command, cfg, rows, args.out)
     return 0

@@ -10,7 +10,6 @@ rational arithmetic (per frequency) or double-double reduction (per orbit).
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 

@@ -546,31 +546,3 @@ class StageConstruction:
             if not np.allclose(got, rec["L_window"], rtol=1e-12, atol=0):
                 raise ConstructionError(f"replay mismatch at stage {rec['n']}")
         return obj
-
-
-# operation-map aliases
-
-
-def build_fn(stage: StageConstruction, n: int) -> RampFunction:
-    return stage.f(n)
-
-
-def build_hn(stage: StageConstruction, n: int) -> TentFunction:
-    return stage.h(n)
-
-
-def solve_stage_targets(stage: StageConstruction, n: int) -> StageConstruction:
-    stage.solve_stage(n)
-    return stage
-
-
-def g_truncated(stage: StageConstruction, x, upto=None):
-    return stage.g_truncated(x, upto)
-
-
-def verify_phi_lemma(stage: StageConstruction, n: int, eps: float = 0.05):
-    return stage.verify_phi(n, eps)
-
-
-def mu_twist_average(stage: StageConstruction, n=None) -> complex:
-    return stage.mu_twist_average(n)

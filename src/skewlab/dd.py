@@ -3,20 +3,17 @@
 Angles like frac(n*alpha) with n up to ~1e10 need alpha carried beyond double
 precision before the mod-1 cancellation; a (hi, lo) double-double pair gives
 ~32 significant digits, which keeps the post-reduction angle good to full
-double accuracy.  All functions are elementwise numpy expressions, so the same
-source compiles under numba and runs vectorized under the numpy backend.
+double accuracy.  Dekker's two-sum and two-prod steps are elementwise, so
+every function here runs on whole numpy arrays.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from skewlab.backend import maybe_njit
-
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
-@maybe_njit(cache=True)
 def _two_sum(a, b):
     s = a + b
     bb = s - a
@@ -24,7 +21,6 @@ def _two_sum(a, b):
     return s, err
 
 
-@maybe_njit(cache=True)
 def _two_prod(a, b):
     p = a * b
     ca = _SPLITTER * a
@@ -37,72 +33,45 @@ def _two_prod(a, b):
     return p, err
 
 
-@maybe_njit(cache=True)
-def frac01_int_mult_dd(n, a_hi, a_lo):
-    """(hi, lo) of frac(n * a) in [0,1) for integer array n, dd scalar a.
+def frac01_int_mult(n, a_hi, a_lo):
+    """frac(n * a) in [0,1) as float64 for integer array n, dd scalar a.
 
     n must be exactly representable in float64 (|n| < 2**53).
     """
+    # names are rebound so that each step frees the arrays it consumed
     nf = n.astype(np.float64)
-    p_hi, e = _two_prod(nf, a_hi)
-    p_lo = e + nf * a_lo
-    s_hi, s_lo = _two_sum(p_hi, p_lo)
-    r = s_hi - np.floor(s_hi)  # exact: Sterbenz
-    out_hi, out_lo = _two_sum(r, s_lo)
-    out_hi = out_hi - np.floor(out_hi)
-    return out_hi, out_lo
-
-
-@maybe_njit(cache=True)
-def frac01_int_mult(n, a_hi, a_lo):
-    """frac(n * a) in [0,1) as float64 for integer array n, dd scalar a."""
-    out_hi, out_lo = frac01_int_mult_dd(n, a_hi, a_lo)
-    out = out_hi + out_lo
+    hi, lo = _two_prod(nf, a_hi)
+    lo = lo + nf * a_lo
+    hi, lo = _two_sum(hi, lo)
+    hi, lo = _two_sum(hi - np.floor(hi), lo)  # the fold is exact: Sterbenz
+    out = (hi - np.floor(hi)) + lo
     return out - np.floor(out)
 
 
-@maybe_njit(cache=True)
-def frac01_scale_dd(m, hi, lo):
-    """frac(m * x) in [0,1) for small integer m and dd arrays (hi, lo)."""
-    mf = float(m)
-    p_hi, e = _two_prod(hi, mf)
-    p_lo = e + mf * lo
-    s_hi, s_lo = _two_sum(p_hi, p_lo)
-    r = s_hi - np.floor(s_hi)
-    out = r + s_lo
-    return out - np.floor(out)
-
-
-@maybe_njit(cache=True)
 def frac01_poly_dd(x, coeff_hi, coeff_lo):
     """frac(sum_i c_i x**i) via Horner in double-double, i from len(c) down to 1.
 
     x: integer-valued float64 array (exact), coefficients as dd pairs indexed
     by power i = 1..k (index 0 unused).  Returns values in [0,1).
     """
-    n = x.shape[0]
-    out = np.empty(n, dtype=np.float64)
     k = coeff_hi.shape[0] - 1
-    for j in range(n):
-        xj = x[j]
-        acc_hi = coeff_hi[k]
-        acc_lo = coeff_lo[k]
-        for i in range(k - 1, 0, -1):
-            p_hi, e = _two_prod(acc_hi, xj)
-            p_lo = e + acc_lo * xj
-            # fold to [0,1) so the magnitude never outgrows dd resolution
-            s_hi, s_lo = _two_sum(p_hi, p_lo)
-            r = s_hi - np.floor(s_hi)
-            acc_hi, acc_lo = _two_sum(r, s_lo)
-            acc_hi2, acc_lo2 = _two_sum(acc_hi, coeff_hi[i])
-            acc_hi, acc_lo = acc_hi2, acc_lo2 + acc_lo + coeff_lo[i]
-        p_hi, e = _two_prod(acc_hi, xj)
-        p_lo = e + acc_lo * xj
+    acc_hi = coeff_hi[k]
+    acc_lo = coeff_lo[k]
+    for i in range(k - 1, 0, -1):
+        p_hi, e = _two_prod(acc_hi, x)
+        p_lo = e + acc_lo * x
+        # fold to [0,1) so the magnitude never outgrows dd resolution
         s_hi, s_lo = _two_sum(p_hi, p_lo)
         r = s_hi - np.floor(s_hi)
-        v = r + s_lo
-        out[j] = v - np.floor(v)
-    return out
+        acc_hi, acc_lo = _two_sum(r, s_lo)
+        acc_hi2, acc_lo2 = _two_sum(acc_hi, coeff_hi[i])
+        acc_hi, acc_lo = acc_hi2, acc_lo2 + acc_lo + coeff_lo[i]
+    p_hi, e = _two_prod(acc_hi, x)
+    p_lo = e + acc_lo * x
+    s_hi, s_lo = _two_sum(p_hi, p_lo)
+    r = s_hi - np.floor(s_hi)
+    v = r + s_lo
+    return v - np.floor(v)
 
 
 def dd_from_fraction(x: Fraction):
@@ -110,10 +79,3 @@ def dd_from_fraction(x: Fraction):
     hi = float(x)
     lo = float(x - Fraction(hi))
     return hi, lo
-
-
-def dd_from_real(x):
-    """dd pair from a Fraction, float, or int."""
-    if isinstance(x, Fraction):
-        return dd_from_fraction(x)
-    return float(x), 0.0

@@ -210,11 +210,6 @@ def cf_from_real(alpha, depth, uncertainty=None) -> ContinuedFraction:
     return ContinuedFraction(quotients, depth)
 
 
-def dist_to_integers(n: int, cf: ContinuedFraction) -> Fraction:
-    """||n*alpha||; module-level alias matching the operation map."""
-    return cf.dist_to_integers(n)
-
-
 def _geq_exp(q_k: int, tau: float, q_prev: int) -> bool:
     """q_k >= exp(tau * q_prev), overflow-safe for huge denominators."""
     if q_prev == 0:

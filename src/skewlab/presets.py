@@ -74,17 +74,6 @@ def prime_pair():
     return cf, g, params
 
 
-def katok_ratios(cf, g):
-    """||q_n alpha|| / |a_{q_n}| at the block scales carrying coefficients."""
-    out = []
-    amps = dict(zip((int(m) for m in g.freqs), g.amps))
-    for n in range(1, cf.max_index()):
-        q = cf.q(n)
-        if q in amps:
-            out.append((n, float(cf.dist_to_integers(q)) / abs(amps[q])))
-    return out
-
-
 def counterexample_stages(n_stages=3, include_h=False, mu_twist=False) -> StageConstruction:
     quotients = COUNTEREXAMPLE_H_QUOTIENTS if include_h else COUNTEREXAMPLE_QUOTIENTS
     cf = cf_from_quotients(quotients)

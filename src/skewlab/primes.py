@@ -1,8 +1,9 @@
 """Segmented prime sieve, arithmetic functions, and combinatorial sieve weights.
 
 The sieve is odd-only and segmented; segment marking is the hot kernel and
-runs compiled under numba with a strided-numpy fallback.  Factorization is
-trial division against a cached prime table, enough for n <= 1e12.
+strikes each base prime's multiples with one strided numpy slice.
+Factorization is trial division against a cached prime table, enough for
+n <= 1e12.
 """
 
 import math
@@ -12,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from skewlab.backend import USE_NUMBA, maybe_njit
 from skewlab.errors import InvalidInputError, RangeError, ResourceError
 
 DEFAULT_LIMIT = 2_000_000_000
@@ -31,28 +31,8 @@ def simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(is_prime).astype(np.int64)
 
 
-@maybe_njit(cache=True)
-def _mark_segment_numba(mask, low, base):
+def _mark_segment(mask, low, base):
     # mask[i] covers the odd number low + 2*i
-    n = mask.shape[0]
-    hi = low + 2 * n
-    for p in base:
-        if p == 2:
-            continue
-        p2 = p * p
-        if p2 >= hi:
-            break
-        start = ((low + p - 1) // p) * p
-        if start < p2:
-            start = p2
-        if start % 2 == 0:
-            start += p
-        for j in range((start - low) // 2, n, p):
-            mask[j] = False
-    return mask
-
-
-def _mark_segment_numpy(mask, low, base):
     n = mask.shape[0]
     hi = low + 2 * n
     for p in base:
@@ -69,11 +49,8 @@ def _mark_segment_numpy(mask, low, base):
     return mask
 
 
-_mark_segment = _mark_segment_numba if USE_NUMBA else _mark_segment_numpy
-
-
 class PrimeSource:
-    """Read-only prime supplier over [2, limit] with segment caching."""
+    """Read-only prime supplier over [2, limit]; every call sieves its range afresh."""
 
     def __init__(self, limit: int = DEFAULT_LIMIT, segment_size: int = SEGMENT_SIZE):
         self.limit = int(limit)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from skewlab.cocycle import AnalyticCocycle, TrigPoly, _kernel_ratio, birkhoff_closed, birkhoff_prefix
+from skewlab.cocycle import TrigPoly, birkhoff_closed, birkhoff_prefix
 from skewlab.dd import dd_from_fraction, frac01_int_mult
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import InvalidInputError, RangeError

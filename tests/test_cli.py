@@ -40,12 +40,38 @@ def test_cf_missing_spec_exit_2():
     assert main(["cf", "--depth", "3"]) == 2
 
 
+@pytest.mark.parametrize("command, flag", [("prime-average", "--N"), ("huxley", "--x")],
+                         ids=["prime-average", "huxley"])
+@pytest.mark.parametrize("bad", ["abc", "1e4,zz"])
+def test_malformed_value_exit_2(command, flag, bad, capsys):
+    assert main([command, flag, bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and len(err.splitlines()) == 1
+
+
 def test_identities_command(tmp_path):
     code, payload, _ = run_cli(
         ["identities", "--n_max", "300", "--z", "2,5", "--k", "1",
          "--buchstab_windows", "3"], tmp_path)
     assert code == 0
     assert all(r["defect"] == 0 for r in payload["rows"])
+
+
+def test_identities_vaughan_rows_are_per_z(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    import skewlab.identities as ids
+    from skewlab.primes import von_mangoldt
+
+    # only z = 2 gets a nonzero defect; the z = 5 row must not inherit it
+    monkeypatch.setattr(ids, "vaughan_decompose", lambda n, z: (
+        None, None, None, SimpleNamespace(to_float=lambda: von_mangoldt(n) + (z == 2))))
+    code, payload, _ = run_cli(
+        ["identities", "--n_max", "50", "--z", "2,5", "--k", "1",
+         "--buchstab_windows", "0"], tmp_path)
+    assert code == 0
+    vaughan = {r["params"]: r["defect"] for r in payload["rows"] if r["identity"] == "vaughan"}
+    assert vaughan["z=2"] == pytest.approx(1.0) and vaughan["z=5"] == 0.0
 
 
 def test_prime_average_command(tmp_path):

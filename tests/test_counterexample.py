@@ -213,11 +213,3 @@ def test_denjoy_koksma_on_ramp_handle(solved):
     for dk in (4, 6):
         gap = denjoy_koksma_gap(f1.eval, st.cf.q(dk), 0.3, st.cf, mean=mean)
         assert gap <= var + 1e-6
-
-
-def test_operation_aliases(solved):
-    from skewlab import counterexample as ce
-
-    assert ce.build_fn(solved, 1) is not None
-    assert ce.verify_phi_lemma(solved, 1, 0.05)["passed"]
-    assert ce.g_truncated(solved, 0.0, 0) == 0.0

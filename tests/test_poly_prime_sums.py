@@ -40,15 +40,36 @@ def test_degree_three_matches_direct_loop():
     assert abs(s - direct) < 1e-9
 
 
-def test_phase_reduction_against_exact_fractions():
+def _phase_errors(base, gammas, xs):
+    """Circular distance of ShiftedPoly.phase01 from the exact phase at base + xs."""
     from fractions import Fraction
 
-    g = ShiftedPoly(10**7, (0.123456789, 2.5e-9, 1.5e-16))
-    x = 77_777_777
-    got = g.phase01(np.array([10**7 + x], dtype=np.int64))[0]
-    exact = (Fraction(0.123456789) * x + Fraction(2.5e-9) * x**2
-             + Fraction(1.5e-16) * x**3) % 1
-    assert got == pytest.approx(float(exact), abs=1e-12)
+    got = ShiftedPoly(base, gammas).phase01(base + np.asarray(xs, dtype=np.int64))
+    out = []
+    for x, v in zip(xs, got.tolist()):
+        d = abs(v - float(sum(Fraction(c) * x ** (i + 1) for i, c in enumerate(gammas)) % 1))
+        out.append(min(d, 1 - d))
+    return out
+
+
+def test_phase_reduction_against_exact_fractions():
+    assert max(_phase_errors(10**7, (0.123456789, 2.5e-9, 1.5e-16), [77_777_777])) < 1e-12
+    # degrees 1-4 with phases up to ~1e6 turns; gamma_1 of either sign,
+    # gamma_i >= 0 for i >= 2 (see the negative-cubic case below)
+    rng = np.random.default_rng(11)
+    for degree in range(1, 5):
+        for _ in range(3):
+            gammas = (float(rng.uniform(-0.5, 0.5)),) + tuple(
+                float(rng.uniform(0, 1)) * 10.0 ** (-6 * i) for i in range(1, degree))
+            xs = rng.integers(0, 10**6, 25).tolist()
+            assert max(_phase_errors(10**8, gammas, xs)) < 1e-12, gammas
+
+
+@pytest.mark.xfail(strict=True, reason="a negative Horner value in (-1, 0) is folded "
+                   "with a rounding error that later steps multiply by n - N")
+def test_phase_reduction_negative_cubic():
+    errs = _phase_errors(10**9, (0.3, 1e-7, -1.2e-11), [12_345, 50_000, 99_999])
+    assert max(errs) < 1e-12
 
 
 def test_main_term_examples():
