@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from skewlab.errors import InvalidInputError, PreconditionError, RangeError, ResourceError
+from skewlab.errors import (IntegrityError, InvalidInputError, PreconditionError, RangeError,
+                            ResourceError)
 from skewlab.primes import default_source, euler_phi, factorize
 from skewlab.skew_dynamics import e
 
@@ -33,7 +34,7 @@ def _primitive_root_prime(p: int) -> int:
     for g in range(2, p):
         if all(pow(g, phi // f, p) != 1 for f in fac):
             return g
-    raise ArithmeticError(f"no primitive root mod {p}")
+    raise IntegrityError(f"no primitive root mod {p}")
 
 
 def _primitive_root_prime_power(p: int, e: int) -> int:
@@ -237,7 +238,7 @@ def gauss_sum(chi: Character, x: int) -> complex:
     b = np.arange(ee)
     val = complex(np.sum(chi.values() * e(b * (x % ee) / ee)))
     if abs(val) > math.sqrt(ee) + 1e-9:
-        raise ArithmeticError(f"|G| = {abs(val)} exceeds sqrt({ee})")
+        raise IntegrityError(f"|G| = {abs(val)} exceeds sqrt({ee})")
     return val
 
 

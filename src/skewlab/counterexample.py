@@ -6,8 +6,8 @@ Each stage n contributes a sawtooth f_n supported on the intervals
 [w p_k/q_k, (w p_k + 1)/q_k]: an up-ramp of slope L_{n,w} over width
 1/q_{k+1}, a plateau, and a symmetric down-ramp.  The slopes at window points
 solve the target equation f_n(w alpha) = target - r_{w,n} and are linearly
-interpolated elsewhere.  All evaluations at orbit points w*alpha use exact
-rational offsets, so stages stay consistent to ~1e-12 even at q ~ 1e9.
+interpolated elsewhere.  All evaluations at orbit points w*alpha = w*P/Q use exact
+integer residues, so stages stay consistent to ~1e-12 even at q ~ 1e11.
 """
 
 import json
@@ -88,48 +88,69 @@ def eps_n(A: AlmostSparseSet, n: int) -> Fraction:
 
 
 class RampFunction:
-    """One stage's sawtooth f_n, evaluable in float or exact-offset mode."""
+    """One stage's sawtooth f_n on the cells [j/q, (j + 1)/q).
 
-    def __init__(self, q: int, q_next: int, p: int, L_of_s):
+    The slope of cell j is L_of_s(s) at the residue index s = j p^-1 mod q,
+    interpolated between the window residues.
+    """
+
+    def __init__(self, q: int, q_next: int, p: int, window_s, L_window):
         self.q = q
         self.q_next = q_next
         self.p = p
         self.p_inv = pow(p, -1, q)
-        self.L_of_s = L_of_s  # slope as a function of the residue index s
+        self._ws = np.asarray(window_s, dtype=np.int64)
+        self._Ls = np.asarray(L_window, dtype=np.float64)
+        # right end of each bracket; the last one closes at the wrapped first point
+        self._ws_next = np.append(self._ws[1:], self._ws[0] + q)
+        self._Ls_next = np.append(self._Ls[1:], self._Ls[0])
+        self._wrap_slope = (self._Ls[0] - self._Ls[-1]) / (q - self._ws[-1] + self._ws[0])
 
-    def _value(self, w, offset):
-        # offset inside [w p/q, (w p + 1)/q), measured from the left edge
-        L = self.L_of_s(w)
+    def L_of_s(self, s):
+        """Slope at residue index s (int or int64 array): bracket interpolation
+        between window residues, linear across the wraparound."""
+        s = np.asarray(s, dtype=np.int64) % self.q
+        ws, Ls = self._ws, self._Ls
+        w0, wt, Lt = ws[0], ws[-1], float(Ls[-1])
+        i = np.maximum(np.searchsorted(ws, s, side="right") - 1, 0)
+        inner = Ls[i] + (s - ws[i]) * (self._Ls_next[i] - Ls[i]) / (self._ws_next[i] - ws[i])
+        inner = np.where(ws[i] == s, Ls[i], inner)
+        wrap = Lt + (np.where(s >= wt, s, s + self.q) - wt) * self._wrap_slope
+        out = np.where((w0 <= s) & (s <= wt), inner, wrap)
+        return out if out.shape else float(out)
+
+    def _shape(self, L, off):
+        # up-ramp, plateau and down-ramp inside a cell, off from its left edge
         ramp = 1.0 / self.q_next
         width = 1.0 / self.q
-        off = float(offset)
-        if off <= ramp:
-            return L * off
-        if off >= width - ramp:
-            return L * (width - off)
-        return L / self.q_next
+        return np.where(off <= ramp, L * off,
+                        np.where(off >= width - ramp, L * (width - off), L / self.q_next))
+
+    def at_fractions(self, nums, Q: int):
+        """f(num/Q) for each integer num in [0, Q): the cell j = floor(x q) and
+        its residue in Python integers, the offset x - j/q one correctly rounded
+        division, so it equals float() of the exact rational."""
+        q, p_inv, Qq = self.q, self.p_inv, Q * self.q
+        s = np.empty(len(nums), dtype=np.int64)
+        off = np.empty(len(nums))
+        for i, num in enumerate(nums):
+            j, rem = divmod(num * q, Q)
+            s[i] = j * p_inv % q
+            off[i] = rem / Qq
+        return self._shape(self.L_of_s(s), off)
 
     def eval_frac(self, x: Fraction) -> float:
-        """Exact-branch evaluation at a rational point (mod 1)."""
-        x = x % 1
-        j = int(x * self.q)  # floor since x*q rational
-        w = (j * self.p_inv) % self.q
-        return self._value(w, x - Fraction(j, self.q))
+        """Evaluation at a rational point (mod 1)."""
+        return float(self.at_fractions([x.numerator % x.denominator], x.denominator)[0])
 
     def eval(self, x):
         """Vectorized float evaluation on [0,1)."""
-        x = np.asarray(x, dtype=np.float64) % 1.0
-        j = np.minimum((x * self.q).astype(np.int64), self.q - 1)
-        w = (j * self.p_inv) % self.q
-        off = x - j / self.q
-        L = np.asarray([self.L_of_s(int(s)) for s in np.atleast_1d(w)])
-        L = L.reshape(np.shape(w))
-        ramp = 1.0 / self.q_next
-        width = 1.0 / self.q
-        up = off <= ramp
-        down = off >= width - ramp
-        out = np.where(up, L * off, np.where(down, L * (width - off), L / self.q_next))
-        return out if out.shape else float(out)
+        x = np.asarray(x, dtype=np.float64)
+        xs = np.atleast_1d(x) % 1.0
+        j = np.minimum((xs * self.q).astype(np.int64), self.q - 1)
+        s = np.array([jj * self.p_inv % self.q for jj in j.tolist()], dtype=np.int64)
+        out = self._shape(self.L_of_s(s), xs - j / self.q)
+        return out.reshape(x.shape) if x.shape else float(out[0])
 
     __call__ = eval
 
@@ -140,9 +161,16 @@ class TentFunction:
     def __init__(self, q: int):
         self.q = q
 
+    def at_fractions(self, nums, Q: int):
+        """h(num/Q) for each integer num in [0, Q), exact up to the final rounding."""
+        out = np.empty(len(nums))
+        for i, num in enumerate(nums):
+            rem = num * self.q % Q  # (x q mod 1) * Q
+            out[i] = 2 * min(rem, Q - rem) / Q
+        return out
+
     def eval_frac(self, x: Fraction) -> float:
-        u = (x * self.q) % 1
-        return float(2 * u) if u <= Fraction(1, 2) else float(2 * (1 - u))
+        return float(self.at_fractions([x.numerator % x.denominator], x.denominator)[0])
 
     def eval(self, x):
         u = (np.asarray(x, dtype=np.float64) * self.q) % 1.0
@@ -218,7 +246,6 @@ class StageConstruction:
         self.stage_l = [k + 1 for k in self.stage_k] if include_h else []
         self.n_stages = len(self.stage_k)
         self._stages = {}  # n -> dict(window, L_window, r_window, targets)
-        self._mu = None
 
     # -- stage data -------------------------------------------------------
 
@@ -234,49 +261,15 @@ class StageConstruction:
     def solved(self):
         return len(self._stages)
 
-    def _mu_of(self, m):
-        if self._mu is None or len(self._mu) <= m:
-            self._mu = mobius_upto(max(2 * m, 1 << 12))
-        return int(self._mu[m])
-
-    def _offset(self, n, w) -> Fraction:
-        """w*alpha - w*p_k/q_k, exact; lands in the up-ramp (0, 1/q_{k+1}]."""
-        k = self.stage_k[n - 1]
-        return w * (self.cf.value - self.cf.convergent(k))
-
     def f(self, n) -> RampFunction:
         if n > self.solved():
             raise StateError(f"stage {n} not solved yet")
-        k = self.stage_k[n - 1]
-        st = self._stages[n]
-        return RampFunction(self.cf.q(k), self.cf.q(k + 1), self.cf.p(k), st["L_interp"])
+        return self._stages[n]["f"]
 
     def h(self, n) -> TentFunction:
         if not self.include_h:
             raise StateError("construction built without the tent terms")
         return TentFunction(self.cf.q(self.stage_l[n - 1]))
-
-    def _interp_builder(self, q, window_s, L_window):
-        """Closure s -> L(n, s) by bracket interpolation with wraparound."""
-        ws = np.asarray(window_s, dtype=np.int64)
-        Ls = np.asarray(L_window, dtype=np.float64)
-        w0, wt = int(ws[0]), int(ws[-1])
-        L0, Lt = float(Ls[0]), float(Ls[-1])
-        wrap_len = q - wt + w0
-        wrap_slope = (L0 - Lt) / wrap_len if wrap_len else 0.0
-
-        def L_of_s(s):
-            s = int(s) % q
-            if w0 <= s <= wt:
-                i = int(np.searchsorted(ws, s, side="right")) - 1
-                if ws[i] == s:
-                    return float(Ls[i])
-                gap = ws[i + 1] - ws[i]
-                return float(Ls[i] + (s - ws[i]) * (Ls[i + 1] - Ls[i]) / gap)
-            s_ext = s if s >= wt else s + q
-            return Lt + (s_ext - wt) * wrap_slope
-
-        return L_of_s
 
     def solve_stage(self, n):
         """Define L_{n,.} from the targets; stages must be solved in order."""
@@ -291,23 +284,26 @@ class StageConstruction:
         window = self.window_of(n)
         if not window:
             raise ConstructionError(f"stage {n}: empty window at q = {q}")
-        r_window = [self._r_value(n, w) for w in window]
-        targets = []
-        for w, r in zip(window, r_window):
-            if self.mu_twist:
-                t = (7 + self._mu_of(math.isqrt(w))) / 4.0 - r
-            else:
-                t = (2.0 if n % 2 == 0 else 1.5) - r
-            targets.append(t)
-        L_window = [t / float(self._offset(n, w)) for t, w in zip(targets, window)]
-        window_s = [w % q for w in window]
-        if window_s != sorted(set(window_s)):
+        # r_{w,n} = sum_{m<n} f_m(w alpha) [+ h_m(w alpha)] mod 1
+        r_window = self.birkhoff0_many(window, n - 1) % 1.0
+        if self.mu_twist:
+            roots = [math.isqrt(w) for w in window]
+            targets = (7 + mobius_upto(roots[-1])[roots].astype(np.float64)) / 4.0 - r_window
+        else:
+            targets = (2.0 if n % 2 == 0 else 1.5) - r_window
+        # w*alpha - w*p_k/q_k = w*(P q_k - p_k Q)/(Q q_k), inside the up-ramp of cell w p_k
+        P, Q = self.cf.value.numerator, self.cf.value.denominator
+        d = P * q - self.cf.p(k) * Q
+        L_window = targets / np.array([w * d / (Q * q) for w in window])
+        window_s = np.array([w % q for w in window], dtype=np.int64)
+        if np.any(np.diff(window_s) <= 0):
             raise ConstructionError(f"stage {n}: window residues not strictly sorted")
         st = {
             "k": k, "q": q, "q_next": q1,
             "window": window, "window_s": window_s,
-            "r_window": r_window, "targets": targets, "L_window": L_window,
-            "L_interp": self._interp_builder(q, window_s, L_window),
+            "r_window": r_window.tolist(), "targets": targets.tolist(),
+            "L_window": L_window.tolist(),
+            "f": RampFunction(q, q1, self.cf.p(k), window_s, L_window),
         }
         self._stages[n] = st
         if not self.mu_twist:
@@ -321,26 +317,20 @@ class StageConstruction:
 
     # -- evaluation --------------------------------------------------------
 
-    def _r_value(self, n, w) -> float:
-        """r_{w,n} = sum_{m<n} f_m(w alpha) [+ h_m(w alpha)] mod 1."""
-        total = 0.0
-        wa = (w * self.cf.value) % 1
-        for m in range(1, n):
-            total += self.f(m).eval_frac(wa)
+    def birkhoff0_many(self, ws, upto=None):
+        """S_w(g)(0) = sum over solved stages of f_n(w*alpha) [+ h_n], per w in ws."""
+        upto = self.solved() if upto is None else min(upto, self.solved())
+        P, Q = self.cf.value.numerator, self.cf.value.denominator
+        nums = [w * P % Q for w in ws]  # w*alpha mod 1 = num/Q
+        total = np.zeros(len(ws))
+        for m in range(1, upto + 1):
+            total += self.f(m).at_fractions(nums, Q)
             if self.include_h:
-                total += self.h(m).eval_frac(wa)
-        return total % 1.0
+                total += self.h(m).at_fractions(nums, Q)
+        return total
 
     def birkhoff0(self, kk: int, upto=None) -> float:
-        """S_kk(g)(0) = sum over solved stages of f_n(kk*alpha) [+ h_n]."""
-        upto = self.solved() if upto is None else min(upto, self.solved())
-        ka = (kk * self.cf.value) % 1
-        total = 0.0
-        for m in range(1, upto + 1):
-            total += self.f(m).eval_frac(ka)
-            if self.include_h:
-                total += self.h(m).eval_frac(ka)
-        return total
+        return float(self.birkhoff0_many([kk], upto)[0])
 
     def g_truncated(self, x, upto=None):
         """sum_{n <= upto} (f_n(x + alpha) - f_n(x)) [+ tent terms], float mode."""
@@ -362,13 +352,18 @@ class StageConstruction:
         for n in range(1, self.solved() + 1):
             st = self._stages[n]
             q, q1 = st["q"], st["q_next"]
-            Lmax = max(st["L_window"])
-            l_of = st["L_interp"]
-            samples = list(st["window_s"])
-            samples += [(s + 1) % q for s in samples] + [0, q - 1]
-            dmax = max(abs(l_of(s + 1) - l_of(s)) for s in set(samples) if s + 1 < q)
-            rows.append({"n": n, "sup_term": Lmax / (q * q1), "lip_term": dmax / q1})
+            dmax = float(self._slope_steps(n)[1].max())
+            rows.append({"n": n, "sup_term": max(st["L_window"]) / (q * q1), "lip_term": dmax / q1})
         return rows
+
+    def _slope_steps(self, n):
+        """|L(s+1) - L(s)| at the window residues, their successors, 0 and q-1."""
+        st = self._stages[n]
+        q, ws = st["q"], st["window_s"]
+        s = np.unique(np.concatenate([ws, (ws + 1) % q, [0, q - 1]]))
+        s = s[s + 1 < q]
+        l_of = st["f"].L_of_s
+        return s, np.abs(l_of(s + 1) - l_of(s))
 
     def _log_q_lower(self, k: int) -> float:
         """Lower bound for log q_k, exact within depth, Fibonacci growth beyond."""
@@ -408,27 +403,28 @@ class StageConstruction:
         eps = float(eps_n(self.A, q)) if len(self.A.window(0, q)) >= 2 else 1.0
         cap = 12.0 * q1
         inc_cap = max(12.0 * eps * q1, 24.0 * q1 / q)
-        for w, L in zip(st["window"], st["L_window"]):
-            if not (q1 / 12.0 - 1e-9 <= L <= cap * (1 + 1e-12)):
-                raise ConstructionError(f"stage {n}: L at w={w} escapes [q'/12, 12q']: {L}")
-        l_of = st["L_interp"]
-        probes = set(st["window_s"])
-        probes |= {(s + 1) % q for s in probes} | {0, q - 1, (st["window_s"][-1] + 1) % q}
-        for s in probes:
-            if s + 1 < q and abs(l_of(s + 1) - l_of(s)) >= inc_cap * (1 + 1e-12):
-                raise ConstructionError(
-                    f"stage {n}: |L(s+1)-L(s)| at s={s} exceeds {inc_cap}")
+        Ls = np.asarray(st["L_window"])
+        escapes = ~((q1 / 12.0 - 1e-9 <= Ls) & (Ls <= cap * (1 + 1e-12)))
+        if escapes.any():
+            w, L = st["window"][np.argmax(escapes)], Ls[np.argmax(escapes)]
+            raise ConstructionError(f"stage {n}: L at w={w} escapes [q'/12, 12q']: {L}")
+        probes, steps = self._slope_steps(n)
+        over = steps >= inc_cap * (1 + 1e-12)
+        if over.any():
+            s = probes[np.argmax(over)]
+            raise ConstructionError(f"stage {n}: |L(s+1)-L(s)| at s={s} exceeds {inc_cap}")
         # endpoints reached exactly by the interpolation
-        for s, L in zip(st["window_s"], st["L_window"]):
-            if abs(l_of(s) - L) > 1e-9 * max(1.0, abs(L)):
-                raise ConstructionError(f"stage {n}: interpolation misses window point {s}")
+        miss = np.abs(st["f"].L_of_s(st["window_s"]) - Ls) > 1e-9 * np.maximum(1.0, np.abs(Ls))
+        if miss.any():
+            s = st["window_s"][np.argmax(miss)]
+            raise ConstructionError(f"stage {n}: interpolation misses window point {s}")
         return True
 
     def verify_phi(self, n, eps=0.05):
         """Check S_w(g)(0) mod 1 near the stage-n target on the stage window.
 
-        Returns a report dict with per-point deviations and the certified
-        tail; passes iff every deviation plus the tail stays below eps.
+        Returns a report dict with the per-point deviations (one array, window
+        order) and the certified tail; passes iff every deviation + tail < eps.
         """
         if n > self.solved():
             raise IncompleteError(f"stage {n} not solved")
@@ -437,27 +433,22 @@ class StageConstruction:
         st = self._stages[n]
         target = 0.0 if n % 2 == 0 else 0.5
         tail = self.tail_bound(self.solved(), st["q"])
-        rows = []
-        for w in st["window"]:
-            s = self.birkhoff0(w) % 1.0
-            dev = min(abs(s - target), 1 - abs(s - target))
-            rows.append({"w": w, "value": s, "deviation": dev})
-        worst = max(r["deviation"] for r in rows)
+        dist = np.abs(self.birkhoff0_many(st["window"]) % 1.0 - target)
+        deviations = np.minimum(dist, 1 - dist)
+        worst = float(deviations.max())
         return {
             "n": n, "target": target, "eps": eps, "tail_bound": tail,
-            "worst_deviation": worst, "passed": worst + tail < eps, "points": rows,
+            "worst_deviation": worst, "passed": worst + tail < eps,
+            "deviations": deviations,
         }
 
     def bump_average(self, n, width=0.25) -> float:
         """Mean over the stage-n window of a triangular bump centered at y = 1/2."""
         if n > self.solved():
             raise IncompleteError(f"stage {n} not solved")
-        vals = []
-        for w in self._stages[n]["window"]:
-            y = self.birkhoff0(w) % 1.0
-            d = min(abs(y - 0.5), 1 - abs(y - 0.5))
-            vals.append(max(0.0, 1.0 - d / width))
-        return float(np.mean(vals))
+        dist = np.abs(self.birkhoff0_many(self._stages[n]["window"]) % 1.0 - 0.5)
+        d = np.minimum(dist, 1 - dist)
+        return float(np.mean(np.maximum(0.0, 1.0 - d / width)))
 
     def mu_twist_average(self, n=None) -> complex:
         """(1/N) sum_{m <= N} e(S_{m^2}(g)(0)) mu(m) at N = floor(sqrt(q/2))."""
@@ -466,11 +457,9 @@ class StageConstruction:
         n = self.solved() if n is None else n
         N = math.isqrt(self.q_of(n) // 2)
         mu = mobius_upto(N)
+        ms = [m for m in range(1, N + 1) if mu[m] != 0]
         total = 0.0 + 0.0j
-        for m in range(1, N + 1):
-            if mu[m] == 0:
-                continue
-            s = self.birkhoff0(m * m)
+        for m, s in zip(ms, self.birkhoff0_many([m * m for m in ms]).tolist()):
             total += int(mu[m]) * complex(math.cos(2 * math.pi * s), math.sin(2 * math.pi * s))
         return total / N
 

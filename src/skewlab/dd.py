@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from skewlab.errors import RangeError
+
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
@@ -36,8 +38,10 @@ def _two_prod(a, b):
 def frac01_int_mult(n, a_hi, a_lo):
     """frac(n * a) in [0,1) as float64 for integer array n, dd scalar a.
 
-    n must be exactly representable in float64 (|n| < 2**53).
+    n must be exactly representable in float64: |n| < 2**53, else RangeError.
     """
+    if n.size and (n.min() <= -2**53 or n.max() >= 2**53):
+        raise RangeError(f"n spans [{n.min()}, {n.max()}], outside (-2**53, 2**53)")
     # names are rebound so that each step frees the arrays it consumed
     nf = n.astype(np.float64)
     hi, lo = _two_prod(nf, a_hi)

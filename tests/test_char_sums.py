@@ -8,7 +8,7 @@ from skewlab.char_sums import (BetaPolicy, build_characters, gauss_sum,
                                progression_char_stat, residue_progression_gap,
                                twisted_residue_window, window_coprime_count,
                                windowed_twisted_stat)
-from skewlab.errors import PreconditionError, ResourceError
+from skewlab.errors import IntegrityError, PreconditionError, ResourceError
 from skewlab.primes import default_source, euler_phi, primes_in
 
 
@@ -61,6 +61,20 @@ def test_gauss_sum_modulus():
     chi0 = build_characters(8).principal()
     with pytest.raises(PreconditionError):
         gauss_sum(chi0, 1)
+
+
+def test_gauss_sum_bound_violation_is_integrity_error():
+    class Inflated:  # a "primitive character" mod 5 whose values break |G| <= sqrt(5)
+        q = 5
+
+        def is_primitive(self):
+            return True
+
+        def values(self):
+            return np.full(5, 10.0 + 0j)
+
+    with pytest.raises(IntegrityError):
+        gauss_sum(Inflated(), 0)
 
 
 def test_progression_stat_full_period_vanishes():

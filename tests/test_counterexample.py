@@ -18,6 +18,98 @@ def solved():
     return st
 
 
+@pytest.fixture(scope="module")
+def solved3():
+    st = counterexample_stages(n_stages=3)
+    st.solve_all()
+    return st
+
+
+# -- exact oracle: per-point Fraction arithmetic and the scalar slope bracket --
+
+def _oracle_slope(q, window_s, L_window, s):
+    ws = np.asarray(window_s, dtype=np.int64)
+    Ls = np.asarray(L_window, dtype=np.float64)
+    w0, wt = int(ws[0]), int(ws[-1])
+    L0, Lt = float(Ls[0]), float(Ls[-1])
+    s = int(s) % q
+    if w0 <= s <= wt:
+        i = int(np.searchsorted(ws, s, side="right")) - 1
+        if ws[i] == s:
+            return float(Ls[i])
+        return float(Ls[i] + (s - ws[i]) * (Ls[i + 1] - Ls[i]) / (ws[i + 1] - ws[i]))
+    s_ext = s if s >= wt else s + q
+    return Lt + (s_ext - wt) * ((L0 - Lt) / (q - wt + w0))
+
+
+def _oracle_f(st, m, x: Fraction) -> float:
+    """f_m(x) with the offset inside the cell kept as an exact Fraction."""
+    data = st._stages[m]
+    q, q1 = data["q"], data["q_next"]
+    x = x % 1
+    j = int(x * q)
+    s = j * pow(st.cf.p(data["k"]), -1, q) % q
+    L = _oracle_slope(q, data["window_s"], data["L_window"], s)
+    off = float(x - Fraction(j, q))
+    if off <= 1.0 / q1:
+        return L * off
+    if off >= 1.0 / q - 1.0 / q1:
+        return L * (1.0 / q - off)
+    return L / q1
+
+
+def _oracle_tent(q, x: Fraction) -> float:
+    u = (x * q) % 1
+    return float(2 * u) if u <= Fraction(1, 2) else float(2 * (1 - u))
+
+
+def _oracle_birkhoff0(st, w, upto) -> float:
+    wa = (w * st.cf.value) % 1
+    total = 0.0
+    for m in range(1, upto + 1):
+        total += _oracle_f(st, m, wa)
+        if st.include_h:
+            total += _oracle_tent(st.cf.q(st.stage_l[m - 1]), wa)
+    return total
+
+
+@pytest.mark.parametrize("variant", ["standard", "include_h"])
+def test_integer_evaluator_matches_fraction_oracle(variant, solved3):
+    if variant == "standard":
+        st = solved3
+    else:
+        st = counterexample_stages(n_stages=2, include_h=True)
+        st.solve_all()
+    rng = np.random.default_rng(2024)
+    for n in range(1, st.solved() + 1):
+        data = st._stages[n]
+        window = data["window"]
+        idx = np.sort(rng.choice(len(window), min(500, len(window)), replace=False))
+        alpha, p_q = st.cf.value, st.cf.convergent(data["k"])
+        target = 0.0 if n % 2 == 0 else 0.5
+        deviations = st.verify_phi(n)["deviations"]
+        for i in idx.tolist():
+            w = window[i]
+            r = _oracle_birkhoff0(st, w, n - 1) % 1.0
+            assert data["r_window"][i] == r
+            offset = float(w * (alpha - p_q))  # w*alpha - w*p_k/q_k, in the up-ramp
+            assert data["L_window"][i] == ((2.0 if n % 2 == 0 else 1.5) - r) / offset
+            y = _oracle_birkhoff0(st, w, st.solved()) % 1.0
+            assert deviations[i] == min(abs(y - target), 1 - abs(y - target))
+    for w in (1, 5, 17):
+        assert st.birkhoff0(w) == _oracle_birkhoff0(st, w, st.solved())
+    assert st.f(1) is st.f(1)
+
+
+def test_float_path_residue_is_exact(solved3):
+    # at stage 3 the residue product j * p^-1 mod q leaves int64
+    f = solved3.f(3)
+    assert (f.q - 1) * f.p_inv >= 2**63
+    xs = np.random.default_rng(7).random(2000)
+    exact = np.array([f.eval_frac(Fraction(x)) for x in xs])
+    assert np.max(np.abs(f.eval(xs) - exact)) < 1e-3
+
+
 def test_squares_descriptor_windows():
     A = AlmostSparseSet("squares")
     assert A.elements_in(1, 100) == [1, 4, 9, 16, 25, 36, 49, 64, 81, 100]
@@ -107,7 +199,7 @@ def test_interpolation_monotone_between_decreasing_targets(solved):
     for n in range(1, st.solved() + 1):
         data = st._stages[n]
         ws, Ls = data["window_s"], data["L_window"]
-        l_of = data["L_interp"]
+        l_of = st.f(n).L_of_s
         for i in range(len(ws) - 1):
             if Ls[i] > Ls[i + 1]:
                 span = range(ws[i], ws[i + 1])

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab.cocycle import AnalyticCocycle, TrigPoly
+from skewlab.dd import frac01_int_mult
 from skewlab.diophantine import cf_from_quotients
-from skewlab.errors import InvalidInputError
+from skewlab.errors import InvalidInputError, RangeError
 from skewlab.presets import prime_pair
 from skewlab.primes import chebyshev_theta
 from skewlab.skew_dynamics import (Observable, SkewProduct, exact_star_discrepancy,
@@ -202,3 +203,11 @@ def _params_of():
     from skewlab.diophantine import AnalysisParams
 
     return AnalysisParams(tau_prime=5e-4, delta=0.2)
+
+
+def test_frac01_int_mult_rejects_inexact_multipliers():
+    for n in ([0, 2**53], [-(2**53), 5], [2**62]):
+        with pytest.raises(RangeError):
+            frac01_int_mult(np.array(n, dtype=np.int64), 0.1, 0.0)
+    edge = np.array([-(2**53) + 1, 2**53 - 1], dtype=np.int64)  # still exact in float64
+    assert frac01_int_mult(edge, 0.5, 0.0).tolist() == [0.5, 0.5]
