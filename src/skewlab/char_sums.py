@@ -3,7 +3,15 @@
 Characters are built by CRT over prime-power factors with discrete-log tables
 on the cyclic parts; values live as exact roots of unity (group exponent L,
 integer exponents) and materialize to complex rows on demand, so a table for
-q up to 1e6 costs O(q * omega(q)) memory rather than phi(q) * q.
+q up to 1e6 costs O(q * omega(q)) memory rather than phi(q) * q.  A value row
+is a lookup: each table builds the root table zeta_L^0, ..., zeta_L^(L-1)
+followed by 0 once, and indexes it with the exponent row, whose -1 on non-units
+reads the trailing 0.
+
+The sup-over-beta window statistics (windowed_twisted_stat and
+huxley_stat_windows) evaluate every window start z < q at once: each beta of
+the grid is one whole-array pass over a block of the (z, t) matrix of window
+positions, and the golden-section refine runs on all windows in lockstep.
 
 The sliding-window prime statistics treat each residue-class count as a step
 function of the window start y that changes only where a prime enters or
@@ -11,6 +19,7 @@ leaves the window, so a full pass over [0, x) costs O(pi(x) log pi(x)) array
 work, independent of x.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +31,8 @@ from skewlab.primes import default_source, euler_phi, factorize
 from skewlab.skew_dynamics import e
 
 TWO_PI = 2.0 * math.pi
+# elements of one (z, t) block of window positions in the beta-sup statistics
+WINDOW_BLOCK_ELEMS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +161,7 @@ class Character:
 
     def values(self) -> np.ndarray:
         """Complex value row over [0, q), 0 on non-units."""
-        row = self.exponents()
-        L = self.table.exponent
-        out = np.exp(2j * np.pi * (row.astype(np.float64) / L))
-        out[row < 0] = 0.0
-        return out
-
-    def __call__(self, a: int) -> complex:
-        row = self.exponents()
-        v = row[int(a) % self.q]
-        if v < 0:
-            return 0j
-        return complex(np.exp(2j * np.pi * v / self.table.exponent))
+        return self.table._roots[self.exponents()]
 
 
 class CharacterTable:
@@ -183,15 +183,25 @@ class CharacterTable:
         # per-component dlog over [0, q); units read off gcd so that factors
         # with trivial unit group (2^1) still constrain membership
         a = np.arange(q, dtype=np.int64) if q > 1 else np.zeros(1, dtype=np.int64)
-        self._dlogs = [comp.dlog[a % comp.modulus] for comp in self.components]
-        self._unit_mask = np.gcd(a, q) == 1 if q > 1 else np.ones(1, dtype=bool)
+        self._dlogs = [np.maximum(comp.dlog[a % comp.modulus], 0) for comp in self.components]
+        self._non_units = np.flatnonzero(np.gcd(a, q) != 1) if q > 1 else np.zeros(0, np.int64)
+
+    @functools.cached_property
+    def _roots(self) -> np.ndarray:
+        """zeta_L^j for j < L, then 0 at index L (read by the exponent -1)."""
+        L = self.exponent
+        return np.append(np.exp(2j * np.pi * (np.arange(L, dtype=np.float64) / L)), 0.0)
 
     def _exponent_row(self, ks) -> np.ndarray:
+        # each term k (L / order) dlog is below L * q, so the int64 sum over the
+        # r <= 8 components stays below r L q <= 8e12 for q <= MAX_Q
         L = self.exponent
         row = np.zeros(self.q if self.q > 1 else 1, dtype=np.int64)
         for k, comp, D in zip(ks, self.components, self._dlogs):
-            row = (row + (k * (L // comp.order)) * np.where(D >= 0, D, 0)) % L
-        row[~self._unit_mask] = -1
+            if k:
+                row += (k * (L // comp.order)) * D
+        row %= L
+        row[self._non_units] = -1
         return row
 
     def __len__(self):
@@ -226,6 +236,15 @@ def build_characters(q: int) -> CharacterTable:
 # character statistics
 
 
+@functools.lru_cache(maxsize=1)
+def _additive_twist(q: int, x: int) -> np.ndarray:
+    """e(b x / q) for b < q; one entry, since callers walk every character of one q."""
+    b = np.arange(q)
+    tw = e(b * x / q)
+    tw.flags.writeable = False
+    return tw
+
+
 def gauss_sum(chi: Character, x: int) -> complex:
     """G_chi(x) = sum_b chi(b) e(b x / e) for a primitive character mod e.
 
@@ -235,8 +254,7 @@ def gauss_sum(chi: Character, x: int) -> complex:
     if not chi.is_primitive():
         raise PreconditionError("gauss_sum requires a primitive character")
     ee = chi.q
-    b = np.arange(ee)
-    val = complex(np.sum(chi.values() * e(b * (x % ee) / ee)))
+    val = complex(np.sum(chi.values() * _additive_twist(ee, x % ee)))
     if abs(val) > math.sqrt(ee) + 1e-9:
         raise IntegrityError(f"|G| = {abs(val)} exceeds sqrt({ee})")
     return val
@@ -271,35 +289,64 @@ class BetaPolicy:
         return np.arange(n) / n
 
 
-def _window_sup_beta(vals: np.ndarray, z: int, Hp: int, policy: BetaPolicy) -> float:
-    """sup_beta |sum_{a in [z, z+Hp]} vals[a] e(a beta)| per the policy."""
-    a = np.arange(z, min(z + Hp + 1, len(vals)))
-    w = vals[a]
+def _window_blocks(q: int, Hp: int, width: int = 1):
+    """Window starts z < q in blocks of at most WINDOW_BLOCK_ELEMS elements.
 
-    def amp(beta):
-        return abs(np.sum(w * np.exp(2j * np.pi * beta * a)))
+    A window takes max(Hp + 1, width) elements: its positions, or the width
+    of a per-window array its caller builds (r bins in huxley_stat_windows).
 
+    Yields (u, idx, inside): the positions u that the block's windows touch,
+    the (z, t) matrix of indices into u of the positions z + t, t <= Hp
+    (clipped to the last of u), and the mask of the positions z + t < q.
+    """
+    t = np.arange(Hp + 1)
+    size = max(1, WINDOW_BLOCK_ELEMS // max(Hp + 1, width))
+    for z0 in range(0, q, size):
+        z1 = min(z0 + size, q)
+        u = np.arange(z0, min(z1 + Hp, q))
+        pos = np.arange(z1 - z0)[:, None] + t
+        yield u, np.minimum(pos, len(u) - 1), pos < len(u)
+
+
+def _windows_sup_beta(vals: np.ndarray, Hp: int, policy: BetaPolicy) -> np.ndarray:
+    """sup_beta |sum_{a in [z, z+Hp], a < q} vals[a] e(a beta)| for every z < q.
+
+    Each window takes the grid argmax, then the policy's golden-section refine
+    with the same comparisons in the same order as a window on its own.
+    """
+    q = len(vals)
     grid = policy.grid(Hp)
-    amps = [amp(b) for b in grid]
-    i = int(np.argmax(amps))
-    best = amps[i]
-    if policy.name != "grid+golden" or len(grid) < 2:
-        return float(best)
-    step = 1.0 / len(grid)
-    lo, hi = grid[i] - step, grid[i] + step
-    invphi = (math.sqrt(5) - 1) / 2
-    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    fc, fd = amp(c), amp(d)
-    for _ in range(policy.golden_iters):
-        if fc < fd:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = amp(d)
-        else:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = amp(c)
-    return float(max(best, fc, fd))
+    refine = policy.name == "grid+golden" and len(grid) >= 2
+    sups = []
+    for u, idx, inside in _window_blocks(q, Hp):
+        w = np.where(inside, vals[u][idx], 0.0)
+        amps = np.empty((len(grid), len(idx)))
+        for j, beta in enumerate(grid):
+            amps[j] = np.abs(np.sum(w * np.exp(2j * np.pi * beta * u)[idx], axis=1))
+        i = np.argmax(amps, axis=0)
+        best = amps[i, np.arange(len(idx))]
+        if not refine:
+            sups.append(best)
+            continue
+        a = u[idx]
+
+        def amp(beta):  # one beta per window
+            return np.abs(np.sum(w * np.exp((2j * np.pi * beta)[:, None] * a), axis=1))
+
+        step = 1.0 / len(grid)
+        lo, hi = grid[i] - step, grid[i] + step
+        invphi = (math.sqrt(5) - 1) / 2
+        c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        fc, fd = amp(c), amp(d)
+        for _ in range(policy.golden_iters):
+            left = fc < fd  # left: lo, c, fc = c, d, fd; else hi, d, fd = d, c, fc
+            lo, hi = np.where(left, c, lo), np.where(left, hi, d)
+            new = np.where(left, lo + invphi * (hi - lo), hi - invphi * (hi - lo))
+            fnew = amp(new)
+            c, d = np.where(left, d, new), np.where(left, new, c)
+            fc, fd = np.where(left, fd, fnew), np.where(left, fnew, fc)
+        sups.append(np.maximum(np.maximum(best, fc), fd))
+    return np.concatenate(sups)
 
 
 def windowed_twisted_stat(q: int, Hp: int, chi: Character,
@@ -311,10 +358,7 @@ def windowed_twisted_stat(q: int, Hp: int, chi: Character,
     """
     if Hp > q ** (0.5 - 0.1) + 1:
         raise RangeError(f"H' = {Hp} beyond q^(1/2 - 1/10)")
-    vals = chi.values()
-    total = 0.0
-    for z in range(q):
-        total += _window_sup_beta(vals, z, Hp, beta_policy)
+    total = sum(_windows_sup_beta(chi.values(), Hp, beta_policy).tolist())
     delta = 0.5 - math.log(max(Hp, 2)) / math.log(q) if q > 2 else 0.1
     scale = q ** (1 - delta / 4 + 0.01) * Hp + q * Hp**0.75
     return {"value": total, "scale": scale, "policy": beta_policy.name}
@@ -393,24 +437,24 @@ def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int, primes=None,
     ps = src.primes_in(2, x)
     logp = np.log(ps.astype(np.float64))
     W = np.bincount((ps % q).astype(np.int64), weights=logp, minlength=q)
-    a = np.arange(q, dtype=np.int64)
-    coprime = np.gcd(a, q) == 1
-    phi_q = euler_phi(q)
-    main_scale = H / phi_q
-    total = 0.0
+    units = np.gcd(np.arange(q), q) == 1
+    D = W - np.where(units, H / euler_phi(q), 0.0)
     grid = beta_policy.grid(Hp)
-    for z in range(q):
-        u = np.arange(z, min(z + Hp + 1, q))
-        wz = W[u]
-        mz = np.where(coprime[u], main_scale, 0.0)
-        vr = (u % r).astype(np.int64)
-        best = 0.0
+    sups = []
+    for u, idx, inside in _window_blocks(q, Hp, width=r):
+        nz = len(idx)
+        # bin (z, v) adds its terms in the order of t, as a window on its own
+        keys = (np.arange(nz)[:, None] * r + (u % r)[idx]).ravel()
+        dz = np.where(inside, D[u][idx], 0.0).ravel()
+        flat = idx.ravel()
+        best = np.zeros(nz)
         for beta in grid:
-            tw = np.exp(2j * np.pi * beta * u)
-            diff_re = np.bincount(vr, weights=(wz - mz) * tw.real, minlength=r)
-            diff_im = np.bincount(vr, weights=(wz - mz) * tw.imag, minlength=r)
-            best = max(best, float(np.max(np.hypot(diff_re, diff_im))))
-        total += best
+            tw = np.exp(2j * np.pi * beta * u)[flat]
+            diff_re = np.bincount(keys, weights=dz * tw.real, minlength=nz * r)
+            diff_im = np.bincount(keys, weights=dz * tw.imag, minlength=nz * r)
+            best = np.maximum(best, np.hypot(diff_re, diff_im).reshape(nz, r).max(axis=1))
+        sups.append(best)
+    total = sum(np.concatenate(sups).tolist())
     return {"value": total, "trivial_scale": float(x) * H * Hp, "policy": beta_policy.name}
 
 

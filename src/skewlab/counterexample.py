@@ -246,6 +246,7 @@ class StageConstruction:
         self.stage_l = [k + 1 for k in self.stage_k] if include_h else []
         self.n_stages = len(self.stage_k)
         self._stages = {}  # n -> dict(window, L_window, r_window, targets)
+        self._phases = {}  # (n, solved stages) -> S_w(g)(0) mod 1 on the stage-n window
 
     # -- stage data -------------------------------------------------------
 
@@ -329,6 +330,15 @@ class StageConstruction:
                 total += self.h(m).at_fractions(nums, Q)
         return total
 
+    def _window_phases(self, n) -> np.ndarray:
+        """S_w(g)(0) mod 1 over the stage-n window, read-only, once per solved-stage count."""
+        key = (n, self.solved())
+        if key not in self._phases:
+            phases = self.birkhoff0_many(self._stages[n]["window"]) % 1.0
+            phases.flags.writeable = False
+            self._phases[key] = phases
+        return self._phases[key]
+
     def birkhoff0(self, kk: int, upto=None) -> float:
         return float(self.birkhoff0_many([kk], upto)[0])
 
@@ -400,7 +410,10 @@ class StageConstruction:
         """Slope cap, slope increments, and interpolation consistency at stage n."""
         st = self._stages[n]
         q, q1 = st["q"], st["q_next"]
-        eps = float(eps_n(self.A, q)) if len(self.A.window(0, q)) >= 2 else 1.0
+        try:
+            eps = float(eps_n(self.A, q))
+        except InvalidInputError:  # fewer than two elements: no gap
+            eps = 1.0
         cap = 12.0 * q1
         inc_cap = max(12.0 * eps * q1, 24.0 * q1 / q)
         Ls = np.asarray(st["L_window"])
@@ -433,7 +446,7 @@ class StageConstruction:
         st = self._stages[n]
         target = 0.0 if n % 2 == 0 else 0.5
         tail = self.tail_bound(self.solved(), st["q"])
-        dist = np.abs(self.birkhoff0_many(st["window"]) % 1.0 - target)
+        dist = np.abs(self._window_phases(n) - target)
         deviations = np.minimum(dist, 1 - dist)
         worst = float(deviations.max())
         return {
@@ -446,7 +459,7 @@ class StageConstruction:
         """Mean over the stage-n window of a triangular bump centered at y = 1/2."""
         if n > self.solved():
             raise IncompleteError(f"stage {n} not solved")
-        dist = np.abs(self.birkhoff0_many(self._stages[n]["window"]) % 1.0 - 0.5)
+        dist = np.abs(self._window_phases(n) - 0.5)
         d = np.minimum(dist, 1 - dist)
         return float(np.mean(np.maximum(0.0, 1.0 - d / width)))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from skewlab import char_sums
 from skewlab.char_sums import (BetaPolicy, build_characters, gauss_sum,
                                huxley_stat_progressions, huxley_stat_windows,
                                progression_char_stat, residue_progression_gap,
@@ -10,6 +11,7 @@ from skewlab.char_sums import (BetaPolicy, build_characters, gauss_sum,
                                windowed_twisted_stat)
 from skewlab.errors import IntegrityError, PreconditionError, ResourceError
 from skewlab.primes import default_source, euler_phi, primes_in
+from skewlab.skew_dynamics import e
 
 
 def test_group_sizes_and_flags():
@@ -39,6 +41,34 @@ def test_multiplicativity_exhaustive():
             ua = a[units]
             outer = vals[np.outer(ua, ua) % q]
             assert np.max(np.abs(outer - np.outer(vals[ua], vals[ua]))) < 1e-10
+
+
+def _exp_row_oracle(chi):
+    """The value row as one complex exp per entry, masked to 0 on non-units."""
+    tab = chi.table
+    q, L = tab.q, tab.exponent
+    a = np.arange(q) if q > 1 else np.zeros(1, dtype=np.int64)
+    row = np.zeros(len(a), dtype=np.int64)
+    for k, comp in zip(chi.ks, tab.components):
+        D = comp.dlog[a % comp.modulus]
+        row = (row + (k * (L // comp.order)) * np.where(D >= 0, D, 0)) % L
+    out = np.exp(2j * np.pi * (row.astype(np.float64) / L))
+    out[np.gcd(a, q) != 1] = 0.0
+    return out
+
+
+def test_value_rows_match_exp_oracle():
+    for q in (1, 2, 4, 8, 12, 16, 45, 97, 243, 1920, 4999):
+        b = np.arange(q)
+        for chi in build_characters(q):
+            vals = chi.values()
+            oracle = _exp_row_oracle(chi)
+            assert np.array_equal(vals, oracle), (q, chi.ks)
+            if chi.is_primitive() and q < 1000:
+                # alternate x so that consecutive calls never share a twist
+                for x in (1, q + 3):
+                    want = complex(np.sum(oracle * e(b * (x % q) / q)))
+                    assert gauss_sum(chi, x) == want, (q, chi.ks, x)
 
 
 def test_conductor_against_structure():
@@ -131,6 +161,85 @@ def test_windowed_twisted_stat():
     # the sup over a beta grid dominates the beta = 0 slice
     rg = windowed_twisted_stat(q, Hp, chi)
     assert rg["value"] >= r0["value"]
+
+
+def _window_sup_beta_oracle(vals, z, Hp, policy):
+    """sup over beta of one window's twisted sum: grid argmax, then golden refine."""
+    a = np.arange(z, min(z + Hp + 1, len(vals)))
+    w = vals[a]
+
+    def amp(beta):
+        return abs(np.sum(w * np.exp(2j * np.pi * beta * a)))
+
+    grid = policy.grid(Hp)
+    amps = [amp(b) for b in grid]
+    i = int(np.argmax(amps))
+    best = amps[i]
+    if policy.name != "grid+golden" or len(grid) < 2:
+        return float(best)
+    step = 1.0 / len(grid)
+    lo, hi = grid[i] - step, grid[i] + step
+    invphi = (math.sqrt(5) - 1) / 2
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd = amp(c), amp(d)
+    for _ in range(policy.golden_iters):
+        if fc < fd:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = amp(d)
+        else:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = amp(c)
+    return float(max(best, fc, fd))
+
+
+@pytest.mark.parametrize("block", [char_sums.WINDOW_BLOCK_ELEMS, 37], ids=["one_block", "blocks_of_37"])
+@pytest.mark.parametrize("q, order", [(997, 2), (1001, 6), (2003, 2)])
+def test_windowed_twisted_stat_matches_per_window_oracle(monkeypatch, block, q, order):
+    # 37 elements: blocks of 4 or 3 windows, the last one ragged
+    monkeypatch.setattr(char_sums, "WINDOW_BLOCK_ELEMS", block)
+    chi = next(c for c in build_characters(q) if c.order() == order)
+    Hp = math.floor(q**0.3)
+    vals = chi.values()
+    oracle = np.array([_window_sup_beta_oracle(vals, z, Hp, BetaPolicy()) for z in range(q)])
+    got = char_sums._windows_sup_beta(vals, Hp, BetaPolicy())
+    # a grid-argmax flip between near-tied points would move a window by far more
+    assert np.max(np.abs(got - oracle) / oracle) <= 1e-12
+    total = windowed_twisted_stat(q, Hp, chi)["value"]
+    assert total == pytest.approx(math.fsum(oracle), rel=1e-12)
+
+
+def _huxley_windows_oracle(x, q, r, Hp, policy):
+    """The per-window loop of the H = x hybrid statistic."""
+    ps = primes_in(2, x)
+    W = np.bincount(ps % q, weights=np.log(ps.astype(np.float64)), minlength=q)
+    coprime = np.gcd(np.arange(q), q) == 1
+    main_scale = x / euler_phi(q)
+    total = 0.0
+    for z in range(q):
+        u = np.arange(z, min(z + Hp + 1, q))
+        wz = W[u]
+        mz = np.where(coprime[u], main_scale, 0.0)
+        vr = u % r
+        best = 0.0
+        for beta in policy.grid(Hp):
+            tw = np.exp(2j * np.pi * beta * u)
+            diff_re = np.bincount(vr, weights=(wz - mz) * tw.real, minlength=r)
+            diff_im = np.bincount(vr, weights=(wz - mz) * tw.imag, minlength=r)
+            best = max(best, float(np.max(np.hypot(diff_re, diff_im))))
+        total += best
+    return total
+
+
+@pytest.mark.parametrize("block", [char_sums.WINDOW_BLOCK_ELEMS, 37], ids=["one_block", "blocks_of_37"])
+@pytest.mark.parametrize("x, q, r, Hp", [(500, 23, 3, 4), (4000, 211, 5, 9),
+                                         (2000, 97, 11, 2)])  # r > Hp + 1 sets the block
+def test_huxley_windows_match_per_window_oracle(monkeypatch, block, x, q, r, Hp):
+    monkeypatch.setattr(char_sums, "WINDOW_BLOCK_ELEMS", block)
+    for policy in (BetaPolicy(), BetaPolicy(name="zero")):
+        res = huxley_stat_windows(x, x, q, r, Hp, beta_policy=policy)
+        assert res["value"] == _huxley_windows_oracle(x, q, r, Hp, policy)
 
 
 @pytest.mark.parametrize("x, H, q, r", [

@@ -231,6 +231,22 @@ def test_phi_lemma_first_stages():
     assert bumps[0] > 0.9 and bumps[2] > 0.9 and bumps[1] < 0.1
 
 
+def test_shared_window_phases_follow_the_solved_stages():
+    # verify_phi and bump_average share S_w(g)(0) mod 1; solving another stage
+    # changes it, so a stage-1 report taken before and after must differ
+    st = counterexample_stages(n_stages=2)
+    st.solve_stage(1)
+    early = st.verify_phi(1)["deviations"]
+    st.solve_stage(2)
+    late = st.verify_phi(1)["deviations"]
+    fresh = counterexample_stages(n_stages=2).solve_all()
+    assert not np.array_equal(early, late)
+    assert np.array_equal(late, fresh.verify_phi(1)["deviations"])
+    assert st.bump_average(1) == fresh.bump_average(1)
+    late[:] = 0.0  # a caller's array, not the shared phases
+    assert np.array_equal(st.verify_phi(1)["deviations"], fresh.verify_phi(1)["deviations"])
+
+
 def test_g_truncated_along_orbit(solved):
     # S_k(g)(0) from the coboundary telescoping equals the sum of f_n(k alpha)
     st = solved
