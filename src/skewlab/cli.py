@@ -268,7 +268,12 @@ def cmd_charsum(cfg):
                              "ratio": v / math.sqrt(q)})
     elif stat == "windowed":
         Hp = int(cfg.get("Hp", max(2, int(q**0.25))))
-        chi = [c for c in tab if not c.is_principal()][int(cfg.get("chi_index", 0))]
+        nonprincipal = [c for c in tab if not c.is_principal()]
+        idx = int(cfg.get("chi_index", 0))
+        if not 0 <= idx < len(nonprincipal):
+            raise PreconditionError(f"chi_index {idx} out of range: mod {q} has "
+                                    f"{len(nonprincipal)} non-principal characters")
+        chi = nonprincipal[idx]
         res = windowed_twisted_stat(q, Hp, chi)
         rows.append({"stat_name": "windowed_twisted", "x": "", "H": "", "q": q,
                      "r": "", "Hp": Hp, "value": res["value"],
@@ -287,6 +292,8 @@ def cmd_identities(cfg):
     n_max = int(cfg.get("n_max", 2000))
     zs = _int_list(cfg.get("z", "2,5,10"))
     ks = _int_list(cfg.get("k", "1,2"))
+    if min(ks, default=1) < 1:
+        raise PreconditionError(f"heath-brown needs every k >= 1, got k={min(ks)}")
     seed = int(cfg.get("seed", 0))
     rows = []
     for z in zs:

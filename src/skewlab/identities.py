@@ -1,9 +1,12 @@
 """Exact combinatorial prime-decomposition identities.
 
-Vaughan, Linnik, Heath-Brown, and Buchstab are verified in the Q-vector space
-spanned by {log p}: every quantity is a LogVector of integer/rational
-multiplicities per prime, so equality is exact and no floating point enters
-the checks.  The partition lemma is an exhaustive finite search.
+Vaughan, Linnik, Heath-Brown, and Buchstab are verified exactly, with no
+floating point in the checks.  Vaughan's terms live in the vector space
+spanned by {log p}: each is a LogVector of int multiplicities per prime,
+computed from the one factorization of n by summing over its squarefree
+divisors.  Linnik's ordered-factorization counts come from the same single
+factorization through the multiplicative d_j(n); only its 1/k-weighted sides
+are Fractions.  The partition lemma is an exhaustive finite search.
 """
 
 import itertools
@@ -13,16 +16,19 @@ from fractions import Fraction
 import numpy as np
 
 from skewlab.errors import IntegrityError, PreconditionError, ResourceError
-from skewlab.primes import factorize, mobius, mobius_upto, simple_sieve
+from skewlab.primes import factorize, mobius_upto, simple_sieve
 
 
 class LogVector:
-    """Element of the rational vector space with basis {log p : p prime}."""
+    """Element of the rational vector space with basis {log p : p prime}.
+
+    Coordinates keep the type they are given; the identities here give ints.
+    """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords=None):
-        self.coords = {p: Fraction(c) for p, c in (coords or {}).items() if c != 0}
+        self.coords = {p: c for p, c in (coords or {}).items() if c != 0}
 
     @classmethod
     def log_of(cls, n: int) -> "LogVector":
@@ -39,25 +45,17 @@ class LogVector:
     def __add__(self, other):
         out = dict(self.coords)
         for p, c in other.coords.items():
-            out[p] = out.get(p, Fraction(0)) + c
+            out[p] = out.get(p, 0) + c
         return LogVector(out)
 
     def __sub__(self, other):
         out = dict(self.coords)
         for p, c in other.coords.items():
-            out[p] = out.get(p, Fraction(0)) - c
+            out[p] = out.get(p, 0) - c
         return LogVector(out)
-
-    def __mul__(self, scalar):
-        return LogVector({p: c * scalar for p, c in self.coords.items()})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(frozenset(self.coords.items()))
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -72,13 +70,6 @@ class LogVector:
         return f"LogVector({terms})"
 
 
-def _divisors(n: int):
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
 def vaughan_decompose(n: int, z: int):
     """The three Vaughan terms and their total, all exact LogVectors.
 
@@ -86,50 +77,35 @@ def vaughan_decompose(n: int, z: int):
     term2 = sum_{dc|n, d,c<=z} mu(d) Lambda(c)
     term3 = sum_{dc|n, d>z, c>z} mu(d) Lambda(c)
     total = term1 - term2 + term3, which must equal Lambda(n) exactly.
+
+    Only squarefree d contribute, and Lambda(c) = log p at c = p^j.  So with
+    a = v_p(n/d), the coordinate at p of term1 is the sum over d <= z of
+    mu(d) a, of term2 the sum over d <= z of mu(d) #{1 <= j <= a : p^j <= z},
+    and of term3 the sum over d > z of mu(d) #{1 <= j <= a : p^j > z}.
     """
     if not n > z >= 1:
         raise PreconditionError(f"need n > z >= 1, got n={n}, z={z}")
-    term1 = LogVector()
-    term2 = LogVector()
-    term3 = LogVector()
-    for d in _divisors(n):
-        mud = mobius(d)
-        if mud == 0:
-            continue
-        if d <= z:
-            term1 = term1 + mud * (LogVector.log_of(n) - LogVector.log_of(d))
-        for c in _divisors(n // d):
-            lam = LogVector.von_mangoldt(c)
-            if lam.is_zero():
-                continue
-            if d <= z and c <= z:
-                term2 = term2 + mud * lam
-            elif d > z and c > z:
-                term3 = term3 + mud * lam
+    fac = factorize(n)
+    # j_max[p] = #{j >= 1 : p^j <= z}
+    j_max = {p: next(j for j in itertools.count() if p ** (j + 1) > z) for p, _ in fac}
+    squarefree = [(1, 1)]  # (d, mu(d)) over the squarefree divisors d of n
+    for p, _ in fac:
+        squarefree += [(d * p, -mu) for d, mu in squarefree]
+    terms = [dict.fromkeys(j_max, 0) for _ in range(3)]
+    for d, mu in squarefree:
+        for p, e in fac:
+            a = e - (d % p == 0)
+            small = min(a, j_max[p])
+            if d <= z:
+                terms[0][p] += mu * a
+                terms[1][p] += mu * small
+            else:
+                terms[2][p] += mu * (a - small)
+    term1, term2, term3 = map(LogVector, terms)
     total = term1 - term2 + term3
-    if total != LogVector.von_mangoldt(n):
+    if total.coords != ({fac[0][0]: 1} if len(fac) == 1 else {}):
         raise IntegrityError(f"Vaughan identity failed at n={n}, z={z}")
     return term1, term2, term3, total
-
-
-def _ordered_factorization_counts(n: int, z: int, kmax: int):
-    """d*_{k,z}(n) for k = 0..kmax: ordered factorizations into parts > 1
-    whose prime factors all exceed z."""
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def admissible(m):
-        return all(p > z for p, _ in factorize(m))
-
-    @lru_cache(maxsize=None)
-    def count(m, k):
-        if k == 0:
-            return 1 if m == 1 else 0
-        if m == 1:
-            return 0
-        return sum(count(m // d, k - 1) for d in _divisors(m) if d > 1 and admissible(d))
-
-    return [count(n, k) for k in range(kmax + 1)]
 
 
 def linnik_check(n: int, z: int):
@@ -138,14 +114,27 @@ def linnik_check(n: int, z: int):
     lhs = -sum_k (-1)^k / k * d*_{k,z}(n); rhs = 1/a when n = p^a with p > z,
     else 0.  (The prime-power side requires the prime itself to exceed the
     sifting level, matching the generating-function identity.)
+
+    d*_{k,z}(n) counts ordered factorizations of n into k parts > 1 whose
+    prime factors all exceed z.  It is 0 when a prime <= z divides n, and
+    otherwise sum_{j=1..k} (-1)^(k-j) C(k, j) d_j(n) by inclusion-exclusion
+    over the parts equal to 1.  d_j(n) is the product of C(e+j-1, j-1) over
+    the exponents e of n, as in primes.divisor_count_k, taken from the
+    factorization already in hand.
     """
     if n < 2 or z < 1:
         raise PreconditionError("need n >= 2 and z >= 1")
-    kmax = sum(e for _, e in factorize(n))
-    counts = _ordered_factorization_counts(n, z, kmax)
-    lhs = -sum(Fraction((-1) ** k, k) * counts[k] for k in range(1, kmax + 1))
     fac = factorize(n)
-    rhs = Fraction(1, fac[0][1]) if len(fac) == 1 and fac[0][0] > z else Fraction(0)
+    if fac[0][0] <= z:
+        return Fraction(0), Fraction(0)
+    exps = [e for _, e in fac]
+    d = [0] + [math.prod(math.comb(e + j - 1, j - 1) for e in exps)
+               for j in range(1, sum(exps) + 1)]  # d[j] = d_j(n); d[0] unused
+    lhs = Fraction(0)
+    for k in range(1, len(d)):
+        count = sum((-1) ** (k - j) * math.comb(k, j) * d[j] for j in range(1, k + 1))
+        lhs -= Fraction((-1) ** k * count, k)
+    rhs = Fraction(1, exps[0]) if len(fac) == 1 else Fraction(0)
     return lhs, rhs
 
 

@@ -101,13 +101,6 @@ class PrimeSource:
             total += float(np.sum(np.log(p.astype(np.float64))))
         return total
 
-    def residue_stream(self, primes, q: int):
-        """Yield (p, p mod q) pairs; q >= 1 required."""
-        if q < 1:
-            raise InvalidInputError(f"modulus q must be >= 1, got {q}")
-        for p in primes:
-            yield int(p), int(p) % q
-
 
 _DEFAULT_SOURCE = None
 
@@ -188,14 +181,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def omega(n: int) -> int:
-    return len(factorize(n))
-
-
-def big_omega(n: int) -> int:
-    return sum(e for _, e in factorize(n))
-
-
 def divisor_count_k(k: int, n: int) -> int:
     """d_k(n): ordered k-factorizations; multiplicative, d_k(p^a) = C(a+k-1, k-1)."""
     if k < 1:
@@ -204,25 +189,6 @@ def divisor_count_k(k: int, n: int) -> int:
     for _, e in factorize(n):
         out *= math.comb(e + k - 1, k - 1)
     return out
-
-
-def arith_fn(name: str, n: int):
-    """Dispatch by name: mu, lambda (von Mangoldt), phi, omega, Omega, d_k."""
-    if n < 1:
-        raise InvalidInputError(f"{name}({n}) undefined: n must be >= 1")
-    if name == "mu":
-        return mobius(n)
-    if name == "lambda":
-        return von_mangoldt(n)
-    if name == "phi":
-        return euler_phi(n)
-    if name == "omega":
-        return omega(n)
-    if name == "Omega":
-        return big_omega(n)
-    if name.startswith("d_"):
-        return divisor_count_k(int(name[2:]), n)
-    raise InvalidInputError(f"unknown arithmetic function {name!r}")
 
 
 def mobius_upto(N: int) -> np.ndarray:

@@ -49,6 +49,17 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
     assert err.startswith("invalid input: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["identities", "--n_max", "50", "--k", "0"],
+    ["charsum", "--q", "2", "--stat", "windowed"],
+    ["charsum", "--q", "5", "--stat", "windowed", "--chi_index", "3"],
+], ids=["identities-k0", "charsum-q2-windowed", "charsum-chi-index-past-last"])
+def test_out_of_domain_value_exit_2(args, capsys):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition error: ") and len(err.splitlines()) == 1
+
+
 def test_identities_command(tmp_path):
     code, payload, _ = run_cli(
         ["identities", "--n_max", "300", "--z", "2,5", "--k", "1",

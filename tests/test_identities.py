@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from skewlab.errors import IntegrityError, PreconditionError
 from skewlab.identities import (LogVector, buchstab_check, combi_partition,
                                 heathbrown_coeff_check, linnik_check,
                                 vaughan_decompose)
-from skewlab.primes import von_mangoldt
+from skewlab.primes import factorize, mobius
 
 
 def test_logvector_algebra():
@@ -50,6 +51,83 @@ def test_vaughan_exact_random(n, z):
     if n > z:
         *_, tot = vaughan_decompose(n, z)
         assert tot == LogVector.von_mangoldt(n)
+
+
+def _divisor_list(n):
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
+def _vaughan_oracle(n, z):
+    """Vaughan's three sums taken divisor by divisor, one LogVector per term."""
+    terms = [LogVector(), LogVector(), LogVector()]
+
+    def add(i, mu, v):
+        terms[i] = terms[i] + v if mu > 0 else terms[i] - v
+
+    for d in _divisor_list(n):
+        mud = mobius(d)
+        if mud == 0:
+            continue
+        if d <= z:
+            add(0, mud, LogVector.log_of(n) - LogVector.log_of(d))
+        for c in _divisor_list(n // d):
+            lam = LogVector.von_mangoldt(c)
+            if lam.is_zero():
+                continue
+            if d <= z and c <= z:
+                add(1, mud, lam)
+            elif d > z and c > z:
+                add(2, mud, lam)
+    return (*terms, terms[0] - terms[1] + terms[2])
+
+
+def _linnik_oracle(n, z):
+    """Linnik's sides with d*_{k,z}(n) counted by recursion over divisors."""
+
+    @lru_cache(maxsize=None)
+    def admissible(m):
+        return all(p > z for p, _ in factorize(m))
+
+    @lru_cache(maxsize=None)
+    def count(m, k):
+        if k == 0:
+            return 1 if m == 1 else 0
+        if m == 1:
+            return 0
+        return sum(count(m // d, k - 1) for d in _divisor_list(m) if d > 1 and admissible(d))
+
+    fac = factorize(n)
+    kmax = sum(e for _, e in fac)
+    lhs = -sum(Fraction((-1) ** k, k) * count(n, k) for k in range(1, kmax + 1))
+    rhs = Fraction(1, fac[0][1]) if len(fac) == 1 and fac[0][0] > z else Fraction(0)
+    return lhs, rhs
+
+
+def _assert_identities_match_oracles(n, z):
+    if n > z:
+        got = [t.coords for t in vaughan_decompose(n, z)]
+        assert got == [t.coords for t in _vaughan_oracle(n, z)], ("vaughan", n, z)
+        assert all(type(c) is int for t in got for c in t.values())
+    assert linnik_check(n, z) == _linnik_oracle(n, z), ("linnik", n, z)
+
+
+@pytest.mark.parametrize("z", [1, 2, 5, 10, 30])
+def test_identities_match_oracles_on_every_small_n(z):
+    for n in range(2, 2001):
+        _assert_identities_match_oracles(n, z)
+
+
+def test_identities_match_oracles_on_large_n():
+    rng = np.random.default_rng(7)
+    seeded = [int(n) for n in rng.integers(2, 10**12, size=12)]
+    composite = [510510, 9699690, 2**30, 2**39, 3**25, 720720, 31**2 * 37 * 41 * 43,
+                 999983 * 999979]
+    for n in seeded + composite:
+        for z in (1, 2, 5, 10, 30):
+            _assert_identities_match_oracles(n, z)
 
 
 def test_linnik_examples():

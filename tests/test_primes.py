@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab.errors import InvalidInputError, RangeError
-from skewlab.primes import (PrimeSource, arith_fn, build_sieve_weights, chebyshev_theta,
+from skewlab.primes import (PrimeSource, build_sieve_weights, chebyshev_theta,
                             coprimality_decomposition_error, coprimality_weight_sum,
-                            default_source, divisor_count_k, euler_phi, factorize,
+                            divisor_count_k, euler_phi, factorize,
                             majorant_window_average, mobius, mobius_upto, primes_in,
                             simple_sieve, von_mangoldt)
 
@@ -63,24 +63,14 @@ def test_chebyshev_theta_pnt_sanity():
     assert abs(chebyshev_theta(N) - N) / N < 0.003
 
 
-def test_residue_stream():
-    src = default_source()
-    pairs = dict(src.residue_stream([17], 5))
-    assert pairs[17] == 2
-    assert dict(src.residue_stream([17], 1))[17] == 0
-    assert dict(src.residue_stream([7], 100))[7] == 7  # q > p: p_q = p
-    with pytest.raises(InvalidInputError):
-        list(src.residue_stream([7], 0))
-
-
-def test_arith_fn_examples():
-    assert arith_fn("mu", 12) == 0 and arith_fn("mu", 6) == 1
-    assert abs(arith_fn("lambda", 9) - math.log(3)) < 1e-12
-    assert arith_fn("lambda", 12) == 0.0
+def test_arithmetic_function_examples():
+    assert mobius(12) == 0 and mobius(6) == 1
+    assert abs(von_mangoldt(9) - math.log(3)) < 1e-12
+    assert von_mangoldt(12) == 0.0
     # oracle: ordered triples with product 4: (1,1,4)x3, (1,2,2)x3
-    assert arith_fn("d_3", 4) == 6
+    assert divisor_count_k(3, 4) == 6
     with pytest.raises(InvalidInputError):
-        arith_fn("mu", 0)
+        mobius(0)
 
 
 @given(st.integers(1, 5000))
