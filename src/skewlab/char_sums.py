@@ -356,6 +356,8 @@ def windowed_twisted_stat(q: int, Hp: int, chi: Character,
     Returns the statistic and the comparison scale
     q^(1 - delta/4 + eps) Hp + q Hp^(3/4) with delta read from Hp = q^(1/2 - delta).
     """
+    if Hp < 0:
+        raise InvalidInputError(f"need H' >= 0, got H'={Hp}")
     if Hp > q ** (0.5 - 0.1) + 1:
         raise RangeError(f"H' = {Hp} beyond q^(1/2 - 1/10)")
     total = sum(_windows_sup_beta(chi.values(), Hp, beta_policy).tolist())

@@ -20,10 +20,6 @@ import numpy as np
 from skewlab.errors import (InvalidInputError, PreconditionError, RangeError,
                             ResourceError, SkewlabError)
 
-COMMANDS = ("cf", "cocycle-check", "phase", "orbit", "prime-average",
-            "residue-average", "huxley", "charsum", "identities", "ms-sum",
-            "counterexample", "discrepancy")
-
 
 def _parse_scalar(text):
     try:
@@ -101,10 +97,16 @@ def _preset_pair(which):
     from skewlab.presets import phase_pair, prime_pair
 
     if which == "phase":
-        cf, g, params, red = phase_pair()
-        return cf, g, params, red
-    cf, g, params = prime_pair()
-    return cf, g, params, None
+        return phase_pair()
+    if which != "prime":
+        raise PreconditionError(f"unknown pair {which!r}; choose phase or prime")
+    return (*prime_pair(), None)
+
+
+def _ratio(value, scale):
+    if scale == 0:
+        raise PreconditionError("the trivial scale is 0: window lengths must be >= 1")
+    return value / scale
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +239,7 @@ def cmd_huxley(cfg):
         rows.append({"stat_name": "huxley_progressions", "x": x, "H": H, "q": q,
                      "r": r, "Hp": "", "value": res["value"],
                      "trivial_scale": res["trivial_scale"],
-                     "ratio": res["value"] / res["trivial_scale"]})
+                     "ratio": _ratio(res["value"], res["trivial_scale"])})
     return rows
 
 
@@ -278,7 +280,7 @@ def cmd_charsum(cfg):
         rows.append({"stat_name": "windowed_twisted", "x": "", "H": "", "q": q,
                      "r": "", "Hp": Hp, "value": res["value"],
                      "trivial_scale": res["scale"],
-                     "ratio": res["value"] / res["scale"]})
+                     "ratio": _ratio(res["value"], res["scale"])})
     else:
         raise PreconditionError(f"unknown charsum stat {stat!r}")
     return rows
@@ -412,11 +414,11 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
         print(f"usage: skewlab COMMAND [--config PATH] [--out PATH] [--threads N] "
-              f"[--seed N] [--set key=value ...]\ncommands: {', '.join(COMMANDS)}")
+              f"[--seed N] [--set key=value ...]\ncommands: {', '.join(HANDLERS)}")
         return 0 if argv else 1
     command = argv[0]
-    if command not in COMMANDS:
-        print(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}",
+    if command not in HANDLERS:
+        print(f"unknown command {command!r}; choose from {', '.join(HANDLERS)}",
               file=sys.stderr)
         return 1
     parser = argparse.ArgumentParser(prog=f"skewlab {command}", allow_abbrev=False)

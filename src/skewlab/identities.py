@@ -6,7 +6,11 @@ spanned by {log p}: each is a LogVector of int multiplicities per prime,
 computed from the one factorization of n by summing over its squarefree
 divisors.  Linnik's ordered-factorization counts come from the same single
 factorization through the multiplicative d_j(n); only its 1/k-weighted sides
-are Fractions.  The partition lemma is an exhaustive finite search.
+are Fractions.  Heath-Brown's weight takes k int64 Dirichlet convolutions,
+each preceded by a check in Python ints that its result fits in int64;
+beyond that bound the check raises ResourceError (CLI exit 3).  Buchstab's
+sifted counts each strike the multiples of the primes below z from one
+boolean window.  The partition lemma is an exhaustive finite search.
 """
 
 import itertools
@@ -138,16 +142,19 @@ def linnik_check(n: int, z: int):
     return lhs, rhs
 
 
-def _dirichlet_convolve_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer Dirichlet convolution of arrays indexed 1..N (index 0 unused)."""
+def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dirichlet convolution of int64 arrays indexed 1..N (index 0 unused).
+
+    Every partial sum of out[m] = sum_{d | m} a[d] b[m/d] is at most
+    ||a||_1 ||b||_inf in absolute value; that bound is checked in Python ints
+    first, so the int64 arithmetic cannot wrap.
+    """
     N = len(a) - 1
-    out = np.zeros(N + 1, dtype=object)
-    for d in range(1, N + 1):
-        if a[d] == 0:
-            continue
-        ad = a[d]
-        for m in range(d, N + 1, d):
-            out[m] += ad * b[m // d]
+    if sum(np.abs(a[1:]).tolist()) * int(np.abs(b[1:]).max(initial=0)) >= 2**63:
+        raise ResourceError(f"Dirichlet convolution on [1, {N}] would exceed int64")
+    out = np.zeros(N + 1, dtype=np.int64)
+    for d in np.flatnonzero(a[1:]) + 1:
+        out[d::d] += a[d] * b[1 : N // d + 1]
     return out
 
 
@@ -156,76 +163,54 @@ def heathbrown_coeff_check(k: int, z: int, N: int) -> float:
 
     With z^k >= N the remainder coefficients vanish on [1, N], so
     Lambda(n) = sum_{j<=k} (-1)^{j-1} C(k,j) (log * 1^{*(j-1)} * mu_z^{*j})(n)
-    exactly.  The integer convolutions are exact; the log factor is compared
-    coordinatewise per prime, so the returned defect is 0.0 unless the
-    identity (or this implementation) is broken.
+    exactly.  The log factor is compared coordinatewise per prime: the
+    coordinate at p of the right side is sum_{a >= 1} W(n / p^a), where
+    W = sum_j (-1)^{j-1} C(k,j) M^{*j} with M = mu_z * 1, since log = Lambda * 1.
+    All arithmetic is int64 with every bound checked in Python ints, so the
+    returned defect is 0.0 unless the identity (or this implementation) is
+    broken; beyond int64 the check raises ResourceError.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if z**k < N:
         raise PreconditionError(f"need z^k >= N, got {z}^{k} < {N}")
-    one = np.ones(N + 1, dtype=object)
+    one = np.ones(N + 1, dtype=np.int64)
     one[0] = 0
-    mu = mobius_upto(N).astype(object)
-    mu_z = np.where(np.arange(N + 1) <= z, mu, 0)
-
-    weight = np.zeros(N + 1, dtype=object)  # sum_j (-1)^{j-1} C(k,j) 1^{*(j-1)} * mu_z^{*j}
+    mu_z = mobius_upto(N).astype(np.int64)
+    mu_z[z + 1 :] = 0
+    M = _dirichlet_convolve(mu_z, one)
+    W = np.zeros(N + 1, dtype=np.int64)
+    power = M
     for j in range(1, k + 1):
-        conv = mu_z.copy()
-        for _ in range(j - 1):
-            conv = _dirichlet_convolve_int(conv, mu_z)
-        for _ in range(j - 1):
-            conv = _dirichlet_convolve_int(conv, one)
-        sign = 1 if (j - 1) % 2 == 0 else -1
-        weight += sign * math.comb(k, j) * conv
+        if j > 1:
+            power = _dirichlet_convolve(power, M)
+        c = (-1) ** (j - 1) * math.comb(k, j)
+        if abs(c) * int(np.abs(power).max()) + int(np.abs(W).max()) >= 2**63:
+            raise ResourceError(f"Heath-Brown weight for k={k} on [1, {N}] would exceed int64")
+        W += c * power
 
-    # candidate(n) = sum_{d|n} weight(n/d) * logvec(d); its coordinate at p is
-    # sum_{a >= 1} (weight * 1)(n / p^a)
-    weight_one = _dirichlet_convolve_int(weight, one)
-    worst = Fraction(0)
-    primes = simple_sieve(N)
-    for p in primes:
-        p = int(p)
-        coord = np.zeros(N + 1, dtype=object)
+    if int(np.abs(W).max()) * N.bit_length() + 1 >= 2**63:
+        raise ResourceError(f"Heath-Brown coordinates for k={k} on [1, {N}] would exceed int64")
+    worst = 0
+    for p in simple_sieve(N).tolist():
+        coord = np.zeros(N + 1, dtype=np.int64)
         pa = p
         while pa <= N:
-            for m in range(pa, N + 1, pa):
-                coord[m] += weight_one[m // pa]
+            coord[pa::pa] += W[1 : N // pa + 1]
+            coord[pa] -= 1  # the Lambda(n) coordinate: 1 at n = p^a
             pa *= p
-        # Lambda(n) coordinate: 1 at n = p^a
-        pa = p
-        while pa <= N:
-            coord[pa] -= 1
-            pa *= p
-        nz = np.nonzero(coord[1:])[0]
-        if len(nz):
-            worst = max(worst, max(abs(Fraction(coord[i + 1])) for i in nz))
+        worst = max(worst, int(np.abs(coord).max()))
     return float(worst)
-
-
-def _least_prime_factor_window(lo: int, hi: int) -> np.ndarray:
-    """lpf(n) for n in [lo, hi]; lpf(1) = 0 sentinel meaning 'no prime factor'."""
-    n = hi - lo + 1
-    lpf = np.zeros(n, dtype=np.int64)
-    for p in simple_sieve(math.isqrt(hi)):
-        p = int(p)
-        start = ((lo + p - 1) // p) * p
-        idx = np.arange(start - lo, n, p)
-        sel = idx[lpf[idx] == 0]
-        lpf[sel] = p
-    rest = np.flatnonzero(lpf == 0) + lo
-    lpf[rest - lo] = rest  # primes > sqrt(hi) and the number 1 (lpf 1 below)
-    if lo <= 1 <= hi:
-        lpf[1 - lo] = 0
-    return lpf
 
 
 def _sieved_count(lo: int, hi: int, z: int) -> int:
     """#{n in [lo, hi] : p | n => p >= z}; n = 1 counts (vacuous condition)."""
     if hi < lo:
         return 0
-    lpf = _least_prime_factor_window(lo, hi)
-    return int(np.count_nonzero((lpf >= z) | (lpf == 0)))
+    keep = np.ones(hi - lo + 1, dtype=bool)
+    for p in simple_sieve(z - 1).tolist():
+        keep[-lo % p :: p] = False
+    return int(np.count_nonzero(keep))
 
 
 def buchstab_check(n_range, w: int, z: int):
@@ -234,14 +219,14 @@ def buchstab_check(n_range, w: int, z: int):
     A is the integer window [lo, hi]; counts are exact enumerations.
     """
     lo, hi = map(int, n_range)
+    if lo < 1:
+        raise PreconditionError(f"need lo >= 1, got lo={lo}")
     if not 2 <= w <= z:
         raise PreconditionError(f"need 2 <= w <= z, got w={w}, z={z}")
     lhs = _sieved_count(lo, hi, z)
     rhs = _sieved_count(lo, hi, w)
-    for p in simple_sieve(z - 1):
-        p = int(p)
-        if p < w:
-            continue
+    primes = simple_sieve(z - 1)
+    for p in primes[primes >= w].tolist():
         # S(A_p, p) counts m with p*m in A and q | m => q >= p
         mlo = (lo + p - 1) // p
         mhi = hi // p

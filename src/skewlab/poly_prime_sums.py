@@ -84,6 +84,8 @@ def ms_gap(N: int, H: int, r: int, a: int, g: ShiftedPoly, eta: float,
            primes=None, tau: float = 1.0):
     """(gap, budget): the defect against the integer main term and the
     eta log(1/eta) H / phi(r) comparison scale."""
+    if not 0 < eta < 1:
+        raise InvalidInputError(f"need eta in (0, 1), got eta={eta}")
     s = prime_phase_sum(N, H, r, a, g, primes=primes, tau=tau)
     m = integer_phase_main_term(N, H, r, g)
     budget = eta * math.log(1.0 / eta) * H / euler_phi(r)

@@ -52,9 +52,8 @@ def _mark_segment(mask, low, base):
 class PrimeSource:
     """Read-only prime supplier over [2, limit]; every call sieves its range afresh."""
 
-    def __init__(self, limit: int = DEFAULT_LIMIT, segment_size: int = SEGMENT_SIZE):
+    def __init__(self, limit: int = DEFAULT_LIMIT):
         self.limit = int(limit)
-        self.segment_size = int(segment_size)
         self._base = simple_sieve(1 << 16)  # extended on demand
 
     def _base_upto(self, n: int) -> np.ndarray:
@@ -77,10 +76,10 @@ class PrimeSource:
         start = max(lo, 3)
         if start % 2 == 0:
             start += 1
-        span = 2 * self.segment_size
+        span = 2 * SEGMENT_SIZE
         low = start
         while low <= hi:
-            count = min(self.segment_size, (hi - low) // 2 + 1)
+            count = min(SEGMENT_SIZE, (hi - low) // 2 + 1)
             mask = np.ones(count, dtype=np.bool_)
             _mark_segment(mask, low, base)
             seg = low + 2 * np.flatnonzero(mask).astype(np.int64)
@@ -95,8 +94,8 @@ class PrimeSource:
         if N < 2:
             return 0.0
         total = 0.0
-        for lo in range(2, N + 1, 2 * self.segment_size):
-            hi = min(lo + 2 * self.segment_size - 1, N)
+        for lo in range(2, N + 1, 2 * SEGMENT_SIZE):
+            hi = min(lo + 2 * SEGMENT_SIZE - 1, N)
             p = self.primes_in(lo, hi)
             total += float(np.sum(np.log(p.astype(np.float64))))
         return total

@@ -93,6 +93,8 @@ def prime_weighted_average(T: SkewProduct, f: Observable, N: int, x: float, y: f
 
     Returns (average, theta_ratio).
     """
+    if N < 1:
+        raise InvalidInputError(f"need N >= 1, got N={N}")
     src = primes if primes is not None else default_source()
     if N > src.limit:
         raise RangeError(f"N = {N} beyond prime source limit {src.limit}")

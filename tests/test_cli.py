@@ -53,11 +53,26 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
     ["identities", "--n_max", "50", "--k", "0"],
     ["charsum", "--q", "2", "--stat", "windowed"],
     ["charsum", "--q", "5", "--stat", "windowed", "--chi_index", "3"],
-], ids=["identities-k0", "charsum-q2-windowed", "charsum-chi-index-past-last"])
+    ["prime-average", "--N", "0"],
+    ["ms-sum", "--eta", "0"],
+    ["charsum", "--stat", "windowed", "--Hp", "-1"],
+    ["charsum", "--stat", "windowed", "--Hp", "0"],
+    ["huxley", "--x", "0"],
+    ["huxley", "--x", "100", "--H", "0"],
+    ["orbit", "--pair", "nope"],
+], ids=["identities-k0", "charsum-q2-windowed", "charsum-chi-index-past-last",
+        "prime-average-N0", "ms-sum-eta0", "charsum-windowed-Hp-negative",
+        "charsum-windowed-Hp0", "huxley-x0", "huxley-H0", "orbit-unknown-pair"])
 def test_out_of_domain_value_exit_2(args, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition error: ") and len(err.splitlines()) == 1
+
+
+def test_identities_beyond_int64_exit_3(capsys):
+    assert main(["identities", "--k", "60", "--z", "2", "--buchstab_windows", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: ") and len(err.splitlines()) == 1
 
 
 def test_identities_command(tmp_path):

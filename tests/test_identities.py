@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab.errors import IntegrityError, PreconditionError
-from skewlab.identities import (LogVector, buchstab_check, combi_partition,
+from skewlab import identities
+from skewlab.errors import IntegrityError, PreconditionError, ResourceError
+from skewlab.identities import (LogVector, _dirichlet_convolve, _sieved_count,
+                                buchstab_check, combi_partition,
                                 heathbrown_coeff_check, linnik_check,
                                 vaughan_decompose)
-from skewlab.primes import factorize, mobius
+from skewlab.primes import factorize, mobius, simple_sieve
 
 
 def test_logvector_algebra():
@@ -150,6 +152,88 @@ def test_heathbrown_examples():
         heathbrown_coeff_check(2, 10, 1000)  # z^k < N
 
 
+def _dirichlet_convolve_oracle(a, b):
+    """Dirichlet convolution in Python ints, one product per pair (d, m/d)."""
+    N = len(a) - 1
+    out = np.zeros(N + 1, dtype=object)
+    for d in range(1, N + 1):
+        if a[d] == 0:
+            continue
+        for m in range(d, N + 1, d):
+            out[m] += int(a[d]) * int(b[m // d])
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 30, 500])
+def test_dirichlet_convolve_matches_object_oracle(N):
+    rng = np.random.default_rng(N)
+    for _ in range(5):
+        a = rng.integers(-1000, 1001, size=N + 1) * (rng.random(N + 1) < 0.5)
+        b = rng.integers(-10**6, 10**6 + 1, size=N + 1)
+        a[0] = b[0] = 0
+        got = _dirichlet_convolve(a, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == _dirichlet_convolve_oracle(a, b).tolist()
+    assert not _dirichlet_convolve(np.zeros(N + 1, dtype=np.int64), b).any()
+
+
+def test_dirichlet_convolve_rejects_what_int64_cannot_hold():
+    a = np.array([0, 2**31, 2**31], dtype=np.int64)
+    b = np.array([0, 2**31, 1], dtype=np.int64)
+    with pytest.raises(ResourceError):
+        _dirichlet_convolve(a, b)  # ||a||_1 ||b||_inf = 2^63
+
+
+def test_heathbrown_detects_a_wrong_mobius_value(monkeypatch):
+    true_mobius = identities.mobius_upto
+
+    def flipped(N):
+        mu = true_mobius(N).copy()
+        if N >= 6:
+            mu[6] = -mu[6]
+        return mu
+
+    monkeypatch.setattr(identities, "mobius_upto", flipped)
+    # mu_z * 1 is then wrong from n = 6 on, so the weight is wrong from 6^k on;
+    # the log coordinates read the weight at n / p^a <= N / 2
+    for k, z, N in [(1, 100, 100), (2, 10, 100), (2, 32, 1000), (3, 8, 432)]:
+        assert heathbrown_coeff_check(k, z, N) > 0, (k, z, N)
+    assert heathbrown_coeff_check(1, 100, 100) == 8.0
+    assert heathbrown_coeff_check(3, 8, 431) == 0.0
+    assert heathbrown_coeff_check(3, 5, 100) == 0.0  # z < 6: mu(6) is never read
+
+
+def test_heathbrown_beyond_int64_is_resource_error():
+    assert heathbrown_coeff_check(40, 2, 2000) == 0.0
+    with pytest.raises(ResourceError):
+        heathbrown_coeff_check(60, 2, 2000)
+
+
+def _least_prime_factor_count(lo, hi, z):
+    """#{n in [lo, hi] : lpf(n) >= z}, n = 1 included, from a full lpf table."""
+    if hi < lo:
+        return 0
+    lpf = np.zeros(hi - lo + 1, dtype=np.int64)
+    for p in simple_sieve(math.isqrt(hi)).tolist():
+        idx = np.arange(-lo % p, hi - lo + 1, p)
+        lpf[idx[lpf[idx] == 0]] = p
+    rest = np.flatnonzero(lpf == 0) + lo
+    lpf[rest - lo] = rest  # primes > sqrt(hi), and 1, which has no prime factor
+    return int(np.count_nonzero((lpf >= z) | (np.arange(lo, hi + 1) == 1)))
+
+
+def test_sieved_count_matches_least_prime_factor_oracle():
+    rng = np.random.default_rng(11)
+    cases = [(1, 1, 2), (1, 100, 2), (1, 100, 50), (1, 30, 100), (2, 1, 5), (10, 3, 2),
+             (90, 100, 11), (1, 1, 7), (999_000, 1_000_000, 2), (10**6 - 200, 10**6, 1200)]
+    for _ in range(60):
+        lo = int(rng.integers(1, 10**6))
+        hi = lo + int(rng.integers(-5, 3000))
+        cases.append((lo, hi, int(rng.integers(2, 300))))
+    for lo, hi, z in cases:
+        assert _sieved_count(lo, hi, z) == _least_prime_factor_count(lo, hi, z), (lo, hi, z)
+
+
 def test_buchstab_examples():
     lhs, rhs = buchstab_check((1, 100), 2, 10)
     assert lhs == rhs
@@ -161,6 +245,8 @@ def test_buchstab_examples():
     assert lhs == rhs == 1
     with pytest.raises(PreconditionError):
         buchstab_check((1, 100), 1, 10)
+    with pytest.raises(PreconditionError):
+        buchstab_check((0, 100), 2, 10)
 
 
 @given(st.integers(1, 10**6 - 10**4), st.integers(10, 10**4),

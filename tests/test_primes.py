@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewlab import primes
 from skewlab.errors import InvalidInputError, RangeError
 from skewlab.primes import (PrimeSource, build_sieve_weights, chebyshev_theta,
                             coprimality_decomposition_error, coprimality_weight_sum,
@@ -46,8 +47,9 @@ def test_range_beyond_limit():
         src.primes_in(1, 2000)
 
 
-def test_segment_boundaries():
-    src = PrimeSource(segment_size=16)
+def test_segment_boundaries(monkeypatch):
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 16)
+    src = PrimeSource()
     assert np.array_equal(src.primes_in(1, 2000), simple_sieve(2000))
     assert np.array_equal(src.primes_in(97, 1009), simple_sieve(1009)[simple_sieve(1009) >= 97])
 
