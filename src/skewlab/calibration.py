@@ -2,11 +2,16 @@
 
 None of these is asserted as a theoretical value; each was measured once by
 the recorded recipe (seeded, deterministic) and frozen with a safety margin.
-``recompute()`` reruns the cheap calibrations so CI can confirm the frozen
-values still dominate.
-"""
+These tests assert each frozen value over its recipe:
 
-import math
+- CHAR_PROGRESSION_RATIO: test_criterion_06_progression_stat_calibrated
+  (tests/test_acceptance.py), the full recipe
+- MAJORANT_WINDOW_C: test_majorant_pointwise_and_average (tests/test_primes.py),
+  the full grid
+- SIEVE2_ERROR_C: test_coprimality_weights (tests/test_primes.py), the full grid
+- TWISTED_WINDOW_C: test_windowed_twisted_stat_calibrated_bound
+  (tests/test_char_sums.py), at q = 997 and one character only
+"""
 
 import numpy as np
 
@@ -18,11 +23,11 @@ CHAR_PROGRESSION_RATIO = 0.25
 CHAR_CALIBRATION_SEED = 20260809
 
 # window averages of the prime-majorant divisor sums, y > z^2:
-# measured 3.07 over z in {64, 1e3, 1e4, 1e5}.
+# measured 3.07 over z in {64, 1e3, 1e4}, x in {1, 1e6}, y = z^2 * {2, 20}.
 MAJORANT_WINDOW_C = 4.0
 
 # |sum lambda_e / e - phi(d)/d| * (log q)^(A-1): measured 2.18 over
-# q in {210, 30030, 510510, 9699690}, A in {2, 3}.
+# q = d in {210, 30030, 510510}, A in {2, 3}.
 SIEVE2_ERROR_C = 3.0
 
 # windowed twisted character stat against q^(1-delta/4+eps) H' + q H'^(3/4):
@@ -31,52 +36,10 @@ SIEVE2_ERROR_C = 3.0
 TWISTED_WINDOW_C = 0.8
 
 
-def char_progression_sample(rng=None):
-    """The frozen sampling plan behind CHAR_PROGRESSION_RATIO."""
-    rng = rng or np.random.default_rng(CHAR_CALIBRATION_SEED)
+def char_progression_sample():
+    """The frozen sampling plan behind CHAR_PROGRESSION_RATIO: (small moduli,
+    large moduli, the generator that then samples characters of large moduli)."""
+    rng = np.random.default_rng(CHAR_CALIBRATION_SEED)
     small_q = [int(q) for q in rng.choice(np.arange(3, 1001), size=30, replace=False)]
     big_q = [int(q) for q in rng.choice(np.arange(1001, 10001), size=20, replace=False)]
     return small_q, big_q, rng
-
-
-def recompute(fast=True):
-    """Re-measure the calibrated quantities; returns a dict of maxima."""
-    from skewlab.char_sums import build_characters, progression_char_stat
-    from skewlab.primes import (build_sieve_weights, coprimality_weight_sum,
-                                divisor_count_k, euler_phi, majorant_window_average)
-
-    out = {}
-    small_q, big_q, rng = char_progression_sample()
-    moduli = small_q if fast else small_q + big_q
-    worst = 0.0
-    for q in moduli:
-        tab = build_characters(q)
-        chars = [c for c in tab if not c.is_principal()]
-        if q > 1000:
-            idx = rng.choice(len(chars), size=min(20, len(chars)), replace=False)
-            chars = [chars[i] for i in idx]
-        dq = divisor_count_k(2, q)
-        for r in (2, 3, 5, 7):
-            if math.gcd(r, q) != 1:
-                continue
-            denom = math.sqrt(r * q) * dq * math.log(q)
-            for chi in chars:
-                worst = max(worst, progression_char_stat(q, r, chi) / denom)
-    out["char_progression_ratio"] = worst
-
-    worst = 0.0
-    for z in (64, 1000, 10**4):
-        w = build_sieve_weights("prime-majorant", z=z)
-        for x in (1, 10**6):
-            for mult in (2, 20):
-                worst = max(worst, majorant_window_average(w, x, z * z * mult))
-    out["majorant_window_c"] = worst
-
-    worst = 0.0
-    for q in (210, 30030, 510510):
-        for A in (2.0, 3.0):
-            w = build_sieve_weights("coprimality", q=q, d=q, A=A)
-            err = abs(float(coprimality_weight_sum(w)) - euler_phi(q) / q)
-            worst = max(worst, err * math.log(q) ** (A - 1))
-    out["sieve2_error_c"] = worst
-    return out

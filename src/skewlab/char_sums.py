@@ -22,6 +22,7 @@ work, independent of x.
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -262,8 +263,8 @@ def gauss_sum(chi: Character, x: int) -> complex:
 
 def progression_char_stat(q: int, r: int, chi: Character) -> float:
     """sum_{v=1..r} |sum_{a < q, a = v mod r} chi(a)|."""
-    if math.gcd(r, q) != 1:
-        raise PreconditionError(f"need (r, q) = 1, got ({r}, {q})")
+    if r < 1 or math.gcd(r, q) != 1:
+        raise PreconditionError(f"need r >= 1 and (r, q) = 1, got ({r}, {q})")
     if chi.is_principal():
         raise PreconditionError("statistic defined for non-principal characters")
     vals = chi.values()
@@ -276,11 +277,14 @@ def progression_char_stat(q: int, r: int, chi: Character) -> float:
 
 @dataclass(frozen=True)
 class BetaPolicy:
-    """Documented sup-over-beta approximation: oversampled grid + golden refine."""
+    """Documented sup-over-beta approximation: oversampled grid + golden refine.
+
+    name "zero" evaluates beta = 0 only, the oracle mode of the tests.
+    """
 
     name: str = "grid+golden"
-    oversample: int = 4
-    golden_iters: int = 20
+    oversample: ClassVar[int] = 4
+    golden_iters: ClassVar[int] = 20
 
     def grid(self, Hp: int) -> np.ndarray:
         if self.name == "zero":
@@ -405,6 +409,8 @@ def huxley_stat_progressions(x: int, H: int, q: int, r: int, primes=None) -> dic
     With H = x this collapses to the single window [0, x].  Returns the value
     and the trivial scale H * x (H for the collapsed case).
     """
+    if min(x, H, q, r) < 1:
+        raise PreconditionError(f"need x, H, q, r >= 1, got x={x}, H={H}, q={q}, r={r}")
     if math.gcd(r, q) != 1:
         raise PreconditionError(f"need (r, q) = 1, got ({r}, {q})")
     if x > 10**8:
@@ -477,16 +483,15 @@ def residue_progression_gap(q: int, r: int, d: int) -> dict:
     return {"value": gap, "normalizer": normalizer}
 
 
-def twisted_residue_window(q: int, d: int, r: int, a: int, y: int, H: int,
-                           beta: float, tau: float = 1.0):
+def twisted_residue_window(q: int, d: int, r: int, a: int, y: int, H: int, beta: float):
     """The two window sums of the small-beta comparison.
 
     Returns (sum over n in [y, y+H], (n,d) = 1, n = a mod r of e(n beta),
              (1/phi(r)) sum over n in [y, y+H], (n, r d) = 1 of e(n beta)).
-    The guarantee needs |beta| <= e^(-tau r); larger twists are out of range.
+    The guarantee needs |beta| <= e^(-r); larger twists are out of range.
     """
-    if abs(beta) > math.exp(-tau * r):
-        raise RangeError(f"|beta| = {abs(beta):.3e} beyond e^(-tau r)")
+    if abs(beta) > math.exp(-r):
+        raise RangeError(f"|beta| = {abs(beta):.3e} beyond e^(-r)")
     n = np.arange(y, y + H + 1, dtype=np.int64)
     cop_d = np.ones(len(n), dtype=bool)
     for p, _ in factorize(d):

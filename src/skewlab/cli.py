@@ -7,7 +7,6 @@ byte-identical across reruns and thread counts; set SOURCE_DATE_EPOCH to pin
 the envelope timestamp.
 """
 
-import argparse
 import csv
 import datetime
 import json
@@ -17,28 +16,38 @@ import sys
 
 import numpy as np
 
-from skewlab.errors import (InvalidInputError, PreconditionError, RangeError,
-                            ResourceError, SkewlabError)
+from skewlab.errors import InvalidInputError, PreconditionError, ResourceError, SkewlabError
+
+USAGE = ("usage: skewlab COMMAND [--config PATH] [--out PATH] [--threads N] [--seed N] "
+         "[--key value | --key=value ...]")
+
+
+def _finite(value, text):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidInputError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_scalar(text):
+    """A finite number, true or false, or else the text itself."""
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, TypeError):
+        value = json.loads(text)
+    except json.JSONDecodeError:
         try:
-            return int(float(text)) if float(text).is_integer() else float(text)
+            value = float(text)
         except ValueError:
             return text
+        value = int(value) if value.is_integer() else value
+    # JSON lists and objects stay text: list keys split it, scalar keys reject it
+    return _finite(value, text) if isinstance(value, (int, float, str)) else text
 
 
 def _parse_list(text, cast=float):
-    if isinstance(text, (list, tuple)):
-        return [cast(v) for v in text]
     out = []
     for part in str(text).strip("[]").split(","):
         part = part.strip()
         if part:
-            v = float(part)
+            v = _finite(float(part), part)
             out.append(cast(v) if cast is not float else v)
     return out
 
@@ -49,15 +58,37 @@ def _int_list(text):
 
 def load_config(path):
     cfg = {}
-    if path:
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, _, val = line.partition("=")
-                cfg[key.strip()] = _parse_scalar(val.strip())
+    with open(path) as fh:
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, _, val = line.partition("=")
+            cfg[key.strip()] = _parse_scalar(val.strip())
     return cfg
+
+
+def _parse_flags(tokens):
+    """(flags, paths) from --key value and --key=value tokens.
+
+    A trailing bare flag means true; config and out keep their text as a path.
+    """
+    flags, paths = {}, {}
+    it = iter(tokens)
+    for tok in it:
+        if not tok.startswith("--"):
+            raise InvalidInputError(f"unexpected argument {tok!r}")
+        key, eq, val = tok[2:].partition("=")
+        key = key.replace("-", "_")
+        if not eq:
+            val = next(it, None)
+        if key in ("config", "out"):
+            if val is None:
+                raise InvalidInputError(f"--{key} needs a path")
+            paths[key] = val
+        else:
+            flags[key] = True if val is None else _parse_scalar(val)
+    return flags, paths
 
 
 def _started():
@@ -77,7 +108,7 @@ def _emit(command, config, rows, out_path):
         "rows": rows,
     }
     text = json.dumps(envelope, indent=1, sort_keys=True)
-    if out_path:
+    if out_path is not None:
         if out_path.endswith(".csv"):
             with open(out_path, "w", newline="") as fh:
                 if rows:
@@ -337,6 +368,8 @@ def cmd_ms_sum(cfg):
     from skewlab.poly_prime_sums import ShiftedPoly, ms_gap, oscillation_classify
 
     N = int(cfg.get("N", 10**6))
+    if N < 2:  # before N**0.7, which is complex for N < 0
+        raise PreconditionError(f"ms-sum needs N >= 2, got N={N}")
     H = int(cfg.get("H", int(N**0.7)))
     r = int(cfg.get("r", 1))
     a = int(cfg.get("a", 0 if r == 1 else 1))
@@ -359,6 +392,7 @@ def cmd_counterexample(cfg):
                                include_h=bool(cfg.get("include_h", False)),
                                mu_twist=bool(cfg.get("mu_twist", False)))
     st.solve_all()
+    eps = float(cfg.get("eps", 0.05))
     rows = []
     for n in range(1, st.solved() + 1):
         if st.mu_twist:
@@ -366,14 +400,14 @@ def cmd_counterexample(cfg):
             rows.append({"n": n, "k_n": st.stage_k[n - 1], "q": st.q_of(n),
                          "mu_twist_avg": abs(v)})
         else:
-            rep = st.verify_phi(n, float(cfg.get("eps", 0.05)))
+            rep = st.verify_phi(n, eps)
             rows.append({"n": n, "k_n": st.stage_k[n - 1], "q": st.q_of(n),
                          "worst_deviation": rep["worst_deviation"],
                          "tail_bound": rep["tail_bound"], "passed": rep["passed"],
                          "bump_average": st.bump_average(n)})
     if cfg.get("dump"):
         with open(cfg["dump"], "w") as fh:
-            fh.write(st.to_json())
+            fh.write(st.to_json(eps))
     return rows
 
 
@@ -412,48 +446,28 @@ HANDLERS = {
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        print(f"usage: skewlab COMMAND [--config PATH] [--out PATH] [--threads N] "
-              f"[--seed N] [--set key=value ...]\ncommands: {', '.join(HANDLERS)}")
+    if not argv or {"-h", "--help"} & set(argv):
+        print(f"{USAGE}\ncommands: {', '.join(HANDLERS)}")
         return 0 if argv else 1
     command = argv[0]
     if command not in HANDLERS:
         print(f"unknown command {command!r}; choose from {', '.join(HANDLERS)}",
               file=sys.stderr)
         return 1
-    parser = argparse.ArgumentParser(prog=f"skewlab {command}", allow_abbrev=False)
-    parser.add_argument("--config", default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--threads", type=int, default=0)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--set", action="append", default=[],
-                        help="override config entries, key=value")
-    # free-form per-command options: --key value pairs
-    args, extra = parser.parse_known_args(argv[1:])
-    cfg = load_config(args.config)
-    it = iter(extra)
-    for tok in it:
-        if not tok.startswith("--"):
-            print(f"unexpected argument {tok!r}", file=sys.stderr)
-            return 1
-        key = tok[2:].replace("-", "_")
-        try:
-            val = next(it)
-        except StopIteration:
-            val = "true"
-        cfg[key] = _parse_scalar(val)
-    for item in args.set:
-        key, _, val = item.partition("=")
-        cfg[key.strip()] = _parse_scalar(val.strip())
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    # kernels are serial and reductions have fixed order, so any thread count
-    # produces identical bytes; the value is recorded for provenance only
-    cfg["threads"] = args.threads or int(cfg.get("threads", 1))
-
     try:
+        flags, paths = _parse_flags(argv[1:])
+        cfg = load_config(paths["config"]) if "config" in paths else {}
+        cfg.update(flags)
+        # kernels are serial and reductions have fixed order, so any thread
+        # count produces identical bytes; the value is recorded for provenance
+        cfg.setdefault("threads", 1)
+        for key, low in (("seed", 0), ("threads", 1)):
+            v = cfg.get(key, low)
+            if type(v) is not int or v < low:
+                raise InvalidInputError(f"{key} must be an integer >= {low}, got {v!r}")
         rows = HANDLERS[command](cfg)
-    except (PreconditionError, InvalidInputError, RangeError) as exc:
+        _emit(command, cfg, rows, paths.get("out"))
+    except InvalidInputError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:
@@ -462,11 +476,10 @@ def main(argv=None):
     except SkewlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
-        # a malformed or missing config value, e.g. --N abc
+    except (ValueError, KeyError, OSError) as exc:
+        # a malformed or missing value (--N abc), or a file that cannot be read or written
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    _emit(command, cfg, rows, args.out)
     return 0
 
 

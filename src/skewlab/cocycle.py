@@ -64,13 +64,13 @@ class TrigPoly:
         factor = (TWO_PI * 1j * self.freqs.astype(np.float64)) ** order
         return TrigPoly(self.freqs.copy(), self.amps * factor)
 
-    def sup_norm(self, grid=1 << 14, refine=True):
+    def sup_norm(self, grid=1 << 14):
         """(grid max, refined max) of |f| over a uniform grid plus one Newton step."""
         xs = np.arange(grid) / grid
         vals = np.abs(self.eval(xs))
         i = int(np.argmax(vals))
         grid_max = float(vals[i])
-        if not refine or len(self.freqs) == 0:
+        if len(self.freqs) == 0:
             return grid_max, grid_max
         x0 = xs[i]
         d1 = self.derivative(1).eval(x0)
@@ -318,21 +318,12 @@ def coboundary_drift(g: AnalyticCocycle, g_red: ReducedCocycle, cf: ContinuedFra
     return float(np.max(np.abs(prefix)))
 
 
-def denjoy_koksma_gap(h, q: int, x: float, cf: ContinuedFraction, mean=None, grid=1 << 16) -> float:
-    """|S_q(h)(x) - q * integral(h)| for a convergent denominator q.
+def denjoy_koksma_gap(h, q: int, x: float, cf: ContinuedFraction, mean: float) -> float:
+    """|S_q(h)(x) - q * mean| for a convergent denominator q.
 
-    h is an AnalyticCocycle/TrigPoly (mean read off exactly) or any callable
-    on arrays (mean by the trapezoid rule on ``grid`` points unless given).
+    h is any callable on arrays (a TrigPoly too) and mean its integral.
     """
     denominators = {cf.q(k) for k in range(0, cf.max_index() + 1)}
     if q not in denominators:
         raise InvalidInputError(f"q = {q} is not a convergent denominator of alpha")
-    if mean is None:
-        if isinstance(h, TrigPoly):
-            mean = h.mean
-        else:
-            xs = np.arange(grid) / grid
-            mean = float(np.mean(h(xs)))
-    angles = _orbit_angles(cf, q, x)
-    s = float(np.sum(h.eval(angles) if isinstance(h, TrigPoly) else h(angles)))
-    return abs(s - q * mean)
+    return abs(float(np.sum(h(_orbit_angles(cf, q, x)))) - q * mean)

@@ -22,6 +22,8 @@ from skewlab.errors import (ConstructionError, IncompleteError, InvalidInputErro
 from skewlab.primes import mobius_upto, simple_sieve
 
 GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
+BUMP_WIDTH = 0.25  # half-width of bump_average's triangle around y = 1/2
+RIGIDITY_GRID = 4096  # sample points of rigidity_distribution_gap
 
 
 class AlmostSparseSet:
@@ -34,19 +36,20 @@ class AlmostSparseSet:
     custom: caller supplies elements_in(lo, hi) and bad_set(N).
     """
 
-    def __init__(self, descriptor="squares", elements_in=None, bad_set=None, gap_filter=None):
+    def __init__(self, descriptor="squares", elements_in=None, bad_set=None):
         self.descriptor = descriptor
-        if descriptor == "squares":
-            pass
-        elif descriptor == "primes":
-            self.gap_filter = gap_filter or (lambda N: max(1, math.ceil(math.log(max(math.log(max(N, 3)), 1.0001)))))
-        elif descriptor == "custom":
+        if descriptor == "custom":
             if elements_in is None or bad_set is None:
                 raise InvalidInputError("custom descriptor needs elements_in and bad_set")
             self._elements_in = elements_in
             self._bad_set = bad_set
-        else:
+        elif descriptor not in ("squares", "primes"):
             raise InvalidInputError(f"unknown descriptor {descriptor!r}")
+
+    @staticmethod
+    def gap_filter(N: int) -> int:
+        """c(N) = ceil(loglog N), at least 1: the primes descriptor's pair distance."""
+        return max(1, math.ceil(math.log(max(math.log(max(N, 3)), 1.0001))))
 
     def elements_in(self, lo: int, hi: int):
         """Sorted members of A in [lo, hi]."""
@@ -339,8 +342,8 @@ class StageConstruction:
             self._phases[key] = phases
         return self._phases[key]
 
-    def birkhoff0(self, kk: int, upto=None) -> float:
-        return float(self.birkhoff0_many([kk], upto)[0])
+    def birkhoff0(self, kk: int) -> float:
+        return float(self.birkhoff0_many([kk])[0])
 
     def g_truncated(self, x, upto=None):
         """sum_{n <= upto} (f_n(x + alpha) - f_n(x)) [+ tent terms], float mode."""
@@ -455,13 +458,14 @@ class StageConstruction:
             "deviations": deviations,
         }
 
-    def bump_average(self, n, width=0.25) -> float:
-        """Mean over the stage-n window of a triangular bump centered at y = 1/2."""
+    def bump_average(self, n) -> float:
+        """Mean over the stage-n window of a triangular bump centered at y = 1/2,
+        of half-width BUMP_WIDTH."""
         if n > self.solved():
             raise IncompleteError(f"stage {n} not solved")
         dist = np.abs(self._window_phases(n) - 0.5)
         d = np.minimum(dist, 1 - dist)
-        return float(np.mean(np.maximum(0.0, 1.0 - d / width)))
+        return float(np.mean(np.maximum(0.0, 1.0 - d / BUMP_WIDTH)))
 
     def mu_twist_average(self, n=None) -> complex:
         """(1/N) sum_{m <= N} e(S_{m^2}(g)(0)) mu(m) at N = floor(sqrt(q/2))."""
@@ -476,7 +480,7 @@ class StageConstruction:
             total += int(mu[m]) * complex(math.cos(2 * math.pi * s), math.sin(2 * math.pi * s))
         return total / N
 
-    def rigidity_distribution_gap(self, n, grid=4096):
+    def rigidity_distribution_gap(self, n):
         """Histogram distance of S_{K_n q_l}(g) mod 1 from its nearest constant.
 
         K_n = floor(q_{l_n + 1} / (2 q_{l_n})); reported diagnostic for the
@@ -487,10 +491,10 @@ class StageConstruction:
         l = self.stage_l[n - 1]
         K = self.cf.q(l + 1) // (2 * self.cf.q(l))
         steps = K * self.cf.q(l)
-        xs = np.arange(grid) / grid
+        xs = np.arange(RIGIDITY_GRID) / RIGIDITY_GRID
         alpha_shift = float(self.cf.frac01(steps))
         # S_steps(g)(x) = sum_n [F_n(x + steps*alpha) - F_n(x)] with F_n = f_n (+ h_n)
-        total = np.zeros(grid)
+        total = np.zeros(RIGIDITY_GRID)
         for m in range(1, self.solved() + 1):
             fm = self.f(m)
             total += fm.eval((xs + alpha_shift) % 1.0) - fm.eval(xs)

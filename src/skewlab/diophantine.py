@@ -19,35 +19,25 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class AnalysisParams:
-    """Decay/threshold knobs shared by the approximation experiments.
+    """The two knobs of the approximation experiments, and the tau they fix.
 
-    tau is pinned to min(tau_prime**2, tau_prime/8)/2 at construction; the
-    outline's normalization tau=1 is a different knob and never identified
-    with this one.
+    tau_prime in (0, 1/10) is the cocycle's decay rate; delta in (0, 1) sets
+    the phase-polynomial degree floor(1/delta) and the range
+    m <= q_{n+1}^(1-delta).  tau = min(tau_prime**2, tau_prime/8)/2 is derived,
+    not passed; the outline's normalization tau=1 is a different quantity and
+    never identified with this one.
     """
 
     tau_prime: float
-    tau: float = field(default=None)
     delta: float = 0.2
-    eta: float = 0.1
-    epsilon: float = 0.01
-    xi: float = 0.01
-    A: float = 2.0
-    B: float = 2.0
+    tau: float = field(init=False)
 
     def __post_init__(self):
         if not 0 < self.tau_prime < 0.1:
             raise InvalidInputError(f"tau_prime must lie in (0, 1/10), got {self.tau_prime}")
-        expected = min(self.tau_prime**2, self.tau_prime / 8) / 2
-        if self.tau is None:
-            object.__setattr__(self, "tau", expected)
-        elif self.tau != expected:
-            raise InvalidInputError(f"tau must equal min(tau_prime^2, tau_prime/8)/2 = {expected}, got {self.tau}")
         if not 0 < self.delta < 1:
             raise InvalidInputError(f"delta must lie in (0,1), got {self.delta}")
-        for name in ("eta", "epsilon", "xi", "A", "B"):
-            if getattr(self, name) <= 0:
-                raise InvalidInputError(f"{name} must be positive")
+        object.__setattr__(self, "tau", min(self.tau_prime**2, self.tau_prime / 8) / 2)
 
 
 class ContinuedFraction:

@@ -17,6 +17,8 @@ from skewlab.cocycle import TrigPoly, _kernel_ratio, birkhoff_closed
 from skewlab.diophantine import AnalysisParams, ContinuedFraction
 from skewlab.errors import IntegrityError, InvalidInputError, RangeError
 
+BOUND_GRID = 1 << 12  # grid points of the sampled sup of each coefficient
+
 
 def torus_dist(a: float) -> float:
     """|| a || = distance from a to the nearest integer."""
@@ -49,8 +51,7 @@ class PhasePolynomial:
     __call__ = eval
 
 
-def build_phase_poly(gr, cf: ContinuedFraction, n: int, params: AnalysisParams,
-                     grid: int = 1 << 12) -> PhasePolynomial:
+def build_phase_poly(gr, cf: ContinuedFraction, n: int, params: AnalysisParams) -> PhasePolynomial:
     """Construct P_n from the reduced block g_n and certify its coefficient bounds.
 
     A structurally valid scale with an empty block yields the zero polynomial;
@@ -79,7 +80,7 @@ def build_phase_poly(gr, cf: ContinuedFraction, n: int, params: AnalysisParams,
 
     bounds = []
     worst = None
-    xs = np.arange(grid) / grid
+    xs = np.arange(BOUND_GRID) / BOUND_GRID
     for s, a_s in enumerate(coeff_fns, start=1):
         if s == 1:
             stated = math.exp(-params.tau * qn)
@@ -87,7 +88,7 @@ def build_phase_poly(gr, cf: ContinuedFraction, n: int, params: AnalysisParams,
             stated = 1.0 / (float(qn) * float(qn1) ** (s - 1))
         vals = np.abs(a_s.eval(xs))
         i = int(np.argmax(vals))
-        _, sup = a_s.sup_norm(grid=grid)
+        _, sup = a_s.sup_norm(grid=BOUND_GRID)
         bounds.append((stated, sup))
         if sup > stated * (1 + 1e-9):
             if worst is None or sup / stated > worst[3]:

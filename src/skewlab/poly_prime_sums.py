@@ -4,6 +4,8 @@ The phase polynomial is stored in the shifted basis g(n) = sum_i c_i (n-N)^i,
 exactly as its coefficient bounds are stated.  Phases are reduced mod 1 by a
 double-double Horner scheme (folding after every step, which is exact because
 n - N is an integer), so e(g(p)) stays accurate up to window lengths ~1e8.
+The guaranteed regime is |gamma_1| <= e^(-r) (the outline's normalization
+tau = 1) and |gamma_i| <= H^(1-i); sums outside it warn.
 """
 
 import math
@@ -42,10 +44,10 @@ class ShiftedPoly:
         return frac01_poly_dd(x, hi, lo)
 
 
-def _check_regime(g: ShiftedPoly, H: int, r: int, tau: float):
-    if g.degree >= 1 and abs(g.coeffs[0]) > math.exp(-tau * r):
+def _check_regime(g: ShiftedPoly, H: int, r: int):
+    if g.degree >= 1 and abs(g.coeffs[0]) > math.exp(-r):
         warnings.warn(
-            f"|gamma_1| = {abs(g.coeffs[0]):.3e} exceeds e^(-tau r); outside the "
+            f"|gamma_1| = {abs(g.coeffs[0]):.3e} exceeds e^(-r); outside the "
             "guaranteed regime", stacklevel=3)
     for i in range(2, g.degree + 1):
         if abs(g.coeffs[i - 1]) > float(H) ** (-i + 1):
@@ -55,14 +57,14 @@ def _check_regime(g: ShiftedPoly, H: int, r: int, tau: float):
 
 
 def prime_phase_sum(N: int, H: int, r: int, a: int, g: ShiftedPoly,
-                    primes=None, tau: float = 1.0) -> complex:
+                    primes=None) -> complex:
     """sum over primes p in [N, N+H], p = a mod r, of e(g(p)) log p."""
     if math.gcd(a, r) != 1:
         raise InvalidInputError(f"need (a, r) = 1, got ({a}, {r})")
     src = primes if primes is not None else default_source()
     if N + H > src.limit:
         raise RangeError(f"window end {N + H} beyond prime source limit")
-    _check_regime(g, H, r, tau)
+    _check_regime(g, H, r)
     ps = src.primes_in(N, N + H)
     if r > 1:
         ps = ps[ps % r == a % r]
@@ -80,13 +82,18 @@ def integer_phase_main_term(N: int, H: int, r: int, g: ShiftedPoly) -> complex:
     return complex(np.sum(e(g.phase01(ns))) / euler_phi(r))
 
 
-def ms_gap(N: int, H: int, r: int, a: int, g: ShiftedPoly, eta: float,
-           primes=None, tau: float = 1.0):
+def _check_window(N: int, H: int):
+    if N < 2 or H < 1:
+        raise InvalidInputError(f"need N >= 2 and H >= 1, got N={N}, H={H}")
+
+
+def ms_gap(N: int, H: int, r: int, a: int, g: ShiftedPoly, eta: float, primes=None):
     """(gap, budget): the defect against the integer main term and the
     eta log(1/eta) H / phi(r) comparison scale."""
+    _check_window(N, H)
     if not 0 < eta < 1:
         raise InvalidInputError(f"need eta in (0, 1), got eta={eta}")
-    s = prime_phase_sum(N, H, r, a, g, primes=primes, tau=tau)
+    s = prime_phase_sum(N, H, r, a, g, primes=primes)
     m = integer_phase_main_term(N, H, r, g)
     budget = eta * math.log(1.0 / eta) * H / euler_phi(r)
     return abs(s - m), budget
@@ -99,6 +106,7 @@ def oscillation_classify(g: ShiftedPoly, H: int, N: int, B: float):
     (log N)^B / H^i for every i; otherwise some coefficient is far from all
     low-height rationals and the Weyl regime applies.
     """
+    _check_window(N, H)
     if B <= 0:
         raise InvalidInputError("B must be positive")
     Q = max(1, math.floor(math.log(N) ** B))

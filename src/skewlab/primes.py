@@ -217,13 +217,16 @@ def mobius_upto(N: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # combinatorial sieve weights
 
+MAJORANT_TRUNCATION = 6  # even, so the truncated Brun sum majorizes 1_prime
+
 
 @dataclass
 class SieveWeights:
     """Divisor weights lambda_d of one of the two supported kinds.
 
-    prime-majorant: Brun pure sieve with even truncation; |lambda_d| <= 1 and
-    1_prime(n) <= sum_{d|n, d<=z} lambda_d for every n above the sifting bound.
+    prime-majorant: Brun pure sieve truncated at MAJORANT_TRUNCATION prime
+    factors; |lambda_d| <= 1 and 1_prime(n) <= sum_{d|n, d<=z} lambda_d for
+    every n above the sifting bound z^(1/MAJORANT_TRUNCATION).
 
     coprimality: lambda_e = mu(e) on squarefree e built from primes dividing d
     that are <= (log q)^A, with at most (loglog q)^2 of them; used to expand
@@ -237,7 +240,6 @@ class SieveWeights:
     d: int = None
     A: float = None
     sift_bound: int = None  # prime-majorant: primes <= sift_bound are sieved
-    truncation: int = None  # prime-majorant: max omega(d) kept (even)
     meta: dict = field(default_factory=dict)
 
     def divisor_sum(self, n: int) -> int:
@@ -280,17 +282,13 @@ def build_sieve_weights(kind: str, **params) -> SieveWeights:
 
     if kind == "prime-majorant":
         z = params["z"]
-        truncation = params.get("truncation", 6)
-        if truncation % 2 or truncation < 2:
-            raise InvalidInputError("truncation must be a positive even integer")
         if z < 4:
             raise RangeError("prime-majorant needs z >= 4")
-        w = int(z ** (1.0 / truncation))
+        w = int(z ** (1.0 / MAJORANT_TRUNCATION))
         sieve_primes = [int(p) for p in simple_sieve(w)]
-        products = _subsets_products(sieve_primes, truncation, z)
+        products = _subsets_products(sieve_primes, MAJORANT_TRUNCATION, z)
         lambdas = {dd: (-1 if k % 2 else 1) for dd, k in products.items()}
-        return SieveWeights(kind=kind, z=z, lambdas=lambdas,
-                            sift_bound=w, truncation=truncation)
+        return SieveWeights(kind=kind, z=z, lambdas=lambdas, sift_bound=w)
 
     raise InvalidInputError(f"unknown sieve kind {kind!r}")
 

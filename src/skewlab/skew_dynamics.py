@@ -52,18 +52,13 @@ class SkewProduct:
         if n < 0:
             raise InvalidInputError("n must be >= 0")
         xn = (x + float(self.cf.frac01(n))) % 1.0
-        if isinstance(self.g, TrigPoly):
-            s = birkhoff_closed(self.g, self.cf, n, x)
-        else:
-            s = self.g.birkhoff(n, x)
-        return xn, (y + s) % 1.0
+        return xn, (y + birkhoff_closed(self.g, self.cf, n, x)) % 1.0
 
     def iterate_stepwise(self, n: int, x: float, y: float):
         """Step-by-step iteration oracle (rounding accumulates; testing only)."""
         alpha = float(self.cf.value)
-        gx = self.g.eval if isinstance(self.g, TrigPoly) else self.g
         for _ in range(n):
-            y = (y + float(gx(x))) % 1.0
+            y = (y + float(self.g(x))) % 1.0
             x = (x + alpha) % 1.0
         return x, y
 
@@ -142,9 +137,16 @@ def weyl_sum(points, freq) -> complex:
     raise InvalidInputError("points must be 1-d (circle) or (N,2) (torus)")
 
 
+def _nonempty(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        raise InvalidInputError("the point set is empty")
+    return pts
+
+
 def exact_star_discrepancy(points) -> float:
     """D*_N of circle samples from the sorted-points formula."""
-    xs = np.sort(np.asarray(points, dtype=np.float64) % 1.0)
+    xs = np.sort(_nonempty(points) % 1.0)
     n = len(xs)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - xs), np.max(xs - (i - 1) / n)))
@@ -158,7 +160,7 @@ def star_discrepancy_bound(points, K: int) -> float:
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _nonempty(points)
     total = 1.0 / K
     for k in range(1, K + 1):
         total += 3.0 * abs(weyl_sum(pts, k)) / k

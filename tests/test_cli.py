@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlab.cli import main
 
@@ -60,13 +64,88 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
     ["huxley", "--x", "0"],
     ["huxley", "--x", "100", "--H", "0"],
     ["orbit", "--pair", "nope"],
+    ["cf", "--quotients", "1,1", "--depth", "1e400"],
+    ["discrepancy", "--N", "10", "--K", "Infinity"],
+    ["prime-average", "--b", "1e400"],
+    ["orbit", "--steps", "1,NaN"],
+    ["ms-sum", "--N", "-1"],
+    ["cf", "--quotients", "1,1", "--depth", "2", "stray"],
+    ["cf", "--quotients", "1,1", "--depth", "2", "--seed", "2.5"],
+    ["cf", "--quotients", "1,1", "--depth", "2", "--threads", "0"],
+    ["cf", "--quotients", "1,1", "--depth", "2", "--out"],
+    ["huxley", "--x", "-5"],
+    ["huxley", "--x", "100", "--H", "-3"],
+    ["ms-sum", "--N", "0"],
+    ["ms-sum", "--N", "1000", "--H", "-1"],
+    ["discrepancy", "--N", "0"],
+    ["discrepancy", "--N", "-1"],
 ], ids=["identities-k0", "charsum-q2-windowed", "charsum-chi-index-past-last",
         "prime-average-N0", "ms-sum-eta0", "charsum-windowed-Hp-negative",
-        "charsum-windowed-Hp0", "huxley-x0", "huxley-H0", "orbit-unknown-pair"])
+        "charsum-windowed-Hp0", "huxley-x0", "huxley-H0", "orbit-unknown-pair",
+        "cf-depth-overflow", "discrepancy-K-infinite", "prime-average-b-overflow",
+        "orbit-steps-nan", "ms-sum-N-negative", "cf-stray-token", "seed-not-int",
+        "threads0", "out-without-path", "huxley-x-negative", "huxley-H-negative",
+        "ms-sum-N0", "ms-sum-H-negative", "discrepancy-N0",
+        "discrepancy-N-negative"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_domain_value_exit_2(args, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["cf", "--config", "{tmp}/missing.cfg"],
+    ["cocycle-check", "--spec", "{tmp}/missing.csv"],
+    ["cf", "--quotients", "1,1", "--depth", "1", "--out", "{tmp}/no/such/dir/out.json"],
+], ids=["config-missing", "spec-missing", "out-unwritable"])
+def test_unreadable_file_exit_2(args, tmp_path, capsys):
+    assert main([a.format(tmp=tmp_path) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and len(err.splitlines()) == 1
+
+
+# commands whose defaults finish well under a second, and the keys each reads
+QUICK_KEYS = {
+    "cf": ("quotients", "decimal", "depth"),
+    "orbit": ("pair", "x", "y", "steps"),
+    "huxley": ("x", "H", "q", "r"),
+    "charsum": ("q", "stat", "r", "gauss_x", "Hp", "chi_index"),
+    "discrepancy": ("N", "K"),
+    "ms-sum": ("N", "H", "r", "a", "coeffs", "eta", "B"),
+}
+MALFORMED = ("abc", "", "-1", "0", "2.5", "1e400", "Infinity", "NaN", "[]", "1,zz", "true")
+
+
+@st.composite
+def malformed_runs(draw):
+    command = draw(st.sampled_from(sorted(QUICK_KEYS)))
+    keys = st.sampled_from(QUICK_KEYS[command] + ("seed", "threads"))
+    flags = draw(st.dictionaries(keys, st.sampled_from(MALFORMED), min_size=1, max_size=3))
+    return [command] + [tok for key, val in flags.items() for tok in (f"--{key}", val)]
+
+
+@given(malformed_runs())
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_malformed_flags_never_raise(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+def test_counterexample_dump_reports_cli_eps(tmp_path):
+    dump = tmp_path / "stages.json"
+    code, payload, _ = run_cli(["counterexample", "--stages", "2", "--eps", "0.001",
+                                "--dump", str(dump)], tmp_path)
+    assert code == 0
+    passed = [r["passed"] for r in payload["rows"]]
+    assert passed == [False, True]
+    stages = json.loads(dump.read_text())["stages"]
+    assert [s["phi_report"]["passed"] for s in stages] == passed
 
 
 def test_identities_beyond_int64_exit_3(capsys):

@@ -96,7 +96,7 @@ def test_convergent_laws_random_quotients(quotients):
 def test_analysis_params_tau_enforced():
     p = AnalysisParams(tau_prime=0.095)
     assert p.tau == min(0.095**2, 0.095 / 8) / 2
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(TypeError):  # tau is derived, never passed
         AnalysisParams(tau_prime=0.095, tau=0.01)
     with pytest.raises(InvalidInputError):
         AnalysisParams(tau_prime=0.2)

@@ -121,6 +121,12 @@ def test_majorant_pointwise_and_average():
     from skewlab.calibration import MAJORANT_WINDOW_C
 
     assert majorant_window_average(w, 10**6, 2 * 10**8 + 1) <= MAJORANT_WINDOW_C
+    # the recipe that froze the constant (measured maximum 3.07)
+    for z in (64, 1000, 10**4):
+        wz = build_sieve_weights("prime-majorant", z=z)
+        for x in (1, 10**6):
+            for mult in (2, 20):
+                assert majorant_window_average(wz, x, z * z * mult) <= MAJORANT_WINDOW_C
 
 
 def test_coprimality_weights():
@@ -140,8 +146,12 @@ def test_coprimality_weights():
                 assert lhs == rhs, (n, weights.q, weights.d)
     from skewlab.calibration import SIEVE2_ERROR_C
 
-    err = abs(float(coprimality_weight_sum(w)) - euler_phi(q) / q)
-    assert err <= SIEVE2_ERROR_C / math.log(q) ** 2  # A - 1 = 2
+    # the recipe that froze the constant (measured maximum 2.18)
+    for q in (210, 30030, 510510):
+        for A in (2, 3):
+            wq = build_sieve_weights("coprimality", q=q, d=q, A=A)
+            err = abs(float(coprimality_weight_sum(wq)) - euler_phi(q) / q)
+            assert err * math.log(q) ** (A - 1) <= SIEVE2_ERROR_C
 
 
 def test_sieve_weight_preconditions():
