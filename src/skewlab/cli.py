@@ -228,16 +228,18 @@ def cmd_orbit(cfg):
 
 
 def cmd_prime_average(cfg):
-    from skewlab.skew_dynamics import Observable, SkewProduct, prime_weighted_average
+    from skewlab.skew_dynamics import Observable, SkewProduct, prime_weighted_averages
 
     cf, g, params, _ = _preset_pair(cfg.get("pair", "prime"))
     T = SkewProduct(cf, g)
-    b, c = int(cfg.get("b", 0)), int(cfg.get("c", 1))
+    f = Observable(int(cfg.get("b", 0)), int(cfg.get("c", 1)))
     x, y = float(cfg.get("x", 0.0)), float(cfg.get("y", 0.0))
+    Ns = [int(N) for N in _int_list(cfg.get("N", "1e5,1e6"))]
+    averages = prime_weighted_averages(T, (f,), Ns, x, y)  # every N in one pass
     rows = []
-    for N in _int_list(cfg.get("N", "1e5,1e6")):
-        avg, theta = prime_weighted_average(T, Observable(b, c), int(N), x, y)
-        rows.append({"N": int(N), "b": b, "c": c, "re_avg": avg.real,
+    for N in Ns:
+        avg, theta = averages[f, N]
+        rows.append({"N": N, "b": f.b, "c": f.c, "re_avg": avg.real,
                      "im_avg": avg.imag, "theta_ratio": theta})
     return rows
 
@@ -428,20 +430,23 @@ def cmd_discrepancy(cfg):
     return rows
 
 
+# command -> (handler, the config keys it reads); seed and threads are read by
+# main, config and out name files, and any other key is rejected
 HANDLERS = {
-    "cf": cmd_cf,
-    "cocycle-check": cmd_cocycle_check,
-    "phase": cmd_phase,
-    "orbit": cmd_orbit,
-    "prime-average": cmd_prime_average,
-    "residue-average": cmd_residue_average,
-    "huxley": cmd_huxley,
-    "charsum": cmd_charsum,
-    "identities": cmd_identities,
-    "ms-sum": cmd_ms_sum,
-    "counterexample": cmd_counterexample,
-    "discrepancy": cmd_discrepancy,
+    "cf": (cmd_cf, ("quotients", "decimal", "depth")),
+    "cocycle-check": (cmd_cocycle_check, ("samples", "spec", "decay_rate", "quotients")),
+    "phase": (cmd_phase, ("scales", "m_samples", "w", "x_grid")),
+    "orbit": (cmd_orbit, ("pair", "x", "y", "steps")),
+    "prime-average": (cmd_prime_average, ("pair", "b", "c", "x", "y", "N")),
+    "residue-average": (cmd_residue_average, ("pair", "b", "c", "scales")),
+    "huxley": (cmd_huxley, ("x", "H", "q", "r")),
+    "charsum": (cmd_charsum, ("q", "stat", "r", "gauss_x", "Hp", "chi_index")),
+    "identities": (cmd_identities, ("n_max", "z", "k", "buchstab_windows")),
+    "ms-sum": (cmd_ms_sum, ("N", "H", "r", "a", "coeffs", "eta", "B")),
+    "counterexample": (cmd_counterexample, ("stages", "include_h", "mu_twist", "eps", "dump")),
+    "discrepancy": (cmd_discrepancy, ("N", "K")),
 }
+COMMON_KEYS = ("seed", "threads", "config", "out")
 
 
 def main(argv=None):
@@ -465,7 +470,12 @@ def main(argv=None):
             v = cfg.get(key, low)
             if type(v) is not int or v < low:
                 raise InvalidInputError(f"{key} must be an integer >= {low}, got {v!r}")
-        rows = HANDLERS[command](cfg)
+        handler, keys = HANDLERS[command]
+        unknown = sorted(set(cfg) - set(keys) - set(COMMON_KEYS))
+        if unknown:
+            raise InvalidInputError(f"{command} has no key {unknown[0]!r}; it reads "
+                                    f"{', '.join(keys + COMMON_KEYS[:2])}")
+        rows = handler(cfg)
         _emit(command, cfg, rows, paths.get("out"))
     except InvalidInputError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)

@@ -49,6 +49,13 @@ def _mark_segment(mask, low, base):
     return mask
 
 
+def segment_windows(N: int):
+    """(lo, hi) windows covering [2, N] in order: lo = 2 + k * 2 * SEGMENT_SIZE,
+    hi = min(lo + 2 * SEGMENT_SIZE - 1, N), so each window sieves as one segment."""
+    for lo in range(2, N + 1, 2 * SEGMENT_SIZE):
+        yield lo, min(lo + 2 * SEGMENT_SIZE - 1, N)
+
+
 class PrimeSource:
     """Read-only prime supplier over [2, limit]; every call sieves its range afresh."""
 
@@ -91,11 +98,8 @@ class PrimeSource:
         """theta(N) = sum of log p over primes p <= N."""
         if N > self.limit:
             raise RangeError(f"N = {N} beyond source limit {self.limit}")
-        if N < 2:
-            return 0.0
         total = 0.0
-        for lo in range(2, N + 1, 2 * SEGMENT_SIZE):
-            hi = min(lo + 2 * SEGMENT_SIZE - 1, N)
+        for lo, hi in segment_windows(N):
             p = self.primes_in(lo, hi)
             total += float(np.sum(np.log(p.astype(np.float64))))
         return total

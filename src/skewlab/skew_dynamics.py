@@ -18,7 +18,7 @@ from skewlab.cocycle import TrigPoly, birkhoff_closed, birkhoff_prefix
 from skewlab.dd import dd_from_fraction, frac01_int_mult
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import InvalidInputError, RangeError
-from skewlab.primes import default_source
+from skewlab.primes import default_source, euler_phi, segment_windows
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,44 +63,91 @@ class SkewProduct:
         return x, y
 
 
-def _prime_orbit_phases(T: SkewProduct, primes: np.ndarray, x: float, y: float):
-    """(x_p, y_p) arrays for p in primes, via per-frequency dd reduction."""
-    cf, g = T.cf, T.g
-    hi, lo = cf.value_dd()
-    xs = frac01_int_mult(primes, hi, lo) + (x % 1.0)
+def _rotate(ns: np.ndarray, hi: float, lo: float, x: float) -> np.ndarray:
+    """frac(n alpha + x) in [0, 1) for the integer array ns, alpha = hi + lo (dd)."""
+    xs = frac01_int_mult(ns, hi, lo) + (x % 1.0)
     xs -= np.floor(xs)
-    ys = np.full(primes.shape, float(y))
-    for m, a in zip(g.freqs, g.amps):
+    return xs
+
+
+def _fiber_terms(T: SkewProduct, x: float):
+    """(m_hi, m_lo, a_m e(m x), e(m alpha) - 1) per frequency m of g, m alpha as a dd pair.
+
+    S_n(g)(x) = sum_m 2 Re a_m e(m x) (e(n m alpha) - 1) / (e(m alpha) - 1).
+    """
+    cf = T.cf
+    terms = []
+    for m, a in zip(T.g.freqs, T.g.amps):
         m = int(m)
-        v = float(cf.frac_signed(m))
-        denom = e(v) - 1.0
-        m_hi, m_lo = dd_from_fraction(cf.frac01(m))
-        phases = frac01_int_mult(primes, m_hi, m_lo)
-        ratio = (e(phases) - 1.0) / denom
-        term = (a * np.exp(2j * math.pi * m * x)) * ratio
-        ys += 2.0 * term.real
+        denom = e(float(cf.frac_signed(m))) - 1.0
+        terms.append((*dd_from_fraction(cf.frac01(m)), a * np.exp(2j * math.pi * m * x), denom))
+    return terms
+
+
+def _prime_orbit_phases(T: SkewProduct, terms, primes: np.ndarray, x: float, y: float):
+    """(x_p, y_p) arrays for p in primes, via per-frequency dd reduction (terms: _fiber_terms)."""
+    xs = _rotate(primes, *T.cf.value_dd(), x)
+    ys = np.full(primes.shape, float(y))
+    for m_hi, m_lo, scale, denom in terms:
+        ys += 2.0 * (scale * ((e(frac01_int_mult(primes, m_hi, m_lo)) - 1.0) / denom)).real
     return xs, ys
+
+
+def prime_weighted_averages(T: SkewProduct, observables, Ns, x: float, y: float,
+                            primes=None) -> dict:
+    """{(f, N): (average, theta_ratio)} for every observable f and every N, in one pass.
+
+    average = (1/N) sum_{p <= N} e_{b,c}(T^p(x,y)) log p and theta_ratio =
+    theta(N)/N.  The primes up to max(Ns) are walked once, window by window
+    (primes.segment_windows), so memory is O(SEGMENT_SIZE) whatever N is.
+    Each window sieves once, computes the orbit phases once for all
+    observables, and adds one np.sum per observable to a running total in
+    window order; a snapshot at N adds the sum over the window's primes <= N.
+    The reduction order is therefore fixed by N alone: a value never depends
+    on which other observables or Ns were requested.
+    """
+    if any(N < 1 for N in Ns):
+        raise InvalidInputError(f"need N >= 1, got N={min(Ns)}")
+    src = primes if primes is not None else default_source()
+    if Ns and max(Ns) > src.limit:
+        raise RangeError(f"N = {max(Ns)} beyond prime source limit {src.limit}")
+    live = [f for f in dict.fromkeys(observables) if (f.b, f.c) != (0, 0)]
+    terms = _fiber_terms(T, x) if live else []
+    theta = {N: 0.0 for N in Ns}  # theta(N) for N < 2: no prime <= N
+    sums = {(f, N): 0j for f in live for N in Ns}
+    theta_run, runs = 0.0, dict.fromkeys(live, 0j)
+    for lo, hi in segment_windows(int(max(Ns, default=0))):
+        ps = src.primes_in(lo, hi)
+        logp = np.log(ps.astype(np.float64))
+        here = {N: int(np.searchsorted(ps, N, side="right")) for N in Ns if lo <= N <= hi}
+        for N, k in here.items():
+            theta[N] = theta_run + float(np.sum(logp[:k]))
+        theta_run += float(np.sum(logp))
+        if live:
+            xs, ys = _prime_orbit_phases(T, terms, ps, x, y)
+        for f in live:
+            vals = e(f.b * xs + f.c * ys) * logp
+            for N, k in here.items():
+                sums[f, N] = runs[f] + np.sum(vals[:k])
+            runs[f] += np.sum(vals)
+    out = {}
+    for f in observables:
+        for N in Ns:
+            ratio = theta[N] / N
+            avg = complex(ratio) if (f.b, f.c) == (0, 0) else complex(sums[f, N] / N)
+            out[f, N] = (avg, ratio)
+    return out
 
 
 def prime_weighted_average(T: SkewProduct, f: Observable, N: int, x: float, y: float,
                            primes=None):
     """(1/N) sum_{p <= N} e_{b,c}(T^p(x,y)) log p, plus theta(N)/N.
 
-    Returns (average, theta_ratio).
+    Returns (average, theta_ratio).  One streamed pass of
+    prime_weighted_averages: memory O(SEGMENT_SIZE), sums blocked by window
+    in a fixed order.
     """
-    if N < 1:
-        raise InvalidInputError(f"need N >= 1, got N={N}")
-    src = primes if primes is not None else default_source()
-    if N > src.limit:
-        raise RangeError(f"N = {N} beyond prime source limit {src.limit}")
-    ps = src.primes_in(2, N)
-    logp = np.log(ps.astype(np.float64))
-    theta_ratio = float(np.sum(logp)) / N
-    if f.b == 0 and f.c == 0:
-        return complex(theta_ratio), theta_ratio
-    xs, ys = _prime_orbit_phases(T, ps, x, y)
-    vals = e(f.b * xs + f.c * ys) * logp
-    return complex(np.sum(vals) / N), theta_ratio
+    return prime_weighted_averages(T, (f,), (N,), x, y, primes)[f, N]
 
 
 def reduced_residue_average(T: SkewProduct, f: Observable, z: int, d: int,
@@ -108,13 +155,9 @@ def reduced_residue_average(T: SkewProduct, f: Observable, z: int, d: int,
     """(d / (z phi(d))) sum_{k <= z, (k,d) = 1} e_{b,c}(T^k(x,y))."""
     if d < 1 or z % d != 0:
         raise InvalidInputError(f"d = {d} must divide z = {z}")
-    from skewlab.primes import euler_phi
-
     ks = np.arange(1, z + 1, dtype=np.int64)
     mask = np.gcd(ks, d) == 1
-    hi, lo = T.cf.value_dd()
-    xs = frac01_int_mult(ks[mask], hi, lo) + (x % 1.0)
-    xs -= np.floor(xs)
+    xs = _rotate(ks[mask], *T.cf.value_dd(), x)
     prefix = birkhoff_prefix(T.g, T.cf, z, x)
     ys = y + prefix[1 : z + 1][mask]
     total = np.sum(e(f.b * xs + f.c * ys))
@@ -178,9 +221,6 @@ def nazarov_small_set(p: TrigPoly, eps: float, grid: int = 1 << 12) -> float:
 def nazarov_translate_count(g_block: TrigPoly, cf: ContinuedFraction, q_n: int,
                             eps_exponent: float, x: float) -> int:
     """|{u <= q_n : |g(x + u alpha)| <= q_n^(-eps)}| along the rotation orbit."""
-    hi, lo = cf.value_dd()
-    us = np.arange(1, q_n + 1, dtype=np.int64)
-    angles = frac01_int_mult(us, hi, lo) + (x % 1.0)
-    angles -= np.floor(angles)
+    angles = _rotate(np.arange(1, q_n + 1, dtype=np.int64), *cf.value_dd(), x)
     thresh = float(q_n) ** (-eps_exponent)
     return int(np.count_nonzero(np.abs(g_block.eval(angles)) <= thresh))

@@ -246,18 +246,19 @@ def test_criterion_08_window_count_law():
 
 
 def test_criterion_09_prime_average_decay():
-    from skewlab.skew_dynamics import Observable, SkewProduct, prime_weighted_average
+    from skewlab.skew_dynamics import Observable, SkewProduct, prime_weighted_averages
 
     t0 = time.time()
     cf, g, _ = prime_pair()
     T = SkewProduct(cf, g)
     ok = True
     details = []
-    for b, c in ((0, 1), (1, 1), (0, 2)):
-        a5, _ = prime_weighted_average(T, Observable(b, c), 10**5, 0.0, 0.0)
-        a7, _ = prime_weighted_average(T, Observable(b, c), 10**7, 0.0, 0.0)
+    fs = [Observable(b, c) for b, c in ((0, 1), (1, 1), (0, 2))]
+    averages = prime_weighted_averages(T, fs, (10**5, 10**7), 0.0, 0.0)  # one pass
+    for f in fs:
+        a5, a7 = averages[f, 10**5][0], averages[f, 10**7][0]
         ok &= abs(a7) < abs(a5) and abs(a7) < 0.2
-        details.append(f"({b},{c}): {abs(a5):.4f}->{abs(a7):.4f}")
+        details.append(f"({f.b},{f.c}): {abs(a5):.4f}->{abs(a7):.4f}")
     elapsed = time.time() - t0
     _report(9, "prime averages decay and stay < 0.2", ok and elapsed < 900,
             f"({'; '.join(details)}, {elapsed:.0f}s)")

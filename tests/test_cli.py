@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab.cli import main
+from skewlab.cli import HANDLERS, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,6 +79,9 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
     ["ms-sum", "--N", "1000", "--H", "-1"],
     ["discrepancy", "--N", "0"],
     ["discrepancy", "--N", "-1"],
+    ["cf", "--quotients", "1,1", "--depth", "2", "--dpeth", "5"],
+    ["prime-average", "--N", "1e5", "--obs", "3"],
+    ["cf", "--quotients", "1,1", "--set", "depth=1"],
 ], ids=["identities-k0", "charsum-q2-windowed", "charsum-chi-index-past-last",
         "prime-average-N0", "ms-sum-eta0", "charsum-windowed-Hp-negative",
         "charsum-windowed-Hp0", "huxley-x0", "huxley-H0", "orbit-unknown-pair",
@@ -86,7 +89,8 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
         "orbit-steps-nan", "ms-sum-N-negative", "cf-stray-token", "seed-not-int",
         "threads0", "out-without-path", "huxley-x-negative", "huxley-H-negative",
         "ms-sum-N0", "ms-sum-H-negative", "discrepancy-N0",
-        "discrepancy-N-negative"])
+        "discrepancy-N-negative", "cf-misspelt-key", "prime-average-unknown-key",
+        "cf-old-set-flag"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_domain_value_exit_2(args, capsys):
     assert main(args) == 2
@@ -105,22 +109,26 @@ def test_unreadable_file_exit_2(args, tmp_path, capsys):
     assert err.startswith("invalid input: ") and len(err.splitlines()) == 1
 
 
-# commands whose defaults finish well under a second, and the keys each reads
-QUICK_KEYS = {
-    "cf": ("quotients", "decimal", "depth"),
-    "orbit": ("pair", "x", "y", "steps"),
-    "huxley": ("x", "H", "q", "r"),
-    "charsum": ("q", "stat", "r", "gauss_x", "Hp", "chi_index"),
-    "discrepancy": ("N", "K"),
-    "ms-sum": ("N", "H", "r", "a", "coeffs", "eta", "B"),
-}
+def test_unknown_config_file_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("quotients = 1,1\ndpeth = 4\n")
+    assert main(["cf", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'dpeth'" in err and len(err.splitlines()) == 1
+
+
+# commands whose defaults finish well under a second
+QUICK = ("cf", "orbit", "huxley", "charsum", "discrepancy", "ms-sum")
+COMMON = ("seed", "threads")
+# misspelt keys, the old parser's --set, and keys that only other commands read
+UNKNOWN = ("dpeth", "obs", "set", "n_max", "stages")
 MALFORMED = ("abc", "", "-1", "0", "2.5", "1e400", "Infinity", "NaN", "[]", "1,zz", "true")
 
 
 @st.composite
 def malformed_runs(draw):
-    command = draw(st.sampled_from(sorted(QUICK_KEYS)))
-    keys = st.sampled_from(QUICK_KEYS[command] + ("seed", "threads"))
+    command = draw(st.sampled_from(QUICK))
+    keys = st.sampled_from(HANDLERS[command][1] + COMMON + UNKNOWN)
     flags = draw(st.dictionaries(keys, st.sampled_from(MALFORMED), min_size=1, max_size=3))
     return [command] + [tok for key, val in flags.items() for tok in (f"--{key}", val)]
 
@@ -135,6 +143,8 @@ def test_malformed_flags_never_raise(argv):
     assert code in (0, 2, 3)
     if code:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    if {tok[2:] for tok in argv[1::2]} - set(HANDLERS[argv[0]][1] + COMMON):
+        assert code == 2 and err.getvalue().startswith("precondition error: "), err.getvalue()
 
 
 def test_counterexample_dump_reports_cli_eps(tmp_path):

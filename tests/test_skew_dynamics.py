@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab.cocycle import AnalyticCocycle, TrigPoly
-from skewlab.dd import frac01_int_mult
+from skewlab.dd import dd_from_fraction, frac01_int_mult
 from skewlab.diophantine import cf_from_quotients
 from skewlab.errors import InvalidInputError, RangeError
 from skewlab.presets import prime_pair
-from skewlab.primes import chebyshev_theta
-from skewlab.skew_dynamics import (Observable, SkewProduct, exact_star_discrepancy,
+from skewlab.primes import DEFAULT_LIMIT, SEGMENT_SIZE, chebyshev_theta, primes_in
+from skewlab.skew_dynamics import (Observable, SkewProduct, e, exact_star_discrepancy,
                                    nazarov_small_set, nazarov_translate_count,
-                                   prime_weighted_average, reduced_residue_average,
-                                   star_discrepancy_bound, weyl_sum)
+                                   prime_weighted_average, prime_weighted_averages,
+                                   reduced_residue_average, star_discrepancy_bound,
+                                   weyl_sum)
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +74,6 @@ def test_prime_average_zero_cocycle_direct_loop():
     cf = cf_from_quotients([1, 2, 3, 4, 5] * 4)
     g0 = AnalyticCocycle({}, 0.095)
     T = SkewProduct(cf, g0)
-    from skewlab.primes import primes_in
-
     N = 20000
     avg, _ = prime_weighted_average(T, Observable(1, 0), N, 0.0, 0.0)
     alpha = float(cf.value)
@@ -88,6 +87,103 @@ def test_prime_average_two_scale_decay(T):
     a_small, _ = prime_weighted_average(T, Observable(0, 1), 10**5, 0.0, 0.0)
     a_big, _ = prime_weighted_average(T, Observable(0, 1), 10**6, 0.0, 0.0)
     assert abs(a_big) < abs(a_small)
+
+
+def _whole_array_averages(T, fs, N, x, y):
+    """Oracle: every prime <= N in one array, one np.sum per observable."""
+    cf, g = T.cf, T.g
+    ps = primes_in(2, N)
+    logp = np.log(ps.astype(np.float64))
+    theta_ratio = float(np.sum(logp)) / N
+    hi, lo = cf.value_dd()
+    xs = frac01_int_mult(ps, hi, lo) + (x % 1.0)
+    xs -= np.floor(xs)
+    ys = np.full(ps.shape, float(y))
+    for m, a in zip(g.freqs, g.amps):
+        m = int(m)
+        denom = e(float(cf.frac_signed(m))) - 1.0
+        m_hi, m_lo = dd_from_fraction(cf.frac01(m))
+        ratio = (e(frac01_int_mult(ps, m_hi, m_lo)) - 1.0) / denom
+        ys += 2.0 * ((a * np.exp(2j * math.pi * m * x)) * ratio).real
+    return {f: complex(np.sum(e(f.b * xs + f.c * ys) * logp) / N) for f in fs}, theta_ratio
+
+
+STREAM_OBS = [Observable(b, c) for b, c in ((0, 1), (1, 1), (0, 2), (0, 0))]
+STREAM_NS = (2, 10**5, 3 * 10**6, 2 + 2 * 2 * SEGMENT_SIZE)  # the last opens a third window
+
+
+@pytest.fixture(scope="module")
+def streamed(T):
+    return prime_weighted_averages(T, STREAM_OBS, STREAM_NS, 0.37, 0.61)
+
+
+@pytest.mark.parametrize("N", STREAM_NS)
+def test_streamed_average_matches_whole_array_oracle(T, streamed, N):
+    want, theta_ratio = _whole_array_averages(T, STREAM_OBS, N, 0.37, 0.61)
+    for f in STREAM_OBS:
+        avg, ratio = streamed[f, N]
+        if f == Observable(0, 0):
+            assert avg == complex(ratio)
+        else:
+            assert abs(avg - want[f]) <= 1e-13 * abs(want[f]), (f, avg, want[f])
+        assert ratio == pytest.approx(theta_ratio, rel=1e-13, abs=0)
+
+
+def test_batched_average_equals_single_calls(T, streamed):
+    for (f, N), got in streamed.items():
+        assert prime_weighted_average(T, f, N, 0.37, 0.61) == got
+
+
+def test_theta_ratio_equals_chebyshev_theta():
+    edge = 1 + 2 * 2 * SEGMENT_SIZE  # the last integer of the second window
+    Ns = (1, 2, 10**5, edge - 1, edge, edge + 1, 5 * 2 * SEGMENT_SIZE + 12345)
+    cf, g, _ = prime_pair()
+    got = prime_weighted_averages(SkewProduct(cf, g), [Observable(0, 0)], Ns, 0.0, 0.0)
+    for N in Ns:
+        assert got[Observable(0, 0), N][1] == chebyshev_theta(N) / N
+
+
+def test_streamed_average_memory_does_not_grow_with_N(T):
+    import tracemalloc
+
+    f = Observable(1, 1)
+    prime_weighted_average(T, f, 10**4, 0.1, 0.2)  # lazy tables outside the measurement
+    peaks = []
+    tracemalloc.start()
+    try:
+        for N in (4 * 10**6, 2 * 10**7):
+            tracemalloc.reset_peak()
+            prime_weighted_average(T, f, N, 0.1, 0.2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 * 2**20, peaks
+
+
+class _NoPrimes:
+    """A prime source over [2, 1000] that holds no primes and records each call."""
+
+    limit = 1000
+
+    def __init__(self):
+        self.calls = []
+
+    def primes_in(self, lo, hi):
+        self.calls.append((lo, hi))
+        return np.empty(0, dtype=np.int64)
+
+
+def test_prime_average_domain_errors(T):
+    f = Observable(0, 1)
+    for call in (lambda N, src: prime_weighted_average(T, f, N, 0.0, 0.0, primes=src),
+                 lambda N, src: prime_weighted_averages(T, [f], [10, N], 0.0, 0.0, primes=src)):
+        for N, error in ((0, InvalidInputError), (-5, InvalidInputError), (1001, RangeError)):
+            src = _NoPrimes()
+            with pytest.raises(error):
+                call(N, src)
+            assert src.calls == []  # rejected before any window is sieved
+        with pytest.raises(RangeError):
+            call(DEFAULT_LIMIT + 1, None)
 
 
 def test_reduced_residue_average_basics(T):
