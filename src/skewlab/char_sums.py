@@ -270,8 +270,9 @@ def progression_char_stat(q: int, r: int, chi: Character) -> float:
     vals = chi.values()
     a = np.arange(q, dtype=np.int64)
     keys = (a % r).astype(np.int64)
-    sums_re = np.bincount(keys, weights=vals.real, minlength=r)
-    sums_im = np.bincount(keys, weights=vals.imag, minlength=r)
+    # a < q, so the classes v >= q are empty and add 0
+    sums_re = np.bincount(keys, weights=vals.real, minlength=min(r, q))
+    sums_im = np.bincount(keys, weights=vals.imag, minlength=min(r, q))
     return float(np.sum(np.hypot(sums_re, sums_im)))
 
 
@@ -420,8 +421,9 @@ def huxley_stat_progressions(x: int, H: int, q: int, r: int, primes=None) -> dic
     logp = np.log(ps.astype(np.float64))
     classes = ((ps % q) % r).astype(np.int64)
     if H == x:
-        sums = np.bincount(classes, weights=logp, minlength=r)
-        value = float(np.sum(np.abs(sums - H / r)))
+        # classes = p_q mod r < min(q, r): each class v >= q holds no prime and adds H/r
+        sums = np.bincount(classes, weights=logp, minlength=min(r, q))
+        value = float(np.sum(np.abs(sums - H / r))) + max(r - q, 0) * (H / r)
         return {"value": value, "trivial_scale": float(H), "windows": 1}
     value = float(_window_l1(ps, logp, classes, x, H, r, H / r))
     return {"value": value, "trivial_scale": float(H) * x, "windows": x}

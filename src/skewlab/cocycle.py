@@ -217,13 +217,11 @@ def reduce(g: AnalyticCocycle, cf: ContinuedFraction, params, depth: int) -> Red
 # Birkhoff sums
 
 
-def _orbit_angles(cf: ContinuedFraction, n: int, x: float) -> np.ndarray:
-    """frac(x + j*alpha) for j = 0..n-1, double-double reduced."""
-    hi, lo = cf.value_dd()
-    j = np.arange(n, dtype=np.int64)
-    base = frac01_int_mult(j, hi, lo)
-    out = base + (x % 1.0)
-    return out - np.floor(out)
+def orbit_angles(cf: ContinuedFraction, ks: np.ndarray, x: float) -> np.ndarray:
+    """frac(x + k*alpha) in [0, 1) for the integer array ks, double-double reduced."""
+    out = frac01_int_mult(ks, *cf.value_dd()) + (x % 1.0)
+    out -= np.floor(out)
+    return out
 
 
 def birkhoff_direct(g, cf: ContinuedFraction, n: int, x: float) -> float:
@@ -232,14 +230,14 @@ def birkhoff_direct(g, cf: ContinuedFraction, n: int, x: float) -> float:
         raise InvalidInputError("n must be >= 0")
     if n == 0:
         return 0.0
-    return float(np.sum(g.eval(_orbit_angles(cf, n, x))))
+    return float(np.sum(g.eval(orbit_angles(cf, np.arange(n, dtype=np.int64), x))))
 
 
 def birkhoff_prefix(g, cf: ContinuedFraction, n: int, x: float) -> np.ndarray:
     """[S_0, S_1, ..., S_n](g)(x) by cumulative direct summation."""
     if n == 0:
         return np.zeros(1)
-    vals = g.eval(_orbit_angles(cf, n, x))
+    vals = g.eval(orbit_angles(cf, np.arange(n, dtype=np.int64), x))
     out = np.empty(n + 1)
     out[0] = 0.0
     np.cumsum(vals, out=out[1:])
@@ -326,4 +324,4 @@ def denjoy_koksma_gap(h, q: int, x: float, cf: ContinuedFraction, mean: float) -
     denominators = {cf.q(k) for k in range(0, cf.max_index() + 1)}
     if q not in denominators:
         raise InvalidInputError(f"q = {q} is not a convergent denominator of alpha")
-    return abs(float(np.sum(h(_orbit_angles(cf, q, x)))) - q * mean)
+    return abs(float(np.sum(h(orbit_angles(cf, np.arange(q, dtype=np.int64), x)))) - q * mean)

@@ -186,10 +186,6 @@ class TentFunction:
     def variation(self):
         return 2 * self.q
 
-    @property
-    def mean(self):
-        return 0.5
-
 
 def _next_even_stage_index(cf: ContinuedFraction, A: AlmostSparseSet, k_min: int,
                            mu_twist: bool):

@@ -102,28 +102,28 @@ class ContinuedFraction:
         """(hi, lo) double-double approximation of alpha."""
         return self._dd
 
-    def frac01(self, n: int) -> Fraction:
-        """Exact rational frac(n * value) in [0, 1); certified within n*err."""
+    def _frac(self, n: int, edges) -> Fraction:
+        """frac(n*value) in [0, 1), or PrecisionError if frac(n*alpha) may lie across an edge."""
         v = (n * self.value) % 1
+        d, u = min(abs(v - t) for t in edges), abs(n) * self.err
+        if n and u >= d:
+            raise PrecisionError(f"frac({n}*alpha) = {float(v):.3e} lies {float(d):.3e} from "
+                                 f"an edge, not separated at uncertainty {float(u):.3e}")
         return v
 
+    def frac01(self, n: int) -> Fraction:
+        """Exact rational frac(n * value) in [0, 1); certified within |n|*err."""
+        return self._frac(n, (0, 1))
+
     def frac_signed(self, n: int) -> Fraction:
-        """n*alpha reduced to (-1/2, 1/2], certified; exact rational."""
-        v = self.frac01(n)
+        """n*alpha reduced to (-1/2, 1/2]; certified within |n|*err of an integer and of 1/2."""
+        v = self._frac(n, (0, HALF, 1))
         return v if v <= HALF else v - 1
 
     def dist_to_integers(self, n: int) -> Fraction:
         """||n*alpha|| in [0, 1/2], exact to the tracked precision."""
-        if n == 0:
-            return Fraction(0)
         v = self.frac01(abs(n))
-        d = min(v, 1 - v)
-        u = abs(n) * self.err
-        if d <= u:
-            raise PrecisionError(
-                f"||{n}*alpha|| = {float(d):.3e} not separated from 0 at uncertainty {float(u):.3e}",
-            )
-        return d
+        return min(v, 1 - v)
 
     def check_laws(self):
         """Recursion, determinant, and approximation-quality invariants.

@@ -80,19 +80,16 @@ def build_phase_poly(gr, cf: ContinuedFraction, n: int, params: AnalysisParams) 
 
     bounds = []
     worst = None
-    xs = np.arange(BOUND_GRID) / BOUND_GRID
     for s, a_s in enumerate(coeff_fns, start=1):
         if s == 1:
             stated = math.exp(-params.tau * qn)
         else:
             stated = 1.0 / (float(qn) * float(qn1) ** (s - 1))
-        vals = np.abs(a_s.eval(xs))
-        i = int(np.argmax(vals))
         _, sup = a_s.sup_norm(grid=BOUND_GRID)
         bounds.append((stated, sup))
-        if sup > stated * (1 + 1e-9):
-            if worst is None or sup / stated > worst[3]:
-                worst = (s, float(xs[i]), sup, sup / stated)
+        if sup > stated * (1 + 1e-9) and (worst is None or sup / stated > worst[3]):
+            i = int(np.argmax(np.abs(a_s.eval(np.arange(BOUND_GRID) / BOUND_GRID))))
+            worst = (s, i / BOUND_GRID, sup, sup / stated)
     if worst is not None:
         raise IntegrityError(
             f"coefficient bound violated at (j, x) = ({worst[0]}, {worst[1]:.6f}): "

@@ -109,8 +109,12 @@ def oscillation_classify(g: ShiftedPoly, H: int, N: int, B: float):
     _check_window(N, H)
     if B <= 0:
         raise InvalidInputError("B must be positive")
-    Q = max(1, math.floor(math.log(N) ** B))
-    thresh = [math.log(N) ** B / float(H) ** i for i in range(1, g.degree + 1)]
+    try:
+        height = math.log(N) ** B
+    except OverflowError:
+        raise RangeError(f"(log N)^B overflows a double at N = {N}, B = {B}") from None
+    Q = max(1, math.floor(height))
+    thresh = [height / float(H) ** i for i in range(1, g.degree + 1)]
     for q in range(1, Q + 1):
         ok = True
         for i, c in enumerate(g.coeffs, start=1):

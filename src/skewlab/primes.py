@@ -49,10 +49,10 @@ def _mark_segment(mask, low, base):
     return mask
 
 
-def segment_windows(N: int):
-    """(lo, hi) windows covering [2, N] in order: lo = 2 + k * 2 * SEGMENT_SIZE,
+def segment_windows(N: int, start: int = 2):
+    """(lo, hi) windows covering [start, N] in order: lo = start + k * 2 * SEGMENT_SIZE,
     hi = min(lo + 2 * SEGMENT_SIZE - 1, N), so each window sieves as one segment."""
-    for lo in range(2, N + 1, 2 * SEGMENT_SIZE):
+    for lo in range(start, N + 1, 2 * SEGMENT_SIZE):
         yield lo, min(lo + 2 * SEGMENT_SIZE - 1, N)
 
 

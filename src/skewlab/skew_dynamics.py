@@ -2,11 +2,11 @@
 
 Orbit values T^n(x,y) = (x + n alpha, y + S_n(g)(x)) are computed from exact
 fractional parts (per index) or double-double reduction (vectorized over
-primes), never by stepwise iteration, so rounding does not accumulate over
-1e7 steps.  On top of the orbits sit the equidistribution statistics: prime
-log-weighted averages, reduced-residue averages, Weyl sums, a star-discrepancy
-bound of Erdos-Turan type, and small-set measure estimates for trigonometric
-polynomials.
+indices), never by stepwise iteration, so rounding does not accumulate over
+1e7 steps.  The prime log-weighted and reduced-residue averages are one orbit
+sum, streamed window by window in memory O(SEGMENT_SIZE), with weight log p or 1.
+Beside them: Weyl sums, an Erdos-Turan star-discrepancy bound, and small-set
+measure estimates for trigonometric polynomials.
 """
 
 import math
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from skewlab.cocycle import TrigPoly, birkhoff_closed, birkhoff_prefix
+from skewlab.cocycle import TrigPoly, birkhoff_closed, orbit_angles
 from skewlab.dd import dd_from_fraction, frac01_int_mult
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import InvalidInputError, RangeError
-from skewlab.primes import default_source, euler_phi, segment_windows
+from skewlab.primes import default_source, euler_phi, factorize, segment_windows
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,9 +36,6 @@ class Observable:
     b: int
     c: int
 
-    def eval(self, x, y):
-        return e(self.b * np.asarray(x) + self.c * np.asarray(y))
-
 
 class SkewProduct:
     """T(x, y) = (x + alpha mod 1, y + g(x) mod 1) over the rotation alpha."""
@@ -53,21 +50,6 @@ class SkewProduct:
             raise InvalidInputError("n must be >= 0")
         xn = (x + float(self.cf.frac01(n))) % 1.0
         return xn, (y + birkhoff_closed(self.g, self.cf, n, x)) % 1.0
-
-    def iterate_stepwise(self, n: int, x: float, y: float):
-        """Step-by-step iteration oracle (rounding accumulates; testing only)."""
-        alpha = float(self.cf.value)
-        for _ in range(n):
-            y = (y + float(self.g(x))) % 1.0
-            x = (x + alpha) % 1.0
-        return x, y
-
-
-def _rotate(ns: np.ndarray, hi: float, lo: float, x: float) -> np.ndarray:
-    """frac(n alpha + x) in [0, 1) for the integer array ns, alpha = hi + lo (dd)."""
-    xs = frac01_int_mult(ns, hi, lo) + (x % 1.0)
-    xs -= np.floor(xs)
-    return xs
 
 
 def _fiber_terms(T: SkewProduct, x: float):
@@ -84,13 +66,59 @@ def _fiber_terms(T: SkewProduct, x: float):
     return terms
 
 
-def _prime_orbit_phases(T: SkewProduct, terms, primes: np.ndarray, x: float, y: float):
-    """(x_p, y_p) arrays for p in primes, via per-frequency dd reduction (terms: _fiber_terms)."""
-    xs = _rotate(primes, *T.cf.value_dd(), x)
-    ys = np.full(primes.shape, float(y))
+def _orbit_phases(T: SkewProduct, terms, ks: np.ndarray, x: float, y: float):
+    """(x_k, y_k) arrays for k in ks, via per-frequency dd reduction (terms: _fiber_terms)."""
+    xs = orbit_angles(T.cf, ks, x)
+    ys = np.full(ks.shape, float(y))
     for m_hi, m_lo, scale, denom in terms:
-        ys += 2.0 * (scale * ((e(frac01_int_mult(primes, m_hi, m_lo)) - 1.0) / denom)).real
+        ys += 2.0 * (scale * ((e(frac01_int_mult(ks, m_hi, m_lo)) - 1.0) / denom)).real
     return xs, ys
+
+
+def _orbit_sums(T: SkewProduct, observables, Ns, x: float, y: float, windows):
+    """({(f, N): sum_{k <= N} w_k e_{b,c}(T^k(x,y))}, {N: sum_{k <= N} w_k}), one pass.
+
+    windows yields ascending (lo, hi, ks, w): the indices ks in [lo, hi] and their
+    weights.  Each window's phases serve every observable; its np.sum joins a running
+    total in window order, so a value depends on N and the windows alone.  (b, c) =
+    (0, 0) gets no entry: its sum is the weight total.
+    """
+    live = [f for f in dict.fromkeys(observables) if (f.b, f.c) != (0, 0)]
+    terms = _fiber_terms(T, x) if live else []
+    mass = {N: 0.0 for N in Ns}  # N below the first window: no index <= N
+    sums = {(f, N): 0j for f in live for N in Ns}
+    mass_run, runs = 0.0, dict.fromkeys(live, 0j)
+    for lo, hi, ks, w in windows:
+        here = {N: int(np.searchsorted(ks, N, side="right")) for N in Ns if lo <= N <= hi}
+        for N, k in here.items():
+            mass[N] = mass_run + float(np.sum(w[:k]))
+        mass_run += float(np.sum(w))
+        if live:
+            xs, ys = _orbit_phases(T, terms, ks, x, y)
+        for f in live:
+            vals = e(f.b * xs + f.c * ys) * w
+            for N, k in here.items():
+                sums[f, N] = runs[f] + np.sum(vals[:k])
+            runs[f] += np.sum(vals)
+    return sums, mass
+
+
+def _prime_windows(src, N: int):
+    """(lo, hi, primes in [lo, hi], their logs) per segment window of [2, N]."""
+    for lo, hi in segment_windows(N):
+        ps = src.primes_in(lo, hi)
+        yield lo, hi, ps, np.log(ps.astype(np.float64))
+
+
+def _coprime_windows(z: int, d: int):
+    """(lo, hi, k in [lo, hi] with (k, d) = 1, ones) per window of [1, z], by striding."""
+    strike = [p for p, _ in factorize(d)]
+    for lo, hi in segment_windows(z, start=1):
+        keep = np.ones(hi - lo + 1, dtype=np.bool_)
+        for p in strike:
+            keep[-lo % p :: p] = False
+        ks = lo + np.flatnonzero(keep)
+        yield lo, hi, ks, np.ones(ks.shape)
 
 
 def prime_weighted_averages(T: SkewProduct, observables, Ns, x: float, y: float,
@@ -100,36 +128,14 @@ def prime_weighted_averages(T: SkewProduct, observables, Ns, x: float, y: float,
     average = (1/N) sum_{p <= N} e_{b,c}(T^p(x,y)) log p and theta_ratio =
     theta(N)/N.  The primes up to max(Ns) are walked once, window by window
     (primes.segment_windows), so memory is O(SEGMENT_SIZE) whatever N is.
-    Each window sieves once, computes the orbit phases once for all
-    observables, and adds one np.sum per observable to a running total in
-    window order; a snapshot at N adds the sum over the window's primes <= N.
-    The reduction order is therefore fixed by N alone: a value never depends
-    on which other observables or Ns were requested.
     """
     if any(N < 1 for N in Ns):
         raise InvalidInputError(f"need N >= 1, got N={min(Ns)}")
     src = primes if primes is not None else default_source()
     if Ns and max(Ns) > src.limit:
         raise RangeError(f"N = {max(Ns)} beyond prime source limit {src.limit}")
-    live = [f for f in dict.fromkeys(observables) if (f.b, f.c) != (0, 0)]
-    terms = _fiber_terms(T, x) if live else []
-    theta = {N: 0.0 for N in Ns}  # theta(N) for N < 2: no prime <= N
-    sums = {(f, N): 0j for f in live for N in Ns}
-    theta_run, runs = 0.0, dict.fromkeys(live, 0j)
-    for lo, hi in segment_windows(int(max(Ns, default=0))):
-        ps = src.primes_in(lo, hi)
-        logp = np.log(ps.astype(np.float64))
-        here = {N: int(np.searchsorted(ps, N, side="right")) for N in Ns if lo <= N <= hi}
-        for N, k in here.items():
-            theta[N] = theta_run + float(np.sum(logp[:k]))
-        theta_run += float(np.sum(logp))
-        if live:
-            xs, ys = _prime_orbit_phases(T, terms, ps, x, y)
-        for f in live:
-            vals = e(f.b * xs + f.c * ys) * logp
-            for N, k in here.items():
-                sums[f, N] = runs[f] + np.sum(vals[:k])
-            runs[f] += np.sum(vals)
+    windows = _prime_windows(src, int(max(Ns, default=0)))
+    sums, theta = _orbit_sums(T, observables, Ns, x, y, windows)
     out = {}
     for f in observables:
         for N in Ns:
@@ -141,43 +147,29 @@ def prime_weighted_averages(T: SkewProduct, observables, Ns, x: float, y: float,
 
 def prime_weighted_average(T: SkewProduct, f: Observable, N: int, x: float, y: float,
                            primes=None):
-    """(1/N) sum_{p <= N} e_{b,c}(T^p(x,y)) log p, plus theta(N)/N.
+    """(average, theta_ratio): (1/N) sum_{p <= N} e_{b,c}(T^p(x,y)) log p and theta(N)/N.
 
-    Returns (average, theta_ratio).  One streamed pass of
-    prime_weighted_averages: memory O(SEGMENT_SIZE), sums blocked by window
-    in a fixed order.
+    One streamed pass of prime_weighted_averages.
     """
     return prime_weighted_averages(T, (f,), (N,), x, y, primes)[f, N]
 
 
 def reduced_residue_average(T: SkewProduct, f: Observable, z: int, d: int,
                             x: float, y: float) -> complex:
-    """(d / (z phi(d))) sum_{k <= z, (k,d) = 1} e_{b,c}(T^k(x,y))."""
-    if d < 1 or z % d != 0:
-        raise InvalidInputError(f"d = {d} must divide z = {z}")
-    ks = np.arange(1, z + 1, dtype=np.int64)
-    mask = np.gcd(ks, d) == 1
-    xs = _rotate(ks[mask], *T.cf.value_dd(), x)
-    prefix = birkhoff_prefix(T.g, T.cf, z, x)
-    ys = y + prefix[1 : z + 1][mask]
-    total = np.sum(e(f.b * xs + f.c * ys))
+    """(d / (z phi(d))) sum_{k <= z, (k,d) = 1} e_{b,c}(T^k(x,y)), streamed in O(SEGMENT_SIZE)."""
+    if z < 1 or d < 1 or z % d != 0:
+        raise InvalidInputError(f"need z >= 1 and d >= 1 dividing z, got z = {z}, d = {d}")
+    sums, count = _orbit_sums(T, (f,), (z,), x, y, _coprime_windows(z, d))
+    total = count[z] if (f.b, f.c) == (0, 0) else sums[f, z]
     return complex(total * d / (z * euler_phi(d)))
 
 
-def weyl_sum(points, freq) -> complex:
-    """(1/N) sum e(<freq, point>) over circle or torus samples.
-
-    points: 1-d array (circle, integer freq) or (N, 2) array with an
-    Observable carrying (b, c).
-    """
+def weyl_sum(points, k: int) -> complex:
+    """(1/N) sum_j e(k x_j) over the circle samples x_j."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        k = int(freq)
-        return complex(np.mean(e(k * pts)))
-    if pts.ndim == 2 and pts.shape[1] == 2:
-        b, c = (freq.b, freq.c) if isinstance(freq, Observable) else freq
-        return complex(np.mean(e(b * pts[:, 0] + c * pts[:, 1])))
-    raise InvalidInputError("points must be 1-d (circle) or (N,2) (torus)")
+    if pts.ndim != 1:
+        raise InvalidInputError("points must be a 1-d array of circle samples")
+    return complex(np.mean(e(int(k) * pts)))
 
 
 def _nonempty(points) -> np.ndarray:
@@ -221,6 +213,6 @@ def nazarov_small_set(p: TrigPoly, eps: float, grid: int = 1 << 12) -> float:
 def nazarov_translate_count(g_block: TrigPoly, cf: ContinuedFraction, q_n: int,
                             eps_exponent: float, x: float) -> int:
     """|{u <= q_n : |g(x + u alpha)| <= q_n^(-eps)}| along the rotation orbit."""
-    angles = _rotate(np.arange(1, q_n + 1, dtype=np.int64), *cf.value_dd(), x)
+    angles = orbit_angles(cf, np.arange(1, q_n + 1, dtype=np.int64), x)
     thresh = float(q_n) ** (-eps_exponent)
     return int(np.count_nonzero(np.abs(g_block.eval(angles)) <= thresh))

@@ -122,7 +122,8 @@ QUICK = ("cf", "orbit", "huxley", "charsum", "discrepancy", "ms-sum")
 COMMON = ("seed", "threads")
 # misspelt keys, the old parser's --set, and keys that only other commands read
 UNKNOWN = ("dpeth", "obs", "set", "n_max", "stages")
-MALFORMED = ("abc", "", "-1", "0", "2.5", "1e400", "Infinity", "NaN", "[]", "1,zz", "true")
+MALFORMED = ("abc", "", "-1", "0", "2.5", "1e10", "1e15", "1e400", "Infinity", "NaN", "[]", "1,zz",
+             "true")
 
 
 @st.composite

@@ -82,6 +82,27 @@ def test_dist_to_integers_examples():
         assert Fraction(1, 2 * cf.q(k + 1)) <= d <= Fraction(1, cf.q(k + 1))
 
 
+def test_fractional_parts_are_certified_or_refused():
+    cf = cf_from_quotients([1] * 10)
+    assert cf.frac01(0) == 0 and cf.frac_signed(0) == 0
+    with pytest.raises(PrecisionError):
+        cf.frac_signed(10**30)  # 10**30 * err is far beyond any distance in [0, 1)
+    with pytest.raises(PrecisionError):
+        cf.frac01(10**30)
+    q = cf.q(cf.max_index())
+    with pytest.raises(PrecisionError):
+        cf.frac01(q)  # q * value is an integer, so frac(q alpha) may lie on either side of 0
+    # a multiple whose fractional part is within n*err of 1/2: frac01 certifies it, but
+    # its sign in (-1/2, 1/2] is undecided
+    n = next(n for n in range(1, 10**4)
+             if 0 < abs((n * cf.value) % 1 - Fraction(1, 2)) <= n * cf.err)
+    assert cf.frac01(n) == (n * cf.value) % 1
+    with pytest.raises(PrecisionError):
+        cf.frac_signed(n)
+    with pytest.raises(PrecisionError):
+        cf.dist_to_integers(-q)
+
+
 @given(st.lists(st.integers(1, 9), min_size=2, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_convergent_laws_random_quotients(quotients):

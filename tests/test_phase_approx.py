@@ -1,13 +1,14 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from skewlab.cocycle import AnalyticCocycle, birkhoff_closed, reduce
+from skewlab.cocycle import AnalyticCocycle, TrigPoly, birkhoff_closed, reduce
 from skewlab.diophantine import AnalysisParams, cf_from_quotients
-from skewlab.errors import InvalidInputError, RangeError
-from skewlab.phase_approx import (PhasePolynomial, build_phase_poly, orbit_return_error,
-                                  polap_error, torus_dist, torus_metric)
+from skewlab.errors import IntegrityError, InvalidInputError, RangeError
+from skewlab.phase_approx import (BOUND_GRID, PhasePolynomial, build_phase_poly,
+                                  orbit_return_error, polap_error, torus_dist, torus_metric)
 from skewlab.presets import phase_pair
 
 
@@ -57,6 +58,20 @@ def test_bocoe_bounds_recorded(pair):
         P = build_phase_poly(red, cf, n, params)
         for s, (stated, sampled) in enumerate(P.bounds, start=1):
             assert sampled <= stated * (1 + 1e-9), (n, s)
+
+
+def test_violated_bound_names_the_grid_point_of_the_sup(pair):
+    # degree 1 (delta > 1/2), and a block far above e^(-tau q_n): a_1 = g_n breaks its bound
+    cf = pair[0]
+    params = AnalysisParams(tau_prime=5e-4, delta=0.55)
+    n = 1
+    block = TrigPoly([cf.q(n)], [0.3 - 0.4j])
+    red = SimpleNamespace(depth=5, block=lambda k: block if k == n else None)
+    xs = np.arange(BOUND_GRID) / BOUND_GRID
+    x_max = float(xs[np.argmax(np.abs(block.eval(xs)))])
+    assert x_max > 0
+    with pytest.raises(IntegrityError, match=f"at \\(j, x\\) = \\(1, {x_max:.6f}\\)"):
+        build_phase_poly(red, cf, n, params)
 
 
 def test_coefficients_match_symbolic_rederivation(pair):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab.cocycle import AnalyticCocycle, TrigPoly
+from skewlab.cocycle import AnalyticCocycle, TrigPoly, birkhoff_prefix, orbit_angles
 from skewlab.dd import dd_from_fraction, frac01_int_mult
 from skewlab.diophantine import cf_from_quotients
 from skewlab.errors import InvalidInputError, RangeError
 from skewlab.presets import prime_pair
-from skewlab.primes import DEFAULT_LIMIT, SEGMENT_SIZE, chebyshev_theta, primes_in
+from skewlab.primes import DEFAULT_LIMIT, SEGMENT_SIZE, chebyshev_theta, euler_phi, primes_in
 from skewlab.skew_dynamics import (Observable, SkewProduct, e, exact_star_discrepancy,
                                    nazarov_small_set, nazarov_translate_count,
                                    prime_weighted_average, prime_weighted_averages,
@@ -42,13 +42,22 @@ def test_iterate_single_step_definition(T):
     assert y1 == pytest.approx((y + float(T.g.eval(x))) % 1.0, abs=1e-12)
 
 
+def _iterate_stepwise(T, n, x, y):
+    """Oracle: T applied n times step by step (rounding accumulates)."""
+    alpha = float(T.cf.value)
+    for _ in range(n):
+        y = (y + float(T.g(x))) % 1.0
+        x = (x + alpha) % 1.0
+    return x, y
+
+
 def test_iterate_matches_stepwise():
     # modest cocycle so the stepwise oracle's own rounding stays under 1e-8
     cf = cf_from_quotients([1, 2, 3, 4, 5] * 4)
     g = AnalyticCocycle({2: 0.2, 5: 0.1}, 0.095)
     T = SkewProduct(cf, g)
     a = T.iterate(1000, 0.2, 0.7)
-    b = T.iterate_stepwise(1000, 0.2, 0.7)
+    b = _iterate_stepwise(T, 1000, 0.2, 0.7)
     assert abs(a[0] - b[0]) < 1e-8 and abs(a[1] - b[1]) < 1e-8
 
 
@@ -194,8 +203,59 @@ def test_reduced_residue_average_basics(T):
     # f = e_{0,0}, d = z prime: normalized count of reduced residues = 1
     v = reduced_residue_average(T, Observable(0, 0), 101, 101, 0.0, 0.0)
     assert v == pytest.approx(1.0)
-    with pytest.raises(InvalidInputError):
-        reduced_residue_average(T, Observable(0, 1), 100, 7, 0.0, 0.0)
+    for z, d in ((100, 7), (0, 1), (100, 0)):
+        with pytest.raises(InvalidInputError):
+            reduced_residue_average(T, Observable(0, 1), z, d, 0.0, 0.0)
+
+
+def _whole_array_residue_average(T, f, z, d, x, y):
+    """Oracle: every k <= z in one array, the fiber from one cumsum of g along the orbit."""
+    ks = np.arange(1, z + 1, dtype=np.int64)
+    mask = np.gcd(ks, d) == 1
+    xs = orbit_angles(T.cf, ks[mask], x)
+    ys = y + birkhoff_prefix(T.g, T.cf, z, x)[1 : z + 1][mask]
+    return complex(np.sum(e(f.b * xs + f.c * ys)) * d / (z * euler_phi(d)))
+
+
+RESIDUE_OBS = [Observable(b, c) for b, c in ((0, 1), (1, 1), (0, 0))]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_streamed_residue_average_matches_whole_array_oracle(T, n):
+    z = T.cf.q(n)
+    for f in RESIDUE_OBS:
+        want = _whole_array_residue_average(T, f, z, z, 0.0, 0.0)
+        got = reduced_residue_average(T, f, z, z, 0.0, 0.0)
+        assert abs(got - want) <= 1e-10, (f, got, want)
+
+
+def test_streamed_residue_average_across_windows(T):
+    z = 4_194_330  # 2 * 2 * SEGMENT_SIZE + 26: the third window holds the last 26 k
+    assert z > 2 * 2 * SEGMENT_SIZE and z % 30 == 0
+    f = Observable(1, 1)
+    want = _whole_array_residue_average(T, f, z, 30, 0.3, 0.7)
+    got = reduced_residue_average(T, f, z, 30, 0.3, 0.7)
+    assert abs(got - want) <= 1e-10, (got, want)
+    assert reduced_residue_average(T, Observable(0, 0), z, 30, 0.3, 0.7) == 1.0
+
+
+def test_residue_average_memory_does_not_grow_with_z(T):
+    import tracemalloc
+
+    f = Observable(1, 1)
+    reduced_residue_average(T, f, 10**4, 10, 0.1, 0.2)  # lazy tables outside the measurement
+    peaks = []
+    tracemalloc.start()
+    try:
+        # a window's phases are computed while the previous window's arrays are still
+        # held, so the peak is that of two full windows: both z span at least two
+        for z in (2 * 2 * SEGMENT_SIZE + 6, 2 * 10**7):
+            tracemalloc.reset_peak()
+            reduced_residue_average(T, f, z, 10, 0.1, 0.2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 * 2**20, peaks
 
 
 def test_reduced_residue_average_decay(T):
