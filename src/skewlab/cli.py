@@ -26,6 +26,13 @@ USAGE = ("usage: skewlab COMMAND [--config PATH] [--out PATH] [--threads N] [--s
 # K = 50; each of the K Weyl sums costs ~70 ns a point plus ~20 us, the cost of ~256 points
 DISCREPANCY_MAX_N = 10**7
 DISCREPANCY_MAX_TERMS = 10**9
+# the other work budgets, each about half a minute on a 2-core desk machine
+COCYCLE_MAX_SAMPLES = 10**4  # ~2.2 ms a sample
+PHASE_MAX_ROWS = 5 * 10**4  # ~0.7 ms a row; rows = scales * m_samples * x_grid
+IDENTITIES_MAX_N = 10**5  # Heath-Brown sweeps one (N + 1)-array per prime up to N
+BUCHSTAB_MAX_WINDOWS = 10**4  # ~2 ms a window
+# keys that name a file: their values stay text, so 1 or true is never a file descriptor
+PATH_KEYS = ("spec", "dump")
 
 
 def _finite(value, text):
@@ -46,6 +53,11 @@ def _parse_scalar(text):
         value = int(value) if value.is_integer() else value
     # JSON lists and objects stay text: list keys split it, scalar keys reject it
     return _finite(value, text) if isinstance(value, (int, float, str)) else text
+
+
+def _budget(what, value, limit):
+    if value > limit:
+        raise ResourceError(f"{what} budget is {limit}, got {value}")
 
 
 def _parse_list(text, cast=float):
@@ -70,14 +82,16 @@ def load_config(path):
             if not line:
                 continue
             key, _, val = line.partition("=")
-            cfg[key.strip()] = _parse_scalar(val.strip())
+            key, val = key.strip(), val.strip()
+            cfg[key] = val if key in PATH_KEYS else _parse_scalar(val)
     return cfg
 
 
 def _parse_flags(tokens):
     """(flags, paths) from --key value and --key=value tokens.
 
-    A trailing bare flag means true; config and out keep their text as a path.
+    A trailing bare flag means true; config and out keep their text as a path,
+    and so do the PATH_KEYS, which need a value.
     """
     flags, paths = {}, {}
     it = iter(tokens)
@@ -88,10 +102,10 @@ def _parse_flags(tokens):
         key = key.replace("-", "_")
         if not eq:
             val = next(it, None)
-        if key in ("config", "out"):
+        if key in ("config", "out") or key in PATH_KEYS:
             if val is None:
                 raise InvalidInputError(f"--{key} needs a path")
-            paths[key] = val
+            (paths if key in ("config", "out") else flags)[key] = val
         else:
             flags[key] = True if val is None else _parse_scalar(val)
     return flags, paths
@@ -173,6 +187,7 @@ def cmd_cocycle_check(cfg):
 
     seed = int(cfg.get("seed", 0))
     samples = int(cfg.get("samples", 100))
+    _budget("cocycle-check samples", samples, COCYCLE_MAX_SAMPLES)
     if "spec" in cfg:
         g = AnalyticCocycle.from_csv(cfg["spec"], float(cfg.get("decay_rate", 0.095)))
         cf = cf_from_quotients(_int_list(cfg.get("quotients", "1,2,3,4,5,6,7,8")) * 4)
@@ -208,6 +223,8 @@ def cmd_phase(cfg):
     w = int(cfg.get("w", 1))
     seed = int(cfg.get("seed", 0))
     grid = int(cfg.get("x_grid", 16))
+    _budget("phase rows (scales * m_samples * x_grid)", len(scales) * n_m * grid,
+            PHASE_MAX_ROWS)
     rows = []
     for n in scales:
         P = build_phase_poly(red, cf, n, params)
@@ -333,8 +350,13 @@ def cmd_identities(cfg):
     n_max = int(cfg.get("n_max", 2000))
     zs = _int_list(cfg.get("z", "2,5,10"))
     ks = _int_list(cfg.get("k", "1,2"))
+    windows = int(cfg.get("buchstab_windows", 20))
+    if n_max < 2:
+        raise PreconditionError(f"identities needs n_max >= 2, got n_max={n_max}")
     if min(ks, default=1) < 1:
         raise PreconditionError(f"heath-brown needs every k >= 1, got k={min(ks)}")
+    _budget("identities n_max", n_max, IDENTITIES_MAX_N)
+    _budget("buchstab_windows", windows, BUCHSTAB_MAX_WINDOWS)
     seed = int(cfg.get("seed", 0))
     rows = []
     for z in zs:
@@ -360,7 +382,7 @@ def cmd_identities(cfg):
                      "params": f"k={k},z={z}", "defect": d})
     rng = np.random.default_rng(seed)
     w = 0
-    for _ in range(int(cfg.get("buchstab_windows", 20))):
+    for _ in range(windows):
         lo = int(rng.integers(1, 10**6 - 10**4))
         length = int(rng.integers(10, 10**4))
         ww = int(rng.integers(2, 50))

@@ -6,7 +6,8 @@ construction.  Birkhoff sums come in two routes that cross-check each other:
 the direct n-term orbit sum, and the closed per-frequency form
 S_n(e_m)(x) = e_m(x) (e_m(n alpha) - 1)/(e_m(alpha) - 1) whose cost does not
 grow with n.  Fractional parts of large multiples of alpha come from exact
-rational arithmetic (per frequency) or double-double reduction (per orbit).
+rational arithmetic (per frequency) or the offset split of dd.frac01_int_mult
+(per orbit).
 """
 
 import math
@@ -141,11 +142,6 @@ class AnalyticCocycle(TrigPoly):
             self.m_max,
         )
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            for m, a in zip(self.freqs, self.amps):
-                fh.write(f"{int(m)},{float(a.real)!r},{float(a.imag)!r}\n")
-
     @classmethod
     def from_csv(cls, path, decay_rate, m_max=None):
         """Read lines `m, re(a_m), im(a_m)`; negative-m lines optional."""
@@ -178,9 +174,6 @@ class ReducedCocycle:
 
     def block(self, n):
         return self.blocks.get(n)
-
-    def block_indices(self):
-        return sorted(self.blocks)
 
     def tilde(self) -> AnalyticCocycle:
         """The reduced form: the union of all blocks."""
@@ -218,7 +211,11 @@ def reduce(g: AnalyticCocycle, cf: ContinuedFraction, params, depth: int) -> Red
 
 
 def orbit_angles(cf: ContinuedFraction, ks: np.ndarray, x: float) -> np.ndarray:
-    """frac(x + k*alpha) in [0, 1) for the integer array ks, double-double reduced."""
+    """frac(x + k*alpha) in [0, 1) for the integer array ks.
+
+    frac(k*alpha) comes from dd.frac01_int_mult's offset split, within 2**-53 +
+    2**-62 + |k| 2**-106 of exact for the dd value of alpha; adding x rounds once more.
+    """
     out = frac01_int_mult(ks, *cf.value_dd()) + (x % 1.0)
     out -= np.floor(out)
     return out

@@ -501,7 +501,7 @@ class StageConstruction:
                    for c in np.arange(0, 1, 1 / 64))
         return {"n": n, "K": K, "mean_distance_to_nearest_constant": best}
 
-    # -- dump / replay ------------------------------------------------------
+    # -- dump ----------------------------------------------------------------
 
     def to_json(self, eps=0.05) -> str:
         stages = []
@@ -533,18 +533,3 @@ class StageConstruction:
             "stages": stages,
         }
         return json.dumps(payload, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StageConstruction":
-        """Rebuild and re-solve from a dump; the replay must match the dump."""
-        payload = json.loads(text)
-        cf = ContinuedFraction(payload["quotients"])
-        obj = cls(cf, AlmostSparseSet(payload["descriptor"]),
-                  stage_indices=payload["stage_k"],
-                  include_h=payload["include_h"], mu_twist=payload["mu_twist"])
-        obj.solve_all()
-        for rec in payload["stages"]:
-            got = obj._stages[rec["n"]]["L_window"]
-            if not np.allclose(got, rec["L_window"], rtol=1e-12, atol=0):
-                raise ConstructionError(f"replay mismatch at stage {rec['n']}")
-        return obj

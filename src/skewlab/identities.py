@@ -172,8 +172,9 @@ def heathbrown_coeff_check(k: int, z: int, N: int) -> float:
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    if z**k < N:
-        raise PreconditionError(f"need z^k >= N, got {z}^{k} < {N}")
+    # z^k >= N already holds at k = N.bit_length() for z >= 2, so a huge k costs nothing
+    if z < 1 or z ** min(k, N.bit_length()) < N:
+        raise PreconditionError(f"need z >= 1 and z^k >= N, got z={z}, k={k}, N={N}")
     one = np.ones(N + 1, dtype=np.int64)
     one[0] = 0
     mu_z = mobius_upto(N).astype(np.int64)

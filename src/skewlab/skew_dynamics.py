@@ -1,10 +1,11 @@
 """The torus skew product T(x,y) = (x+alpha, y+g(x)) and its statistics.
 
 Orbit values T^n(x,y) = (x + n alpha, y + S_n(g)(x)) are computed from exact
-fractional parts (per index) or double-double reduction (vectorized over
-indices), never by stepwise iteration, so rounding does not accumulate over
-1e7 steps.  The prime log-weighted and reduced-residue averages are one orbit
-sum, streamed window by window in memory O(SEGMENT_SIZE), with weight log p or 1.
+fractional parts (per index) or the offset split of dd.frac01_int_mult
+(vectorized over indices, within about 2**-53 of exact below 2**44), never by
+stepwise iteration, so rounding does not accumulate over 1e7 steps.  The prime
+log-weighted and reduced-residue averages are one orbit sum, streamed window
+by window in memory O(SEGMENT_SIZE), with weight log p or 1.
 Beside them: Weyl sums, an Erdos-Turan star-discrepancy bound, and small-set
 measure estimates for trigonometric polynomials.
 """
@@ -24,9 +25,16 @@ TWO_PI = 2.0 * math.pi
 
 
 def e(t):
-    """e(t) = exp(2 pi i t), elementwise."""
-    t = np.asarray(t, dtype=np.float64)
-    return np.cos(TWO_PI * t) + 1j * np.sin(TWO_PI * t)
+    """e(t) = exp(2 pi i t), elementwise: cos and sin of one 2 pi t, written in place.
+
+    Bit-identical to cos(2 pi t) + 1j sin(2 pi t), except that e(-0.0) has imaginary
+    part -0.0.
+    """
+    ang = TWO_PI * np.asarray(t, dtype=np.float64)
+    out = np.empty(ang.shape, dtype=np.complex128)
+    np.cos(ang, out=out.real)
+    np.sin(ang, out=out.imag)
+    return out if out.ndim else out[()]
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ def _fiber_terms(T: SkewProduct, x: float):
 
 
 def _orbit_phases(T: SkewProduct, terms, ks: np.ndarray, x: float, y: float):
-    """(x_k, y_k) arrays for k in ks, via per-frequency dd reduction (terms: _fiber_terms)."""
+    """(x_k, y_k) arrays for k in ks, one frac01_int_mult per frequency (terms: _fiber_terms)."""
     xs = orbit_angles(T.cf, ks, x)
     ys = np.full(ks.shape, float(y))
     for m_hi, m_lo, scale, denom in terms:

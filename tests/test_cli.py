@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -117,8 +118,6 @@ def test_unknown_config_file_key_exit_2(tmp_path, capsys):
     assert "'dpeth'" in err and len(err.splitlines()) == 1
 
 
-# commands whose defaults finish well under a second
-QUICK = ("cf", "orbit", "huxley", "charsum", "discrepancy", "ms-sum")
 COMMON = ("seed", "threads")
 # misspelt keys, the old parser's --set, and keys that only other commands read
 UNKNOWN = ("dpeth", "obs", "set", "n_max", "stages")
@@ -128,18 +127,20 @@ MALFORMED = ("abc", "", "-1", "0", "2.5", "1e10", "1e15", "1e400", "Infinity", "
 
 @st.composite
 def malformed_runs(draw):
-    command = draw(st.sampled_from(QUICK))
+    command = draw(st.sampled_from(sorted(HANDLERS)))
     keys = st.sampled_from(HANDLERS[command][1] + COMMON + UNKNOWN)
     flags = draw(st.dictionaries(keys, st.sampled_from(MALFORMED), min_size=1, max_size=3))
     return [command] + [tok for key, val in flags.items() for tok in (f"--{key}", val)]
 
 
-@given(malformed_runs())
-@settings(max_examples=60, deadline=None)
+@given(argv=malformed_runs())
+@settings(max_examples=60, deadline=timedelta(seconds=30))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_malformed_flags_never_raise(argv):
+def test_malformed_flags_never_raise(argv, tmp_path_factory):
+    # every command, so counterexample --dump writes its drawn file name into a scratch dir
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with (contextlib.chdir(tmp_path_factory.mktemp("run")),
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
         code = main(argv)
     assert code in (0, 2, 3)
     if code:
@@ -163,6 +164,32 @@ def test_identities_beyond_int64_exit_3(capsys):
     assert main(["identities", "--k", "60", "--z", "2", "--buchstab_windows", "0"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["identities", "--n_max", "1e10"],
+    ["identities", "--buchstab_windows", "1e15"],
+    ["identities", "--k", "1e15"],  # z^k is never expanded; the int64 guard trips at j = 2
+    ["cocycle-check", "--samples", "1e10"],
+    ["phase", "--m_samples", "1e10"],
+    ["phase", "--x_grid", "1e5"],
+], ids=["n_max", "buchstab_windows", "k", "samples", "m_samples", "x_grid"])
+def test_work_beyond_budget_exit_3(args, capsys):
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: ") and len(err.splitlines()) == 1
+
+
+def test_file_keys_stay_text(tmp_path, monkeypatch, capsys):
+    # 1 and true would otherwise reach open() as the file descriptors of stdout
+    monkeypatch.chdir(tmp_path)
+    assert main(["cocycle-check", "--spec", "1"]) == 2
+    assert main(["counterexample", "--stages", "1", "--dump", "true", "--out", "o.json"]) == 0
+    assert json.loads((tmp_path / "true").read_text())["stage_k"]
+    assert main(["counterexample", "--dump"]) == 2
+    assert main(["identities", "--n_max", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and "needs a path" in err[1] and "n_max >= 2" in err[2]
 
 
 def test_identities_command(tmp_path):

