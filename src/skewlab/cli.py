@@ -55,6 +55,14 @@ def _parse_scalar(text):
     return _finite(value, text) if isinstance(value, (int, float, str)) else text
 
 
+def _bool(cfg, key):
+    """A switch: true or false (a bare flag is true), anything else is refused."""
+    value = cfg.get(key, False)
+    if type(value) is not bool:
+        raise InvalidInputError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _budget(what, value, limit):
     if value > limit:
         raise ResourceError(f"{what} budget is {limit}, got {value}")
@@ -419,8 +427,8 @@ def cmd_counterexample(cfg):
     from skewlab.presets import counterexample_stages
 
     st = counterexample_stages(n_stages=int(cfg.get("stages", 3)),
-                               include_h=bool(cfg.get("include_h", False)),
-                               mu_twist=bool(cfg.get("mu_twist", False)))
+                               include_h=_bool(cfg, "include_h"),
+                               mu_twist=_bool(cfg, "mu_twist"))
     st.solve_all()
     eps = float(cfg.get("eps", 0.05))
     rows = []

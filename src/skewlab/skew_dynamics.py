@@ -1,11 +1,11 @@
 """The torus skew product T(x,y) = (x+alpha, y+g(x)) and its statistics.
 
 Orbit values T^n(x,y) = (x + n alpha, y + S_n(g)(x)) are computed from exact
-fractional parts (per index) or the offset split of dd.frac01_int_mult
-(vectorized over indices, within about 2**-53 of exact below 2**44), never by
-stepwise iteration, so rounding does not accumulate over 1e7 steps.  The prime
-log-weighted and reduced-residue averages are one orbit sum, streamed window
-by window in memory O(SEGMENT_SIZE), with weight log p or 1.
+fractional parts (per index) or, vectorized, x_n from dd.frac01_int_mult and
+y_n from per-frequency tables of e(B theta), e(i 2**11 theta), e(j theta) over
+n = B + (i << 11) + j; never by stepwise iteration.  The prime log-weighted and
+reduced-residue averages are one orbit sum, streamed window by window in
+memory O(SEGMENT_SIZE), with weight log p or 1.
 Beside them: Weyl sums, an Erdos-Turan star-discrepancy bound, and small-set
 measure estimates for trigonometric polynomials.
 """
@@ -61,25 +61,43 @@ class SkewProduct:
 
 
 def _fiber_terms(T: SkewProduct, x: float):
-    """(m_hi, m_lo, a_m e(m x), e(m alpha) - 1) per frequency m of g, m alpha as a dd pair.
+    """(m_hi, m_lo, 2 kappa_m) per frequency m of g, m alpha as a dd pair.
 
-    S_n(g)(x) = sum_m 2 Re a_m e(m x) (e(n m alpha) - 1) / (e(m alpha) - 1).
+    S_n(g)(x) = sum_m 2 Re kappa_m (e(n m alpha) - 1), kappa_m = a_m e(m x) / (e(m alpha) - 1).
     """
     cf = T.cf
     terms = []
     for m, a in zip(T.g.freqs, T.g.amps):
         m = int(m)
-        denom = e(float(cf.frac_signed(m))) - 1.0
-        terms.append((*dd_from_fraction(cf.frac01(m)), a * np.exp(2j * math.pi * m * x), denom))
+        kappa = a * np.exp(2j * math.pi * m * x) / (e(float(cf.frac_signed(m))) - 1.0)
+        terms.append((*dd_from_fraction(cf.frac01(m)), 2.0 * kappa))
     return terms
 
 
-def _orbit_phases(T: SkewProduct, terms, ks: np.ndarray, x: float, y: float):
-    """(x_k, y_k) arrays for k in ks, one frac01_int_mult per frequency (terms: _fiber_terms)."""
-    xs = orbit_angles(T.cf, ks, x)
+def _orbit_phases(T: SkewProduct, terms, ks: np.ndarray, x: float, y: float, with_x=True):
+    """(x_k, y_k) for k in ks (x_k is 0.0 unless with_x), the fiber by table products.
+
+    k = B + (i << 11) + j with B a multiple of 2**21, 0 <= i < 2**10 and 0 <= j < 2**11.
+    Per frequency, one frac01_int_mult and one e() on the distinct B, the i << 11 and
+    the j give tables K = 2 kappa e(B theta) e(i 2**11 theta) and L = e(j theta); then
+    2 Re kappa e(k theta) = Re K[B, i] L[j] by gathers.  y_k depends on its own k alone.
+    """
     ys = np.full(ks.shape, float(y))
-    for m_hi, m_lo, scale, denom in terms:
-        ys += 2.0 * (scale * ((e(frac01_int_mult(ks, m_hi, m_lo)) - 1.0) / denom)).real
+    if not ks.size:
+        return ys, ys
+    xs = orbit_angles(T.cf, ks, x) if with_x else 0.0
+    b0, b1 = int(ks.min()) >> 21, int(ks.max()) >> 21
+    if b1 - b0 < ks.size:  # dense: a window touches at most two blocks
+        bases, row = np.arange(b0, b1 + 1), (ks >> 11) - (b0 << 10)
+    else:  # sparse blocks: never a table as long as their span
+        bases, inv = np.unique(ks >> 21, return_inverse=True)
+        row = (inv << 10) | ((ks >> 11) & 1023)
+    parts = np.concatenate([bases << 21, np.arange(1024) << 11, np.arange(2048)])
+    col, nb = ks & 2047, bases.size
+    for m_hi, m_lo, kappa2 in terms:
+        t = e(frac01_int_mult(parts, m_hi, m_lo))
+        K, L = np.outer(kappa2 * t[:nb], t[nb:-2048]).ravel(), t[-2048:]
+        ys += K.real[row] * L.real[col] - K.imag[row] * L.imag[col] - kappa2.real
     return xs, ys
 
 
@@ -93,6 +111,7 @@ def _orbit_sums(T: SkewProduct, observables, Ns, x: float, y: float, windows):
     """
     live = [f for f in dict.fromkeys(observables) if (f.b, f.c) != (0, 0)]
     terms = _fiber_terms(T, x) if live else []
+    with_x = any(f.b for f in live)
     mass = {N: 0.0 for N in Ns}  # N below the first window: no index <= N
     sums = {(f, N): 0j for f in live for N in Ns}
     mass_run, runs = 0.0, dict.fromkeys(live, 0j)
@@ -102,7 +121,7 @@ def _orbit_sums(T: SkewProduct, observables, Ns, x: float, y: float, windows):
             mass[N] = mass_run + float(np.sum(w[:k]))
         mass_run += float(np.sum(w))
         if live:
-            xs, ys = _orbit_phases(T, terms, ks, x, y)
+            xs, ys = _orbit_phases(T, terms, ks, x, y, with_x)
         for f in live:
             vals = e(f.b * xs + f.c * ys) * w
             for N, k in here.items():

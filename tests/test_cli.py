@@ -192,6 +192,35 @@ def test_file_keys_stay_text(tmp_path, monkeypatch, capsys):
     assert len(err) == 3 and "needs a path" in err[1] and "n_max >= 2" in err[2]
 
 
+@pytest.mark.parametrize("key", ["include_h", "mu_twist"])
+@pytest.mark.parametrize("bad", ["flase", "1", "0", "yes", "[]"])
+def test_misspelt_boolean_exit_2(key, bad, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key} = {bad}\n")
+    for args in (["--" + key, bad], ["--config", str(cfg)]):
+        assert main(["counterexample", "--stages", "1"] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error: ") and len(err.splitlines()) == 1
+        assert f"{key} must be true or false" in err
+
+
+@pytest.mark.parametrize("key", ["include_h", "mu_twist"])
+def test_boolean_keys_take_true_and_false(key, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key} = true\n")
+    runs = {}
+    for name, args in (("bare", ["--" + key]), ("true", ["--" + key, "true"]),
+                       ("file", ["--config", str(cfg)]), ("false", [f"--{key}=false"])):
+        out = tmp_path / f"{name}.json"  # --out first: only a trailing bare flag means true
+        assert main(["counterexample", "--stages", "1", "--out", str(out)] + args) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"][key] is (name != "false")
+        runs[name] = payload["rows"]
+    assert runs["bare"] == runs["true"] == runs["file"]
+    assert ("mu_twist_avg" in runs["true"][0]) is (key == "mu_twist")
+    assert "mu_twist_avg" not in runs["false"][0]
+
+
 def test_identities_command(tmp_path):
     code, payload, _ = run_cli(
         ["identities", "--n_max", "300", "--z", "2,5", "--k", "1",
