@@ -74,31 +74,26 @@ def _fiber_terms(T: SkewProduct, x: float):
     return terms
 
 
-def _orbit_phases(T: SkewProduct, terms, ks: np.ndarray, x: float, y: float, with_x=True):
-    """(x_k, y_k) for k in ks (x_k is 0.0 unless with_x), the fiber by table products.
+def _orbit_phases(terms, ks: np.ndarray, y: float) -> np.ndarray:
+    """y_k = y + S_k(g)(x) for k in ks, terms = _fiber_terms(T, x), by table products.
 
     k = B + (i << 11) + j with B a multiple of 2**21, 0 <= i < 2**10 and 0 <= j < 2**11.
-    Per frequency, one frac01_int_mult and one e() on the distinct B, the i << 11 and
-    the j give tables K = 2 kappa e(B theta) e(i 2**11 theta) and L = e(j theta); then
-    2 Re kappa e(k theta) = Re K[B, i] L[j] by gathers.  y_k depends on its own k alone.
+    Per frequency, one frac01_int_mult and one e() on the B from min(ks) to max(ks),
+    the i << 11 and the j give tables K = 2 kappa e(B theta) e(i 2**11 theta) and
+    L = e(j theta); then 2 Re kappa e(k theta) = Re K[B, i] L[j] by gathers.  ks is one
+    window (two blocks at most), and y_k depends on its own k alone.
     """
     ys = np.full(ks.shape, float(y))
     if not ks.size:
-        return ys, ys
-    xs = orbit_angles(T.cf, ks, x) if with_x else 0.0
+        return ys
     b0, b1 = int(ks.min()) >> 21, int(ks.max()) >> 21
-    if b1 - b0 < ks.size:  # dense: a window touches at most two blocks
-        bases, row = np.arange(b0, b1 + 1), (ks >> 11) - (b0 << 10)
-    else:  # sparse blocks: never a table as long as their span
-        bases, inv = np.unique(ks >> 21, return_inverse=True)
-        row = (inv << 10) | ((ks >> 11) & 1023)
+    bases, row, col = np.arange(b0, b1 + 1), (ks >> 11) - (b0 << 10), ks & 2047
     parts = np.concatenate([bases << 21, np.arange(1024) << 11, np.arange(2048)])
-    col, nb = ks & 2047, bases.size
     for m_hi, m_lo, kappa2 in terms:
         t = e(frac01_int_mult(parts, m_hi, m_lo))
-        K, L = np.outer(kappa2 * t[:nb], t[nb:-2048]).ravel(), t[-2048:]
+        K, L = np.outer(kappa2 * t[:bases.size], t[bases.size:-2048]).ravel(), t[-2048:]
         ys += K.real[row] * L.real[col] - K.imag[row] * L.imag[col] - kappa2.real
-    return xs, ys
+    return ys
 
 
 def _orbit_sums(T: SkewProduct, observables, Ns, x: float, y: float, windows):
@@ -121,7 +116,8 @@ def _orbit_sums(T: SkewProduct, observables, Ns, x: float, y: float, windows):
             mass[N] = mass_run + float(np.sum(w[:k]))
         mass_run += float(np.sum(w))
         if live:
-            xs, ys = _orbit_phases(T, terms, ks, x, y, with_x)
+            ys = _orbit_phases(terms, ks, y)
+            xs = orbit_angles(T.cf, ks, x) if with_x else 0.0
         for f in live:
             vals = e(f.b * xs + f.c * ys) * w
             for N, k in here.items():

@@ -104,7 +104,7 @@ def _whole_array_averages(T, fs, N, x, y):
     """Oracle for streaming: every prime <= N in one array, one np.sum per observable."""
     ps = primes_in(2, N)
     logp = np.log(ps.astype(np.float64))
-    xs, ys = _orbit_phases(T, _fiber_terms(T, x), ps, x, y)
+    xs, ys = orbit_angles(T.cf, ps, x), _orbit_phases(_fiber_terms(T, x), ps, y)
     theta_ratio = float(np.sum(logp)) / N
     return {f: complex(np.sum(e(f.b * xs + f.c * ys) * logp) / N) for f in fs}, theta_ratio
 
@@ -155,7 +155,7 @@ def test_fiber_tables_match_dd_route_and_exact_phases(T, near):
     lo = (near // BLOCK + 1) * BLOCK - int(rng.integers(1, BLOCK // 2))
     ps = primes_in(lo, lo + BLOCK)  # crosses the block boundary
     assert ps[0] < (near // BLOCK + 1) * BLOCK < ps[-1]
-    got = _orbit_phases(T, _fiber_terms(T, x), ps, x, y)[1]
+    got = _orbit_phases(_fiber_terms(T, x), ps, y)
     bound = FIBER_UNITS * _fiber_unit(T, x)
     assert np.abs(got - _dd_route_fiber(T, ps, x, y)).max() <= bound
     pick = np.sort(rng.choice(len(ps), 600, replace=False))
@@ -170,13 +170,14 @@ def test_fiber_is_per_element(T):
     windows = [np.union1d(primes_in(a * BLOCK - BLOCK // 2, a * BLOCK + BLOCK // 2), ks)
                for a, ks in near.items()]
     whole = np.union1d(primes_in(2, 2 * BLOCK + 2), edges)
-    for ks in [edges] + windows + [whole]:  # edges alone: 9 elements over 477 blocks, sparse
-        xs, ys = _orbit_phases(T, terms, ks, x, y)
+    for ks in [edges] + windows + [whole]:  # edges alone: 9 elements over 477 blocks
+        xs, ys = orbit_angles(T.cf, ks, x), _orbit_phases(terms, ks, y)
         at = np.searchsorted(ks, edges)
         for k, i in zip(edges.tolist(), at.tolist()):
             if i < len(ks) and ks[i] == k:
-                alone = _orbit_phases(T, terms, np.array([k]), x, y)
-                assert (xs[i], ys[i]) == (alone[0][0], alone[1][0]), k
+                one = np.array([k])
+                alone = orbit_angles(T.cf, one, x)[0], _orbit_phases(terms, one, y)[0]
+                assert (xs[i], ys[i]) == alone, k
 
 
 def test_empty_window_is_skipped(T):
