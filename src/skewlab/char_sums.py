@@ -31,7 +31,6 @@ from skewlab.errors import (IntegrityError, InvalidInputError, PreconditionError
 from skewlab.primes import default_source, euler_phi, factorize
 from skewlab.skew_dynamics import e
 
-TWO_PI = 2.0 * math.pi
 # elements of one (z, t) block of window positions in the beta-sup statistics
 WINDOW_BLOCK_ELEMS = 1 << 16
 

@@ -5,10 +5,15 @@ one named experiment, and emits a JSON envelope {command, config, started,
 rows} (plus a CSV next to it when --out ends in .csv).  Output is
 byte-identical across reruns and thread counts; set SOURCE_DATE_EPOCH to pin
 the envelope timestamp.
+
+A command's keys are its handler's keyword parameters: the name is the key,
+the default is the default and the annotation is the type.  main casts each
+given value once, by that annotation, and rejects any other key.
 """
 
 import csv
 import datetime
+import inspect
 import json
 import math
 import os
@@ -31,8 +36,12 @@ COCYCLE_MAX_SAMPLES = 10**4  # ~2.2 ms a sample
 PHASE_MAX_ROWS = 5 * 10**4  # ~0.7 ms a row; rows = scales * m_samples * x_grid
 IDENTITIES_MAX_N = 10**5  # Heath-Brown sweeps one (N + 1)-array per prime up to N
 BUCHSTAB_MAX_WINDOWS = 10**4  # ~2 ms a window
-# keys that name a file: their values stay text, so 1 or true is never a file descriptor
-PATH_KEYS = ("spec", "dump")
+# keys every command takes, with their least values; kernels are serial with fixed
+# reduction order, so any thread count gives the same bytes and threads is provenance
+COMMON = {"seed": 0, "threads": 1}
+# the key types a handler may declare, and what a value of each must be
+KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a path or text",
+         tuple[int, ...]: "a comma list of integers", tuple[float, ...]: "a comma list of numbers"}
 
 
 def _finite(value, text):
@@ -55,12 +64,36 @@ def _parse_scalar(text):
     return _finite(value, text) if isinstance(value, (int, float, str)) else text
 
 
-def _bool(cfg, key):
-    """A switch: true or false (a bare flag is true), anything else is refused."""
-    value = cfg.get(key, False)
-    if type(value) is not bool:
-        raise InvalidInputError(f"{key} must be true or false, got {value!r}")
-    return value
+def _number(key, text, kind):
+    """text as kind, int or float: a word is a ValueError; true, false, a non-integral
+    number for an int and an integer beyond float range for a float are refused."""
+    value = _parse_scalar(text)
+    if isinstance(value, str):
+        raise ValueError(f"{key} must be a number, got {text!r}")
+    if type(value) is bool or (kind is int and isinstance(value, float)
+                               and not value.is_integer()):
+        raise InvalidInputError(f"{key} must be {KINDS[kind]}, got {text!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise InvalidInputError(f"{key}: {text!r} is not a finite number") from None
+
+
+def _cast(key, kind, value):
+    """A given value (text, or True for a bare flag) as the annotated kind."""
+    if kind is bool:
+        value = value if value is True else _parse_scalar(value)
+        if type(value) is not bool:
+            raise InvalidInputError(f"{key} must be {KINDS[bool]}, got {value!r}")
+        return value
+    if value is True:
+        raise InvalidInputError(f"{key} needs {KINDS[kind]}, got a bare flag")
+    if kind is str:
+        return value
+    if kind in (int, float):
+        return _number(key, value, kind)
+    parts = (part.strip() for part in value.strip("[]").split(","))
+    return tuple(_number(key, part, kind.__args__[0]) for part in parts if part)
 
 
 def _budget(what, value, limit):
@@ -68,21 +101,8 @@ def _budget(what, value, limit):
         raise ResourceError(f"{what} budget is {limit}, got {value}")
 
 
-def _parse_list(text, cast=float):
-    out = []
-    for part in str(text).strip("[]").split(","):
-        part = part.strip()
-        if part:
-            v = _finite(float(part), part)
-            out.append(cast(v) if cast is not float else v)
-    return out
-
-
-def _int_list(text):
-    return _parse_list(text, cast=int)
-
-
 def load_config(path):
+    """{key: text} from flat `key = value` lines; # starts a comment."""
     cfg = {}
     with open(path) as fh:
         for line in fh:
@@ -90,32 +110,32 @@ def load_config(path):
             if not line:
                 continue
             key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            cfg[key] = val if key in PATH_KEYS else _parse_scalar(val)
+            cfg[key.strip()] = val.strip()
     return cfg
 
 
 def _parse_flags(tokens):
-    """(flags, paths) from --key value and --key=value tokens.
+    """(flags, paths) from --key value and --key=value tokens, every value kept as text.
 
-    A trailing bare flag means true; config and out keep their text as a path,
-    and so do the PATH_KEYS, which need a value.
+    A flag followed by another flag, or by nothing, is bare and means true;
+    config and out need a path.
     """
     flags, paths = {}, {}
-    it = iter(tokens)
-    for tok in it:
+    rest = list(tokens)[::-1]
+    while rest:
+        tok = rest.pop()
         if not tok.startswith("--"):
             raise InvalidInputError(f"unexpected argument {tok!r}")
         key, eq, val = tok[2:].partition("=")
         key = key.replace("-", "_")
         if not eq:
-            val = next(it, None)
-        if key in ("config", "out") or key in PATH_KEYS:
-            if val is None:
+            val = rest.pop() if rest and not rest[-1].startswith("--") else True
+        if key in ("config", "out"):
+            if val is True:
                 raise InvalidInputError(f"--{key} needs a path")
-            (paths if key in ("config", "out") else flags)[key] = val
+            paths[key] = val
         else:
-            flags[key] = True if val is None else _parse_scalar(val)
+            flags[key] = val
     return flags, paths
 
 
@@ -169,17 +189,16 @@ def _ratio(value, scale):
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each keyword parameter is a key (see the module docstring)
 
 
-def cmd_cf(cfg):
+def cmd_cf(quotients: tuple[int, ...] = None, decimal: str = None, depth: int = 10):
     from skewlab.diophantine import cf_from_quotients, cf_from_real
 
-    depth = int(cfg.get("depth", 10))
-    if "quotients" in cfg:
-        cf = cf_from_quotients(_int_list(cfg["quotients"]), depth)
-    elif "decimal" in cfg:
-        cf = cf_from_real(str(cfg["decimal"]), depth)
+    if quotients is not None:
+        cf = cf_from_quotients(quotients, depth)
+    elif decimal is not None:
+        cf = cf_from_real(decimal, depth)
     else:
         raise PreconditionError("cf needs quotients=... or decimal=...")
     rows = [{"k": k, "a_k": cf.quotients[k - 1] if k >= 1 else 0,
@@ -189,16 +208,15 @@ def cmd_cf(cfg):
     return rows
 
 
-def cmd_cocycle_check(cfg):
+def cmd_cocycle_check(samples: int = 100, spec: str = None, decay_rate: float = 0.095,
+                      quotients: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8), seed: int = 0):
     from skewlab.cocycle import AnalyticCocycle, birkhoff_closed, birkhoff_direct
     from skewlab.diophantine import cf_from_quotients
 
-    seed = int(cfg.get("seed", 0))
-    samples = int(cfg.get("samples", 100))
     _budget("cocycle-check samples", samples, COCYCLE_MAX_SAMPLES)
-    if "spec" in cfg:
-        g = AnalyticCocycle.from_csv(cfg["spec"], float(cfg.get("decay_rate", 0.095)))
-        cf = cf_from_quotients(_int_list(cfg.get("quotients", "1,2,3,4,5,6,7,8")) * 4)
+    if spec is not None:
+        g = AnalyticCocycle.from_csv(spec, decay_rate)
+        cf = cf_from_quotients(quotients * 4)
     else:
         from skewlab.presets import prime_pair
 
@@ -221,68 +239,63 @@ def cmd_cocycle_check(cfg):
     return rows
 
 
-def cmd_phase(cfg):
+def cmd_phase(scales: tuple[int, ...] = (1, 2, 3, 4), m_samples: int = 10, w: int = 1,
+              x_grid: int = 16):
     from skewlab.phase_approx import build_phase_poly, polap_error
     from skewlab.presets import phase_pair
 
     cf, g, params, red = phase_pair()
-    scales = _int_list(cfg.get("scales", "1,2,3,4"))
-    n_m = int(cfg.get("m_samples", 10))
-    w = int(cfg.get("w", 1))
-    seed = int(cfg.get("seed", 0))
-    grid = int(cfg.get("x_grid", 16))
-    _budget("phase rows (scales * m_samples * x_grid)", len(scales) * n_m * grid,
+    _budget("phase rows (scales * m_samples * x_grid)", len(scales) * m_samples * x_grid,
             PHASE_MAX_ROWS)
     rows = []
     for n in scales:
         P = build_phase_poly(red, cf, n, params)
         mmax = float(cf.q(n + 1)) ** (1 - params.delta)
-        ms = np.unique(np.logspace(0, math.log10(mmax), n_m).astype(np.int64))
+        ms = np.unique(np.logspace(0, math.log10(mmax), m_samples).astype(np.int64))
         for m in ms:
-            for x in np.arange(grid) / grid:
+            for x in np.arange(x_grid) / x_grid:
                 err = polap_error(g, red, P, float(x), int(m), w, cf, params)
                 rows.append({"n": n, "m": int(m), "w": w, "x": float(x), "error": err})
     return rows
 
 
-def cmd_orbit(cfg):
+def cmd_orbit(pair: str = "prime", x: float = 0.0, y: float = 0.0,
+              steps: tuple[int, ...] = (1, 10, 100, 1000)):
     from skewlab.skew_dynamics import SkewProduct
 
-    cf, g, params, _ = _preset_pair(cfg.get("pair", "prime"))
+    cf, g, *_ = _preset_pair(pair)
     T = SkewProduct(cf, g)
-    x, y = float(cfg.get("x", 0.0)), float(cfg.get("y", 0.0))
     rows = []
-    for n in _int_list(cfg.get("steps", "1,10,100,1000")):
+    for n in steps:
         xn, yn = T.iterate(n, x, y)
         rows.append({"n": n, "x": xn, "y": yn})
     return rows
 
 
-def cmd_prime_average(cfg):
+def cmd_prime_average(pair: str = "prime", b: int = 0, c: int = 1, x: float = 0.0,
+                      y: float = 0.0, N: tuple[int, ...] = (10**5, 10**6)):
     from skewlab.skew_dynamics import Observable, SkewProduct, prime_weighted_averages
 
-    cf, g, params, _ = _preset_pair(cfg.get("pair", "prime"))
+    cf, g, *_ = _preset_pair(pair)
     T = SkewProduct(cf, g)
-    f = Observable(int(cfg.get("b", 0)), int(cfg.get("c", 1)))
-    x, y = float(cfg.get("x", 0.0)), float(cfg.get("y", 0.0))
-    Ns = [int(N) for N in _int_list(cfg.get("N", "1e5,1e6"))]
-    averages = prime_weighted_averages(T, (f,), Ns, x, y)  # every N in one pass
+    f = Observable(b, c)
+    averages = prime_weighted_averages(T, (f,), N, x, y)  # every N in one pass
     rows = []
-    for N in Ns:
-        avg, theta = averages[f, N]
-        rows.append({"N": N, "b": f.b, "c": f.c, "re_avg": avg.real,
+    for n in N:
+        avg, theta = averages[f, n]
+        rows.append({"N": n, "b": b, "c": c, "re_avg": avg.real,
                      "im_avg": avg.imag, "theta_ratio": theta})
     return rows
 
 
-def cmd_residue_average(cfg):
+def cmd_residue_average(pair: str = "prime", b: int = 0, c: int = 1,
+                        scales: tuple[int, ...] = (1, 2, 3)):
     from skewlab.skew_dynamics import Observable, SkewProduct, reduced_residue_average
 
-    cf, g, params, _ = _preset_pair(cfg.get("pair", "prime"))
+    cf, g, *_ = _preset_pair(pair)
     T = SkewProduct(cf, g)
-    b, c = int(cfg.get("b", 0)), int(cfg.get("c", 1))
     rows = []
-    for n in _int_list(cfg.get("scales", "1,2,3")):
+    for n in scales:
         z = cf.q(n)
         v = reduced_residue_average(T, Observable(b, c), z, z, 0.0, 0.0)
         rows.append({"scale": n, "z": z, "d": z, "re": v.real, "im": v.imag,
@@ -290,34 +303,29 @@ def cmd_residue_average(cfg):
     return rows
 
 
-def cmd_huxley(cfg):
+def cmd_huxley(x: tuple[int, ...] = (10**5,), H: int = None, q: int = 97, r: int = 5):
     from skewlab.char_sums import huxley_stat_progressions
 
     rows = []
-    for x in _int_list(cfg.get("x", "1e5")):
-        x = int(x)
-        H = int(cfg.get("H", x))
-        q = int(cfg.get("q", 97))
-        r = int(cfg.get("r", 5))
-        res = huxley_stat_progressions(x, H, q, r)
-        rows.append({"stat_name": "huxley_progressions", "x": x, "H": H, "q": q,
+    for x1 in x:
+        h = x1 if H is None else H
+        res = huxley_stat_progressions(x1, h, q, r)
+        rows.append({"stat_name": "huxley_progressions", "x": x1, "H": h, "q": q,
                      "r": r, "Hp": "", "value": res["value"],
                      "trivial_scale": res["trivial_scale"],
                      "ratio": _ratio(res["value"], res["trivial_scale"])})
     return rows
 
 
-def cmd_charsum(cfg):
+def cmd_charsum(q: int = 101, stat: str = "progression", r: int = 3, gauss_x: int = 1,
+                Hp: int = None, chi_index: int = 0):
     from skewlab.char_sums import (build_characters, gauss_sum,
                                    progression_char_stat, windowed_twisted_stat)
 
-    q = int(cfg.get("q", 101))
-    stat = cfg.get("stat", "progression")
     rows = []
     tab = build_characters(q)
     if stat == "progression":
-        r = int(cfg.get("r", 3))
-        for i, chi in enumerate(tab):
+        for chi in tab:
             if chi.is_principal():
                 continue
             v = progression_char_stat(q, r, chi)
@@ -326,21 +334,19 @@ def cmd_charsum(cfg):
                          "trivial_scale": math.sqrt(r * q) * math.log(q),
                          "ratio": v / (math.sqrt(r * q) * math.log(q))})
     elif stat == "gauss":
-        for i, chi in enumerate(tab):
+        for chi in tab:
             if chi.is_primitive():
-                v = abs(gauss_sum(chi, int(cfg.get("gauss_x", 1))))
+                v = abs(gauss_sum(chi, gauss_x))
                 rows.append({"stat_name": "gauss", "x": "", "H": "", "q": q, "r": "",
                              "Hp": "", "value": v, "trivial_scale": math.sqrt(q),
                              "ratio": v / math.sqrt(q)})
     elif stat == "windowed":
-        Hp = int(cfg.get("Hp", max(2, int(q**0.25))))
+        Hp = max(2, int(q**0.25)) if Hp is None else Hp
         nonprincipal = [c for c in tab if not c.is_principal()]
-        idx = int(cfg.get("chi_index", 0))
-        if not 0 <= idx < len(nonprincipal):
-            raise PreconditionError(f"chi_index {idx} out of range: mod {q} has "
+        if not 0 <= chi_index < len(nonprincipal):
+            raise PreconditionError(f"chi_index {chi_index} out of range: mod {q} has "
                                     f"{len(nonprincipal)} non-principal characters")
-        chi = nonprincipal[idx]
-        res = windowed_twisted_stat(q, Hp, chi)
+        res = windowed_twisted_stat(q, Hp, nonprincipal[chi_index])
         rows.append({"stat_name": "windowed_twisted", "x": "", "H": "", "q": q,
                      "r": "", "Hp": Hp, "value": res["value"],
                      "trivial_scale": res["scale"],
@@ -350,47 +356,42 @@ def cmd_charsum(cfg):
     return rows
 
 
-def cmd_identities(cfg):
+def cmd_identities(n_max: int = 2000, z: tuple[int, ...] = (2, 5, 10),
+                   k: tuple[int, ...] = (1, 2), buchstab_windows: int = 20, seed: int = 0):
     from skewlab.identities import (buchstab_check, heathbrown_coeff_check,
                                     linnik_check, vaughan_decompose)
     from skewlab.primes import von_mangoldt
 
-    n_max = int(cfg.get("n_max", 2000))
-    zs = _int_list(cfg.get("z", "2,5,10"))
-    ks = _int_list(cfg.get("k", "1,2"))
-    windows = int(cfg.get("buchstab_windows", 20))
     if n_max < 2:
         raise PreconditionError(f"identities needs n_max >= 2, got n_max={n_max}")
-    if min(ks, default=1) < 1:
-        raise PreconditionError(f"heath-brown needs every k >= 1, got k={min(ks)}")
+    if min(k, default=1) < 1:
+        raise PreconditionError(f"heath-brown needs every k >= 1, got k={min(k)}")
     _budget("identities n_max", n_max, IDENTITIES_MAX_N)
-    _budget("buchstab_windows", windows, BUCHSTAB_MAX_WINDOWS)
-    seed = int(cfg.get("seed", 0))
+    _budget("buchstab_windows", buchstab_windows, BUCHSTAB_MAX_WINDOWS)
     rows = []
-    for z in zs:
+    for z1 in z:
         worst = 0.0
-        for n in range(z + 1, n_max + 1):
-            t1, t2, t3, tot = vaughan_decompose(n, z)
+        for n in range(z1 + 1, n_max + 1):
+            t1, t2, t3, tot = vaughan_decompose(n, z1)
             defect = abs(tot.to_float() - von_mangoldt(n))
             worst = max(worst, defect)
-        rows.append({"identity": "vaughan", "n_or_range": f"({z},{n_max}]",
-                     "params": f"z={z}", "defect": worst})
-    for z in zs:
+        rows.append({"identity": "vaughan", "n_or_range": f"({z1},{n_max}]",
+                     "params": f"z={z1}", "defect": worst})
+    for z1 in z:
         w = 0.0
         for n in range(2, min(n_max, 2000) + 1):
-            lhs, rhs = linnik_check(n, z)
+            lhs, rhs = linnik_check(n, z1)
             w = max(w, abs(float(lhs - rhs)))
         rows.append({"identity": "linnik", "n_or_range": f"[2,{min(n_max, 2000)}]",
-                     "params": f"z={z}", "defect": w})
-    for k in ks:
-        k = int(k)
-        z = math.ceil(n_max ** (1.0 / k))
-        d = heathbrown_coeff_check(k, z, n_max)
+                     "params": f"z={z1}", "defect": w})
+    for k1 in k:
+        z1 = math.ceil(n_max ** (1.0 / k1))
+        d = heathbrown_coeff_check(k1, z1, n_max)
         rows.append({"identity": "heath-brown", "n_or_range": f"[1,{n_max}]",
-                     "params": f"k={k},z={z}", "defect": d})
+                     "params": f"k={k1},z={z1}", "defect": d})
     rng = np.random.default_rng(seed)
     w = 0
-    for _ in range(windows):
+    for _ in range(buchstab_windows):
         lo = int(rng.integers(1, 10**6 - 10**4))
         length = int(rng.integers(10, 10**4))
         ww = int(rng.integers(2, 50))
@@ -402,35 +403,28 @@ def cmd_identities(cfg):
     return rows
 
 
-def cmd_ms_sum(cfg):
+def cmd_ms_sum(N: int = 10**6, H: int = None, r: int = 1, a: int = None,
+               coeffs: tuple[float, ...] = (), eta: float = 0.05, B: float = 2.0):
     from skewlab.poly_prime_sums import ShiftedPoly, ms_gap, oscillation_classify
 
-    N = int(cfg.get("N", 10**6))
     if N < 2:  # before N**0.7, which is complex for N < 0
         raise PreconditionError(f"ms-sum needs N >= 2, got N={N}")
-    H = int(cfg.get("H", int(N**0.7)))
-    r = int(cfg.get("r", 1))
-    a = int(cfg.get("a", 0 if r == 1 else 1))
-    coeffs = tuple(_parse_list(cfg.get("coeffs", "0"))) if cfg.get("coeffs") else ()
-    if coeffs == (0.0,):
-        coeffs = ()
-    g = ShiftedPoly(N, coeffs)
-    eta = float(cfg.get("eta", 0.05))
+    H = int(N**0.7) if H is None else H
+    a = (0 if r == 1 else 1) if a is None else a
+    g = ShiftedPoly(N, () if coeffs == (0.0,) else coeffs)  # --coeffs 0: no polynomial
     gap, budget = ms_gap(N, H, r, a, g, eta)
-    cls, witness = oscillation_classify(g, H, N, float(cfg.get("B", 2.0)))
+    cls, witness = oscillation_classify(g, H, N, B)
     return [{"N": N, "H": H, "r": r, "a": a, "deg": g.degree, "gap": gap,
              "budget": budget, "ratio": gap / budget if budget else math.inf,
              "class": cls if witness is None else f"{cls}(q={witness})"}]
 
 
-def cmd_counterexample(cfg):
+def cmd_counterexample(stages: int = 3, include_h: bool = False, mu_twist: bool = False,
+                       eps: float = 0.05, dump: str = None):
     from skewlab.presets import counterexample_stages
 
-    st = counterexample_stages(n_stages=int(cfg.get("stages", 3)),
-                               include_h=_bool(cfg, "include_h"),
-                               mu_twist=_bool(cfg, "mu_twist"))
+    st = counterexample_stages(n_stages=stages, include_h=include_h, mu_twist=mu_twist)
     st.solve_all()
-    eps = float(cfg.get("eps", 0.05))
     rows = []
     for n in range(1, st.solved() + 1):
         if st.mu_twist:
@@ -443,49 +437,44 @@ def cmd_counterexample(cfg):
                          "worst_deviation": rep["worst_deviation"],
                          "tail_bound": rep["tail_bound"], "passed": rep["passed"],
                          "bump_average": st.bump_average(n)})
-    if cfg.get("dump"):
-        with open(cfg["dump"], "w") as fh:
+    if dump:
+        with open(dump, "w") as fh:
             fh.write(st.to_json(eps))
     return rows
 
 
-def cmd_discrepancy(cfg):
+def cmd_discrepancy(N: tuple[int, ...] = (10**3, 10**4), K: int = 50):
     from skewlab.cocycle import orbit_angles
     from skewlab.presets import prime_pair
     from skewlab.skew_dynamics import exact_star_discrepancy, star_discrepancy_bound
 
     cf, _, _ = prime_pair()
-    K = int(cfg.get("K", 50))
-    Ns = [int(N) for N in _int_list(cfg.get("N", "1e3,1e4"))]
-    for N in Ns:
-        if N > DISCREPANCY_MAX_N or K * (N + 256) > DISCREPANCY_MAX_TERMS:
+    for n in N:
+        if n > DISCREPANCY_MAX_N or K * (n + 256) > DISCREPANCY_MAX_TERMS:
             raise ResourceError(f"discrepancy budget is N <= {DISCREPANCY_MAX_N} and "
-                                f"K (N + 256) <= {DISCREPANCY_MAX_TERMS}, got N={N}, K={K}")
+                                f"K (N + 256) <= {DISCREPANCY_MAX_TERMS}, got N={n}, K={K}")
     rows = []
-    for N in Ns:
-        pts = orbit_angles(cf, np.arange(1, N + 1, dtype=np.int64), 0.0)
-        rows.append({"N": N, "K": K, "bound": star_discrepancy_bound(pts, K),
+    for n in N:
+        pts = orbit_angles(cf, np.arange(1, n + 1, dtype=np.int64), 0.0)
+        rows.append({"N": n, "K": K, "bound": star_discrepancy_bound(pts, K),
                      "exact": exact_star_discrepancy(pts)})
     return rows
 
 
-# command -> (handler, the config keys it reads); seed and threads are read by
-# main, config and out name files, and any other key is rejected
 HANDLERS = {
-    "cf": (cmd_cf, ("quotients", "decimal", "depth")),
-    "cocycle-check": (cmd_cocycle_check, ("samples", "spec", "decay_rate", "quotients")),
-    "phase": (cmd_phase, ("scales", "m_samples", "w", "x_grid")),
-    "orbit": (cmd_orbit, ("pair", "x", "y", "steps")),
-    "prime-average": (cmd_prime_average, ("pair", "b", "c", "x", "y", "N")),
-    "residue-average": (cmd_residue_average, ("pair", "b", "c", "scales")),
-    "huxley": (cmd_huxley, ("x", "H", "q", "r")),
-    "charsum": (cmd_charsum, ("q", "stat", "r", "gauss_x", "Hp", "chi_index")),
-    "identities": (cmd_identities, ("n_max", "z", "k", "buchstab_windows")),
-    "ms-sum": (cmd_ms_sum, ("N", "H", "r", "a", "coeffs", "eta", "B")),
-    "counterexample": (cmd_counterexample, ("stages", "include_h", "mu_twist", "eps", "dump")),
-    "discrepancy": (cmd_discrepancy, ("N", "K")),
+    "cf": cmd_cf,
+    "cocycle-check": cmd_cocycle_check,
+    "phase": cmd_phase,
+    "orbit": cmd_orbit,
+    "prime-average": cmd_prime_average,
+    "residue-average": cmd_residue_average,
+    "huxley": cmd_huxley,
+    "charsum": cmd_charsum,
+    "identities": cmd_identities,
+    "ms-sum": cmd_ms_sum,
+    "counterexample": cmd_counterexample,
+    "discrepancy": cmd_discrepancy,
 }
-COMMON_KEYS = ("seed", "threads", "config", "out")
 
 
 def main(argv=None):
@@ -502,20 +491,23 @@ def main(argv=None):
         flags, paths = _parse_flags(argv[1:])
         cfg = load_config(paths["config"]) if "config" in paths else {}
         cfg.update(flags)
-        # kernels are serial and reductions have fixed order, so any thread
-        # count produces identical bytes; the value is recorded for provenance
-        cfg.setdefault("threads", 1)
-        for key, low in (("seed", 0), ("threads", 1)):
-            v = cfg.get(key, low)
-            if type(v) is not int or v < low:
-                raise InvalidInputError(f"{key} must be an integer >= {low}, got {v!r}")
-        handler, keys = HANDLERS[command]
-        unknown = sorted(set(cfg) - set(keys) - set(COMMON_KEYS))
+        cfg.setdefault("threads", "1")
+        handler = HANDLERS[command]
+        params = inspect.signature(handler).parameters
+        kinds = {key: p.annotation for key, p in params.items()} | dict.fromkeys(COMMON, int)
+        unknown = sorted(set(cfg) - set(kinds))
         if unknown:
             raise InvalidInputError(f"{command} has no key {unknown[0]!r}; it reads "
-                                    f"{', '.join(keys + COMMON_KEYS[:2])}")
-        rows = handler(cfg)
-        _emit(command, cfg, rows, paths.get("out"))
+                                    f"{', '.join(kinds)}")
+        args = {key: _cast(key, kinds[key], value) for key, value in cfg.items()}
+        for key, low in COMMON.items():
+            if args.get(key, low) < low:
+                raise InvalidInputError(f"{key} must be an integer >= {low}, got {args[key]}")
+        rows = handler(**{key: args[key] for key in args.keys() & params.keys()})
+        # the envelope records text keys as given, and any other value as parsed
+        config = {key: value if value is True or kinds[key] is str else _parse_scalar(value)
+                  for key, value in cfg.items()}
+        _emit(command, config, rows, paths.get("out"))
     except InvalidInputError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 2

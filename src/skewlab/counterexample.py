@@ -172,9 +172,6 @@ class TentFunction:
             out[i] = 2 * min(rem, Q - rem) / Q
         return out
 
-    def eval_frac(self, x: Fraction) -> float:
-        return float(self.at_fractions([x.numerator % x.denominator], x.denominator)[0])
-
     def eval(self, x):
         u = (np.asarray(x, dtype=np.float64) * self.q) % 1.0
         out = np.where(u <= 0.5, 2.0 * u, 2.0 * (1.0 - u))

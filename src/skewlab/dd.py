@@ -44,7 +44,7 @@ def _two_prod(a, b):
     return p, err
 
 
-_BLOCK_BITS = 21  # n = B + r with B a multiple of 2**21 and 0 <= r < 2**21
+BLOCK_BITS = 21  # n = B + r with B a multiple of 2**21 and 0 <= r < 2**21
 _CUT = 2.0**32  # multipliers cut at 32 fractional bits: r * cut part < 2**53, exact
 
 
@@ -76,7 +76,7 @@ def frac01_int_mult(n, a_hi, a_lo):
     theta = (Fraction(a_hi) + Fraction(a_lo)) % 1
     A = math.floor(theta * 2**32) / _CUT
     A_rest = float(theta - Fraction(A))  # in [0, 2**-32)
-    idx = n >> _BLOCK_BITS
+    idx = n >> BLOCK_BITS
     lo_b, hi_b = int(idx.min()), int(idx.max())
     if hi_b - lo_b < n.size:  # dense: at most n.size bases (a prime window has two)
         bases = np.arange(lo_b, hi_b + 1, dtype=np.int64)
@@ -84,13 +84,13 @@ def frac01_int_mult(n, a_hi, a_lo):
     else:  # sparse blocks: never an array as long as their span
         bases, idx = np.unique(idx, return_inverse=True)
         idx = idx.reshape(n.shape)
-    c_hi, c_lo = _frac_dd(bases << _BLOCK_BITS, a_hi, a_lo)
+    c_hi, c_lo = _frac_dd(bases << BLOCK_BITS, a_hi, a_lo)
     C = np.floor(c_hi * _CUT) / _CUT
     D = (c_hi - C) + c_lo
     shift = np.where(D < 0, 1 / _CUT, 0.0)  # D >= 0 keeps the last sum >= 0
     C -= shift
     D += shift
-    r = (n & ((1 << _BLOCK_BITS) - 1)).astype(np.float64)
+    r = (n & ((1 << BLOCK_BITS) - 1)).astype(np.float64)
     out = r * A
     step = np.floor(out)
     out -= step

@@ -9,6 +9,7 @@ path with explicit precision tracking.
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from skewlab.dd import dd_from_fraction
@@ -158,9 +159,8 @@ def cf_from_real(alpha, depth, uncertainty=None) -> ContinuedFraction:
     """
     if isinstance(alpha, str):
         x = Fraction(alpha)
-        if uncertainty is None:
-            digits = len(alpha.split(".")[1]) if "." in alpha else 0
-            uncertainty = Fraction(1, 10**digits)
+        if uncertainty is None:  # one unit in the last digit: 6.18e-1 has three, as 0.618
+            uncertainty = Fraction(10) ** Decimal(alpha).as_tuple().exponent
         u = Fraction(uncertainty)
     elif isinstance(alpha, Fraction):
         x = alpha

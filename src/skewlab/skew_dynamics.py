@@ -16,12 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from skewlab.cocycle import TrigPoly, birkhoff_closed, orbit_angles
-from skewlab.dd import dd_from_fraction, frac01_int_mult
+from skewlab.dd import BLOCK_BITS, dd_from_fraction, frac01_int_mult
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import InvalidInputError, RangeError
 from skewlab.primes import default_source, euler_phi, factorize, segment_windows
 
 TWO_PI = 2.0 * math.pi
+# the fiber split k = B + (i << _J_BITS) + j of _orbit_phases: B on dd's blocks of
+# 2**BLOCK_BITS, their offsets cut into 2**(BLOCK_BITS - _J_BITS) values of i and 2**_J_BITS of j
+_J_BITS = (BLOCK_BITS + 1) // 2
 
 
 def e(t):
@@ -77,7 +80,8 @@ def _fiber_terms(T: SkewProduct, x: float):
 def _orbit_phases(terms, ks: np.ndarray, y: float) -> np.ndarray:
     """y_k = y + S_k(g)(x) for k in ks, terms = _fiber_terms(T, x), by table products.
 
-    k = B + (i << 11) + j with B a multiple of 2**21, 0 <= i < 2**10 and 0 <= j < 2**11.
+    k = B + (i << 11) + j with B a multiple of 2**21, 0 <= i < 2**10 and 0 <= j < 2**11
+    (dd.BLOCK_BITS = 21 and _J_BITS = 11).
     Per frequency, one frac01_int_mult and one e() on the B from min(ks) to max(ks),
     the i << 11 and the j give tables K = 2 kappa e(B theta) e(i 2**11 theta) and
     L = e(j theta); then 2 Re kappa e(k theta) = Re K[B, i] L[j] by gathers.  ks is one
@@ -86,12 +90,13 @@ def _orbit_phases(terms, ks: np.ndarray, y: float) -> np.ndarray:
     ys = np.full(ks.shape, float(y))
     if not ks.size:
         return ys
-    b0, b1 = int(ks.min()) >> 21, int(ks.max()) >> 21
-    bases, row, col = np.arange(b0, b1 + 1), (ks >> 11) - (b0 << 10), ks & 2047
-    parts = np.concatenate([bases << 21, np.arange(1024) << 11, np.arange(2048)])
+    b0, b1 = int(ks.min()) >> BLOCK_BITS, int(ks.max()) >> BLOCK_BITS
+    n_i, n_j = 1 << (BLOCK_BITS - _J_BITS), 1 << _J_BITS
+    bases, row, col = np.arange(b0, b1 + 1), (ks >> _J_BITS) - b0 * n_i, ks & (n_j - 1)
+    parts = np.concatenate([bases << BLOCK_BITS, np.arange(n_i) << _J_BITS, np.arange(n_j)])
     for m_hi, m_lo, kappa2 in terms:
         t = e(frac01_int_mult(parts, m_hi, m_lo))
-        K, L = np.outer(kappa2 * t[:bases.size], t[bases.size:-2048]).ravel(), t[-2048:]
+        K, L = np.outer(kappa2 * t[:bases.size], t[bases.size:-n_j]).ravel(), t[-n_j:]
         ys += K.real[row] * L.real[col] - K.imag[row] * L.imag[col] - kappa2.real
     return ys
 

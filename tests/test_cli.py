@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab.cli import HANDLERS, main
+from skewlab.cli import HANDLERS, KINDS, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,8 +46,9 @@ def test_cf_missing_spec_exit_2():
     assert main(["cf", "--depth", "3"]) == 2
 
 
-@pytest.mark.parametrize("command, flag", [("prime-average", "--N"), ("huxley", "--x")],
-                         ids=["prime-average", "huxley"])
+@pytest.mark.parametrize("command, flag", [("prime-average", "--N"), ("huxley", "--x"),
+                                           ("charsum", "--gauss_x")],
+                         ids=["prime-average", "huxley", "charsum"])
 @pytest.mark.parametrize("bad", ["abc", "1e4,zz"])
 def test_malformed_value_exit_2(command, flag, bad, capsys):
     assert main([command, flag, bad]) == 2
@@ -83,6 +85,12 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
     ["cf", "--quotients", "1,1", "--depth", "2", "--dpeth", "5"],
     ["prime-average", "--N", "1e5", "--obs", "3"],
     ["cf", "--quotients", "1,1", "--set", "depth=1"],
+    ["cf", "--quotients", "1,2,3", "--depth", "2.7"],
+    ["prime-average", "--N", "1e4", "--b", "0.5", "--c", "1.9"],
+    ["residue-average", "--scales", "1.5"],
+    ["counterexample", "--stages", "2.5"],
+    ["cf", "--quotients", "1,1", "--depth"],
+    ["orbit", "--steps", "1", "--x", "1" + "0" * 400],
 ], ids=["identities-k0", "charsum-q2-windowed", "charsum-chi-index-past-last",
         "prime-average-N0", "ms-sum-eta0", "charsum-windowed-Hp-negative",
         "charsum-windowed-Hp0", "huxley-x0", "huxley-H0", "orbit-unknown-pair",
@@ -91,7 +99,9 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
         "threads0", "out-without-path", "huxley-x-negative", "huxley-H-negative",
         "ms-sum-N0", "ms-sum-H-negative", "discrepancy-N0",
         "discrepancy-N-negative", "cf-misspelt-key", "prime-average-unknown-key",
-        "cf-old-set-flag"])
+        "cf-old-set-flag", "cf-depth-not-integral", "prime-average-b-not-integral",
+        "residue-average-scale-not-integral", "counterexample-stages-not-integral",
+        "cf-bare-depth", "orbit-x-beyond-float"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_domain_value_exit_2(args, capsys):
     assert main(args) == 2
@@ -119,16 +129,47 @@ def test_unknown_config_file_key_exit_2(tmp_path, capsys):
 
 
 COMMON = ("seed", "threads")
+# each command's keys besides seed and threads, written out as the handler table listed them
+# before the handler signatures declared them
+KEYS = {
+    "cf": ("quotients", "decimal", "depth"),
+    "cocycle-check": ("samples", "spec", "decay_rate", "quotients"),
+    "phase": ("scales", "m_samples", "w", "x_grid"),
+    "orbit": ("pair", "x", "y", "steps"),
+    "prime-average": ("pair", "b", "c", "x", "y", "N"),
+    "residue-average": ("pair", "b", "c", "scales"),
+    "huxley": ("x", "H", "q", "r"),
+    "charsum": ("q", "stat", "r", "gauss_x", "Hp", "chi_index"),
+    "identities": ("n_max", "z", "k", "buchstab_windows"),
+    "ms-sum": ("N", "H", "r", "a", "coeffs", "eta", "B"),
+    "counterexample": ("stages", "include_h", "mu_twist", "eps", "dump"),
+    "discrepancy": ("N", "K"),
+}
 # misspelt keys, the old parser's --set, and keys that only other commands read
 UNKNOWN = ("dpeth", "obs", "set", "n_max", "stages")
 MALFORMED = ("abc", "", "-1", "0", "2.5", "1e10", "1e15", "1e400", "Infinity", "NaN", "[]", "1,zz",
              "true")
 
 
+def _keys(command):
+    return tuple(inspect.signature(HANDLERS[command]).parameters)
+
+
+@pytest.mark.parametrize("command", sorted(KEYS))
+def test_handler_signature_declares_the_keys(command):
+    assert set(HANDLERS) == set(KEYS)
+    params = inspect.signature(HANDLERS[command]).parameters
+    assert set(params) | set(COMMON) == set(KEYS[command] + COMMON)
+    for p in params.values():
+        assert p.kind is p.POSITIONAL_OR_KEYWORD and p.annotation in KINDS, p
+        assert p.default is None or isinstance(
+            p.default, getattr(p.annotation, "__origin__", p.annotation)), p
+
+
 @st.composite
 def malformed_runs(draw):
     command = draw(st.sampled_from(sorted(HANDLERS)))
-    keys = st.sampled_from(HANDLERS[command][1] + COMMON + UNKNOWN)
+    keys = st.sampled_from(_keys(command) + COMMON + UNKNOWN)
     flags = draw(st.dictionaries(keys, st.sampled_from(MALFORMED), min_size=1, max_size=3))
     return [command] + [tok for key, val in flags.items() for tok in (f"--{key}", val)]
 
@@ -145,7 +186,7 @@ def test_malformed_flags_never_raise(argv, tmp_path_factory):
     assert code in (0, 2, 3)
     if code:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
-    if {tok[2:] for tok in argv[1::2]} - set(HANDLERS[argv[0]][1] + COMMON):
+    if {tok[2:] for tok in argv[1::2]} - set(_keys(argv[0]) + COMMON):
         assert code == 2 and err.getvalue().startswith("precondition error: "), err.getvalue()
 
 
@@ -211,7 +252,7 @@ def test_boolean_keys_take_true_and_false(key, tmp_path):
     runs = {}
     for name, args in (("bare", ["--" + key]), ("true", ["--" + key, "true"]),
                        ("file", ["--config", str(cfg)]), ("false", [f"--{key}=false"])):
-        out = tmp_path / f"{name}.json"  # --out first: only a trailing bare flag means true
+        out = tmp_path / f"{name}.json"
         assert main(["counterexample", "--stages", "1", "--out", str(out)] + args) == 0
         payload = json.loads(out.read_text())
         assert payload["config"][key] is (name != "false")
@@ -219,6 +260,24 @@ def test_boolean_keys_take_true_and_false(key, tmp_path):
     assert runs["bare"] == runs["true"] == runs["file"]
     assert ("mu_twist_avg" in runs["true"][0]) is (key == "mu_twist")
     assert "mu_twist_avg" not in runs["false"][0]
+
+
+def test_bare_flag_before_another_flag(tmp_path, capsys):
+    code, payload, _ = run_cli(["counterexample", "--mu_twist", "--stages", "1"], tmp_path)
+    assert code == 0 and payload["config"] == {"mu_twist": True, "stages": 1, "threads": 1}
+    assert "mu_twist_avg" in payload["rows"][0]
+    assert main(["cf", "--quotients", "1,1", "--depth", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition error: depth ") and len(err.splitlines()) == 1
+
+
+def test_decimal_stays_text(tmp_path):
+    # 40 digits of 1/phi pin 45 quotients; as a float they would pin 37
+    golden = "0.6180339887498948482045868343656381177203"
+    code, payload, _ = run_cli(["cf", "--decimal", golden, "--depth", "45"], tmp_path)
+    assert code == 0
+    assert [r["a_k"] for r in payload["rows"][1:]] == [1] * 45
+    assert payload["config"]["decimal"] == golden
 
 
 def test_identities_command(tmp_path):

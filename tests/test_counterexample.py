@@ -168,8 +168,7 @@ def test_ramp_function_shape(solved):
 
 def test_tent_function():
     h = TentFunction(7)
-    assert h.eval_frac(Fraction(3, 7)) == 0.0
-    assert h.eval_frac(Fraction(3, 7) + Fraction(1, 14)) == 1.0
+    assert h.at_fractions([6, 7], 14).tolist() == [0.0, 1.0]  # h(3/7) and h(1/2)
     xs = np.linspace(0, 1, 101)
     assert np.allclose(h.eval((xs + 1 / 7) % 1.0), h.eval(xs), atol=1e-12)
     assert h.variation == 14

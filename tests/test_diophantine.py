@@ -59,6 +59,15 @@ def test_cf_from_real_precision_exhaustion_names_index():
         pytest.fail("expected precision exhaustion")
 
 
+def test_cf_from_real_exponent_string_keeps_its_precision():
+    # 6.18e-1 carries three digits, as 0.618 does, not the five after its point
+    with pytest.raises(PrecisionError) as plain:
+        cf_from_real("0.618", 12)
+    with pytest.raises(PrecisionError) as sci:
+        cf_from_real("6.18e-1", 12)
+    assert sci.value.last_reliable == plain.value.last_reliable
+
+
 def test_roundtrip_quotients_through_real():
     cf = cf_from_quotients([3, 7, 15, 1, 292], 5)
     # exact value: the expansion recovers the full prefix and stops there
