@@ -192,12 +192,15 @@ def _ratio(value, scale):
 # command implementations: each keyword parameter is a key (see the module docstring)
 
 
-def cmd_cf(quotients: tuple[int, ...] = None, decimal: str = None, depth: int = 10):
+def cmd_cf(quotients: tuple[int, ...] = None, decimal: str = None, depth: int = None):
     from skewlab.diophantine import cf_from_quotients, cf_from_real
 
+    # depth defaults to 10, or to the length of a shorter quotient list
     if quotients is not None:
+        depth = min(10, len(quotients)) if depth is None else depth
         cf = cf_from_quotients(quotients, depth)
     elif decimal is not None:
+        depth = 10 if depth is None else depth
         cf = cf_from_real(decimal, depth)
     else:
         raise PreconditionError("cf needs quotients=... or decimal=...")

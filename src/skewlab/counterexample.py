@@ -6,19 +6,31 @@ Each stage n contributes a sawtooth f_n supported on the intervals
 [w p_k/q_k, (w p_k + 1)/q_k]: an up-ramp of slope L_{n,w} over width
 1/q_{k+1}, a plateau, and a symmetric down-ramp.  The slopes at window points
 solve the target equation f_n(w alpha) = target - r_{w,n} and are linearly
-interpolated elsewhere.  All evaluations at orbit points w*alpha = w*P/Q use exact
-integer residues, so stages stay consistent to ~1e-12 even at q ~ 1e11.
+interpolated elsewhere.
+
+Evaluations at orbit points w*alpha run on whole int64 arrays of w.  For a
+stage convergent p/q and rho = q alpha - p (exact), w alpha lies in the cell
+j = (w p + floor(w rho)) mod q, at residue index s = (w + floor(w rho) p^-1)
+mod q and offset frac(w rho)/q; the tent of q_l reads u = frac(w q_l alpha).
+dd.floor_frac_dd gives floor and frac in double-double with an error bound,
+and each value is rounded once; where the bound cannot certify that this is
+float() of the exact rational (about one point in 10**5 here), the point is
+recomputed in exact integers.  So every value equals the exact evaluation
+(RampFunction.at_fractions, TentFunction.at_fractions), bit for bit.
 """
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
+from skewlab.dd import (MULMOD_LIMIT, dd_div_int, floor_frac_dd, mulmod,
+                        round_certified)
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import (ConstructionError, IncompleteError, InvalidInputError,
-                            PreconditionError, StateError)
+                            PreconditionError, RangeError, StateError)
 from skewlab.primes import mobius_upto, simple_sieve
 
 GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
@@ -51,15 +63,22 @@ class AlmostSparseSet:
         """c(N) = ceil(loglog N), at least 1: the primes descriptor's pair distance."""
         return max(1, math.ceil(math.log(max(math.log(max(N, 3)), 1.0001))))
 
+    def _members(self, lo: int, hi: int) -> np.ndarray:
+        """Sorted members of A in [lo, hi] as an int64 array."""
+        if self.descriptor == "squares":
+            if hi >= 2**63:
+                raise RangeError(f"squares up to {hi} leave int64")
+            m = np.arange(math.isqrt(max(lo - 1, 0)) + 1, math.isqrt(hi) + 1, dtype=np.int64)
+            m *= m
+            return m
+        if self.descriptor == "primes":
+            ps = simple_sieve(hi)
+            return ps[ps >= lo]
+        return np.asarray(sorted(self._elements_in(lo, hi)), dtype=np.int64)
+
     def elements_in(self, lo: int, hi: int):
         """Sorted members of A in [lo, hi]."""
-        if self.descriptor == "squares":
-            m0 = math.isqrt(max(lo - 1, 0)) + 1
-            m1 = math.isqrt(hi)
-            return [m * m for m in range(m0, m1 + 1) if m * m >= lo]
-        if self.descriptor == "primes":
-            return [int(p) for p in simple_sieve(hi) if p >= lo]
-        return sorted(self._elements_in(lo, hi))
+        return self._members(lo, hi).tolist()
 
     def bad_set(self, N: int):
         if self.descriptor == "squares":
@@ -75,19 +94,47 @@ class AlmostSparseSet:
             return bad
         return set(self._bad_set(N))
 
-    def window(self, lo: int, hi: int):
-        """Sorted members of A in [lo, hi] with B_hi removed."""
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Sorted members of A in [lo, hi] with B_hi removed, as an int64 array."""
         bad = self.bad_set(hi)
-        return [w for w in self.elements_in(lo, hi) if w not in bad]
+        elems = self._members(lo, hi)
+        return elems[~np.isin(elems, list(bad))] if bad else elems
 
 
 def eps_n(A: AlmostSparseSet, n: int) -> Fraction:
     """Reciprocal minimal gap of A in [0, n] outside the bad set."""
-    elems = A.window(0, n)
-    if len(elems) < 2:
+    gaps = np.diff(A.window(0, n))
+    if not gaps.size:
         raise InvalidInputError(f"A cap [0,{n}] minus bad set has < 2 elements")
-    gap = min(b - a for a, b in zip(elems, elems[1:]))
-    return Fraction(1, gap)
+    return Fraction(1, int(gaps.min()))
+
+
+def orbit_cells(w, alpha: Fraction, q: int, p: int):
+    """Where the points w alpha fall among the cells [j/q, (j + 1)/q), for an int64
+    array w and a convergent p/q of alpha.
+
+    With rho = q alpha - p: k = floor(w rho), the residue index s = (w + k p^-1) mod q
+    of the cell j = (w p + k) mod q, and the offset frac(w rho)/q of w alpha in it,
+    equal to float() of the exact rational.  floor_frac_dd and one certified
+    rounding give every element they can; the rest (and all of them when q is
+    beyond mulmod's range) are recomputed in Python integers.
+    Returns (k, s, off, the number of elements recomputed).
+    """
+    p_inv = pow(p, -1, q)
+    rho = q * alpha - p
+    k, f_hi, f_lo, err = floor_frac_dd(w, rho)
+    off, ok = round_certified(*dd_div_int(f_hi, f_lo, err, q))
+    if q < MULMOD_LIMIT:
+        s = (w % q + mulmod(k % q, p_inv, q)) % q
+    else:
+        s = np.empty_like(w)
+        ok[:] = False
+    exact = np.flatnonzero(~ok)
+    for i in exact.tolist():
+        kk, rem = divmod(int(w[i]) * rho.numerator, rho.denominator)
+        k[i], s[i] = kk, (int(w[i]) + kk * p_inv) % q
+        off[i] = rem / (rho.denominator * q)
+    return k, s, off, exact.size
 
 
 class RampFunction:
@@ -142,6 +189,12 @@ class RampFunction:
             off[i] = rem / Qq
         return self._shape(self.L_of_s(s), off)
 
+    def at_multiples(self, w, alpha: Fraction):
+        """f(w alpha) for an int64 array w, alpha = P/Q with p/q its convergent: equal to
+        at_fractions on w P mod Q.  Returns (values, the number of exact fallbacks)."""
+        _, s, off, fallbacks = orbit_cells(w, alpha, self.q, self.p)
+        return self._shape(self.L_of_s(s), off), fallbacks
+
     def eval_frac(self, x: Fraction) -> float:
         """Evaluation at a rational point (mod 1)."""
         return float(self.at_fractions([x.numerator % x.denominator], x.denominator)[0])
@@ -151,7 +204,10 @@ class RampFunction:
         x = np.asarray(x, dtype=np.float64)
         xs = np.atleast_1d(x) % 1.0
         j = np.minimum((xs * self.q).astype(np.int64), self.q - 1)
-        s = np.array([jj * self.p_inv % self.q for jj in j.tolist()], dtype=np.int64)
+        if self.q < MULMOD_LIMIT:
+            s = mulmod(j, self.p_inv, self.q)
+        else:
+            s = np.array([jj * self.p_inv % self.q for jj in j.tolist()], dtype=np.int64)
         out = self._shape(self.L_of_s(s), xs - j / self.q)
         return out.reshape(x.shape) if x.shape else float(out[0])
 
@@ -171,6 +227,21 @@ class TentFunction:
             rem = num * self.q % Q  # (x q mod 1) * Q
             out[i] = 2 * min(rem, Q - rem) / Q
         return out
+
+    def at_multiples(self, w, alpha: Fraction):
+        """h(w alpha) for an int64 array w: equal to at_fractions on w P mod Q, alpha = P/Q.
+
+        u = frac(w rho) with rho = q alpha mod 1; h = 2 min(u, 1 - u) is 1-Lipschitz
+        in u, so the dd value is within 2 err.  Returns (values, exact fallbacks)."""
+        _, f_hi, f_lo, err = floor_frac_dd(w, self.q * alpha % 1)
+        up = (f_hi > 0.5) | ((f_hi == 0.5) & (f_lo > 0))
+        out, ok = round_certified(2.0 * np.where(up, 1.0 - f_hi, f_hi),
+                                  2.0 * np.where(up, -f_lo, f_lo), 2.0 * err)
+        exact = np.flatnonzero(~ok)
+        if exact.size:
+            P, Q = alpha.numerator, alpha.denominator
+            out[exact] = self.at_fractions([int(x) * P % Q for x in w[exact].tolist()], Q)
+        return out, exact.size
 
     def eval(self, x):
         u = (np.asarray(x, dtype=np.float64) * self.q) % 1.0
@@ -198,7 +269,7 @@ def _next_even_stage_index(cf: ContinuedFraction, A: AlmostSparseSet, k_min: int
         if cf.q(k + 1) < 2 * q:
             continue
         window = (A.window(1, q // 2) if mu_twist else A.window((q + 1) // 2, q))
-        if window:
+        if window.size:
             return k
     raise ConstructionError(f"no feasible stage index >= {k_min} within depth")
 
@@ -243,6 +314,7 @@ class StageConstruction:
         self.n_stages = len(self.stage_k)
         self._stages = {}  # n -> dict(window, L_window, r_window, targets)
         self._phases = {}  # (n, solved stages) -> S_w(g)(0) mod 1 on the stage-n window
+        self.exact_fallbacks = Counter()  # stage n -> points of f_n, h_n recomputed exactly
 
     # -- stage data -------------------------------------------------------
 
@@ -278,26 +350,32 @@ class StageConstruction:
         if q1 < 2 * q:
             raise ConstructionError(
                 f"stage {n}: ramps of width 1/{q1} overlap inside cells of width 1/{q}")
-        window = self.window_of(n)
-        if not window:
+        ws = self.window_of(n)
+        if not ws.size:
             raise ConstructionError(f"stage {n}: empty window at q = {q}")
         # r_{w,n} = sum_{m<n} f_m(w alpha) [+ h_m(w alpha)] mod 1
-        r_window = self.birkhoff0_many(window, n - 1) % 1.0
+        r_window = self.birkhoff0_many(ws, n - 1) % 1.0
         if self.mu_twist:
-            roots = [math.isqrt(w) for w in window]
-            targets = (7 + mobius_upto(roots[-1])[roots].astype(np.float64)) / 4.0 - r_window
+            roots = np.floor(np.sqrt(ws)).astype(np.int64)
+            roots -= roots * roots > ws  # the float sqrt may be one off either way
+            roots += (roots + 1) * (roots + 1) <= ws
+            targets = (7 + mobius_upto(int(roots[-1]))[roots].astype(np.float64)) / 4.0 - r_window
         else:
             targets = (2.0 if n % 2 == 0 else 1.5) - r_window
-        # w*alpha - w*p_k/q_k = w*(P q_k - p_k Q)/(Q q_k), inside the up-ramp of cell w p_k
-        P, Q = self.cf.value.numerator, self.cf.value.denominator
-        d = P * q - self.cf.p(k) * Q
-        L_window = targets / np.array([w * d / (Q * q) for w in window])
-        window_s = np.array([w % q for w in window], dtype=np.int64)
+        # w alpha - w p_k/q_k = w rho / q_k with 0 < w rho < 1: the up-ramp of cell w p_k
+        floors, _, offsets, fallbacks = orbit_cells(ws, self.cf.value, q, self.cf.p(k))
+        self.exact_fallbacks[n] += fallbacks
+        if floors.any():
+            i = np.flatnonzero(floors)[0]
+            raise ConstructionError(f"stage {n}: w = {ws[i]} has floor(w rho) = {floors[i]}, "
+                                    f"outside the cell of w p_k")
+        L_window = targets / offsets
+        window_s = ws % q
         if np.any(np.diff(window_s) <= 0):
             raise ConstructionError(f"stage {n}: window residues not strictly sorted")
         st = {
             "k": k, "q": q, "q_next": q1,
-            "window": window, "window_s": window_s,
+            "window": ws.tolist(), "window_s": window_s,
             "r_window": r_window.tolist(), "targets": targets.tolist(),
             "L_window": L_window.tolist(),
             "f": RampFunction(q, q1, self.cf.p(k), window_s, L_window),
@@ -317,13 +395,14 @@ class StageConstruction:
     def birkhoff0_many(self, ws, upto=None):
         """S_w(g)(0) = sum over solved stages of f_n(w*alpha) [+ h_n], per w in ws."""
         upto = self.solved() if upto is None else min(upto, self.solved())
-        P, Q = self.cf.value.numerator, self.cf.value.denominator
-        nums = [w * P % Q for w in ws]  # w*alpha mod 1 = num/Q
-        total = np.zeros(len(ws))
+        ws = np.asarray(ws, dtype=np.int64)
+        total = np.zeros(ws.size)
         for m in range(1, upto + 1):
-            total += self.f(m).at_fractions(nums, Q)
-            if self.include_h:
-                total += self.h(m).at_fractions(nums, Q)
+            terms = [self.f(m)] + ([self.h(m)] if self.include_h else [])
+            for term in terms:
+                values, fallbacks = term.at_multiples(ws, self.cf.value)
+                total += values
+                self.exact_fallbacks[m] += fallbacks
         return total
 
     def _window_phases(self, n) -> np.ndarray:

@@ -13,6 +13,13 @@ bits so that r times the cut part is exact in float64.  Dekker's products
 run only on the few distinct block bases B.  These are error-free
 transformations in the sense of Dekker (1971) and Ogita, Rump and Oishi,
 "Accurate sum and dot product" (SIAM J. Sci. Comput., 2005).
+
+floor_frac_dd takes an exact rational rho and returns floor(w rho) and
+frac(w rho) as a dd pair with a stated error bound; dd_div_int and
+round_certified carry that bound through one division and one final rounding
+and say, per element, whether the rounded double is certified to be float()
+of the exact rational.  mulmod reduces products mod m < 2**43 in int64.
+Callers recompute the elements that are not certified in exact integers.
 """
 
 import math
@@ -44,6 +51,8 @@ def _two_prod(a, b):
     return p, err
 
 
+MULMOD_LIMIT = 2**43  # mulmod's moduli: m * 2**20 stays below 2**63
+_MULMOD_BITS = 20
 BLOCK_BITS = 21  # n = B + r with B a multiple of 2**21 and 0 <= r < 2**21
 _CUT = 2.0**32  # multipliers cut at 32 fractional bits: r * cut part < 2**53, exact
 
@@ -102,6 +111,80 @@ def frac01_int_mult(n, a_hi, a_lo):
     out += r
     np.floor(out, out=step)
     out -= step
+    return out
+
+
+def floor_frac_dd(w, rho: Fraction):
+    """floor(w rho) and frac(w rho) for an int64 array w and an exact rational rho in [-1, 1].
+
+    Returns (k, f_hi, f_lo, err): k = floor(w rho) as int64, and f_hi + f_lo, with
+    |f_lo| <= ulp(f_hi)/2, within err of frac(w rho).  w rho is Dekker's product of w
+    with rho_hi plus w rho_lo, (rho_hi, rho_lo) from dd_from_fraction; the error counts
+    the split error |w rho| 2**-106, the rounding of w rho_lo and of the two low-word
+    sums, together below err = (1 + |w rho|) 2**-103.  err is inf where k is not
+    certain: |w| >= 2**53, or f_hi + f_lo within err of 0 or of 1.
+    """
+    if not -1 <= rho <= 1:
+        raise RangeError(f"rho = {rho} outside [-1, 1]")
+    rho_hi, rho_lo = dd_from_fraction(rho)
+    wide = (w <= -2**53) | (w >= 2**53)  # beyond float64's exact integers
+    wf = np.where(wide, 0, w).astype(np.float64)
+    p_hi, p_lo = _two_prod(wf, rho_hi)
+    k = np.rint(p_hi)
+    hi, lo = _two_sum(p_hi - k, p_lo)  # p_hi - rint(p_hi) is exact: Sterbenz
+    hi, lo = _two_sum(hi, lo + wf * rho_lo)  # |hi| <= 2
+    m = np.floor(hi)
+    f_hi, e = _two_sum(hi, -m)
+    f_hi, f_lo = _two_sum(f_hi, e + lo)
+    err = (1.0 + np.abs(wf) * abs(rho_hi)) * 2.0**-103
+    margin = 2.0 * err + np.abs(f_lo)
+    err[wide | (f_hi <= margin) | (1.0 - f_hi <= margin)] = np.inf
+    return (k + m).astype(np.int64), f_hi, f_lo, err
+
+
+def dd_div_int(hi, lo, err, d: int):
+    """(hi + lo) / d for a dd array within err of some value v and an integer 0 < d < 2**53.
+
+    Returns (q_hi, q_lo, q_err): q_hi = fl(hi / d), q_lo from the exact residual
+    hi - q_hi d (Dekker's product), and q_hi + q_lo within q_err of v / d; the
+    three roundings of the residual add less than 2**-103 |hi| / d to err / d.
+    """
+    df = float(d)
+    q_hi = hi / df
+    p, e = _two_prod(q_hi, df)
+    q_lo = (((hi - p) - e) + lo) / df  # hi - p is exact: Sterbenz
+    return q_hi, q_lo, (err + 2.0**-102 * np.abs(hi)) / df
+
+
+def round_certified(hi, lo, err):
+    """fl(hi + lo), and True where it is certified to be the correctly rounded value of
+    every real within err of hi + lo: that interval lies strictly inside the rounding
+    interval of the returned double, so ties are never certified.
+
+    0.5 up - rest is exact when rest >= up/4 (Sterbenz) and otherwise rounds by less
+    than a part in 2**53, and likewise on the lower side; so err must carry that much
+    slack over the true bound, as every err in this module does (a factor above 1.5).
+    """
+    out, rest = _two_sum(hi, lo)  # out + rest = hi + lo exactly
+    up = np.nextafter(out, np.inf) - out
+    down = out - np.nextafter(out, -np.inf)
+    return out, (err < 0.5 * up - rest) & (err < 0.5 * down + rest)
+
+
+def mulmod(a, b: int, m: int):
+    """a * b mod m for an int64 array a in [0, m), an integer b in [0, m) and m < 2**43.
+
+    Horner over the 20-bit digits of b: every partial product is below 2**63.
+    """
+    if not 0 < m < MULMOD_LIMIT:
+        raise RangeError(f"modulus {m} outside (0, 2**43)")
+    digits = []
+    while b:
+        digits.append(b & ((1 << _MULMOD_BITS) - 1))
+        b >>= _MULMOD_BITS
+    out = np.zeros_like(a)
+    for digit in reversed(digits):
+        out = ((out << _MULMOD_BITS) % m + a * digit % m) % m
     return out
 
 

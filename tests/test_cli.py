@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -44,6 +45,37 @@ def test_cf_command(tmp_path):
 
 def test_cf_missing_spec_exit_2():
     assert main(["cf", "--depth", "3"]) == 2
+
+
+def test_cf_default_depth(tmp_path, capsys):
+    # a short quotient list takes its own length; a long one and a decimal take 10
+    for args, rows in ((["--quotients", "1,1"], 3), (["--quotients", ",".join(["2"] * 12)], 11),
+                       (["--decimal", "0.6180339887498948482045868343656381177203"], 11)):
+        code, payload, _ = run_cli(["cf"] + args, tmp_path)
+        assert code == 0 and len(payload["rows"]) == rows
+    assert main(["cf", "--quotients", "1,1", "--depth", "3"]) == 2
+    assert capsys.readouterr().err == "precondition error: depth 3 outside [1, 2]\n"
+
+
+# sha256 of the counterexample's stdout and dump file under SOURCE_DATE_EPOCH=0, recorded
+# with the exact per-point integer evaluation; the array evaluation must keep every byte
+COUNTEREXAMPLE_SHA256 = [
+    (["--stages", "3", "--dump", "st.json"],
+     "7b0b77d5f2e5d2b0512951f0e6e6671148504829fe528d820481a35b87d4e7f8",
+     "5e0d39ae7120520f42cfe1185d47fc3d0a9f128ae496d4106d63ed3767e280a4"),
+    (["--stages", "2", "--include_h", "true"],
+     "6d12e3a0b0a079c75b7c5177a3dc750bb31e875701c932d94e3892c45ef631f2", None),
+]
+
+
+@pytest.mark.parametrize("args, stdout_sha, dump_sha", COUNTEREXAMPLE_SHA256)
+def test_counterexample_bytes_pinned(args, stdout_sha, dump_sha, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    monkeypatch.chdir(tmp_path)
+    assert main(["counterexample"] + args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    if dump_sha is not None:
+        assert hashlib.sha256((tmp_path / "st.json").read_bytes()).hexdigest() == dump_sha
 
 
 @pytest.mark.parametrize("command, flag", [("prime-average", "--N"), ("huxley", "--x"),

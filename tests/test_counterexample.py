@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from skewlab.counterexample import (AlmostSparseSet, RampFunction, StageConstruction,
-                                    TentFunction, eps_n)
+                                    TentFunction, eps_n, orbit_cells)
+from skewlab.dd import MULMOD_LIMIT
 from skewlab.diophantine import ContinuedFraction, cf_from_quotients
 from skewlab.errors import ConstructionError, InvalidInputError, PreconditionError
 from skewlab.presets import counterexample_stages
@@ -100,6 +101,70 @@ def test_integer_evaluator_matches_fraction_oracle(variant, solved3):
     for w in (1, 5, 17):
         assert st.birkhoff0(w) == _oracle_birkhoff0(st, w, st.solved())
     assert st.f(1) is st.f(1)
+
+
+@pytest.mark.parametrize("variant", ["standard", "include_h"])
+def test_array_evaluator_equals_exact_path_on_every_window_point(variant, solved3):
+    if variant == "standard":
+        st = solved3
+    else:
+        st = counterexample_stages(n_stages=2, include_h=True)
+        st.solve_all()
+    alpha = st.cf.value
+    P, Q = alpha.numerator, alpha.denominator
+    for n in range(1, st.solved() + 1):
+        window = st._stages[n]["window"]
+        ws, nums = np.asarray(window, dtype=np.int64), [w * P % Q for w in window]
+        for m in range(1, st.solved() + 1):
+            terms = [st.f(m)] + ([st.h(m)] if st.include_h else [])
+            for term in terms:
+                got, fallbacks = term.at_multiples(ws, alpha)
+                assert np.array_equal(got, term.at_fractions(nums, Q))
+                assert fallbacks < 100
+    assert sum(st.exact_fallbacks.values()) < 100
+
+
+def _exact_cells(ws, alpha, q, p):
+    rho = q * alpha - p
+    ks = [math.floor(w * rho) for w in ws]
+    ss = [(w + k * pow(p, -1, q)) % q for w, k in zip(ws, ks)]
+    return ks, ss, [float((w * rho - k) / q) for w, k in zip(ws, ks)]
+
+
+# (q, p, rho): alpha = (p + rho)/q; multiples of 1/3, 5/(2**40 + 1) and -2/7 hit
+# frac(w rho) = 0, rho = 1/2 + 2**-54 makes frac(rho)/4 a rounding tie, and the last
+# case takes mulmod's largest modulus with floor(w rho) up to 2**38
+@pytest.mark.parametrize("q, p, rho", [(7, 3, Fraction(1, 3)), (46, 13, Fraction(5, 2**40 + 1)),
+                                       (4, 1, Fraction(1, 2) + Fraction(1, 2**54)),
+                                       (MULMOD_LIMIT - 1, 3**26, Fraction(-2, 7))])
+def test_orbit_cells_exact_where_not_certified(q, p, rho):
+    alpha = (p + rho) / q
+    rng = np.random.default_rng(q)
+    zeros = [rho.denominator * int(t) for t in rng.integers(1, 2**12, 50)] * (q != 4)
+    ws = np.array(zeros + [-z for z in zeros[:10]] + [1, 0, -1]
+                  + rng.integers(-2**40, 2**40, 1000).tolist(), dtype=np.int64)
+    k, s, off, fallbacks = orbit_cells(ws, alpha, q, p)
+    ks, ss, offs = _exact_cells(ws.tolist(), alpha, q, p)
+    assert k.tolist() == ks and s.tolist() == ss
+    assert np.array_equal(off, offs)
+    assert fallbacks >= sum(o == 0.0 for o in offs) + (q == 4)  # the w = 1 tie
+    empty = orbit_cells(np.array([], dtype=np.int64), alpha, q, p)
+    assert [a.size for a in empty[:3]] == [0, 0, 0] and empty[3] == 0
+
+
+def test_cells_beyond_mulmod_fall_back_to_integers():
+    cf = cf_from_quotients([1] * 80)
+    k = next(k for k in range(80) if cf.q(k) >= MULMOD_LIMIT)
+    q, p = cf.q(k), cf.p(k)
+    ws = np.random.default_rng(1).integers(-2**52, 2**52, 200)
+    kk, s, off, fallbacks = orbit_cells(ws, cf.value, q, p)
+    assert fallbacks == ws.size
+    assert (kk.tolist(), s.tolist(), off.tolist()) == _exact_cells(ws.tolist(), cf.value, q, p)
+    f = RampFunction(q, cf.q(k + 1), p, [0, q // 3], [2.0, 3.0])
+    P, Q = cf.value.numerator, cf.value.denominator
+    got, fallbacks = f.at_multiples(ws, cf.value)
+    assert fallbacks == ws.size
+    assert np.array_equal(got, f.at_fractions([int(w) * P % Q for w in ws], Q))
 
 
 def test_float_path_residue_is_exact(solved3):
