@@ -1,7 +1,9 @@
 """Dirichlet character groups and the windowed/progression prime statistics.
 
-Characters are built by CRT over prime-power factors with discrete-log tables
-on the cyclic parts; values live as exact roots of unity (group exponent L,
+Characters are built by CRT over prime-power factors, one record per cyclic
+factor of (Z/q)*: its prime, modulus, order, discrete-log table (the powers of
+its generator, by doubling) and conductor exponent offset, so the conductor is
+a per-factor lookup.  Values live as exact roots of unity (group exponent L,
 integer exponents) and materialize to complex rows on demand, so a table for
 q up to 1e6 costs O(q * omega(q)) memory rather than phi(q) * q.  A value row
 is a lookup: each table builds the root table zeta_L^0, ..., zeta_L^(L-1)
@@ -20,6 +22,7 @@ work, independent of x.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -28,7 +31,7 @@ import numpy as np
 
 from skewlab.errors import (IntegrityError, InvalidInputError, PreconditionError, RangeError,
                             ResourceError)
-from skewlab.primes import default_source, euler_phi, factorize
+from skewlab.primes import coprime_mask, default_source, euler_phi, factorize
 from skewlab.skew_dynamics import e
 
 # elements of one (z, t) block of window positions in the beta-sup statistics
@@ -57,55 +60,58 @@ def _primitive_root_prime_power(p: int, e: int) -> int:
     return g
 
 
-def _dlog_table(modulus: int, gen: int, order: int) -> np.ndarray:
+def _powers(g: int, n: int, m: int) -> np.ndarray:
+    """g^0, ..., g^(n-1) mod m by doubling; int64 products stay below m^2 <= 1e12."""
+    out = np.ones(n, dtype=np.int64)
+    size, step = 1, g % m  # out[:size] is filled and step = g^size mod m
+    while size < n:
+        take = min(size, n - size)
+        out[size : size + take] = out[:take] * step % m
+        size += take
+        step = step * step % m
+    return out
+
+
+def _dlog_table(modulus: int, residues: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """logs[i] at residues[i] over [0, modulus), -1 on the other residues."""
     tbl = np.full(modulus, -1, dtype=np.int64)
-    v = 1
-    for j in range(order):
-        tbl[v] = j
-        v = v * gen % modulus
+    tbl[residues] = logs
     return tbl
 
 
+@dataclass(frozen=True, eq=False)
 class _Component:
-    """One cyclic factor of (Z/q)*: modulus p^e, order, dlog table."""
+    """One cyclic factor of (Z/q)* at the prime p: modulus p^e, order, dlog table.
 
-    def __init__(self, modulus, order, dlog):
-        self.modulus = modulus
-        self.order = order
-        self.dlog = dlog
+    A character of order d > 1 on the factor has conductor p^(c + v_p(d)),
+    with the offset c = 2 on the factor <5> of (Z/2^e)* and c = 1 on the others.
+    """
+
+    p: int
+    modulus: int
+    order: int
+    dlog: np.ndarray
+    c: int = 1
 
 
-def _components_of(q: int):
+def _components_of(q: int) -> list:
     comps = []
-    cond_info = []  # (p, e, kind) per component, kind in {odd, four, minus_one, five}
     for p, ex in factorize(q):
         pe = p**ex
-        if p == 2:
-            if ex == 1:
-                continue  # (Z/2)* trivial
-            if ex == 2:
-                comps.append(_Component(4, 2, _dlog_table(4, 3, 2)))
-                cond_info.append((2, 2, "four"))
-            else:
-                minus = np.full(pe, -1, dtype=np.int64)
-                five = np.full(pe, -1, dtype=np.int64)
-                v = 1
-                for kb in range(pe // 4):
-                    minus[v] = 0
-                    five[v] = kb
-                    minus[pe - v] = 1
-                    five[pe - v] = kb
-                    v = v * 5 % pe
-                comps.append(_Component(pe, 2, minus))
-                cond_info.append((2, ex, "minus_one"))
-                comps.append(_Component(pe, pe // 4, five))
-                cond_info.append((2, ex, "five"))
-        else:
+        if p != 2:
             order = pe // p * (p - 1)
-            g = _primitive_root_prime_power(p, ex)
-            comps.append(_Component(pe, order, _dlog_table(pe, g, order)))
-            cond_info.append((p, ex, "odd"))
-    return comps, cond_info
+            powers = _powers(_primitive_root_prime_power(p, ex), order, pe)
+            comps.append(_Component(p, pe, order, _dlog_table(pe, powers, np.arange(order))))
+        elif ex >= 2:
+            # (Z/2^e)* = <-1> x <5>: a = +-5^k, and {5^k} and {-5^k} are disjoint
+            n = pe // 4
+            five = _powers(5, n, pe)
+            signed = np.concatenate([five, pe - five])
+            comps.append(_Component(2, pe, 2, _dlog_table(pe, signed, np.repeat([0, 1], n))))
+            if ex >= 3:  # <5> is trivial mod 4
+                k = np.tile(np.arange(n), 2)
+                comps.append(_Component(2, pe, n, _dlog_table(pe, signed, k), c=2))
+    return comps
 
 
 class Character:
@@ -122,35 +128,22 @@ class Character:
     def is_principal(self) -> bool:
         return all(k == 0 for k in self.ks)
 
+    def _component_orders(self) -> list:
+        """d_j = order_j / gcd(order_j, k_j), the order of chi on each cyclic factor."""
+        return [comp.order // math.gcd(comp.order, k)
+                for k, comp in zip(self.ks, self.table.components)]
+
     def order(self) -> int:
-        o = 1
-        for k, comp in zip(self.ks, self.table.components):
-            o = math.lcm(o, comp.order // math.gcd(comp.order, k))
-        return o
+        return math.lcm(*self._component_orders())
 
     def conductor(self) -> int:
-        if self.q == 1:
-            return 1
-        cond = 1
-        two_part = 1
-        for k, comp, (p, ex, kind) in zip(self.ks, self.table.components, self.table._cond_info):
-            d = comp.order // math.gcd(comp.order, k)  # order of this component character
-            if d == 1:
-                continue
-            if kind == "odd":
-                vp = 0
-                dd = d
-                while dd % p == 0:
-                    dd //= p
-                    vp += 1
-                cond *= p ** (1 + vp)
-            elif kind == "four":
-                two_part = max(two_part, 4)
-            elif kind == "minus_one":
-                two_part = max(two_part, 4)
-            elif kind == "five":
-                two_part = max(two_part, 4 * d)
-        return cond * two_part
+        """prod over p | q of the largest p^(c_j + v_p(d_j)) over the factors j at p
+        with d_j > 1, that is the lcm of these prime powers; only the two factors
+        of 2^e share a prime.  d_j divides the order, whose p-part divides p^e, so
+        gcd(d_j, p^e) = p^v_p(d_j)."""
+        return math.lcm(*[comp.p**comp.c * math.gcd(d, comp.modulus)
+                          for comp, d in zip(self.table.components, self._component_orders())
+                          if d > 1])
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.q
@@ -175,16 +168,14 @@ class CharacterTable:
         if q > self.MAX_Q:
             raise ResourceError(f"character table capped at q <= {self.MAX_Q}")
         self.q = q
-        self.components, self._cond_info = _components_of(q)
-        self.exponent = 1
-        for comp in self.components:
-            self.exponent = math.lcm(self.exponent, comp.order)
+        self.components = _components_of(q)
+        self.exponent = math.lcm(*(comp.order for comp in self.components))
         self.phi = euler_phi(q)
-        # per-component dlog over [0, q); units read off gcd so that factors
-        # with trivial unit group (2^1) still constrain membership
-        a = np.arange(q, dtype=np.int64) if q > 1 else np.zeros(1, dtype=np.int64)
-        self._dlogs = [np.maximum(comp.dlog[a % comp.modulus], 0) for comp in self.components]
-        self._non_units = np.flatnonzero(np.gcd(a, q) != 1) if q > 1 else np.zeros(0, np.int64)
+        # per-component dlog over [0, q); units read off the primes of q so that
+        # factors with trivial unit group (2^1) still constrain membership
+        self._dlogs = [np.tile(np.maximum(comp.dlog, 0), q // comp.modulus)
+                       for comp in self.components]
+        self._non_units = np.flatnonzero(~coprime_mask(0, q - 1, [p for p, _ in factorize(q)]))
 
     @functools.cached_property
     def _roots(self) -> np.ndarray:
@@ -196,7 +187,7 @@ class CharacterTable:
         # each term k (L / order) dlog is below L * q, so the int64 sum over the
         # r <= 8 components stays below r L q <= 8e12 for q <= MAX_Q
         L = self.exponent
-        row = np.zeros(self.q if self.q > 1 else 1, dtype=np.int64)
+        row = np.zeros(self.q, dtype=np.int64)
         for k, comp, D in zip(ks, self.components, self._dlogs):
             if k:
                 row += (k * (L // comp.order)) * D
@@ -208,17 +199,11 @@ class CharacterTable:
         return self.phi
 
     def __iter__(self):
-        ranges = [range(comp.order) for comp in self.components]
-        if not ranges:
-            yield Character(self, ())
-            return
-        import itertools
-
-        for ks in itertools.product(*ranges):
+        for ks in itertools.product(*(range(comp.order) for comp in self.components)):
             yield Character(self, ks)
 
     def principal(self) -> Character:
-        return Character(self, tuple(0 for _ in self.components))
+        return Character(self, (0,) * len(self.components))
 
     def orthogonality_defect(self) -> float:
         """max over character pairs of |sum_a chi(a) conj(psi(a)) - phi(q) delta|."""
@@ -438,7 +423,8 @@ def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int, primes=None,
 
     Only the H = x collapse (single y window) is offered at scale; the prime
     side then depends on p only through p_q, so the sum collapses onto the
-    residue histogram of log-weights.
+    residue histogram of log-weights.  The sup over beta is the maximum over
+    beta_policy.grid(Hp), with no golden-section refine.
     """
     if H != x:
         raise ResourceError("general H < x windows are desk-infeasible; use H = x")
@@ -464,7 +450,7 @@ def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int, primes=None,
             best = np.maximum(best, np.hypot(diff_re, diff_im).reshape(nz, r).max(axis=1))
         sups.append(best)
     total = sum(np.concatenate(sups).tolist())
-    return {"value": total, "trivial_scale": float(x) * H * Hp, "policy": beta_policy.name}
+    return {"value": total, "trivial_scale": float(x) * H * Hp}
 
 
 def residue_progression_gap(q: int, r: int, d: int) -> dict:
@@ -473,12 +459,9 @@ def residue_progression_gap(q: int, r: int, d: int) -> dict:
         raise PreconditionError(f"need (r, q) = 1")
     if d < 1 or q % d != 0:
         raise InvalidInputError(f"d = {d} must divide q = {q}")
-    n = np.arange(q + 1, dtype=np.int64)
-    mask = np.ones(q + 1, dtype=np.float64)
-    mask[0] = 0.0
-    for p, _ in factorize(d):
-        mask[::p] = 0.0
-    counts = np.bincount((n % r).astype(np.int64), weights=mask, minlength=r)
+    n = np.arange(1, q + 1, dtype=np.int64)
+    mask = coprime_mask(1, q, [p for p, _ in factorize(d)])
+    counts = np.bincount(n % r, weights=mask, minlength=r)
     normalizer = euler_phi(d) / d * q / r
     gap = float(np.mean(np.abs(counts - normalizer)))
     return {"value": gap, "normalizer": normalizer}
@@ -494,23 +477,15 @@ def twisted_residue_window(q: int, d: int, r: int, a: int, y: int, H: int, beta:
     if abs(beta) > math.exp(-r):
         raise RangeError(f"|beta| = {abs(beta):.3e} beyond e^(-r)")
     n = np.arange(y, y + H + 1, dtype=np.int64)
-    cop_d = np.ones(len(n), dtype=bool)
-    for p, _ in factorize(d):
-        cop_d &= n % p != 0
+    cop_d = coprime_mask(y, y + H, [p for p, _ in factorize(d)])
     first = complex(np.sum(e(n[cop_d & (n % r == a % r)] * beta)))
-    cop_rd = cop_d.copy()
-    for p, _ in factorize(r):
-        cop_rd &= n % p != 0
+    cop_rd = cop_d & coprime_mask(y, y + H, [p for p, _ in factorize(r)])
     second = complex(np.sum(e(n[cop_rd] * beta)) / euler_phi(r))
     return first, second
 
 
 def window_coprime_count(qp: int, y: int, H: int) -> dict:
     """#{n in [y, y+H] : (n, q') = 1} against the smooth count H phi(q')/q'."""
-    n = np.arange(y, y + H + 1, dtype=np.int64)
-    mask = np.ones(len(n), dtype=bool)
-    for p, _ in factorize(qp):
-        mask &= n % p != 0
-    count = int(np.count_nonzero(mask))
+    count = int(np.count_nonzero(coprime_mask(y, y + H, [p for p, _ in factorize(qp)])))
     expected = (H + 1) * euler_phi(qp) / qp
     return {"count": count, "expected": expected, "gap": abs(count - expected)}

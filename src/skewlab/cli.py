@@ -34,7 +34,9 @@ DISCREPANCY_MAX_TERMS = 10**9
 # the other work budgets, each about half a minute on a 2-core desk machine
 COCYCLE_MAX_SAMPLES = 10**4  # ~2.2 ms a sample
 PHASE_MAX_ROWS = 5 * 10**4  # ~0.7 ms a row; rows = scales * m_samples * x_grid
-IDENTITIES_MAX_N = 10**5  # Heath-Brown sweeps one (N + 1)-array per prime up to N
+# Heath-Brown: k Dirichlet convolutions, ~0.1 s each at N = 1e5, then one (N // p + 1)-array
+# per prime p <= N, O(N log log N) in all
+IDENTITIES_MAX_N = 10**5
 BUCHSTAB_MAX_WINDOWS = 10**4  # ~2 ms a window
 # keys every command takes, with their least values; kernels are serial with fixed
 # reduction order, so any thread count gives the same bytes and threads is provenance

@@ -442,11 +442,15 @@ class StageConstruction:
         return rows
 
     def _slope_steps(self, n):
-        """|L(s+1) - L(s)| at the window residues, their successors, 0 and q-1."""
+        """|L(s+1) - L(s)| at 0, the window residues and their successors, s < q - 1."""
         st = self._stages[n]
         q, ws = st["q"], st["window_s"]
-        s = np.unique(np.concatenate([ws, (ws + 1) % q, [0, q - 1]]))
-        s = s[s + 1 < q]
+        # ws is strictly increasing, so 0, ws[0], ws[0] + 1, ws[1], ... is sorted and
+        # repeats a value only in adjacent entries
+        s = np.zeros(2 * len(ws) + 1, dtype=np.int64)
+        s[1::2], s[2::2] = ws, ws + 1
+        s = s[s < q - 1]
+        s = s[np.diff(s, prepend=-1) != 0]
         l_of = st["f"].L_of_s
         return s, np.abs(l_of(s + 1) - l_of(s))
 

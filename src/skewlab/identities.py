@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from skewlab.errors import IntegrityError, PreconditionError, ResourceError
-from skewlab.primes import factorize, mobius_upto, simple_sieve
+from skewlab.primes import coprime_mask, factorize, mobius_upto, simple_sieve
 
 
 class LogVector:
@@ -194,24 +194,20 @@ def heathbrown_coeff_check(k: int, z: int, N: int) -> float:
         raise ResourceError(f"Heath-Brown coordinates for k={k} on [1, {N}] would exceed int64")
     worst = 0
     for p in simple_sieve(N).tolist():
-        coord = np.zeros(N + 1, dtype=np.int64)
-        pa = p
-        while pa <= N:
-            coord[pa::pa] += W[1 : N // pa + 1]
-            coord[pa] -= 1  # the Lambda(n) coordinate: 1 at n = p^a
-            pa *= p
+        # coordinate p is zero off the multiples n = p m: index it by m <= N // p
+        coord = np.zeros(N // p + 1, dtype=np.int64)
+        pa1 = 1  # p^(a-1); the multiples n of p^a sit at m = p^(a-1) j
+        while pa1 * p <= N:
+            coord[pa1::pa1] += W[1 : N // (pa1 * p) + 1]
+            coord[pa1] -= 1  # the Lambda(n) coordinate: 1 at n = p^a
+            pa1 *= p
         worst = max(worst, int(np.abs(coord).max()))
     return float(worst)
 
 
 def _sieved_count(lo: int, hi: int, z: int) -> int:
     """#{n in [lo, hi] : p | n => p >= z}; n = 1 counts (vacuous condition)."""
-    if hi < lo:
-        return 0
-    keep = np.ones(hi - lo + 1, dtype=bool)
-    for p in simple_sieve(z - 1).tolist():
-        keep[-lo % p :: p] = False
-    return int(np.count_nonzero(keep))
+    return int(np.count_nonzero(coprime_mask(lo, hi, simple_sieve(z - 1).tolist())))
 
 
 def buchstab_check(n_range, w: int, z: int):

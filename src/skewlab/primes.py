@@ -158,6 +158,14 @@ def factorize(n: int):
     return out
 
 
+def coprime_mask(lo: int, hi: int, primes) -> np.ndarray:
+    """Boolean mask over [lo, hi]: True where n is divisible by none of the primes."""
+    keep = np.ones(max(hi - lo + 1, 0), dtype=bool)
+    for p in primes:
+        keep[-lo % p :: p] = False
+    return keep
+
+
 def mobius(n: int) -> int:
     fac = factorize(n)
     if any(e > 1 for _, e in fac):

@@ -19,7 +19,7 @@ from skewlab.cocycle import TrigPoly, birkhoff_closed, orbit_angles
 from skewlab.dd import BLOCK_BITS, dd_from_fraction, frac01_int_mult
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import InvalidInputError, RangeError
-from skewlab.primes import default_source, euler_phi, factorize, segment_windows
+from skewlab.primes import coprime_mask, default_source, euler_phi, factorize, segment_windows
 
 TWO_PI = 2.0 * math.pi
 # the fiber split k = B + (i << _J_BITS) + j of _orbit_phases: B on dd's blocks of
@@ -142,10 +142,7 @@ def _coprime_windows(z: int, d: int):
     """(lo, hi, k in [lo, hi] with (k, d) = 1, ones) per window of [1, z], by striding."""
     strike = [p for p, _ in factorize(d)]
     for lo, hi in segment_windows(z, start=1):
-        keep = np.ones(hi - lo + 1, dtype=np.bool_)
-        for p in strike:
-            keep[-lo % p :: p] = False
-        ks = lo + np.flatnonzero(keep)
+        ks = lo + np.flatnonzero(coprime_mask(lo, hi, strike))
         yield lo, hi, ks, np.ones(ks.shape)
 
 

@@ -10,7 +10,7 @@ from skewlab.char_sums import (BetaPolicy, build_characters, gauss_sum,
                                twisted_residue_window, window_coprime_count,
                                windowed_twisted_stat)
 from skewlab.errors import IntegrityError, PreconditionError, ResourceError
-from skewlab.primes import default_source, euler_phi, primes_in
+from skewlab.primes import default_source, euler_phi, factorize, primes_in
 from skewlab.skew_dynamics import e
 
 
@@ -79,6 +79,59 @@ def test_conductor_against_structure():
     # mod p prime: conductor is 1 or p
     tab = build_characters(13)
     assert {c.conductor() for c in tab} == {1, 13}
+
+
+def _conductor_oracle(tab):
+    """Per character, the least f | q with chi(a) = 1 on every unit a = 1 mod f."""
+    q = tab.q
+    rows = np.stack([chi.values() for chi in tab])
+    a = np.arange(q)
+    units = np.gcd(a, q) == 1
+    cond = np.zeros(len(rows), dtype=np.int64)
+    for f in (f for f in range(1, q + 1) if q % f == 0):
+        kernel = units & (a % f == 1 % f)
+        trivial = np.all(np.abs(rows[:, kernel] - 1) < 1e-9, axis=1)
+        cond[(cond == 0) & trivial] = f
+    return cond.tolist()
+
+
+@pytest.mark.parametrize("qs", [range(1, 201), (256, 1000, 1024, 1155)],
+                         ids=["q<=200", "256,1000,1024,1155"])
+def test_conductor_matches_kernel_oracle(qs):
+    for q in qs:
+        tab = build_characters(q)
+        assert [chi.conductor() for chi in tab] == _conductor_oracle(tab), q
+
+
+def _loop_dlog_tables(q):
+    """(modulus, order, dlog) per cyclic factor, each table built element by element."""
+    out = []
+    for p, ex in factorize(q):
+        pe = p**ex
+        if p == 2 and ex >= 3:
+            minus, five = [-1] * pe, [-1] * pe
+            v = 1
+            for k in range(pe // 4):
+                minus[v], five[v], minus[pe - v], five[pe - v] = 0, k, 1, k
+                v = v * 5 % pe
+            out += [(pe, 2, minus), (pe, pe // 4, five)]
+        elif pe != 2:
+            order = pe // p * (p - 1)
+            g = 3 if pe == 4 else char_sums._primitive_root_prime_power(p, ex)
+            tbl, v = [-1] * pe, 1
+            for j in range(order):
+                tbl[v] = j
+                v = v * g % pe
+            out.append((pe, order, tbl))
+    return out
+
+
+def test_dlog_tables_match_loop_oracle():
+    for q in [*range(1, 2001), *(2**e for e in range(11, 20)), 999983]:
+        got = [(c.modulus, c.order, c.dlog) for c in char_sums._components_of(q)]
+        want = _loop_dlog_tables(q)
+        assert [g[:2] for g in got] == [w[:2] for w in want], q
+        assert all(np.array_equal(g[2], w[2]) for g, w in zip(got, want)), q
 
 
 def test_gauss_sum_modulus():
@@ -291,25 +344,30 @@ def test_huxley_windows_collapse_and_main_term():
 
 
 def test_huxley_windows_brute_force_oracle():
-    # literal triple-loop oracle at beta = 0, sup over v only
+    # literal loop oracle: sup over v and over the betas of the grid, beta = 0 and the default
+    import cmath
     import math as m
 
     x, q, r, Hp = 500, 23, 3, 4
-    res = huxley_stat_windows(x, x, q, r, Hp, beta_policy=BetaPolicy(name="zero"))
     ps = primes_in(2, x)
     logp = {int(p): m.log(int(p)) for p in ps}
     phi_q = euler_phi(q)
-    brute = 0.0
-    for z in range(q):
-        best = 0.0
-        for v in range(r):
-            s = sum(w for p, w in logp.items()
-                    if p % q % r == v and z <= p % q <= z + Hp)
-            main = sum(x / phi_q for a in range(z, min(z + Hp + 1, q))
-                       if m.gcd(a, q) == 1 and a % r == v)
-            best = max(best, abs(s - main))
-        brute += best
-    assert res["value"] == pytest.approx(brute, rel=1e-9)
+    for policy in (BetaPolicy(name="zero"), BetaPolicy()):
+        res = huxley_stat_windows(x, x, q, r, Hp, beta_policy=policy)
+        assert set(res) == {"value", "trivial_scale"}
+        brute = 0.0
+        for z in range(q):
+            best = 0.0
+            for beta in policy.grid(Hp).tolist():
+                for v in range(r):
+                    s = sum(w * cmath.exp(2j * m.pi * beta * (p % q)) for p, w in logp.items()
+                            if p % q % r == v and z <= p % q <= z + Hp)
+                    main = sum(x / phi_q * cmath.exp(2j * m.pi * beta * a)
+                               for a in range(z, min(z + Hp + 1, q))
+                               if m.gcd(a, q) == 1 and a % r == v)
+                    best = max(best, abs(s - main))
+            brute += best
+        assert res["value"] == pytest.approx(brute, rel=1e-9), policy.name
 
 
 def test_residue_progression_gap():

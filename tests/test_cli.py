@@ -78,6 +78,28 @@ def test_counterexample_bytes_pinned(args, stdout_sha, dump_sha, tmp_path, monke
         assert hashlib.sha256((tmp_path / "st.json").read_bytes()).hexdigest() == dump_sha
 
 
+# sha256 of charsum stdout under SOURCE_DATE_EPOCH=0, recorded with the character groups
+# built from per-element dlog loops and per-kind conductor rules; every byte must stay
+CHARSUM_SHA256 = [
+    (["--stat", "gauss", "--q", "1024"],
+     "145a5470bc43508f71e2f8340ed5e69b701240e0335bc9df1a561b5f90aaedcd"),
+    (["--stat", "gauss", "--q", "1155"],
+     "ca6e622cb0b63e5dda6253907a198bae0bb3bcb7ec8f880e34f50c65714093dc"),
+    (["--stat", "progression", "--q", "1155", "--r", "2"],
+     "918bbf13a696fd571964fc5658993b0a77c2ea66e7dd70988e6c5af4d1559778"),
+    (["--stat", "windowed", "--q", "1009"],
+     "66018becc3a3cb0e0a4878e01b97dea787062fe43234a689117857f7b67e48fb"),
+]
+
+
+@pytest.mark.parametrize("args, stdout_sha", CHARSUM_SHA256,
+                         ids=["gauss-1024", "gauss-1155", "progression-1155", "windowed-1009"])
+def test_charsum_bytes_pinned(args, stdout_sha, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    assert main(["charsum"] + args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+
+
 @pytest.mark.parametrize("command, flag", [("prime-average", "--N"), ("huxley", "--x"),
                                            ("charsum", "--gauss_x")],
                          ids=["prime-average", "huxley", "charsum"])

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -275,6 +276,36 @@ def test_interpolation_monotone_between_decreasing_targets(solved):
 def test_invariants_after_solve(solved):
     for n in range(1, solved.solved() + 1):
         assert solved.check_invariants(n)
+
+
+def _unique_slope_probes(q, ws):
+    """The slope probes as one hash pass picks them: 0, ws, ws + 1 mod q and q - 1, below q - 1."""
+    s = np.unique(np.concatenate([ws, (ws + 1) % q, [0, q - 1]]))
+    return s[s + 1 < q]
+
+
+def test_slope_probes_match_unique_oracle(solved3):
+    for n in (1, 2, 3):
+        st = solved3._stages[n]
+        probes, steps = solved3._slope_steps(n)
+        want = _unique_slope_probes(st["q"], st["window_s"])
+        assert probes.dtype == want.dtype and np.array_equal(probes, want), n
+        l_of = st["f"].L_of_s
+        assert np.array_equal(steps, np.abs(l_of(want + 1) - l_of(want))), n
+    # seeded windows: some hold q - 1, 0 or runs of adjacent residues, one is all of [0, q)
+    rng = np.random.default_rng(16)
+    cases = [(q, np.sort(rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False)))
+             for q in (2, 3, 7, 50, 1000) for _ in range(30)]
+    cases += [(q, np.array(ws)) for q, ws in ((9, [8]), (9, [0]), (9, [0, 1, 2, 6, 7, 8]),
+                                              (9, range(9)), (2, [0, 1]))]
+    square = SimpleNamespace(L_of_s=lambda s: s * s)
+    for q, ws in cases:
+        ws = ws.astype(np.int64)
+        fake = SimpleNamespace(_stages={1: {"q": q, "window_s": ws, "f": square}})
+        probes, steps = StageConstruction._slope_steps(fake, 1)
+        want = _unique_slope_probes(q, ws)
+        assert probes.dtype == want.dtype and np.array_equal(probes, want), (q, ws.tolist())
+        assert np.array_equal(steps, 2 * want + 1)
 
 
 def test_continuity_certificate_decays(solved):

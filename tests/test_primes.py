@@ -93,6 +93,21 @@ def test_phi_multiplicative(a, b):
         assert euler_phi(a * b) == euler_phi(a) * euler_phi(b)
 
 
+def test_coprime_mask_matches_remainders():
+    rng = np.random.default_rng(5)
+    small = simple_sieve(400)
+    for _ in range(100):
+        lo = int(rng.integers(0, 10**6))
+        hi = lo + int(rng.integers(-1, 500))  # hi = lo - 1: the empty window
+        ps = rng.choice(small, size=int(rng.integers(0, 6)), replace=False).tolist()
+        n = np.arange(lo, hi + 1)
+        want = np.ones(len(n), dtype=bool)
+        for p in ps:
+            want &= n % p != 0
+        got = primes.coprime_mask(lo, hi, ps)
+        assert got.dtype == bool and np.array_equal(got, want), (lo, hi, ps)
+
+
 def test_mobius_upto_agrees_pointwise():
     mu = mobius_upto(3000)
     for n in range(1, 3001):
