@@ -3,12 +3,11 @@
 Characters are built by CRT over prime-power factors, one record per cyclic
 factor of (Z/q)*: its prime, modulus, order, discrete-log table (the powers of
 its generator, by doubling) and conductor exponent offset, so the conductor is
-a per-factor lookup.  Values live as exact roots of unity (group exponent L,
-integer exponents) and materialize to complex rows on demand, so a table for
-q up to 1e6 costs O(q * omega(q)) memory rather than phi(q) * q.  A value row
-is a lookup: each table builds the root table zeta_L^0, ..., zeta_L^(L-1)
-followed by 0 once, and indexes it with the exponent row, whose -1 on non-units
-reads the trailing 0.
+a per-factor lookup.  Values are exact roots of unity (group exponent L, integer
+exponents), so a table costs O(q omega(q)) memory, not phi(q) q: it builds the
+exponent rows of a block of WINDOW_BLOCK_ELEMS / q consecutive characters by one
+matrix product, and a character gathers its read-only complex row from
+zeta_L^0, ..., zeta_L^(L-1), 0 (non-units) once.
 
 The sup-over-beta window statistics (windowed_twisted_stat and
 huxley_stat_windows) evaluate every window start z < q at once: each beta of
@@ -42,22 +41,13 @@ WINDOW_BLOCK_ELEMS = 1 << 16
 # character group construction
 
 
-def _primitive_root_prime(p: int) -> int:
-    phi = p - 1
-    fac = [f for f, _ in factorize(phi)]
-    for g in range(2, p):
-        if all(pow(g, phi // f, p) != 1 for f in fac):
-            return g
-    raise IntegrityError(f"no primitive root mod {p}")
-
-
 def _primitive_root_prime_power(p: int, e: int) -> int:
-    g = _primitive_root_prime(p)
-    if e == 1:
-        return g
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
+    """The least primitive root g mod p, or g + p when e > 1 and g^(p-1) = 1 mod p^2."""
+    fac = [f for f, _ in factorize(p - 1)]
+    g = next((g for g in range(2, p) if all(pow(g, (p - 1) // f, p) != 1 for f in fac)), None)
+    if g is None:
+        raise IntegrityError(f"no primitive root mod {p}")
+    return g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g
 
 
 def _powers(g: int, n: int, m: int) -> np.ndarray:
@@ -94,9 +84,10 @@ class _Component:
     c: int = 1
 
 
-def _components_of(q: int) -> list:
+def _components_of(fac) -> list:
+    """The cyclic factors of (Z/q)*, from the factorization [(p, e), ...] of q."""
     comps = []
-    for p, ex in factorize(q):
+    for p, ex in fac:
         pe = p**ex
         if p != 2:
             order = pe // p * (p - 1)
@@ -115,18 +106,17 @@ def _components_of(q: int) -> list:
 
 
 class Character:
-    """One Dirichlet character mod q, stored as exponents of zeta_L."""
+    """One Dirichlet character mod q, stored as exponents of zeta_L; its value row
+    (read-only) and its conductor are computed on the first request and kept."""
+
+    __slots__ = ("table", "q", "ks", "_values", "_conductor")
 
     def __init__(self, table, ks):
-        self.table = table
-        self.ks = tuple(int(k) for k in ks)
-
-    @property
-    def q(self):
-        return self.table.q
+        self.table, self.q, self.ks = table, table.q, tuple(map(int, ks))
+        self._values = self._conductor = None
 
     def is_principal(self) -> bool:
-        return all(k == 0 for k in self.ks)
+        return not any(self.ks)
 
     def _component_orders(self) -> list:
         """d_j = order_j / gcd(order_j, k_j), the order of chi on each cyclic factor."""
@@ -141,24 +131,29 @@ class Character:
         with d_j > 1, that is the lcm of these prime powers; only the two factors
         of 2^e share a prime.  d_j divides the order, whose p-part divides p^e, so
         gcd(d_j, p^e) = p^v_p(d_j)."""
-        return math.lcm(*[comp.p**comp.c * math.gcd(d, comp.modulus)
-                          for comp, d in zip(self.table.components, self._component_orders())
-                          if d > 1])
+        if self._conductor is None:
+            self._conductor = math.lcm(*[
+                comp.p**comp.c * math.gcd(d, comp.modulus)
+                for comp, d in zip(self.table.components, self._component_orders()) if d > 1])
+        return self._conductor
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.q
 
-    def exponents(self) -> np.ndarray:
-        """Exponent row over [0, q): chi(a) = zeta_L^row[a], -1 marks non-units."""
-        return self.table._exponent_row(self.ks)
-
     def values(self) -> np.ndarray:
-        """Complex value row over [0, q), 0 on non-units."""
-        return self.table._roots[self.exponents()]
+        """Complex value row over [0, q), 0 on non-units; read-only."""
+        if self._values is None:
+            tab = self.table
+            n = sum(k % o * s for k, o, s in zip(self.ks, tab._orders, tab._strides))
+            self._values = tab._roots.take(tab._exponent_block(n - n % tab._block)[n % tab._block])
+            self._values.setflags(write=False)
+        return self._values
 
 
 class CharacterTable:
-    """The full group of Dirichlet characters mod q."""
+    """The full group of Dirichlet characters mod q.  Character n of the iteration
+    order (mixed radix over the component orders, the last fastest) lies in block
+    n // B, B = WINDOW_BLOCK_ELEMS // q; the table holds one block's exponent rows."""
 
     MAX_Q = 10**6
 
@@ -168,38 +163,54 @@ class CharacterTable:
         if q > self.MAX_Q:
             raise ResourceError(f"character table capped at q <= {self.MAX_Q}")
         self.q = q
-        self.components = _components_of(q)
-        self.exponent = math.lcm(*(comp.order for comp in self.components))
-        self.phi = euler_phi(q)
-        # per-component dlog over [0, q); units read off the primes of q so that
-        # factors with trivial unit group (2^1) still constrain membership
-        self._dlogs = [np.tile(np.maximum(comp.dlog, 0), q // comp.modulus)
-                       for comp in self.components]
-        self._non_units = np.flatnonzero(~coprime_mask(0, q - 1, [p for p, _ in factorize(q)]))
+        fac = factorize(q)
+        self.components = _components_of(fac)
+        self._orders = [comp.order for comp in self.components]
+        self.exponent = math.lcm(*self._orders)
+        self.phi = math.prod(self._orders)  # |(Z/q)*|
+        self._strides = [math.prod(self._orders[j + 1 :]) for j in range(len(self._orders))]
+        # per-component dlog over [0, q), -1 off its units; the non-units, read off the
+        # primes of q so that a factor 2^1 with trivial unit group counts, get exponent L
+        self._dlogs = np.array([np.tile(comp.dlog, q // comp.modulus) for comp in self.components],
+                               dtype=np.float64).reshape(-1, q)
+        self._non_units = np.flatnonzero(~coprime_mask(0, q - 1, [p for p, _ in fac]))
+        self._block = max(1, WINDOW_BLOCK_ELEMS // q)
+        # buffers allocated once, and the first character and rows of the block they hold
+        self._buffers, self._block_lo, self._block_rows = None, -1, None
 
     @functools.cached_property
     def _roots(self) -> np.ndarray:
-        """zeta_L^j for j < L, then 0 at index L (read by the exponent -1)."""
+        """zeta_L^j for j < L, then 0 at index L (read by the non-units)."""
         L = self.exponent
         return np.append(np.exp(2j * np.pi * (np.arange(L, dtype=np.float64) / L)), 0.0)
 
-    def _exponent_row(self, ks) -> np.ndarray:
-        # each term k (L / order) dlog is below L * q, so the int64 sum over the
-        # r <= 8 components stays below r L q <= 8e12 for q <= MAX_Q
+    def _exponent_block(self, lo: int) -> np.ndarray:
+        """Exponent rows sum_j k_j (L / order_j) dlog_j mod L (L on non-units) of the
+        block from character lo, by one float64 product of (block x r) coefficients and
+        (r x q) dlogs.  Each term is below L order_j <= L q, so the sum over r <= 8
+        components stays below r L q <= 8e12 < 2^53 for q <= MAX_Q: the product is
+        exact in any order, and so is floor(prod / L).  The next block overwrites them."""
+        if lo == self._block_lo:
+            return self._block_rows
+        if self._buffers is None:
+            B, q = self._block, self.q
+            self._buffers = (np.empty((B, len(self._orders))), np.empty((B, q)),
+                             np.empty((B, q)), np.empty((B, q), dtype=np.int64))
+        n = np.arange(lo, min(lo + self._block, self.phi))
+        coef, prod, quot, rows = (buf[: len(n)] for buf in self._buffers)
         L = self.exponent
-        row = np.zeros(self.q, dtype=np.int64)
-        for k, comp, D in zip(ks, self.components, self._dlogs):
-            if k:
-                row += (k * (L // comp.order)) * D
-        row %= L
-        row[self._non_units] = -1
-        return row
-
-    def __len__(self):
-        return self.phi
+        for j, (order, stride) in enumerate(zip(self._orders, self._strides)):
+            coef[:, j] = n // stride % order * (L // order)
+        np.dot(coef, self._dlogs, out=prod)
+        np.floor(np.divide(prod, L, out=quot), out=quot)
+        quot *= L
+        rows[...] = np.subtract(prod, quot, out=prod)
+        rows[:, self._non_units] = L
+        self._block_lo, self._block_rows = lo, rows
+        return rows
 
     def __iter__(self):
-        for ks in itertools.product(*(range(comp.order) for comp in self.components)):
+        for ks in itertools.product(*(range(order) for order in self._orders)):
             yield Character(self, ks)
 
     def principal(self) -> Character:
@@ -207,14 +218,15 @@ class CharacterTable:
 
     def orthogonality_defect(self) -> float:
         """max over character pairs of |sum_a chi(a) conj(psi(a)) - phi(q) delta|."""
-        rows = np.stack([chi.values() for chi in self])
+        rows = np.empty((self.phi, self.q), dtype=np.complex128)
+        for lo in range(0, self.phi, self._block):  # "clip" is unbuffered; all in [0, L]
+            self._roots.take(self._exponent_block(lo), out=rows[lo : lo + self._block], mode="clip")
         gram = rows @ rows.conj().T
         target = self.phi * np.eye(len(rows))
         return float(np.max(np.abs(gram - target)))
 
 
-def build_characters(q: int) -> CharacterTable:
-    return CharacterTable(q)
+build_characters = CharacterTable
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +251,7 @@ def gauss_sum(chi: Character, x: int) -> complex:
     if not chi.is_primitive():
         raise PreconditionError("gauss_sum requires a primitive character")
     ee = chi.q
-    val = complex(np.sum(chi.values() * _additive_twist(ee, x % ee)))
+    val = complex((chi.values() * _additive_twist(ee, x % ee)).sum())
     if abs(val) > math.sqrt(ee) + 1e-9:
         raise IntegrityError(f"|G| = {abs(val)} exceeds sqrt({ee})")
     return val
@@ -252,8 +264,7 @@ def progression_char_stat(q: int, r: int, chi: Character) -> float:
     if chi.is_principal():
         raise PreconditionError("statistic defined for non-principal characters")
     vals = chi.values()
-    a = np.arange(q, dtype=np.int64)
-    keys = (a % r).astype(np.int64)
+    keys = np.arange(q, dtype=np.int64) % r
     # a < q, so the classes v >= q are empty and add 0
     sums_re = np.bincount(keys, weights=vals.real, minlength=min(r, q))
     sums_im = np.bincount(keys, weights=vals.imag, minlength=min(r, q))

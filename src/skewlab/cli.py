@@ -38,6 +38,8 @@ PHASE_MAX_ROWS = 5 * 10**4  # ~0.7 ms a row; rows = scales * m_samples * x_grid
 # per prime p <= N, O(N log log N) in all
 IDENTITIES_MAX_N = 10**5
 BUCHSTAB_MAX_WINDOWS = 10**4  # ~2 ms a window
+# phi(q) value rows of q entries: ~25 ns an entry for charsum progression, ~12 for gauss
+CHARSUM_MAX_ENTRIES = 10**9
 # keys every command takes, with their least values; kernels are serial with fixed
 # reduction order, so any thread count gives the same bytes and threads is provenance
 COMMON = {"seed": 0, "threads": 1}
@@ -157,21 +159,19 @@ def _emit(command, config, rows, out_path):
         "started": _started(),
         "rows": rows,
     }
-    text = json.dumps(envelope, indent=1, sort_keys=True)
-    if out_path is not None:
-        if out_path.endswith(".csv"):
-            with open(out_path, "w", newline="") as fh:
-                if rows:
-                    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                    writer.writeheader()
-                    writer.writerows(rows)
-            with open(out_path + ".json", "w") as fh:
-                fh.write(text + "\n")
-        else:
-            with open(out_path, "w") as fh:
-                fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    text = json.dumps(envelope, indent=1, sort_keys=True) + "\n"
+    if out_path is None:
+        sys.stdout.write(text)
+        return
+    if out_path.endswith(".csv"):
+        with open(out_path, "w", newline="") as fh:
+            if rows:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+        out_path += ".json"
+    with open(out_path, "w") as fh:
+        fh.write(text)
 
 
 def _preset_pair(which):
@@ -227,7 +227,6 @@ def cmd_cocycle_check(samples: int = 100, spec: str = None, decay_rate: float = 
 
         cf, g, _ = prime_pair()
     rng = np.random.default_rng(seed)
-    rows = []
     worst_pair = worst_id = 0.0
     for _ in range(samples):
         n = int(rng.integers(1, 10_000))
@@ -239,9 +238,8 @@ def cmd_cocycle_check(samples: int = 100, spec: str = None, decay_rate: float = 
         lhs = birkhoff_closed(g, cf, n + m, x)
         rhs = c + birkhoff_closed(g, cf, m, x, orbit_shift=n)
         worst_id = max(worst_id, abs(lhs - rhs))
-    rows.append({"check": "closed_vs_direct", "samples": samples, "defect": worst_pair})
-    rows.append({"check": "cocycle_identity", "samples": samples, "defect": worst_id})
-    return rows
+    return [{"check": "closed_vs_direct", "samples": samples, "defect": worst_pair},
+            {"check": "cocycle_identity", "samples": samples, "defect": worst_id}]
 
 
 def cmd_phase(scales: tuple[int, ...] = (1, 2, 3, 4), m_samples: int = 10, w: int = 1,
@@ -308,6 +306,11 @@ def cmd_residue_average(pair: str = "prime", b: int = 0, c: int = 1,
     return rows
 
 
+def _stat_row(stat_name, q, value, scale, x="", H="", r="", Hp=""):
+    return {"stat_name": stat_name, "x": x, "H": H, "q": q, "r": r, "Hp": Hp, "value": value,
+            "trivial_scale": scale, "ratio": _ratio(value, scale)}
+
+
 def cmd_huxley(x: tuple[int, ...] = (10**5,), H: int = None, q: int = 97, r: int = 5):
     from skewlab.char_sums import huxley_stat_progressions
 
@@ -315,50 +318,36 @@ def cmd_huxley(x: tuple[int, ...] = (10**5,), H: int = None, q: int = 97, r: int
     for x1 in x:
         h = x1 if H is None else H
         res = huxley_stat_progressions(x1, h, q, r)
-        rows.append({"stat_name": "huxley_progressions", "x": x1, "H": h, "q": q,
-                     "r": r, "Hp": "", "value": res["value"],
-                     "trivial_scale": res["trivial_scale"],
-                     "ratio": _ratio(res["value"], res["trivial_scale"])})
+        rows.append(_stat_row("huxley_progressions", q, res["value"], res["trivial_scale"],
+                              x=x1, H=h, r=r))
     return rows
 
 
 def cmd_charsum(q: int = 101, stat: str = "progression", r: int = 3, gauss_x: int = 1,
                 Hp: int = None, chi_index: int = 0):
-    from skewlab.char_sums import (build_characters, gauss_sum,
+    from skewlab.char_sums import (CharacterTable, build_characters, gauss_sum,
                                    progression_char_stat, windowed_twisted_stat)
+    from skewlab.primes import euler_phi
 
-    rows = []
+    if stat in ("progression", "gauss") and 1 <= q <= CharacterTable.MAX_Q:
+        _budget("charsum phi(q) * q", euler_phi(q) * q, CHARSUM_MAX_ENTRIES)
     tab = build_characters(q)
     if stat == "progression":
-        for chi in tab:
-            if chi.is_principal():
-                continue
-            v = progression_char_stat(q, r, chi)
-            rows.append({"stat_name": "progression", "x": "", "H": "", "q": q,
-                         "r": r, "Hp": "", "value": v,
-                         "trivial_scale": math.sqrt(r * q) * math.log(q),
-                         "ratio": v / (math.sqrt(r * q) * math.log(q))})
-    elif stat == "gauss":
-        for chi in tab:
-            if chi.is_primitive():
-                v = abs(gauss_sum(chi, gauss_x))
-                rows.append({"stat_name": "gauss", "x": "", "H": "", "q": q, "r": "",
-                             "Hp": "", "value": v, "trivial_scale": math.sqrt(q),
-                             "ratio": v / math.sqrt(q)})
-    elif stat == "windowed":
-        Hp = max(2, int(q**0.25)) if Hp is None else Hp
-        nonprincipal = [c for c in tab if not c.is_principal()]
-        if not 0 <= chi_index < len(nonprincipal):
-            raise PreconditionError(f"chi_index {chi_index} out of range: mod {q} has "
-                                    f"{len(nonprincipal)} non-principal characters")
-        res = windowed_twisted_stat(q, Hp, nonprincipal[chi_index])
-        rows.append({"stat_name": "windowed_twisted", "x": "", "H": "", "q": q,
-                     "r": "", "Hp": Hp, "value": res["value"],
-                     "trivial_scale": res["scale"],
-                     "ratio": _ratio(res["value"], res["scale"])})
-    else:
+        scale = math.sqrt(r * q) * math.log(q)
+        return [_stat_row("progression", q, progression_char_stat(q, r, chi), scale, r=r)
+                for chi in tab if not chi.is_principal()]
+    if stat == "gauss":
+        return [_stat_row("gauss", q, abs(gauss_sum(chi, gauss_x)), math.sqrt(q))
+                for chi in tab if chi.is_primitive()]
+    if stat != "windowed":
         raise PreconditionError(f"unknown charsum stat {stat!r}")
-    return rows
+    Hp = max(2, int(q**0.25)) if Hp is None else Hp
+    nonprincipal = [c for c in tab if not c.is_principal()]
+    if not 0 <= chi_index < len(nonprincipal):
+        raise PreconditionError(f"chi_index {chi_index} out of range: mod {q} has "
+                                f"{len(nonprincipal)} non-principal characters")
+    res = windowed_twisted_stat(q, Hp, nonprincipal[chi_index])
+    return [_stat_row("windowed_twisted", q, res["value"], res["scale"], Hp=Hp)]
 
 
 def cmd_identities(n_max: int = 2000, z: tuple[int, ...] = (2, 5, 10),

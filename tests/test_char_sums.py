@@ -1,10 +1,12 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from skewlab import char_sums
-from skewlab.char_sums import (BetaPolicy, build_characters, gauss_sum,
+from skewlab.char_sums import (BetaPolicy, Character, build_characters, gauss_sum,
                                huxley_stat_progressions, huxley_stat_windows,
                                progression_char_stat, residue_progression_gap,
                                twisted_residue_window, window_coprime_count,
@@ -71,6 +73,77 @@ def test_value_rows_match_exp_oracle():
                     assert gauss_sum(chi, x) == want, (q, chi.ks, x)
 
 
+@pytest.mark.parametrize("q", [1, 2, 12, 1024, 1155])
+def test_rows_independent_of_access_order(q):
+    seq = [chi.values() for chi in build_characters(q)]
+    tab = build_characters(q)
+    assert np.array_equal(tab.principal().values(), seq[0])
+    assert all(np.array_equal(chi.values(), want)
+               for chi, want in zip(reversed(list(tab)), reversed(seq)))
+    orders = [comp.order for comp in tab.components]
+    all_ks = list(itertools.product(*(range(o) for o in orders)))
+    rng = np.random.default_rng(q)
+    for n in rng.permutation(len(all_ks))[:50]:
+        # k and k + order_j name the same character
+        for ks in (all_ks[n], [k + o for k, o in zip(all_ks[n], orders)]):
+            assert np.array_equal(Character(tab, ks).values(), seq[n]), (q, ks)
+
+
+def test_value_rows_are_read_only_and_built_once():
+    chi = list(build_characters(7))[3]
+    vals = chi.values()
+    assert chi.values() is vals
+    with pytest.raises(ValueError):
+        vals[1] = 0
+
+
+def test_iteration_builds_no_rows():
+    q = 100003  # prime: one value row takes 1.6 MB
+    tab = build_characters(q)
+    chars = []
+    tracemalloc.start()
+    try:
+        for chi in tab:
+            chars.append(chi)
+            if len(chars) % 100 == 0:
+                # per character its object, exponents and list slot; once, the pools of
+                # itertools.product (an int per exponent, sum_j order_j < q): 100 rows
+                # would take 160 MB at the first check
+                assert tracemalloc.get_traced_memory()[0] < 256 * len(chars) + 64 * q
+    finally:
+        tracemalloc.stop()
+    assert len(chars) == q - 1
+
+
+def test_walking_rows_holds_one_block_and_the_rows_kept():
+    q = 4999
+    tab = build_characters(q)
+    tracemalloc.start()
+    try:
+        kept = []
+        for n, chi in enumerate(tab):
+            vals = chi.values()
+            if n % 100 == 0:
+                kept.append(vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = char_sums.WINDOW_BLOCK_ELEMS // q * q * 8  # one block of int64 exponents
+    row = 16 * q
+    # the block buffers (three of this size), the root table, the pool of
+    # itertools.product and rows in flight; 50 kept rows that each held on to
+    # their block would add 26 MB
+    assert peak < 4 * block + (len(kept) + 16) * row, (peak, block, len(kept))
+
+
+def test_orthogonality_defect_matches_stacked_rows():
+    for q in range(1, 61):
+        rows = np.stack([chi.values() for chi in build_characters(q)])
+        gram = rows @ rows.conj().T
+        want = float(np.max(np.abs(gram - len(rows) * np.eye(len(rows)))))
+        assert build_characters(q).orthogonality_defect() == want, q
+
+
 def test_conductor_against_structure():
     # mod 12 = 4 * 3: nontrivial characters have conductors in {3, 4, 12}
     tab = build_characters(12)
@@ -128,7 +201,7 @@ def _loop_dlog_tables(q):
 
 def test_dlog_tables_match_loop_oracle():
     for q in [*range(1, 2001), *(2**e for e in range(11, 20)), 999983]:
-        got = [(c.modulus, c.order, c.dlog) for c in char_sums._components_of(q)]
+        got = [(c.modulus, c.order, c.dlog) for c in char_sums._components_of(factorize(q))]
         want = _loop_dlog_tables(q)
         assert [g[:2] for g in got] == [w[:2] for w in want], q
         assert all(np.array_equal(g[2], w[2]) for g, w in zip(got, want)), q

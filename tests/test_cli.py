@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -268,11 +269,20 @@ def test_identities_beyond_int64_exit_3(capsys):
     ["cocycle-check", "--samples", "1e10"],
     ["phase", "--m_samples", "1e10"],
     ["phase", "--x_grid", "1e5"],
-], ids=["n_max", "buchstab_windows", "k", "samples", "m_samples", "x_grid"])
+    ["charsum", "--q", "31627", "--stat", "gauss"],  # the least prime q with phi(q) q > 1e9
+], ids=["n_max", "buchstab_windows", "k", "samples", "m_samples", "x_grid", "charsum-gauss-q"])
 def test_work_beyond_budget_exit_3(args, capsys):
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource error: ") and len(err.splitlines()) == 1
+
+
+def test_charsum_refuses_before_building_rows(capsys):
+    start = time.perf_counter()
+    assert main(["charsum", "--q", "999983"]) == 3  # phi(q) q ~ 1e12: hours of rows
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: charsum phi(q) * q budget") and len(err.splitlines()) == 1
 
 
 def test_file_keys_stay_text(tmp_path, monkeypatch, capsys):
