@@ -40,8 +40,10 @@ IDENTITIES_MAX_N = 10**5
 BUCHSTAB_MAX_WINDOWS = 10**4  # ~2 ms a window
 # phi(q) value rows of q entries: ~25 ns an entry for charsum progression, ~12 for gauss
 CHARSUM_MAX_ENTRIES = 10**9
-# keys every command takes, with their least values; kernels are serial with fixed
-# reduction order, so any thread count gives the same bytes and threads is provenance
+# charsum windowed: q windows of H' + 1 terms, ~2 us per q * H' (~5 us at H' = 2)
+CHARSUM_MAX_WINDOWED = 10**7
+# keys every command takes, with their least values; threads is provenance: no kernel
+# reads it, and the orbit pass sums its worker threads' chunks in a fixed order
 COMMON = {"seed": 0, "threads": 1}
 # the key types a handler may declare, and what a value of each must be
 KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a path or text",
@@ -331,6 +333,9 @@ def cmd_charsum(q: int = 101, stat: str = "progression", r: int = 3, gauss_x: in
 
     if stat in ("progression", "gauss") and 1 <= q <= CharacterTable.MAX_Q:
         _budget("charsum phi(q) * q", euler_phi(q) * q, CHARSUM_MAX_ENTRIES)
+    if stat == "windowed" and q >= 1:  # windowed_twisted_stat refuses H' > q^0.4 + 1
+        Hp = max(2, int(q**0.25)) if Hp is None else Hp
+        _budget("charsum windowed q * H'", q * min(Hp, int(q**0.4) + 1), CHARSUM_MAX_WINDOWED)
     tab = build_characters(q)
     if stat == "progression":
         scale = math.sqrt(r * q) * math.log(q)
@@ -341,7 +346,6 @@ def cmd_charsum(q: int = 101, stat: str = "progression", r: int = 3, gauss_x: in
                 for chi in tab if chi.is_primitive()]
     if stat != "windowed":
         raise PreconditionError(f"unknown charsum stat {stat!r}")
-    Hp = max(2, int(q**0.25)) if Hp is None else Hp
     nonprincipal = [c for c in tab if not c.is_principal()]
     if not 0 <= chi_index < len(nonprincipal):
         raise PreconditionError(f"chi_index {chi_index} out of range: mod {q} has "

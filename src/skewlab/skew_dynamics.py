@@ -4,8 +4,9 @@ Orbit values T^n(x,y) = (x + n alpha, y + S_n(g)(x)) are computed from exact
 fractional parts (per index) or, vectorized, x_n from dd.frac01_int_mult and
 y_n from per-frequency tables of e(B theta), e(i 2**11 theta), e(j theta) over
 n = B + (i << 11) + j; never by stepwise iteration.  The prime log-weighted and
-reduced-residue averages are one orbit sum, streamed window by window in
-memory O(SEGMENT_SIZE), with weight log p or 1.
+reduced-residue averages are one orbit sum with weight log p or 1, streamed window
+by window in memory O(SEGMENT_SIZE); two worker threads evaluate each window in
+chunks, summed in a fixed order, so no value depends on the threads.
 Beside them: Weyl sums, an Erdos-Turan star-discrepancy bound, and small-set
 measure estimates for trigonometric polynomials.
 """
@@ -25,6 +26,10 @@ TWO_PI = 2.0 * math.pi
 # the fiber split k = B + (i << _J_BITS) + j of _orbit_phases: B on dd's blocks of
 # 2**BLOCK_BITS, their offsets cut into 2**(BLOCK_BITS - _J_BITS) values of i and 2**_J_BITS of j
 _J_BITS = (BLOCK_BITS + 1) // 2
+# indices per worker task of _orbit_sums.  Keep it above the 9,592 primes up to 10**5:
+# perfbench counts 1 + len(g.freqs) frac01_int_mult calls (one orbit_angles chunk) there
+CHUNK = 1 << 14
+_IN_FLIGHT = 4  # chunks submitted and not yet done: bounds the xs computed ahead
 
 
 def e(t):
@@ -77,6 +82,25 @@ def _fiber_terms(T: SkewProduct, x: float):
     return terms
 
 
+def _fiber_tables(terms, ks: np.ndarray):
+    """(b0, [(K, L, Re kappa2)] per frequency): the tables of _orbit_phases for the window ks."""
+    b0, b1 = int(ks.min()) >> BLOCK_BITS, int(ks.max()) >> BLOCK_BITS
+    n_i, n_j, nb = 1 << (BLOCK_BITS - _J_BITS), 1 << _J_BITS, b1 - b0 + 1
+    parts = np.concatenate([np.arange(b0, b1 + 1) << BLOCK_BITS, np.arange(n_i) << _J_BITS,
+                            np.arange(n_j)])
+    ts = [(kappa2, e(frac01_int_mult(parts, m_hi, m_lo))) for m_hi, m_lo, kappa2 in terms]
+    return b0, [(np.outer(k2 * t[:nb], t[nb:-n_j]).ravel(), t[-n_j:], k2.real) for k2, t in ts]
+
+
+def _fiber_gather(b0: int, tables, ks: np.ndarray, y: float) -> np.ndarray:
+    """y_k for k in ks (inside the window of the tables), by gathers from the tables."""
+    row, col = (ks >> _J_BITS) - (b0 << (BLOCK_BITS - _J_BITS)), ks & ((1 << _J_BITS) - 1)
+    ys = np.full(ks.shape, float(y))
+    for K, L, kappa2_re in tables:
+        ys += K.real[row] * L.real[col] - K.imag[row] * L.imag[col] - kappa2_re
+    return ys
+
+
 def _orbit_phases(terms, ks: np.ndarray, y: float) -> np.ndarray:
     """y_k = y + S_k(g)(x) for k in ks, terms = _fiber_terms(T, x), by table products.
 
@@ -87,47 +111,58 @@ def _orbit_phases(terms, ks: np.ndarray, y: float) -> np.ndarray:
     L = e(j theta); then 2 Re kappa e(k theta) = Re K[B, i] L[j] by gathers.  ks is one
     window (two blocks at most), and y_k depends on its own k alone.
     """
-    ys = np.full(ks.shape, float(y))
-    if not ks.size:
-        return ys
-    b0, b1 = int(ks.min()) >> BLOCK_BITS, int(ks.max()) >> BLOCK_BITS
-    n_i, n_j = 1 << (BLOCK_BITS - _J_BITS), 1 << _J_BITS
-    bases, row, col = np.arange(b0, b1 + 1), (ks >> _J_BITS) - b0 * n_i, ks & (n_j - 1)
-    parts = np.concatenate([bases << BLOCK_BITS, np.arange(n_i) << _J_BITS, np.arange(n_j)])
-    for m_hi, m_lo, kappa2 in terms:
-        t = e(frac01_int_mult(parts, m_hi, m_lo))
-        K, L = np.outer(kappa2 * t[:bases.size], t[bases.size:-n_j]).ravel(), t[-n_j:]
-        ys += K.real[row] * L.real[col] - K.imag[row] * L.imag[col] - kappa2.real
-    return ys
+    return _fiber_gather(*_fiber_tables(terms, ks), ks, y) if ks.size else np.full(0, float(y))
+
+
+def _chunk_values(tables, ks, w, xs, y: float, fs, out) -> None:
+    """out[i] = e(fs[i].b x_k + fs[i].c y_k) w_k over one chunk of a window (a worker's task)."""
+    ys = _fiber_gather(*tables, ks, y)
+    for f, row in zip(fs, out):
+        np.multiply(e(f.b * xs + f.c * ys), w, out=row)
 
 
 def _orbit_sums(T: SkewProduct, observables, Ns, x: float, y: float, windows):
     """({(f, N): sum_{k <= N} w_k e_{b,c}(T^k(x,y))}, {N: sum_{k <= N} w_k}), one pass.
 
     windows yields ascending (lo, hi, ks, w): the indices ks in [lo, hi] and their
-    weights.  Each window's phases serve every observable; its np.sum joins a running
-    total in window order, so a value depends on N and the windows alone.  (b, c) =
-    (0, 0) gets no entry: its sum is the weight total.
+    weights.  (b, c) = (0, 0) gets no entry: its sum is the weight total.  This thread
+    draws the windows and makes each window's fiber tables and each chunk's x_k; two
+    worker threads write the chunks' w_k e_{b,c} into one buffer kept for every window.
+    Once all chunks of a window are done, its np.sum joins a running total in window
+    order, so a value depends on N and the windows alone, never on the threads.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here: e()'s importers need no pool
+
     live = [f for f in dict.fromkeys(observables) if (f.b, f.c) != (0, 0)]
     terms = _fiber_terms(T, x) if live else []
     with_x = any(f.b for f in live)
     mass = {N: 0.0 for N in Ns}  # N below the first window: no index <= N
     sums = {(f, N): 0j for f in live for N in Ns}
     mass_run, runs = 0.0, dict.fromkeys(live, 0j)
-    for lo, hi, ks, w in windows:
-        here = {N: int(np.searchsorted(ks, N, side="right")) for N in Ns if lo <= N <= hi}
-        for N, k in here.items():
-            mass[N] = mass_run + float(np.sum(w[:k]))
-        mass_run += float(np.sum(w))
-        if live:
-            ys = _orbit_phases(terms, ks, y)
-            xs = orbit_angles(T.cf, ks, x) if with_x else 0.0
-        for f in live:
-            vals = e(f.b * xs + f.c * ys) * w
+    buf = np.empty((len(live), 0), dtype=np.complex128)
+    with ThreadPoolExecutor(2) as pool:
+        for lo, hi, ks, w in windows:
+            here = {N: int(np.searchsorted(ks, N, side="right")) for N in Ns if lo <= N <= hi}
             for N, k in here.items():
-                sums[f, N] = runs[f] + np.sum(vals[:k])
-            runs[f] += np.sum(vals)
+                mass[N] = mass_run + float(np.sum(w[:k]))
+            mass_run += float(np.sum(w))
+            n = ks.size if live else 0
+            if n > buf.shape[1]:  # rounded up, so windows a few indices longer reuse it
+                buf = np.empty((len(live), -(-n >> 14) << 14), dtype=np.complex128)
+            tables, flight = _fiber_tables(terms, ks) if n else None, []
+            for a in range(0, n, CHUNK):
+                c = slice(a, min(a + CHUNK, n))
+                xs = orbit_angles(T.cf, ks[c], x) if with_x else 0.0
+                if len(flight) == _IN_FLIGHT:
+                    flight.pop(0).result()
+                flight.append(pool.submit(_chunk_values, tables, ks[c], w[c], xs, y, live,
+                                          buf[:, c]))
+            for task in flight:
+                task.result()
+            for f, vals in zip(live, buf[:, :n]):
+                for N, k in here.items():
+                    sums[f, N] = runs[f] + np.sum(vals[:k])
+                runs[f] += np.sum(vals)
     return sums, mass
 
 

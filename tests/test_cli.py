@@ -101,6 +101,26 @@ def test_charsum_bytes_pinned(args, stdout_sha, monkeypatch, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
 
 
+# sha256 of prime-average and residue-average stdout under SOURCE_DATE_EPOCH=0, recorded
+# with the serial orbit pass; the chunks on worker threads must keep every byte
+ORBIT_SHA256 = [
+    (["prime-average", "--N", "1e5,4194306,1e7", "--b", "1", "--c", "2"],
+     "a7cf4a8d6915365a9e3eac1800f37277412e2cf17820e021bddd3d26c18297a6"),
+    (["prime-average", "--N", "3e6", "--b", "0", "--c", "1"],
+     "bc056764aaaa29895f2736c2d6662dbd5eb8318dd3b8a47d5666967e523abd37"),
+    (["residue-average", "--scales", "3"],
+     "f049107d683da477d3bfe2f6d3d3fc81806edb175a8a5cf76568226b270e3541"),
+]
+
+
+@pytest.mark.parametrize("args, stdout_sha", ORBIT_SHA256,
+                         ids=["prime-three-N", "prime-3e6", "residue-3"])
+def test_orbit_bytes_pinned(args, stdout_sha, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    assert main(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+
+
 @pytest.mark.parametrize("command, flag", [("prime-average", "--N"), ("huxley", "--x"),
                                            ("charsum", "--gauss_x")],
                          ids=["prime-average", "huxley", "charsum"])
@@ -283,6 +303,15 @@ def test_charsum_refuses_before_building_rows(capsys):
     assert time.perf_counter() - start < 5
     err = capsys.readouterr().err
     assert err.startswith("resource error: charsum phi(q) * q budget") and len(err.splitlines()) == 1
+
+
+def test_charsum_windowed_refuses_before_listing_characters(capsys):
+    start = time.perf_counter()
+    assert main(["charsum", "--q", "999983", "--stat", "windowed"]) == 3  # q H' = 3.1e7
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: charsum windowed q * H' budget")
+    assert len(err.splitlines()) == 1
 
 
 def test_file_keys_stay_text(tmp_path, monkeypatch, capsys):

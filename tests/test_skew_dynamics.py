@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewlab import cocycle, skew_dynamics
 from skewlab.cocycle import AnalyticCocycle, TrigPoly, birkhoff_prefix, orbit_angles
 from skewlab.dd import dd_from_fraction, frac01_int_mult
 from skewlab.diophantine import cf_from_quotients
@@ -234,6 +235,67 @@ def test_batched_average_equals_single_calls(T, streamed):
         assert prime_weighted_average(T, f, N, 0.37, 0.61) == got
 
 
+CHUNK_OBS = [Observable(b, c) for b, c in ((0, 1), (1, 1), (0, 2), (-1, 3), (2, -1), (0, 0))]
+CHUNK_NS = (2, 10**5, 4194306)  # 4194306 = 2 + 2 * 2 * SEGMENT_SIZE: past a window edge
+
+
+@pytest.fixture(scope="module")
+def default_chunks(T):
+    return (prime_weighted_averages(T, CHUNK_OBS, CHUNK_NS, 0.37, 0.61),
+            reduced_residue_average(T, Observable(1, 1), 4_194_330, 30, 0.3, 0.7),
+            reduced_residue_average(T, Observable(1, 1), 7272, 7272, 0.3, 0.7))
+
+
+# chunks of one index cost one task each, so CHUNK = 1 runs the smaller sizes only; a short
+# switch interval interleaves the calling thread and the two workers as finely as it can
+@pytest.mark.parametrize("chunk", [1, 1000, 10**9])
+def test_averages_do_not_depend_on_chunk(T, default_chunks, chunk, monkeypatch):
+    import sys
+
+    averages, residue, small_residue = default_chunks
+    monkeypatch.setattr(skew_dynamics, "CHUNK", chunk)
+    Ns = CHUNK_NS[:2] if chunk == 1 else CHUNK_NS
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = prime_weighted_averages(T, CHUNK_OBS, Ns, 0.37, 0.61)
+        small = reduced_residue_average(T, Observable(1, 1), 7272, 7272, 0.3, 0.7)
+        if chunk > 1:
+            assert reduced_residue_average(T, Observable(1, 1), 4_194_330, 30, 0.3, 0.7) == residue
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == {(f, N): v for (f, N), v in averages.items() if N in Ns}
+    assert small == small_residue
+
+
+def test_sieve_and_tables_run_on_the_calling_thread(T, monkeypatch):
+    import threading
+
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            calls.append((name, threading.get_ident()))
+            return fn(*args)
+        return wrapper
+
+    class Source:
+        limit = DEFAULT_LIMIT
+        primes_in = staticmethod(recorded("primes_in", default_source().primes_in))
+
+    for mod, name in ((skew_dynamics, "frac01_int_mult"), (cocycle, "frac01_int_mult"),
+                      (skew_dynamics, "e")):  # cocycle's serves orbit_angles
+        monkeypatch.setattr(mod, name, recorded(name, getattr(mod, name)))
+    threads = threading.active_count()
+    prime_weighted_averages(T, [Observable(1, 1), Observable(0, 2)], (10**5, 4194306),
+                            0.37, 0.61, primes=Source())
+    assert threading.active_count() == threads  # the pool is shut down inside the call
+    me = threading.get_ident()
+    on = {name: {t for n, t in calls if n == name} for name in ("primes_in", "frac01_int_mult", "e")}
+    assert on["primes_in"] == on["frac01_int_mult"] == {me}
+    assert on["e"] - {me}  # the chunks' e() ran on worker threads
+
+
 def test_theta_ratio_equals_chebyshev_theta():
     edge = 1 + 2 * 2 * SEGMENT_SIZE  # the last integer of the second window
     Ns = (1, 2, 10**5, edge - 1, edge, edge + 1, 5 * 2 * SEGMENT_SIZE + 12345)
@@ -349,8 +411,8 @@ def test_residue_average_memory_does_not_grow_with_z(T):
     peaks = []
     tracemalloc.start()
     try:
-        # a window's phases are computed while the previous window's arrays are still
-        # held, so the peak is that of two full windows: both z span at least two
+        # one value buffer for every window, and two windows' ks and weights while the
+        # next is drawn after the last one's chunks are done: both z span two windows
         for z in (2 * 2 * SEGMENT_SIZE + 6, 2 * 10**7):
             tracemalloc.reset_peak()
             reduced_residue_average(T, f, z, 10, 0.1, 0.2)
@@ -358,6 +420,7 @@ def test_residue_average_memory_does_not_grow_with_z(T):
     finally:
         tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 2 * 2**20, peaks
+    assert peaks[1] < 60 * 10**6, peaks  # 81 MB when each window allocated its own values
 
 
 def test_reduced_residue_average_decay(T):
