@@ -34,14 +34,16 @@ DISCREPANCY_MAX_TERMS = 10**9
 # the other work budgets, each about half a minute on a 2-core desk machine
 COCYCLE_MAX_SAMPLES = 10**4  # ~2.2 ms a sample
 PHASE_MAX_ROWS = 5 * 10**4  # ~0.7 ms a row; rows = scales * m_samples * x_grid
-# Heath-Brown: k Dirichlet convolutions, ~0.1 s each at N = 1e5, then one (N // p + 1)-array
-# per prime p <= N, O(N log log N) in all
+# Heath-Brown: k Dirichlet convolutions of ~2 sqrt(N) strided slices, a few ms each at
+# N = 1e5, then one (N // p + 1)-array per prime p <= N, O(N log log N) in all
 IDENTITIES_MAX_N = 10**5
 BUCHSTAB_MAX_WINDOWS = 10**4  # ~2 ms a window
 # phi(q) value rows of q entries: ~25 ns an entry for charsum progression, ~12 for gauss
 CHARSUM_MAX_ENTRIES = 10**9
 # charsum windowed: q windows of H' + 1 terms, ~2 us per q * H' (~5 us at H' = 2)
 CHARSUM_MAX_WINDOWED = 10**7
+MS_SUM_MAX_H = 3 * 10**7  # the main term holds all H + 1 phases: ~32 bytes each
+RESIDUE_MAX_INDICES = 10**9  # sum of z over the scales; ~34 ns an orbit index
 # keys every command takes, with their least values; threads is provenance: no kernel
 # reads it, and the orbit pass sums its worker threads' chunks in a fixed order
 COMMON = {"seed": 0, "threads": 1}
@@ -299,9 +301,10 @@ def cmd_residue_average(pair: str = "prime", b: int = 0, c: int = 1,
 
     cf, g, *_ = _preset_pair(pair)
     T = SkewProduct(cf, g)
+    zs = [cf.q(n) for n in scales]
+    _budget("residue-average sum of z", sum(zs), RESIDUE_MAX_INDICES)
     rows = []
-    for n in scales:
-        z = cf.q(n)
+    for n, z in zip(scales, zs):
         v = reduced_residue_average(T, Observable(b, c), z, z, 0.0, 0.0)
         rows.append({"scale": n, "z": z, "d": z, "re": v.real, "im": v.imag,
                      "modulus": abs(v)})
@@ -408,6 +411,7 @@ def cmd_ms_sum(N: int = 10**6, H: int = None, r: int = 1, a: int = None,
     if N < 2:  # before N**0.7, which is complex for N < 0
         raise PreconditionError(f"ms-sum needs N >= 2, got N={N}")
     H = int(N**0.7) if H is None else H
+    _budget("ms-sum H", H, MS_SUM_MAX_H)
     a = (0 if r == 1 else 1) if a is None else a
     g = ShiftedPoly(N, () if coeffs == (0.0,) else coeffs)  # --coeffs 0: no polynomial
     gap, budget = ms_gap(N, H, r, a, g, eta)

@@ -31,7 +31,7 @@ from skewlab.dd import (MULMOD_LIMIT, dd_div_int, floor_frac_dd, mulmod,
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import (ConstructionError, IncompleteError, InvalidInputError,
                             PreconditionError, RangeError, StateError)
-from skewlab.primes import mobius_upto, simple_sieve
+from skewlab.primes import mobius_upto, primes_in
 
 GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
 BUMP_WIDTH = 0.25  # half-width of bump_average's triangle around y = 1/2
@@ -72,33 +72,31 @@ class AlmostSparseSet:
             m *= m
             return m
         if self.descriptor == "primes":
-            ps = simple_sieve(hi)
-            return ps[ps >= lo]
+            return primes_in(lo, hi)
         return np.asarray(sorted(self._elements_in(lo, hi)), dtype=np.int64)
 
     def elements_in(self, lo: int, hi: int):
         """Sorted members of A in [lo, hi]."""
         return self._members(lo, hi).tolist()
 
-    def bad_set(self, N: int):
+    def _bad(self, N: int) -> np.ndarray:
+        """Sorted B_N as an int64 array."""
         if self.descriptor == "squares":
-            return set()
+            return np.empty(0, dtype=np.int64)
         if self.descriptor == "primes":
-            c = self.gap_filter(N)
-            ps = self.elements_in(1, N)
-            bad = set()
-            for a, b in zip(ps, ps[1:]):
-                if b - a <= c:
-                    bad.add(a)
-                    bad.add(b)
-            return bad
-        return set(self._bad_set(N))
+            ps = primes_in(2, N)
+            close = np.flatnonzero(np.diff(ps) <= self.gap_filter(N))  # pairs (ps[i], ps[i+1])
+            return np.union1d(ps[close], ps[close + 1])
+        return np.asarray(sorted(self._bad_set(N)), dtype=np.int64)
+
+    def bad_set(self, N: int):
+        return set(self._bad(N).tolist())
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Sorted members of A in [lo, hi] with B_hi removed, as an int64 array."""
-        bad = self.bad_set(hi)
+        bad = self._bad(hi)
         elems = self._members(lo, hi)
-        return elems[~np.isin(elems, list(bad))] if bad else elems
+        return elems[~np.isin(elems, bad)] if bad.size else elems
 
 
 def eps_n(A: AlmostSparseSet, n: int) -> Fraction:

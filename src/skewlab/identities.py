@@ -7,12 +7,15 @@ computed from the one factorization of n by summing over its squarefree
 divisors.  Linnik's ordered-factorization counts come from the same single
 factorization through the multiplicative d_j(n); only its 1/k-weighted sides
 are Fractions.  Heath-Brown's weight takes k int64 Dirichlet convolutions,
-each preceded by a check in Python ints that its result fits in int64;
+each split at sqrt(N) by the hyperbola method into about 2 sqrt(N) strided
+slices and preceded by a check in Python ints that its result fits in int64;
 beyond that bound the check raises ResourceError (CLI exit 3).  Buchstab's
-sifted counts each strike the multiples of the primes below z from one
-boolean window.  The partition lemma is an exhaustive finite search.
+sifted counts each strike the multiples of a prefix of the primes below z,
+drawn once, from one boolean window.  The partition lemma is an exhaustive
+finite search.
 """
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -20,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from skewlab.errors import IntegrityError, PreconditionError, ResourceError
-from skewlab.primes import coprime_mask, factorize, mobius_upto, simple_sieve
+from skewlab.primes import coprime_mask, factorize, mobius_upto, primes_in
 
 
 class LogVector:
@@ -145,16 +148,23 @@ def linnik_check(n: int, z: int):
 def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dirichlet convolution of int64 arrays indexed 1..N (index 0 unused).
 
-    Every partial sum of out[m] = sum_{d | m} a[d] b[m/d] is at most
-    ||a||_1 ||b||_inf in absolute value; that bound is checked in Python ints
-    first, so the int64 arithmetic cannot wrap.
+    out[m] = sum_{de = m} a[d] b[e] is split at s = isqrt(N): one strided slice
+    per nonzero a[d] with d <= s, then one per nonzero b[e] with e <= N // (s + 1)
+    over d in (s, N // e].  Every partial sum of out[m] is a sub-sum of its terms,
+    so at most ||a||_1 ||b||_inf in absolute value; that bound is checked in
+    Python ints first, so the int64 arithmetic cannot wrap.
     """
     N = len(a) - 1
     if sum(np.abs(a[1:]).tolist()) * int(np.abs(b[1:]).max(initial=0)) >= 2**63:
         raise ResourceError(f"Dirichlet convolution on [1, {N}] would exceed int64")
     out = np.zeros(N + 1, dtype=np.int64)
-    for d in np.flatnonzero(a[1:]) + 1:
+    s = math.isqrt(N)
+    for d in (np.flatnonzero(a[1 : s + 1]) + 1).tolist():
         out[d::d] += a[d] * b[1 : N // d + 1]
+    top = int(np.flatnonzero(a)[-1]) if a.any() else 0  # a[d] = 0 for d > top
+    for e in (np.flatnonzero(b[1 : N // (s + 1) + 1]) + 1).tolist():
+        d_max = min(N // e, top)
+        out[e * (s + 1) : e * d_max + 1 : e] += b[e] * a[s + 1 : d_max + 1]
     return out
 
 
@@ -193,7 +203,7 @@ def heathbrown_coeff_check(k: int, z: int, N: int) -> float:
     if int(np.abs(W).max()) * N.bit_length() + 1 >= 2**63:
         raise ResourceError(f"Heath-Brown coordinates for k={k} on [1, {N}] would exceed int64")
     worst = 0
-    for p in simple_sieve(N).tolist():
+    for p in primes_in(2, N).tolist():
         # coordinate p is zero off the multiples n = p m: index it by m <= N // p
         coord = np.zeros(N // p + 1, dtype=np.int64)
         pa1 = 1  # p^(a-1); the multiples n of p^a sit at m = p^(a-1) j
@@ -205,9 +215,9 @@ def heathbrown_coeff_check(k: int, z: int, N: int) -> float:
     return float(worst)
 
 
-def _sieved_count(lo: int, hi: int, z: int) -> int:
-    """#{n in [lo, hi] : p | n => p >= z}; n = 1 counts (vacuous condition)."""
-    return int(np.count_nonzero(coprime_mask(lo, hi, simple_sieve(z - 1).tolist())))
+def _sieved_count(lo: int, hi: int, primes) -> int:
+    """#{n in [lo, hi] divisible by none of the primes}: S(A, z) for the primes below z."""
+    return int(np.count_nonzero(coprime_mask(lo, hi, primes)))
 
 
 def buchstab_check(n_range, w: int, z: int):
@@ -220,14 +230,14 @@ def buchstab_check(n_range, w: int, z: int):
         raise PreconditionError(f"need lo >= 1, got lo={lo}")
     if not 2 <= w <= z:
         raise PreconditionError(f"need 2 <= w <= z, got w={w}, z={z}")
-    lhs = _sieved_count(lo, hi, z)
-    rhs = _sieved_count(lo, hi, w)
-    primes = simple_sieve(z - 1)
-    for p in primes[primes >= w].tolist():
+    primes = primes_in(2, z - 1).tolist()
+    lhs = _sieved_count(lo, hi, primes)
+    first = bisect.bisect_left(primes, w)
+    rhs = _sieved_count(lo, hi, primes[:first])
+    for i in range(first, len(primes)):
         # S(A_p, p) counts m with p*m in A and q | m => q >= p
-        mlo = (lo + p - 1) // p
-        mhi = hi // p
-        rhs -= _sieved_count(mlo, mhi, p)
+        p = primes[i]
+        rhs -= _sieved_count((lo + p - 1) // p, hi // p, primes[:i])
     return lhs, rhs
 
 

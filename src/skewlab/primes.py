@@ -1,15 +1,14 @@
 """Segmented prime sieve, arithmetic functions, and combinatorial sieve weights.
 
-The sieve is odd-only and segmented; segment marking is the hot kernel and
-strikes each base prime's multiples with one strided numpy slice.
-Factorization is trial division against a cached prime table, enough for
-n <= 1e12.
+PrimeSource.primes_in is the one sieve: odd-only and segmented, each segment
+struck with one strided numpy slice per base prime from start offsets computed
+whole-array.  Its table of small primes feeds the segments and factorize,
+which trial-divides by the default source's table, enough for n <= 1e12.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -17,36 +16,6 @@ from skewlab.errors import InvalidInputError, RangeError, ResourceError
 
 DEFAULT_LIMIT = 2_000_000_000
 SEGMENT_SIZE = 1 << 20  # odd numbers per segment
-
-
-def simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit by a plain sieve of Eratosthenes."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
-
-
-def _mark_segment(mask, low, base):
-    # mask[i] covers the odd number low + 2*i
-    n = mask.shape[0]
-    hi = low + 2 * n
-    for p in base:
-        p = int(p)
-        if p == 2:
-            continue
-        p2 = p * p
-        if p2 >= hi:
-            break
-        start = max(p2, ((low + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        mask[(start - low) // 2 :: p] = False
-    return mask
 
 
 def segment_windows(N: int, start: int = 2):
@@ -57,52 +26,48 @@ def segment_windows(N: int, start: int = 2):
 
 
 class PrimeSource:
-    """Read-only prime supplier over [2, limit]; every call sieves its range afresh."""
+    """Read-only prime supplier over [2, limit]; every call sieves its range afresh
+    from one table of the primes <= _top, which grows on demand and serves factorize."""
 
     def __init__(self, limit: int = DEFAULT_LIMIT):
         self.limit = int(limit)
-        self._base = simple_sieve(1 << 16)  # extended on demand
+        self._primes = np.array([2, 3, 5, 7], dtype=np.int64)  # every prime <= _top
+        self._top = 10
 
-    def _base_upto(self, n: int) -> np.ndarray:
-        if self._base[-1] < n:
-            self._base = simple_sieve(max(n, 2 * int(self._base[-1])))
-        return self._base[self._base <= n]
+    def _table(self, n: int) -> np.ndarray:
+        """The table, first grown to hold every prime <= n."""
+        if n > self._top:
+            top = min(max(n, 2 * self._top), self.limit)
+            self._primes = self._sieve(2, top)
+            self._top = top
+        return self._primes
 
     def primes_in(self, lo: int, hi: int) -> np.ndarray:
         """Ascending primes p with lo <= p <= hi."""
         lo, hi = int(lo), int(hi)
         if hi > self.limit:
             raise RangeError(f"hi = {hi} beyond source limit {self.limit}")
+        return self._sieve(lo, hi)
+
+    def _sieve(self, lo: int, hi: int) -> np.ndarray:
+        # the table grows through here, so an override or wrapper of primes_in sees
+        # only its callers' ranges.  Odd-only segments: mask[i] stands for low + 2i
+        # and each odd base prime strikes from its first odd multiple >= max(p^2, low)
         if hi < 2 or hi < lo:
             return np.empty(0, dtype=np.int64)
-        lo = max(lo, 2)
-        base = self._base_upto(math.isqrt(hi) + 1)
-        out = []
-        if lo <= 2 <= hi:
-            out.append(np.array([2], dtype=np.int64))
-        start = max(lo, 3)
-        if start % 2 == 0:
-            start += 1
-        span = 2 * SEGMENT_SIZE
-        low = start
-        while low <= hi:
+        table = self._table(math.isqrt(hi))
+        base = table[1 : np.searchsorted(table, math.isqrt(hi), side="right")]
+        out = [np.array([2], dtype=np.int64)] if lo <= 2 else []
+        for low in range(max(lo, 3) | 1, hi + 1, 2 * SEGMENT_SIZE):
             count = min(SEGMENT_SIZE, (hi - low) // 2 + 1)
-            mask = np.ones(count, dtype=np.bool_)
-            _mark_segment(mask, low, base)
-            seg = low + 2 * np.flatnonzero(mask).astype(np.int64)
-            out.append(seg[seg > 1])
-            low += span
+            ps = base[base * base < low + 2 * count]
+            first = np.maximum(ps * ps, low + (-low) % ps)
+            first += ps * (first % 2 == 0)
+            mask = np.ones(count, dtype=bool)
+            for p, i in zip(ps.tolist(), ((first - low) >> 1).tolist()):
+                mask[i::p] = False
+            out.append(low + 2 * np.flatnonzero(mask))
         return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
-
-    def chebyshev_theta(self, N: int) -> float:
-        """theta(N) = sum of log p over primes p <= N."""
-        if N > self.limit:
-            raise RangeError(f"N = {N} beyond source limit {self.limit}")
-        total = 0.0
-        for lo, hi in segment_windows(N):
-            p = self.primes_in(lo, hi)
-            total += float(np.sum(np.log(p.astype(np.float64))))
-        return total
 
 
 _DEFAULT_SOURCE = None
@@ -120,19 +85,15 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
 
 
 def chebyshev_theta(N: int) -> float:
-    return default_source().chebyshev_theta(N)
+    """theta(N) = sum of log p over primes p <= N, one segment window at a time."""
+    if N > default_source().limit:
+        raise RangeError(f"N = {N} beyond source limit {default_source().limit}")
+    return sum((float(np.sum(np.log(primes_in(lo, hi).astype(np.float64))))
+                for lo, hi in segment_windows(N)), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # arithmetic functions
-
-
-_FACTOR_TABLE_LIMIT = 1_000_000
-
-
-@lru_cache(maxsize=1)
-def _factor_primes() -> np.ndarray:
-    return simple_sieve(_FACTOR_TABLE_LIMIT)
 
 
 def factorize(n: int):
@@ -143,7 +104,7 @@ def factorize(n: int):
         raise ResourceError(f"factorization budget is n <= 1e12, got {n}")
     out = []
     m = n
-    for p in _factor_primes():
+    for p in default_source()._table(math.isqrt(n)):  # up to the first p with p^2 > m
         p = int(p)
         if p * p > m:
             break
@@ -208,13 +169,10 @@ def mobius_upto(N: int) -> np.ndarray:
         raise InvalidInputError("N must be >= 0")
     mu = np.ones(N + 1, dtype=np.int8)
     mu[0] = 0
-    primes = simple_sieve(math.isqrt(N)) if N >= 4 else np.empty(0, dtype=np.int64)
     prod = np.ones(N + 1, dtype=np.int64)  # product of p^{v_p(n)} over p <= sqrt(N)
-    for p in primes:
-        p = int(p)
+    for p in primes_in(2, math.isqrt(N)).tolist():
         mu[p::p] *= -1
-        if p * p <= N:
-            mu[p * p :: p * p] = 0
+        mu[p * p :: p * p] = 0
         k = p
         while k <= N:
             prod[k::k] *= p
@@ -297,7 +255,7 @@ def build_sieve_weights(kind: str, **params) -> SieveWeights:
         if z < 4:
             raise RangeError("prime-majorant needs z >= 4")
         w = int(z ** (1.0 / MAJORANT_TRUNCATION))
-        sieve_primes = [int(p) for p in simple_sieve(w)]
+        sieve_primes = primes_in(2, w).tolist()
         products = _subsets_products(sieve_primes, MAJORANT_TRUNCATION, z)
         lambdas = {dd: (-1 if k % 2 else 1) for dd, k in products.items()}
         return SieveWeights(kind=kind, z=z, lambdas=lambdas, sift_bound=w)

@@ -121,6 +121,26 @@ def test_orbit_bytes_pinned(args, stdout_sha, monkeypatch, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
 
 
+# sha256 of the other prime-fed commands' stdout under SOURCE_DATE_EPOCH=0, recorded with
+# the dense sieve beside the segmented one; one sieve must keep every byte
+PRIME_FED_SHA256 = [
+    (["huxley"], "cf9be69fa9fc49b4701c8e2108d5525b3a70165a2c06d81627d9a89e28295fec"),
+    (["huxley", "--x", "300000", "--H", "3000", "--q", "9973", "--r", "31"],
+     "64c6c235306bf0cfca3eedaad9ba40ce61c14ce1d039cdf83df9f0412950cdb5"),
+    (["identities", "--n_max", "5000", "--k", "1,2,3"],
+     "fc378100e7c444721ef552e44e2a1fcc0420c687897dc53009a24909dae9ed50"),
+    (["ms-sum"], "45cc8b92ab9e528b2efae5de1141ff78908bc8f28e6a176025e53a6d74746ad0"),
+]
+
+
+@pytest.mark.parametrize("args, stdout_sha", PRIME_FED_SHA256,
+                         ids=["huxley-H-x", "huxley-sliding", "identities-5000", "ms-sum"])
+def test_prime_fed_bytes_pinned(args, stdout_sha, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    assert main(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+
+
 @pytest.mark.parametrize("command, flag", [("prime-average", "--N"), ("huxley", "--x"),
                                            ("charsum", "--gauss_x")],
                          ids=["prime-average", "huxley", "charsum"])
@@ -293,6 +313,19 @@ def test_identities_beyond_int64_exit_3(capsys):
 ], ids=["n_max", "buchstab_windows", "k", "samples", "m_samples", "x_grid", "charsum-gauss-q"])
 def test_work_beyond_budget_exit_3(args, capsys):
     assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["ms-sum", "--N", "1e8", "--H", "1e9"],  # an O(H) main term: 7.45 GiB unchecked
+    ["residue-average", "--scales", "20"],  # z = q_20 ~ 4.3e11 indices: hours unchecked
+    ["residue-average", "--scales", "5,6,7"],  # each z < 1e9, their sum 1.75e9
+], ids=["ms-sum-H", "residue-scales-20", "residue-sum-of-z"])
+def test_orbit_and_window_budgets_refuse_at_once(args, capsys):
+    t0 = time.perf_counter()
+    assert main(args) == 3
+    assert time.perf_counter() - t0 < 5
     err = capsys.readouterr().err
     assert err.startswith("resource error: ") and len(err.splitlines()) == 1
 

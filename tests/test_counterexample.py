@@ -197,6 +197,31 @@ def test_primes_descriptor_gap_filter():
     assert len(bad) / len(A.elements_in(1, N)) < 0.5
 
 
+@pytest.mark.parametrize("N", [10**4, 10**6])
+def test_primes_descriptor_equals_pairwise_loop(N):
+    # the oracle: a dense sieve of [0, N] and a loop over consecutive primes
+    is_prime = np.ones(N + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(N) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    ps = np.flatnonzero(is_prime).tolist()
+    c = AlmostSparseSet.gap_filter(N)
+    bad = set()
+    for a, b in zip(ps, ps[1:]):
+        if b - a <= c:
+            bad.add(a)
+            bad.add(b)
+    A = AlmostSparseSet("primes")
+    assert A.bad_set(N) == bad
+    for lo in (0, 2, 3, N // 2, N - 100):
+        want = [p for p in ps if p >= lo and p not in bad]
+        got = A.window(lo, N)
+        assert got.dtype == np.int64 and got.tolist() == want, lo
+    assert A.elements_in(N // 3, N // 2) == [p for p in ps if N // 3 <= p <= N // 2]
+    assert A.bad_set(1) == set() and A.bad_set(3) == {2, 3}
+
+
 def test_eps_n_examples():
     A = AlmostSparseSet("squares")
     assert eps_n(A, 100) == Fraction(1, 3)  # gap 4 - 1 = 3

@@ -13,7 +13,19 @@ from skewlab.identities import (LogVector, _dirichlet_convolve, _sieved_count,
                                 buchstab_check, combi_partition,
                                 heathbrown_coeff_check, linnik_check,
                                 vaughan_decompose)
-from skewlab.primes import factorize, mobius, simple_sieve
+from skewlab.primes import factorize, mobius
+
+
+def simple_sieve(limit: int) -> np.ndarray:
+    """All primes <= limit by a plain dense sieve of Eratosthenes: the oracle."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.flatnonzero(is_prime).astype(np.int64)
 
 
 def test_logvector_algebra():
@@ -177,6 +189,30 @@ def test_dirichlet_convolve_matches_object_oracle(N):
     assert not _dirichlet_convolve(np.zeros(N + 1, dtype=np.int64), b).any()
 
 
+def _dirichlet_convolve_by_divisor(a, b):
+    """The int64 convolution by one strided slice per nonzero a[d], about N numpy calls."""
+    N = len(a) - 1
+    out = np.zeros(N + 1, dtype=np.int64)
+    for d in np.flatnonzero(a[1:]) + 1:
+        out[d::d] += a[d] * b[1 : N // d + 1]
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 99, 100, 101, 1000])
+def test_dirichlet_convolve_matches_divisor_loop(N):
+    rng = np.random.default_rng(100 + N)
+    for density in (0.02, 0.5, 1.0):
+        for top in (N, max(1, N // 7), math.isqrt(N)):  # a[d] = 0 beyond top
+            a = rng.integers(-50, 51, size=N + 1) * (rng.random(N + 1) < density)
+            b = rng.integers(-10**6, 10**6 + 1, size=N + 1) * (rng.random(N + 1) < density)
+            a[top + 1 :] = 0
+            a[0] = b[0] = 0
+            for x, y in ((a, b), (b, a)):
+                got = _dirichlet_convolve(x, y)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, _dirichlet_convolve_by_divisor(x, y)), (N, density, top)
+
+
 def test_dirichlet_convolve_rejects_what_int64_cannot_hold():
     a = np.array([0, 2**31, 2**31], dtype=np.int64)
     b = np.array([0, 2**31, 1], dtype=np.int64)
@@ -231,7 +267,8 @@ def test_sieved_count_matches_least_prime_factor_oracle():
         hi = lo + int(rng.integers(-5, 3000))
         cases.append((lo, hi, int(rng.integers(2, 300))))
     for lo, hi, z in cases:
-        assert _sieved_count(lo, hi, z) == _least_prime_factor_count(lo, hi, z), (lo, hi, z)
+        got = _sieved_count(lo, hi, simple_sieve(z - 1).tolist())
+        assert got == _least_prime_factor_count(lo, hi, z), (lo, hi, z)
 
 
 def test_buchstab_examples():

@@ -7,12 +7,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab import primes
-from skewlab.errors import InvalidInputError, RangeError
+from skewlab.errors import InvalidInputError, RangeError, ResourceError
 from skewlab.primes import (PrimeSource, build_sieve_weights, chebyshev_theta,
                             coprimality_decomposition_error, coprimality_weight_sum,
                             divisor_count_k, euler_phi, factorize,
                             majorant_window_average, mobius, mobius_upto, primes_in,
-                            simple_sieve, von_mangoldt)
+                            von_mangoldt)
+
+
+def simple_sieve(limit: int) -> np.ndarray:
+    """All primes <= limit by a plain dense sieve of Eratosthenes: the oracle."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.flatnonzero(is_prime).astype(np.int64)
+
+
+def _window_oracle(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi] for lo >= 2: every n in the window struck by the dense
+    sieve's primes <= sqrt(hi), from their first multiple >= max(p^2, lo)."""
+    is_prime = np.ones(hi - lo + 1, dtype=bool)
+    for p in simple_sieve(math.isqrt(hi)).tolist():
+        is_prime[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return lo + np.flatnonzero(is_prime).astype(np.int64)
 
 
 def _trial_division_is_prime(n):
@@ -45,6 +66,76 @@ def test_range_beyond_limit():
     src = PrimeSource(limit=1000)
     with pytest.raises(RangeError):
         src.primes_in(1, 2000)
+    assert np.array_equal(src.primes_in(1, 1000), simple_sieve(1000))
+    with pytest.raises(RangeError):
+        src.primes_in(1, 1001)
+
+
+def _edge_ranges():
+    """(lo, hi) with lo <= 2, even and odd lo, hi = p^2 - 1, p^2, p^2 + 1, and empty ranges."""
+    for lo in range(-3, 40):
+        for hi in range(-3, 90):
+            yield lo, hi
+    for p in (3, 5, 7, 11, 13, 31, 97, 101, 997):
+        for d in (-1, 0, 1):
+            for lo in (0, 2, 3, p * p - 10, p * p - 9, p * p + d):
+                yield lo, p * p + d
+
+
+@pytest.mark.parametrize("segment", [None, 16])
+def test_primes_in_matches_dense_oracle(segment, monkeypatch):
+    if segment is not None:
+        monkeypatch.setattr(primes, "SEGMENT_SIZE", segment)
+    src = PrimeSource()
+    cases = list(_edge_ranges())
+    span = 2 * primes.SEGMENT_SIZE  # segment k of [lo, hi] starts at (max(lo, 3) | 1) + k * span
+    for lo in (2, 3, 4, 97, 98):
+        for k in (1, 2):
+            for d in (-2, -1, 0, 1, 2):
+                cases += [(lo, lo + k * span + d), (lo + d, lo + k * span)]
+    if segment is not None:  # 16-odd segments: keep each range to about a thousand of them
+        cases = [(lo, hi) for lo, hi in cases if hi - lo <= 40000]
+    dense = simple_sieve(max(hi for _, hi in cases))
+    for lo, hi in cases:
+        got = src.primes_in(lo, hi)
+        want = dense[(dense >= lo) & (dense <= hi)]
+        assert got.dtype == np.int64 and np.array_equal(got, want), (lo, hi)
+
+
+def test_primes_in_near_the_limit_matches_window_oracle():
+    rng = np.random.default_rng(3)
+    src = PrimeSource()
+    top = primes.DEFAULT_LIMIT
+    p = int(simple_sieve(math.isqrt(top))[-1])  # the largest base prime
+    cases = [(top - 5000, top), (top - 1, top), (top, top), (p * p - 3, p * p + 3)]
+    for _ in range(8):
+        hi = top - int(rng.integers(0, 10**6))
+        cases.append((hi - int(rng.integers(0, 20000)), hi))
+    for lo, hi in cases:
+        got = src.primes_in(lo, hi)
+        assert got.dtype == np.int64 and np.array_equal(got, _window_oracle(lo, hi)), (lo, hi)
+
+
+@pytest.mark.parametrize("n", [999983**2, 2**39, 999979 * 1000003, 2 * 999983, 999983])
+def test_factorize_large_equals_trial_division(n):
+    want, m, d = [], n, 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e:
+            want.append((d, e))
+        d += 1
+    if m > 1:
+        want.append((m, 1))
+    assert factorize(n) == want
+
+
+def test_factorize_budget():
+    assert factorize(10**12) == [(2, 12), (5, 12)]
+    with pytest.raises(ResourceError):
+        factorize(2**40)  # beyond n <= 1e12
 
 
 def test_segment_boundaries(monkeypatch):
