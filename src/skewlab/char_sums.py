@@ -28,10 +28,10 @@ from typing import ClassVar
 
 import numpy as np
 
+from skewlab.dd import e
 from skewlab.errors import (IntegrityError, InvalidInputError, PreconditionError, RangeError,
                             ResourceError)
 from skewlab.primes import coprime_mask, default_source, euler_phi, factorize
-from skewlab.skew_dynamics import e
 
 # elements of one (z, t) block of window positions in the beta-sup statistics
 WINDOW_BLOCK_ELEMS = 1 << 16
@@ -443,7 +443,7 @@ def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int, primes=None,
     ps = src.primes_in(2, x)
     logp = np.log(ps.astype(np.float64))
     W = np.bincount((ps % q).astype(np.int64), weights=logp, minlength=q)
-    units = np.gcd(np.arange(q), q) == 1
+    units = coprime_mask(0, q - 1, [p for p, _ in factorize(q)])
     D = W - np.where(units, H / euler_phi(q), 0.0)
     grid = beta_policy.grid(Hp)
     sups = []

@@ -79,23 +79,27 @@ class AlmostSparseSet:
         """Sorted members of A in [lo, hi]."""
         return self._members(lo, hi).tolist()
 
-    def _bad(self, N: int) -> np.ndarray:
-        """Sorted B_N as an int64 array."""
-        if self.descriptor == "squares":
-            return np.empty(0, dtype=np.int64)
-        if self.descriptor == "primes":
-            ps = primes_in(2, N)
-            close = np.flatnonzero(np.diff(ps) <= self.gap_filter(N))  # pairs (ps[i], ps[i+1])
-            return np.union1d(ps[close], ps[close + 1])
-        return np.asarray(sorted(self._bad_set(N)), dtype=np.int64)
+    def _pair_mask(self, ps: np.ndarray, N: int) -> np.ndarray:
+        """Mask of the consecutive primes ps that lie in a pair at distance <= c(N)."""
+        close = np.diff(ps) <= self.gap_filter(N)  # pairs (ps[i], ps[i+1])
+        return np.r_[close, False] | np.r_[False, close] if ps.size else close
 
     def bad_set(self, N: int):
-        return set(self._bad(N).tolist())
+        if self.descriptor == "primes":
+            ps = primes_in(2, N)
+            return set(ps[self._pair_mask(ps, N)].tolist())
+        return set(self._bad_set(N)) if self.descriptor == "custom" else set()
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Sorted members of A in [lo, hi] with B_hi removed, as an int64 array."""
-        bad = self._bad(hi)
+        if self.descriptor == "primes":
+            # a pair closer than c(hi) with a member >= lo has both members >= lo - c(hi)
+            ps = primes_in(max(2, lo - self.gap_filter(hi)), hi)
+            return ps[(ps >= lo) & ~self._pair_mask(ps, hi)]
         elems = self._members(lo, hi)
+        if self.descriptor == "squares":
+            return elems
+        bad = np.asarray(sorted(self._bad_set(hi)), dtype=np.int64)
         return elems[~np.isin(elems, bad)] if bad.size else elems
 
 
@@ -253,21 +257,25 @@ class TentFunction:
         return 2 * self.q
 
 
+def _stage_window(A: AlmostSparseSet, q: int, mu_twist: bool) -> np.ndarray:
+    """The window of a stage at q: A in [1, q/2] for the mu-twist, else in [q/2, q]."""
+    return A.window(1, q // 2) if mu_twist else A.window((q + 1) // 2, q)
+
+
+def _circle_dist(a, b):
+    """Distance on R/Z between a and b, elementwise."""
+    d = np.abs(a - b)
+    return np.minimum(d, 1 - d)
+
+
 def _next_even_stage_index(cf: ContinuedFraction, A: AlmostSparseSet, k_min: int,
                            mu_twist: bool):
     """Smallest even k >= k_min with alpha above p_k/q_k, q_{k+1} >= 2 q_k
     (so the two ramps fit inside one cell of width 1/q_k), and a nonempty
     window."""
-    for k in range(k_min, cf.max_index()):
-        if k % 2:
-            continue
-        if cf.convergent(k) >= cf.value:
-            continue
-        q = cf.q(k)
-        if cf.q(k + 1) < 2 * q:
-            continue
-        window = (A.window(1, q // 2) if mu_twist else A.window((q + 1) // 2, q))
-        if window.size:
+    for k in range(k_min + k_min % 2, cf.max_index(), 2):
+        if (cf.convergent(k) < cf.value and cf.q(k + 1) >= 2 * cf.q(k)
+                and _stage_window(A, cf.q(k), mu_twist).size):
             return k
     raise ConstructionError(f"no feasible stage index >= {k_min} within depth")
 
@@ -309,8 +317,11 @@ class StageConstruction:
                 raise InvalidInputError(f"stage indices must satisfy k_next > k^2: {a} -> {b}")
         self.stage_k = list(stage_indices)
         self.stage_l = [k + 1 for k in self.stage_k] if include_h else []
+        self._tents = [TentFunction(cf.q(l)) for l in self.stage_l]
         self.n_stages = len(self.stage_k)
-        self._stages = {}  # n -> dict(window, L_window, r_window, targets)
+        # n -> dict(k, q, q_next, terms = (f_n,) or (f_n, h_n), and the arrays
+        # window (int64), window_s (int64), r_window, targets and L_window (float64))
+        self._stages = {}
         self._phases = {}  # (n, solved stages) -> S_w(g)(0) mod 1 on the stage-n window
         self.exact_fallbacks = Counter()  # stage n -> points of f_n, h_n recomputed exactly
 
@@ -319,24 +330,18 @@ class StageConstruction:
     def q_of(self, n):
         return self.cf.q(self.stage_k[n - 1])
 
-    def window_of(self, n):
-        q = self.q_of(n)
-        if self.mu_twist:
-            return self.A.window(1, q // 2)
-        return self.A.window((q + 1) // 2, q)
-
     def solved(self):
         return len(self._stages)
 
     def f(self, n) -> RampFunction:
         if n > self.solved():
             raise StateError(f"stage {n} not solved yet")
-        return self._stages[n]["f"]
+        return self._stages[n]["terms"][0]
 
     def h(self, n) -> TentFunction:
         if not self.include_h:
             raise StateError("construction built without the tent terms")
-        return TentFunction(self.cf.q(self.stage_l[n - 1]))
+        return self._tents[n - 1]
 
     def solve_stage(self, n):
         """Define L_{n,.} from the targets; stages must be solved in order."""
@@ -348,7 +353,7 @@ class StageConstruction:
         if q1 < 2 * q:
             raise ConstructionError(
                 f"stage {n}: ramps of width 1/{q1} overlap inside cells of width 1/{q}")
-        ws = self.window_of(n)
+        ws = _stage_window(self.A, q, self.mu_twist)
         if not ws.size:
             raise ConstructionError(f"stage {n}: empty window at q = {q}")
         # r_{w,n} = sum_{m<n} f_m(w alpha) [+ h_m(w alpha)] mod 1
@@ -371,12 +376,11 @@ class StageConstruction:
         window_s = ws % q
         if np.any(np.diff(window_s) <= 0):
             raise ConstructionError(f"stage {n}: window residues not strictly sorted")
+        f = RampFunction(q, q1, self.cf.p(k), window_s, L_window)
         st = {
             "k": k, "q": q, "q_next": q1,
-            "window": ws.tolist(), "window_s": window_s,
-            "r_window": r_window.tolist(), "targets": targets.tolist(),
-            "L_window": L_window.tolist(),
-            "f": RampFunction(q, q1, self.cf.p(k), window_s, L_window),
+            "window": ws, "window_s": window_s, "r_window": r_window, "targets": targets,
+            "L_window": L_window, "terms": (f, *self._tents[n - 1:n]),
         }
         self._stages[n] = st
         if not self.mu_twist:
@@ -396,8 +400,7 @@ class StageConstruction:
         ws = np.asarray(ws, dtype=np.int64)
         total = np.zeros(ws.size)
         for m in range(1, upto + 1):
-            terms = [self.f(m)] + ([self.h(m)] if self.include_h else [])
-            for term in terms:
+            for term in self._stages[m]["terms"]:
                 values, fallbacks = term.at_multiples(ws, self.cf.value)
                 total += values
                 self.exact_fallbacks[m] += fallbacks
@@ -422,11 +425,8 @@ class StageConstruction:
         alpha = float(self.cf.value)
         out = np.zeros(x.shape)
         for m in range(1, upto + 1):
-            fm = self.f(m)
-            out = out + fm.eval((x + alpha) % 1.0) - fm.eval(x)
-            if self.include_h:
-                hm = self.h(m)
-                out = out + hm.eval((x + alpha) % 1.0) - hm.eval(x)
+            for term in self._stages[m]["terms"]:
+                out = out + term.eval((x + alpha) % 1.0) - term.eval(x)
         return out if out.shape else float(out)
 
     def continuity_certificate(self):
@@ -436,7 +436,8 @@ class StageConstruction:
             st = self._stages[n]
             q, q1 = st["q"], st["q_next"]
             dmax = float(self._slope_steps(n)[1].max())
-            rows.append({"n": n, "sup_term": max(st["L_window"]) / (q * q1), "lip_term": dmax / q1})
+            rows.append({"n": n, "sup_term": float(st["L_window"].max()) / (q * q1),
+                         "lip_term": dmax / q1})
         return rows
 
     def _slope_steps(self, n):
@@ -449,7 +450,7 @@ class StageConstruction:
         s[1::2], s[2::2] = ws, ws + 1
         s = s[s < q - 1]
         s = s[np.diff(s, prepend=-1) != 0]
-        l_of = st["f"].L_of_s
+        l_of = st["terms"][0].L_of_s
         return s, np.abs(l_of(s + 1) - l_of(s))
 
     def _log_q_lower(self, k: int) -> float:
@@ -493,7 +494,7 @@ class StageConstruction:
             eps = 1.0
         cap = 12.0 * q1
         inc_cap = max(12.0 * eps * q1, 24.0 * q1 / q)
-        Ls = np.asarray(st["L_window"])
+        Ls = st["L_window"]
         escapes = ~((q1 / 12.0 - 1e-9 <= Ls) & (Ls <= cap * (1 + 1e-12)))
         if escapes.any():
             w, L = st["window"][np.argmax(escapes)], Ls[np.argmax(escapes)]
@@ -504,7 +505,8 @@ class StageConstruction:
             s = probes[np.argmax(over)]
             raise ConstructionError(f"stage {n}: |L(s+1)-L(s)| at s={s} exceeds {inc_cap}")
         # endpoints reached exactly by the interpolation
-        miss = np.abs(st["f"].L_of_s(st["window_s"]) - Ls) > 1e-9 * np.maximum(1.0, np.abs(Ls))
+        L_at = st["terms"][0].L_of_s(st["window_s"])
+        miss = np.abs(L_at - Ls) > 1e-9 * np.maximum(1.0, np.abs(Ls))
         if miss.any():
             s = st["window_s"][np.argmax(miss)]
             raise ConstructionError(f"stage {n}: interpolation misses window point {s}")
@@ -523,8 +525,7 @@ class StageConstruction:
         st = self._stages[n]
         target = 0.0 if n % 2 == 0 else 0.5
         tail = self.tail_bound(self.solved(), st["q"])
-        dist = np.abs(self._window_phases(n) - target)
-        deviations = np.minimum(dist, 1 - dist)
+        deviations = _circle_dist(self._window_phases(n), target)
         worst = float(deviations.max())
         return {
             "n": n, "target": target, "eps": eps, "tail_bound": tail,
@@ -537,8 +538,7 @@ class StageConstruction:
         of half-width BUMP_WIDTH."""
         if n > self.solved():
             raise IncompleteError(f"stage {n} not solved")
-        dist = np.abs(self._window_phases(n) - 0.5)
-        d = np.minimum(dist, 1 - dist)
+        d = _circle_dist(self._window_phases(n), 0.5)
         return float(np.mean(np.maximum(0.0, 1.0 - d / BUMP_WIDTH)))
 
     def mu_twist_average(self, n=None) -> complex:
@@ -570,13 +570,10 @@ class StageConstruction:
         # S_steps(g)(x) = sum_n [F_n(x + steps*alpha) - F_n(x)] with F_n = f_n (+ h_n)
         total = np.zeros(RIGIDITY_GRID)
         for m in range(1, self.solved() + 1):
-            fm = self.f(m)
-            total += fm.eval((xs + alpha_shift) % 1.0) - fm.eval(xs)
-            hm = self.h(m)
-            total += hm.eval((xs + alpha_shift) % 1.0) - hm.eval(xs)
+            for term in self._stages[m]["terms"]:
+                total += term.eval((xs + alpha_shift) % 1.0) - term.eval(xs)
         total %= 1.0
-        best = min(float(np.mean(np.minimum(np.abs(total - c), 1 - np.abs(total - c))))
-                   for c in np.arange(0, 1, 1 / 64))
+        best = min(float(np.mean(_circle_dist(total, c))) for c in np.arange(0, 1, 1 / 64))
         return {"n": n, "K": K, "mean_distance_to_nearest_constant": best}
 
     # -- dump ----------------------------------------------------------------
@@ -588,9 +585,9 @@ class StageConstruction:
                 "n": n,
                 "k_n": st["k"],
                 "l_n": self.stage_l[n - 1] if self.include_h else None,
-                "window": st["window"],
-                "targets": st["targets"],
-                "L_window": st["L_window"],
+                "window": st["window"].tolist(),
+                "targets": st["targets"].tolist(),
+                "L_window": st["L_window"].tolist(),
             }
             if not self.mu_twist:
                 rep = self.verify_phi(n, eps)

@@ -20,6 +20,7 @@ round_certified carry that bound through one division and one final rounding
 and say, per element, whether the rounded double is certified to be float()
 of the exact rational.  mulmod reduces products mod m < 2**43 in int64.
 Callers recompute the elements that are not certified in exact integers.
+e(t) = exp(2 pi i t) maps the reduced angles to the orbit, character and phase sums.
 """
 
 import math
@@ -219,3 +220,16 @@ def dd_from_fraction(x: Fraction):
     hi = float(x)
     lo = float(x - Fraction(hi))
     return hi, lo
+
+
+def e(t):
+    """e(t) = exp(2 pi i t), elementwise: cos and sin of one 2 pi t, written in place.
+
+    Bit-identical to cos(2 pi t) + 1j sin(2 pi t), except that e(-0.0) has imaginary
+    part -0.0.
+    """
+    ang = 2.0 * math.pi * np.asarray(t, dtype=np.float64)
+    out = np.empty(ang.shape, dtype=np.complex128)
+    np.cos(ang, out=out.real)
+    np.sin(ang, out=out.imag)
+    return out if out.ndim else out[()]

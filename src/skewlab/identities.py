@@ -137,10 +137,12 @@ def linnik_check(n: int, z: int):
     exps = [e for _, e in fac]
     d = [0] + [math.prod(math.comb(e + j - 1, j - 1) for e in exps)
                for j in range(1, sum(exps) + 1)]  # d[j] = d_j(n); d[0] unused
-    lhs = Fraction(0)
+    D = math.lcm(*range(1, len(d)))  # the common denominator of the 1/k
+    num = 0
     for k in range(1, len(d)):
         count = sum((-1) ** (k - j) * math.comb(k, j) * d[j] for j in range(1, k + 1))
-        lhs -= Fraction((-1) ** k * count, k)
+        num -= (-1) ** k * count * (D // k)
+    lhs = Fraction(num, D)
     rhs = Fraction(1, exps[0]) if len(fac) == 1 else Fraction(0)
     return lhs, rhs
 

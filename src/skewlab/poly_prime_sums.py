@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from skewlab.dd import frac01_poly_dd
+from skewlab.dd import e, frac01_poly_dd
 from skewlab.errors import InvalidInputError, RangeError
 from skewlab.primes import default_source, euler_phi
-from skewlab.skew_dynamics import e
 
 
 @dataclass(frozen=True)

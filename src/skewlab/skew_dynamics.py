@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from skewlab.cocycle import TrigPoly, birkhoff_closed, orbit_angles
-from skewlab.dd import BLOCK_BITS, dd_from_fraction, frac01_int_mult
+from skewlab.dd import BLOCK_BITS, dd_from_fraction, e, frac01_int_mult
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import InvalidInputError, RangeError
 from skewlab.primes import coprime_mask, default_source, euler_phi, factorize, segment_windows
 
-TWO_PI = 2.0 * math.pi
 # the fiber split k = B + (i << _J_BITS) + j of _orbit_phases: B on dd's blocks of
 # 2**BLOCK_BITS, their offsets cut into 2**(BLOCK_BITS - _J_BITS) values of i and 2**_J_BITS of j
 _J_BITS = (BLOCK_BITS + 1) // 2
@@ -30,19 +29,6 @@ _J_BITS = (BLOCK_BITS + 1) // 2
 # perfbench counts 1 + len(g.freqs) frac01_int_mult calls (one orbit_angles chunk) there
 CHUNK = 1 << 14
 _IN_FLIGHT = 4  # chunks submitted and not yet done: bounds the xs computed ahead
-
-
-def e(t):
-    """e(t) = exp(2 pi i t), elementwise: cos and sin of one 2 pi t, written in place.
-
-    Bit-identical to cos(2 pi t) + 1j sin(2 pi t), except that e(-0.0) has imaginary
-    part -0.0.
-    """
-    ang = TWO_PI * np.asarray(t, dtype=np.float64)
-    out = np.empty(ang.shape, dtype=np.complex128)
-    np.cos(ang, out=out.real)
-    np.sin(ang, out=out.imag)
-    return out if out.ndim else out[()]
 
 
 @dataclass(frozen=True)
@@ -131,7 +117,8 @@ def _orbit_sums(T: SkewProduct, observables, Ns, x: float, y: float, windows):
     Once all chunks of a window are done, its np.sum joins a running total in window
     order, so a value depends on N and the windows alone, never on the threads.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here: e()'s importers need no pool
+    # imported on call, so its load time falls in the first pass, not in importing skewlab
+    from concurrent.futures import ThreadPoolExecutor
 
     live = [f for f in dict.fromkeys(observables) if (f.b, f.c) != (0, 0)]
     terms = _fiber_terms(T, x) if live else []

@@ -11,9 +11,9 @@ from skewlab.char_sums import (BetaPolicy, Character, build_characters, gauss_su
                                progression_char_stat, residue_progression_gap,
                                twisted_residue_window, window_coprime_count,
                                windowed_twisted_stat)
+from skewlab.dd import e
 from skewlab.errors import IntegrityError, PreconditionError, ResourceError
 from skewlab.primes import default_source, euler_phi, factorize, primes_in
-from skewlab.skew_dynamics import e
 
 
 def test_group_sizes_and_flags():

@@ -66,6 +66,12 @@ COUNTEREXAMPLE_SHA256 = [
      "5e0d39ae7120520f42cfe1185d47fc3d0a9f128ae496d4106d63ed3767e280a4"),
     (["--stages", "2", "--include_h", "true"],
      "6d12e3a0b0a079c75b7c5177a3dc750bb31e875701c932d94e3892c45ef631f2", None),
+    (["--stages", "2", "--include_h", "true", "--dump", "st.json"],
+     "bd985127bd00cb8636d2efce72252830c502e13ad3580d6577fe8eb1b6823ba1",
+     "bb0874d16d8ef5c5cc5c8b9abdf1e3cbeb620f4360b50307eff9fd9275ba747a"),
+    (["--stages", "2", "--mu_twist", "true", "--dump", "st.json"],
+     "e754e6783da2bf94f1ba7255e6b02b9b7ecb1621a772e4dbfca366c0c853dd58",
+     "fa8d0d828d4d00300b4165d875cec4eeab262814e91be7ee030b9147f912e2f8"),
 ]
 
 
@@ -136,6 +142,25 @@ PRIME_FED_SHA256 = [
 @pytest.mark.parametrize("args, stdout_sha", PRIME_FED_SHA256,
                          ids=["huxley-H-x", "huxley-sliding", "identities-5000", "ms-sum"])
 def test_prime_fed_bytes_pinned(args, stdout_sha, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    assert main(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+
+
+# sha256 of the remaining commands' stdout under SOURCE_DATE_EPOCH=0; every byte must stay
+OTHER_SHA256 = [
+    (["cf", "--quotients", "3,7,15,1,292"],
+     "d8de858e945e4a82faf1925d779de40c7c8e22e62e4325e93595e3d64b8ddab7"),
+    (["orbit"], "0563c1edc6b4fd8ff503a90cfde4a3d7a686e4a0d4968c9fead2d43cebacf824"),
+    (["cocycle-check"], "7b6d3f24b9eae66e45e4b5bdf80f1a0e0cccb75587e863dd36168131b8779d76"),
+    (["phase"], "8557d138006cac9b9eb525717dfa7b57e9f9c724109dd54326381f24b5f665a2"),
+    (["discrepancy"], "560c36f39465c01be838161ed9b01b7e27f934d2635a3ba31efd8fac41cc1ca4"),
+]
+
+
+@pytest.mark.parametrize("args, stdout_sha", OTHER_SHA256,
+                         ids=["cf-pi", "orbit", "cocycle-check", "phase", "discrepancy"])
+def test_other_bytes_pinned(args, stdout_sha, monkeypatch, capsys):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     assert main(args) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha

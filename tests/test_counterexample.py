@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -115,7 +117,7 @@ def test_array_evaluator_equals_exact_path_on_every_window_point(variant, solved
     P, Q = alpha.numerator, alpha.denominator
     for n in range(1, st.solved() + 1):
         window = st._stages[n]["window"]
-        ws, nums = np.asarray(window, dtype=np.int64), [w * P % Q for w in window]
+        ws, nums = np.asarray(window, dtype=np.int64), [w * P % Q for w in window.tolist()]
         for m in range(1, st.solved() + 1):
             terms = [st.f(m)] + ([st.h(m)] if st.include_h else [])
             for term in terms:
@@ -123,6 +125,33 @@ def test_array_evaluator_equals_exact_path_on_every_window_point(variant, solved
                 assert np.array_equal(got, term.at_fractions(nums, Q))
                 assert fallbacks < 100
     assert sum(st.exact_fallbacks.values()) < 100
+
+
+def test_stage_record_holds_arrays():
+    # one record per stage: the window data as arrays, never a list copy beside them
+    tracemalloc.start()
+    standard = counterexample_stages(n_stages=3).solve_all()
+    for n in (1, 2, 3):
+        standard.verify_phi(n)
+        standard.bump_average(n)
+    gc.collect()
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert held < 10 * 2**20, held  # about 17 MB with the lists kept beside the arrays
+    variants = [standard, counterexample_stages(n_stages=2, include_h=True).solve_all(),
+                counterexample_stages(n_stages=2, mu_twist=True).solve_all()]
+    for st in variants:
+        for n in range(1, st.solved() + 1):
+            data = st._stages[n]
+            for field, dtype in (("window", np.int64), ("window_s", np.int64),
+                                 ("r_window", np.float64), ("targets", np.float64),
+                                 ("L_window", np.float64)):
+                assert isinstance(data[field], np.ndarray) and data[field].dtype == dtype, field
+                assert data[field].shape == data["window"].shape, field
+            want = (st.f(n), st.h(n)) if st.include_h else (st.f(n),)
+            assert len(data["terms"]) == len(want)
+            assert all(a is b for a, b in zip(data["terms"], want))
+    assert variants[1].h(1) is variants[1].h(1)
 
 
 def _exact_cells(ws, alpha, q, p):
@@ -214,7 +243,9 @@ def test_primes_descriptor_equals_pairwise_loop(N):
             bad.add(b)
     A = AlmostSparseSet("primes")
     assert A.bad_set(N) == bad
-    for lo in (0, 2, 3, N // 2, N - 100):
+    # the larger members of the first and last close pairs: their partners lie below lo
+    firsts = [b for a, b in zip(ps, ps[1:]) if b - a <= c]
+    for lo in (0, 2, 3, N // 2, N - 100, firsts[0], firsts[-1]):
         want = [p for p in ps if p >= lo and p not in bad]
         got = A.window(lo, N)
         assert got.dtype == np.int64 and got.tolist() == want, lo
@@ -315,7 +346,7 @@ def test_slope_probes_match_unique_oracle(solved3):
         probes, steps = solved3._slope_steps(n)
         want = _unique_slope_probes(st["q"], st["window_s"])
         assert probes.dtype == want.dtype and np.array_equal(probes, want), n
-        l_of = st["f"].L_of_s
+        l_of = st["terms"][0].L_of_s
         assert np.array_equal(steps, np.abs(l_of(want + 1) - l_of(want))), n
     # seeded windows: some hold q - 1, 0 or runs of adjacent residues, one is all of [0, q)
     rng = np.random.default_rng(16)
@@ -326,7 +357,7 @@ def test_slope_probes_match_unique_oracle(solved3):
     square = SimpleNamespace(L_of_s=lambda s: s * s)
     for q, ws in cases:
         ws = ws.astype(np.int64)
-        fake = SimpleNamespace(_stages={1: {"q": q, "window_s": ws, "f": square}})
+        fake = SimpleNamespace(_stages={1: {"q": q, "window_s": ws, "terms": (square,)}})
         probes, steps = StageConstruction._slope_steps(fake, 1)
         want = _unique_slope_probes(q, ws)
         assert probes.dtype == want.dtype and np.array_equal(probes, want), (q, ws.tolist())

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from skewlab import cocycle, skew_dynamics
 from skewlab.cocycle import AnalyticCocycle, TrigPoly, birkhoff_prefix, orbit_angles
-from skewlab.dd import dd_from_fraction, frac01_int_mult
+from skewlab.dd import dd_from_fraction, e, frac01_int_mult
 from skewlab.diophantine import cf_from_quotients
 from skewlab.errors import InvalidInputError, RangeError
 from skewlab.presets import prime_pair
 from skewlab.primes import (DEFAULT_LIMIT, SEGMENT_SIZE, chebyshev_theta, default_source,
                             euler_phi, primes_in)
 from skewlab.skew_dynamics import (Observable, SkewProduct, _fiber_terms, _orbit_phases,
-                                   _orbit_sums, _prime_windows, e, exact_star_discrepancy,
+                                   _orbit_sums, _prime_windows, exact_star_discrepancy,
                                    nazarov_small_set, nazarov_translate_count,
                                    prime_weighted_average, prime_weighted_averages,
                                    reduced_residue_average, star_discrepancy_bound,
