@@ -6,11 +6,11 @@ These tests assert each frozen value over its recipe:
 
 - CHAR_PROGRESSION_RATIO: test_criterion_06_progression_stat_calibrated
   (tests/test_acceptance.py), the full recipe
-- MAJORANT_WINDOW_C: test_majorant_pointwise_and_average (tests/test_primes.py),
-  the full grid
-- SIEVE2_ERROR_C: test_coprimality_weights (tests/test_primes.py), the full grid
 - TWISTED_WINDOW_C: test_windowed_twisted_stat_calibrated_bound
   (tests/test_char_sums.py), at q = 997 and one character only
+
+The constants of the sieve-weight checks, which only the tests run, are frozen
+beside those checks in tests/lemmas.py.
 """
 
 import numpy as np
@@ -21,14 +21,6 @@ import numpy as np
 # (1000,10^4], 20 sampled characters beyond 10^3, r in {2,3,5,7}).
 CHAR_PROGRESSION_RATIO = 0.25
 CHAR_CALIBRATION_SEED = 20260809
-
-# window averages of the prime-majorant divisor sums, y > z^2:
-# measured 3.07 over z in {64, 1e3, 1e4}, x in {1, 1e6}, y = z^2 * {2, 20}.
-MAJORANT_WINDOW_C = 4.0
-
-# |sum lambda_e / e - phi(d)/d| * (log q)^(A-1): measured 2.18 over
-# q = d in {210, 30030, 510510}, A in {2, 3}.
-SIEVE2_ERROR_C = 3.0
 
 # windowed twisted character stat against q^(1-delta/4+eps) H' + q H'^(3/4):
 # measured 0.563 over q in {997, 5003, 10007} at H' = q^0.3, three

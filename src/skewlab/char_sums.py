@@ -464,37 +464,6 @@ def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int, primes=None,
     return {"value": total, "trivial_scale": float(x) * H * Hp}
 
 
-def residue_progression_gap(q: int, r: int, d: int) -> dict:
-    """(1/r) sum_{a <= r} |#{n <= q, (n,d) = 1, n = a mod r} - (phi(d)/d)(q/r)|."""
-    if math.gcd(r, q) != 1:
-        raise PreconditionError(f"need (r, q) = 1")
-    if d < 1 or q % d != 0:
-        raise InvalidInputError(f"d = {d} must divide q = {q}")
-    n = np.arange(1, q + 1, dtype=np.int64)
-    mask = coprime_mask(1, q, [p for p, _ in factorize(d)])
-    counts = np.bincount(n % r, weights=mask, minlength=r)
-    normalizer = euler_phi(d) / d * q / r
-    gap = float(np.mean(np.abs(counts - normalizer)))
-    return {"value": gap, "normalizer": normalizer}
-
-
-def twisted_residue_window(q: int, d: int, r: int, a: int, y: int, H: int, beta: float):
-    """The two window sums of the small-beta comparison.
-
-    Returns (sum over n in [y, y+H], (n,d) = 1, n = a mod r of e(n beta),
-             (1/phi(r)) sum over n in [y, y+H], (n, r d) = 1 of e(n beta)).
-    The guarantee needs |beta| <= e^(-r); larger twists are out of range.
-    """
-    if abs(beta) > math.exp(-r):
-        raise RangeError(f"|beta| = {abs(beta):.3e} beyond e^(-r)")
-    n = np.arange(y, y + H + 1, dtype=np.int64)
-    cop_d = coprime_mask(y, y + H, [p for p, _ in factorize(d)])
-    first = complex(np.sum(e(n[cop_d & (n % r == a % r)] * beta)))
-    cop_rd = cop_d & coprime_mask(y, y + H, [p for p, _ in factorize(r)])
-    second = complex(np.sum(e(n[cop_rd] * beta)) / euler_phi(r))
-    return first, second
-
-
 def window_coprime_count(qp: int, y: int, H: int) -> dict:
     """#{n in [y, y+H] : (n, q') = 1} against the smooth count H phi(q')/q'."""
     count = int(np.count_nonzero(coprime_mask(y, y + H, [p for p, _ in factorize(qp)])))

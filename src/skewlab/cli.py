@@ -105,6 +105,8 @@ def _cast(key, kind, value):
 
 
 def _budget(what, value, limit):
+    if value < 0:
+        raise InvalidInputError(f"{what} must be >= 0, got {value}")
     if value > limit:
         raise ResourceError(f"{what} budget is {limit}, got {value}")
 
@@ -210,11 +212,9 @@ def cmd_cf(quotients: tuple[int, ...] = None, decimal: str = None, depth: int = 
         cf = cf_from_real(decimal, depth)
     else:
         raise PreconditionError("cf needs quotients=... or decimal=...")
-    rows = [{"k": k, "a_k": cf.quotients[k - 1] if k >= 1 else 0,
+    return [{"k": k, "a_k": cf.quotients[k - 1] if k >= 1 else 0,
              "p_k": str(cf.p(k)), "q_k": str(cf.q(k))}
             for k in range(0, min(depth, cf.max_index()) + 1)]
-    rows[0]["a_k"] = 0
-    return rows
 
 
 def cmd_cocycle_check(samples: int = 100, spec: str = None, decay_rate: float = 0.095,

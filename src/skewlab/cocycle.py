@@ -40,15 +40,6 @@ class TrigPoly:
             raise InvalidInputError("duplicate frequencies")
         self.mean = float(mean)
 
-    @property
-    def coefficients(self):
-        """Full two-sided map m -> a_m (conjugate-symmetric)."""
-        out = {}
-        for m, a in zip(self.freqs, self.amps):
-            out[int(m)] = a
-            out[-int(m)] = np.conj(a)
-        return out
-
     def eval(self, x):
         """Value at x (scalar or array); real by conjugate symmetry."""
         x = np.asarray(x, dtype=np.float64)
@@ -165,23 +156,13 @@ class ReducedCocycle:
     every block form the residual.
     """
 
-    def __init__(self, blocks, residual, source, cf, depth=None):
+    def __init__(self, blocks, residual, depth=None):
         self.blocks = blocks  # dict n -> AnalyticCocycle
         self.residual = residual  # set of positive frequencies
-        self.source = source
-        self.cf = cf
         self.depth = depth if depth is not None else (max(blocks) if blocks else 0)
 
     def block(self, n):
         return self.blocks.get(n)
-
-    def tilde(self) -> AnalyticCocycle:
-        """The reduced form: the union of all blocks."""
-        coeffs = {}
-        for b in self.blocks.values():
-            for m, a in zip(b.freqs, b.amps):
-                coeffs[int(m)] = a
-        return AnalyticCocycle(coeffs, self.source.decay_rate, self.source.m_max)
 
 
 def reduce(g: AnalyticCocycle, cf: ContinuedFraction, params, depth: int) -> ReducedCocycle:
@@ -203,7 +184,7 @@ def reduce(g: AnalyticCocycle, cf: ContinuedFraction, params, depth: int) -> Red
         blocks[n] = g.restrict(ms)
         used.update(ms)
     residual = {int(m) for m in g.freqs} - used
-    return ReducedCocycle(blocks, residual, g, cf, depth=depth)
+    return ReducedCocycle(blocks, residual, depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +209,6 @@ def birkhoff_direct(g, cf: ContinuedFraction, n: int, x: float) -> float:
     if n == 0:
         return 0.0
     return float(np.sum(g.eval(orbit_angles(cf, np.arange(n, dtype=np.int64), x))))
-
-
-def birkhoff_prefix(g, cf: ContinuedFraction, n: int, x: float) -> np.ndarray:
-    """[S_0, S_1, ..., S_n](g)(x) by cumulative direct summation."""
-    if n == 0:
-        return np.zeros(1)
-    vals = g.eval(orbit_angles(cf, np.arange(n, dtype=np.int64), x))
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    np.cumsum(vals, out=out[1:])
-    return out
 
 
 def _kernel_ratio(cf: ContinuedFraction, m: int, n: int):
@@ -274,51 +244,3 @@ def birkhoff_closed(g, cf: ContinuedFraction, n: int, x: float, orbit_shift: int
         term = a * complex(math.cos(TWO_PI * phase), math.sin(TWO_PI * phase)) * r
         total += 2.0 * term.real
     return total
-
-
-def birkhoff_closed_grid(g, cf: ContinuedFraction, n: int, xs: np.ndarray) -> np.ndarray:
-    """Closed-form S_n(g) on an array of points."""
-    xs = np.asarray(xs, dtype=np.float64)
-    out = np.zeros(xs.shape)
-    if n == 0:
-        return out
-    for m, a in zip(g.freqs, g.amps):
-        m = int(m)
-        r = _kernel_ratio(cf, m, n)
-        ang = TWO_PI * m * xs
-        term = (a * r) * (np.cos(ang) + 1j * np.sin(ang))
-        out += 2.0 * term.real
-    return out
-
-
-def birkhoff_sup_bound(g, cf: ContinuedFraction) -> float:
-    """The a-priori bound 4 * sum |a_m| / ||m alpha||, valid for every n."""
-    total = 0.0
-    for m, a in zip(g.freqs, g.amps):
-        total += 2 * abs(a) * 4.0 / float(cf.dist_to_integers(int(m)))
-    return total
-
-
-def coboundary_drift(g: AnalyticCocycle, g_red: ReducedCocycle, cf: ContinuedFraction, n_max: int) -> float:
-    """sup_{k <= n_max} |S_k(g - g_tilde)(0)|; bounded iff the difference is a coboundary."""
-    tilde = g_red.tilde()
-    diff_coeffs = {int(m): a for m, a in zip(g.freqs, g.amps)}
-    for m, a in zip(tilde.freqs, tilde.amps):
-        diff_coeffs[int(m)] = diff_coeffs.get(int(m), 0) - a
-    diff_coeffs = {m: a for m, a in diff_coeffs.items() if a != 0}
-    if not diff_coeffs:
-        return 0.0
-    h = TrigPoly(list(diff_coeffs.keys()), list(diff_coeffs.values()))
-    prefix = birkhoff_prefix(h, cf, n_max, 0.0)
-    return float(np.max(np.abs(prefix)))
-
-
-def denjoy_koksma_gap(h, q: int, x: float, cf: ContinuedFraction, mean: float) -> float:
-    """|S_q(h)(x) - q * mean| for a convergent denominator q.
-
-    h is any callable on arrays (a TrigPoly too) and mean its integral.
-    """
-    denominators = {cf.q(k) for k in range(0, cf.max_index() + 1)}
-    if q not in denominators:
-        raise InvalidInputError(f"q = {q} is not a convergent denominator of alpha")
-    return abs(float(np.sum(h(orbit_angles(cf, np.arange(q, dtype=np.int64), x)))) - q * mean)

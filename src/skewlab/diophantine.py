@@ -1,10 +1,9 @@
 """Exact continued-fraction arithmetic for the rotation number alpha.
 
-Everything here is integer/rational and exact: convergents p_k/q_k, distances
-``|n*alpha|`` to the nearest integer with certified error bounds, and the
-derived scales n_star and K_n used by the approximation machinery.  alpha is
-specified primarily by its partial quotients; decimal entry is a convenience
-path with explicit precision tracking.
+Everything here is integer/rational and exact: convergents p_k/q_k and
+distances ``|n*alpha|`` to the nearest integer with certified error bounds.
+alpha is specified primarily by its partial quotients; decimal entry is a
+convenience path with explicit precision tracking.
 """
 
 import math
@@ -198,32 +197,3 @@ def cf_from_real(alpha, depth, uncertainty=None) -> ContinuedFraction:
                 )
             break
     return ContinuedFraction(quotients, depth)
-
-
-def _geq_exp(q_k: int, tau: float, q_prev: int) -> bool:
-    """q_k >= exp(tau * q_prev), overflow-safe for huge denominators."""
-    if q_prev == 0:
-        return True
-    return math.log(q_k) >= tau * float(q_prev) if q_prev < 10**300 else False
-
-
-def n_star(n: int, cf: ContinuedFraction, params: AnalysisParams) -> int:
-    """Largest k <= n with q_k >= exp(tau * q_{k-1}).
-
-    Follows the convention q_0 := 0 inside this comparison only, so the k = 1
-    test always passes and the scale exists for every n >= 1.
-    """
-    if n < 1 or n > cf.max_index():
-        raise RangeError(f"n = {n} outside computed depth {cf.max_index()}")
-    for k in range(n, 0, -1):
-        q_prev = 0 if k == 1 else cf.q(k - 1)
-        if _geq_exp(cf.q(k), params.tau, q_prev):
-            return k
-    raise AssertionError("unreachable: k = 1 always satisfies the convention")
-
-
-def k_n(n: int, cf: ContinuedFraction, params: AnalysisParams) -> Fraction:
-    """K_n = q_{n+1} / q_{n_star}, exact rational."""
-    if n + 1 > cf.max_index():
-        raise RangeError(f"need q_{n + 1}, computed depth is {cf.max_index()}")
-    return Fraction(cf.q(n + 1), cf.q(n_star(n, cf, params)))

@@ -11,8 +11,7 @@ each split at sqrt(N) by the hyperbola method into about 2 sqrt(N) strided
 slices and preceded by a check in Python ints that its result fits in int64;
 beyond that bound the check raises ResourceError (CLI exit 3).  Buchstab's
 sifted counts each strike the multiples of a prefix of the primes below z,
-drawn once, from one boolean window.  The partition lemma is an exhaustive
-finite search.
+drawn once, from one boolean window.
 """
 
 import bisect
@@ -36,11 +35,6 @@ class LogVector:
 
     def __init__(self, coords=None):
         self.coords = {p: c for p, c in (coords or {}).items() if c != 0}
-
-    @classmethod
-    def log_of(cls, n: int) -> "LogVector":
-        """log n as sum of v_p(n) log p."""
-        return cls({p: e for p, e in factorize(n)})
 
     @classmethod
     def von_mangoldt(cls, n: int) -> "LogVector":
@@ -241,44 +235,3 @@ def buchstab_check(n_range, w: int, z: int):
         p = primes[i]
         rhs -= _sieved_count((lo + p - 1) // p, hi // p, primes[:i])
     return lhs, rhs
-
-
-def combi_partition(a, eta: float):
-    """Partition {0..k-1} into I, J, K with |sum_I - sum_J| <= 1/3 - eta and
-    sum_K <= 5/9 - 2*eta, by exhaustive search.
-
-    Returns (I, J, K) as sorted tuples.  Raises PreconditionError when the
-    hypotheses fail and IntegrityError when no partition exists on valid
-    input (which would contradict the lemma).
-    """
-    a = [float(x) for x in a]
-    k = len(a)
-    if k < 4:
-        raise PreconditionError("need k >= 4 parts")
-    if not 0 < eta < 1e-5:
-        raise PreconditionError("need eta in (0, 1e-5)")
-    if abs(sum(a) - 1.0) > 1e-9:
-        raise PreconditionError("parts must sum to 1")
-    for i, x in enumerate(a[:-1]):
-        if not 0 < x < 1 / 3 - 100 * eta:
-            raise PreconditionError(f"a[{i}] = {x} outside (0, 1/3 - 100*eta)")
-    if not 0 < a[-1] < 1 / 3 + 100 * eta:
-        raise PreconditionError(f"a[{k - 1}] = {a[-1]} outside (0, 1/3 + 100*eta)")
-    if k > 20:
-        raise ResourceError("exhaustive search capped at k = 20")
-
-    idx = range(k)
-    for ksize in range(1, k - 1):
-        for K in itertools.combinations(idx, ksize):
-            sK = sum(a[i] for i in K)
-            if sK > 5 / 9 - 2 * eta:
-                continue
-            rest = [i for i in idx if i not in K]
-            for isize in range(1, len(rest)):
-                for I in itertools.combinations(rest, isize):
-                    J = tuple(i for i in rest if i not in I)
-                    sI = sum(a[i] for i in I)
-                    sJ = sum(a[i] for i in J)
-                    if abs(sI - sJ) <= 1 / 3 - eta:
-                        return tuple(I), J, K
-    raise IntegrityError("no valid partition found: contradicts the partition lemma")

@@ -20,17 +20,6 @@ from skewlab.errors import IntegrityError, InvalidInputError, RangeError
 BOUND_GRID = 1 << 12  # grid points of the sampled sup of each coefficient
 
 
-def torus_dist(a: float) -> float:
-    """|| a || = distance from a to the nearest integer."""
-    f = a % 1.0
-    return min(f, 1.0 - f)
-
-
-def torus_metric(p1, p2) -> float:
-    """d((x,y),(x',y')) = ||x - x'|| + ||y - y'||."""
-    return torus_dist(p1[0] - p2[0]) + torus_dist(p1[1] - p2[1])
-
-
 @dataclass
 class PhasePolynomial:
     """P_n(x, m) = sum_{s=1..degree} a_s(x) m^s with recorded coefficient bounds."""
@@ -115,18 +104,3 @@ def polap_error(g, gr, P: PhasePolynomial, x: float, m: int, w: int,
     s_m = birkhoff_closed(g, cf, m, x)
     s_red = birkhoff_closed(g, cf, m_red, x)
     return abs(s_m - s_red - P.eval(x, m))
-
-
-def orbit_return_error(g, cf: ContinuedFraction, n: int, z: int, m: int,
-                       x: float, y: float, params: AnalysisParams) -> float:
-    """Torus distance between the orbit at time m and at time m mod z*q_n."""
-    from skewlab.diophantine import k_n as _k_n
-
-    qn = cf.q(n)
-    cap = float(qn) * min(float(_k_n(n, cf, params)), math.exp(min(2 * params.tau * qn, 700)))
-    if m > cap:
-        raise RangeError(f"m = {m} beyond q_n * min(K_n, e^(2 tau q_n)) = {cap:.3e}")
-    m_red = m % (z * qn)
-    dx = float(cf.frac01(m - m_red))
-    dy = birkhoff_closed(g, cf, m, x) - birkhoff_closed(g, cf, m_red, x)
-    return torus_dist(dx) + torus_dist(dy)

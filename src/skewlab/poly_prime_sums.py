@@ -58,6 +58,8 @@ def _check_regime(g: ShiftedPoly, H: int, r: int):
 def prime_phase_sum(N: int, H: int, r: int, a: int, g: ShiftedPoly,
                     primes=None) -> complex:
     """sum over primes p in [N, N+H], p = a mod r, of e(g(p)) log p."""
+    if r < 1:  # before _check_regime, whose e^(-r) overflows for r << 0
+        raise InvalidInputError("r must be >= 1")
     if math.gcd(a, r) != 1:
         raise InvalidInputError(f"need (a, r) = 1, got ({a}, {r})")
     src = primes if primes is not None else default_source()

@@ -1,4 +1,4 @@
-"""Segmented prime sieve, arithmetic functions, and combinatorial sieve weights.
+"""Segmented prime sieve and the arithmetic functions built on it.
 
 PrimeSource.primes_in is the one sieve: odd-only and segmented, each segment
 struck with one strided numpy slice per base prime from start offsets computed
@@ -7,8 +7,6 @@ which trial-divides by the default source's table, enough for n <= 1e12.
 """
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -127,13 +125,6 @@ def coprime_mask(lo: int, hi: int, primes) -> np.ndarray:
     return keep
 
 
-def mobius(n: int) -> int:
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
 def von_mangoldt(n: int) -> float:
     """log p on prime powers p^a, zero elsewhere."""
     if n < 1:
@@ -182,114 +173,3 @@ def mobius_upto(N: int) -> np.ndarray:
     big[0] = False
     mu[big] *= -1
     return mu
-
-
-# ---------------------------------------------------------------------------
-# combinatorial sieve weights
-
-MAJORANT_TRUNCATION = 6  # even, so the truncated Brun sum majorizes 1_prime
-
-
-@dataclass
-class SieveWeights:
-    """Divisor weights lambda_d of one of the two supported kinds.
-
-    prime-majorant: Brun pure sieve truncated at MAJORANT_TRUNCATION prime
-    factors; |lambda_d| <= 1 and 1_prime(n) <= sum_{d|n, d<=z} lambda_d for
-    every n above the sifting bound z^(1/MAJORANT_TRUNCATION).
-
-    coprimality: lambda_e = mu(e) on squarefree e built from primes dividing d
-    that are <= (log q)^A, with at most (loglog q)^2 of them; used to expand
-    the indicator 1_{(n,d)=1} up to explicitly vanishing error terms.
-    """
-
-    kind: str
-    z: float
-    lambdas: dict
-    q: int = None
-    d: int = None
-    A: float = None
-    sift_bound: int = None  # prime-majorant: primes <= sift_bound are sieved
-    meta: dict = field(default_factory=dict)
-
-    def divisor_sum(self, n: int) -> int:
-        """sum of lambda_d over d | n (d <= z is built into the support)."""
-        return sum(lam for d, lam in self.lambdas.items() if n % d == 0)
-
-
-def _subsets_products(primes, max_omega, cap):
-    """All squarefree products of <= max_omega of the given primes, <= cap."""
-    out = {1: 0}  # product -> number of prime factors
-    for p in primes:
-        extra = {}
-        for v, w in out.items():
-            nv = v * p
-            if w + 1 <= max_omega and nv <= cap:
-                extra[nv] = w + 1
-        out.update(extra)
-    return out
-
-
-def build_sieve_weights(kind: str, **params) -> SieveWeights:
-    """Construct SieveWeights; see SieveWeights for the two kinds."""
-    if kind == "coprimality":
-        q, d, A = params["q"], params["d"], params["A"]
-        if q < 3:
-            raise RangeError("coprimality weights need q >= 3 (loglog q defined)")
-        if d < 1 or q % d != 0:
-            raise InvalidInputError(f"d = {d} must divide q = {q}")
-        if A <= 0:
-            raise RangeError("A must be positive")
-        loglogq = math.log(math.log(q))
-        z = math.exp(A * max(loglogq, 0.0) ** 3)
-        p_cap = math.log(q) ** A
-        omega_cap = max(loglogq, 0.0) ** 2
-        admissible = [p for p, _ in factorize(d) if p <= p_cap]
-        products = _subsets_products(admissible, math.floor(omega_cap), math.inf)
-        lambdas = {e: (-1 if w % 2 else 1) for e, w in products.items()}
-        return SieveWeights(kind=kind, z=z, lambdas=lambdas, q=q, d=d, A=A,
-                            meta={"p_cap": p_cap, "omega_cap": omega_cap})
-
-    if kind == "prime-majorant":
-        z = params["z"]
-        if z < 4:
-            raise RangeError("prime-majorant needs z >= 4")
-        w = int(z ** (1.0 / MAJORANT_TRUNCATION))
-        sieve_primes = primes_in(2, w).tolist()
-        products = _subsets_products(sieve_primes, MAJORANT_TRUNCATION, z)
-        lambdas = {dd: (-1 if k % 2 else 1) for dd, k in products.items()}
-        return SieveWeights(kind=kind, z=z, lambdas=lambdas, sift_bound=w)
-
-    raise InvalidInputError(f"unknown sieve kind {kind!r}")
-
-
-def coprimality_decomposition_error(n: int, weights: SieveWeights):
-    """(lhs, rhs, indicator1, indicator2) of the coprimality expansion.
-
-    lhs = 1_{(n,d)=1}; rhs = sum_{e|n} lambda_e.  indicator1 flags a prime
-    p | gcd(n,d) with p > (log q)^A; indicator2 flags omega(n) > (loglog q)^2.
-    The expansion is exact (lhs == rhs) whenever both indicators vanish.
-    """
-    if weights.kind != "coprimality":
-        raise InvalidInputError("needs coprimality-kind weights")
-    d, pc, oc = weights.d, weights.meta["p_cap"], weights.meta["omega_cap"]
-    lhs = 1 if math.gcd(n, d) == 1 else 0
-    rhs = weights.divisor_sum(n)
-    fac = factorize(n)
-    ind1 = any(d % p == 0 and p > pc for p, _ in fac)
-    ind2 = len(fac) > oc
-    return lhs, rhs, int(ind1), int(ind2)
-
-
-def coprimality_weight_sum(weights: SieveWeights) -> Fraction:
-    """Exact sum of lambda_e / e; compare against phi(d)/d."""
-    return sum(Fraction(lam, e) for e, lam in weights.lambdas.items())
-
-
-def majorant_window_average(weights: SieveWeights, x: int, y: int) -> float:
-    """sum over n in [x, x+y] of sum_{d|n} lambda_d, divided by y/log z."""
-    total = 0
-    for d, lam in weights.lambdas.items():
-        count = (x + y) // d - (x - 1) // d
-        total += lam * count
-    return total / (y / math.log(weights.z))

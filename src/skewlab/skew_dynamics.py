@@ -7,8 +7,7 @@ n = B + (i << 11) + j; never by stepwise iteration.  The prime log-weighted and
 reduced-residue averages are one orbit sum with weight log p or 1, streamed window
 by window in memory O(SEGMENT_SIZE); two worker threads evaluate each window in
 chunks, summed in a fixed order, so no value depends on the threads.
-Beside them: Weyl sums, an Erdos-Turan star-discrepancy bound, and small-set
-measure estimates for trigonometric polynomials.
+Beside them: Weyl sums and an Erdos-Turan star-discrepancy bound.
 """
 
 import math
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from skewlab.cocycle import TrigPoly, birkhoff_closed, orbit_angles
+from skewlab.cocycle import birkhoff_closed, orbit_angles
 from skewlab.dd import BLOCK_BITS, dd_from_fraction, e, frac01_int_mult
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import InvalidInputError, RangeError
@@ -247,19 +246,3 @@ def star_discrepancy_bound(points, K: int) -> float:
     for k in range(1, K + 1):
         total += 3.0 * abs(weyl_sum(pts, k)) / k
     return total
-
-
-def nazarov_small_set(p: TrigPoly, eps: float, grid: int = 1 << 12) -> float:
-    """Grid estimate of Leb{x : |p(x)| <= eps}."""
-    if grid < (1 << 10):
-        raise InvalidInputError("grid must be >= 2^10")
-    xs = np.arange(grid) / grid
-    return float(np.mean(np.abs(p.eval(xs)) <= eps))
-
-
-def nazarov_translate_count(g_block: TrigPoly, cf: ContinuedFraction, q_n: int,
-                            eps_exponent: float, x: float) -> int:
-    """|{u <= q_n : |g(x + u alpha)| <= q_n^(-eps)}| along the rotation orbit."""
-    angles = orbit_angles(cf, np.arange(1, q_n + 1, dtype=np.int64), x)
-    thresh = float(q_n) ** (-eps_exponent)
-    return int(np.count_nonzero(np.abs(g_block.eval(angles)) <= thresh))

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lemmas import residue_progression_gap, twisted_residue_window
 from skewlab import char_sums
 from skewlab.char_sums import (BetaPolicy, Character, build_characters, gauss_sum,
                                huxley_stat_progressions, huxley_stat_windows,
-                               progression_char_stat, residue_progression_gap,
-                               twisted_residue_window, window_coprime_count,
+                               progression_char_stat, window_coprime_count,
                                windowed_twisted_stat)
 from skewlab.dd import e
 from skewlab.errors import IntegrityError, PreconditionError, ResourceError

@@ -211,6 +211,9 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
     ["counterexample", "--stages", "2.5"],
     ["cf", "--quotients", "1,1", "--depth"],
     ["orbit", "--steps", "1", "--x", "1" + "0" * 400],
+    ["ms-sum", "--r", "-1000", "--coeffs", "0.1"],
+    ["cocycle-check", "--samples", "-1"],
+    ["identities", "--buchstab_windows", "-1"],
 ], ids=["identities-k0", "charsum-q2-windowed", "charsum-chi-index-past-last",
         "prime-average-N0", "ms-sum-eta0", "charsum-windowed-Hp-negative",
         "charsum-windowed-Hp0", "huxley-x0", "huxley-H0", "orbit-unknown-pair",
@@ -221,7 +224,8 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
         "discrepancy-N-negative", "cf-misspelt-key", "prime-average-unknown-key",
         "cf-old-set-flag", "cf-depth-not-integral", "prime-average-b-not-integral",
         "residue-average-scale-not-integral", "counterexample-stages-not-integral",
-        "cf-bare-depth", "orbit-x-beyond-float"])
+        "cf-bare-depth", "orbit-x-beyond-float", "ms-sum-r-negative",
+        "cocycle-check-samples-negative", "identities-buchstab-windows-negative"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_domain_value_exit_2(args, capsys):
     assert main(args) == 2
@@ -267,8 +271,8 @@ KEYS = {
 }
 # misspelt keys, the old parser's --set, and keys that only other commands read
 UNKNOWN = ("dpeth", "obs", "set", "n_max", "stages")
-MALFORMED = ("abc", "", "-1", "0", "2.5", "1e10", "1e15", "1e400", "Infinity", "NaN", "[]", "1,zz",
-             "true")
+MALFORMED = ("abc", "", "-1", "0", "2.5", "1e10", "-1e10", "1e15", "1e400", "Infinity", "NaN", "[]",
+             "1,zz", "true")
 
 
 def _keys(command):

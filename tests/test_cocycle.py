@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from skewlab.cocycle import (AnalyticCocycle, TrigPoly, birkhoff_closed,
-                             birkhoff_direct, birkhoff_prefix, birkhoff_sup_bound,
-                             coboundary_drift, denjoy_koksma_gap, reduce)
+from lemmas import birkhoff_prefix, birkhoff_sup_bound, coboundary_drift, denjoy_koksma_gap
+from skewlab.cocycle import AnalyticCocycle, TrigPoly, birkhoff_closed, birkhoff_direct, reduce
 from skewlab.diophantine import AnalysisParams, cf_from_quotients
 from skewlab.errors import InvalidInputError
 
@@ -42,7 +41,9 @@ def test_reality_everywhere_sampled():
     xs = rng.random(512)
     # conjugate-symmetric storage makes the imaginary part identically zero;
     # cross-check against the two-sided complex sum
-    two_sided = sum(a * np.exp(2j * np.pi * m * xs) for m, a in g.coefficients.items())
+    coefficients = [(s * int(m), a if s > 0 else np.conj(a))
+                    for m, a in zip(g.freqs, g.amps) for s in (1, -1)]
+    two_sided = sum(a * np.exp(2j * np.pi * m * xs) for m, a in coefficients)
     assert np.max(np.abs(two_sided.imag)) < 1e-12
     assert np.allclose(g.eval(xs), two_sided.real, atol=1e-12)
 
@@ -174,8 +175,7 @@ def test_denjoy_koksma(cf):
 def test_sup_S_Kqn_decreases_across_scales():
     # Liouville-type pair: sup_x |S_{K q_n}(g)(x)| shrinks as n grows,
     # for K within min(K_n, e^{2 tau q_n})
-    from skewlab.cocycle import birkhoff_closed_grid
-    from skewlab.diophantine import k_n
+    from lemmas import k_n
     from skewlab.presets import phase_pair
 
     cf, g, params, _ = phase_pair()
@@ -185,7 +185,7 @@ def test_sup_S_Kqn_decreases_across_scales():
         K_cap = min(float(k_n(n, cf, params)),
                     math.exp(min(2 * params.tau * cf.q(n), 50)))
         K = max(1, int(K_cap))
-        sups.append(float(np.max(np.abs(birkhoff_closed_grid(g, cf, K * cf.q(n), xs)))))
+        sups.append(max(abs(birkhoff_closed(g, cf, K * cf.q(n), float(x))) for x in xs))
     assert sups[2] < sups[1] < sups[0]
 
 

@@ -474,7 +474,7 @@ def test_stage_order_enforced():
 
 def test_denjoy_koksma_on_ramp_handle(solved):
     # the DK gap of a bounded-variation sawtooth stays under its variation
-    from skewlab.cocycle import denjoy_koksma_gap
+    from lemmas import denjoy_koksma_gap
 
     st = solved
     f1 = st.f(1)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmas import k_n, n_star
 from skewlab.diophantine import (AnalysisParams, ContinuedFraction, cf_from_quotients,
-                                 cf_from_real, k_n, n_star)
+                                 cf_from_real)
 from skewlab.errors import InvalidInputError, PrecisionError
 
 

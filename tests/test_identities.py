@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmas import combi_partition, mobius
 from skewlab import identities
 from skewlab.errors import IntegrityError, PreconditionError, ResourceError
 from skewlab.identities import (LogVector, _dirichlet_convolve, _sieved_count,
-                                buchstab_check, combi_partition,
-                                heathbrown_coeff_check, linnik_check,
+                                buchstab_check, heathbrown_coeff_check, linnik_check,
                                 vaughan_decompose)
-from skewlab.primes import factorize, mobius
+from skewlab.primes import factorize
 
 
 def simple_sieve(limit: int) -> np.ndarray:
@@ -29,7 +29,7 @@ def simple_sieve(limit: int) -> np.ndarray:
 
 
 def test_logvector_algebra():
-    a = LogVector.log_of(12)  # 2 log2 + log3
+    a = LogVector(dict(factorize(12)))  # 2 log2 + log3
     assert a.coords == {2: Fraction(2), 3: Fraction(1)}
     assert (a - a).is_zero()
     assert abs(a.to_float() - math.log(12)) < 1e-12
@@ -41,7 +41,8 @@ def test_logvector_algebra():
 @settings(max_examples=80, deadline=None)
 def test_logvector_respects_multiplication(a, b):
     # log(ab) = log a + log b in the vector space
-    assert LogVector.log_of(a * b) == LogVector.log_of(a) + LogVector.log_of(b)
+    assert LogVector(dict(factorize(a * b))) == (LogVector(dict(factorize(a)))
+                                                 + LogVector(dict(factorize(b))))
 
 
 def test_vaughan_examples():
@@ -86,7 +87,7 @@ def _vaughan_oracle(n, z):
         if mud == 0:
             continue
         if d <= z:
-            add(0, mud, LogVector.log_of(n) - LogVector.log_of(d))
+            add(0, mud, LogVector(dict(factorize(n))) - LogVector(dict(factorize(d))))
         for c in _divisor_list(n // d):
             lam = LogVector.von_mangoldt(c)
             if lam.is_zero():

@@ -4,11 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lemmas import orbit_return_error, torus_dist, torus_metric
 from skewlab.cocycle import AnalyticCocycle, TrigPoly, birkhoff_closed, reduce
 from skewlab.diophantine import AnalysisParams, cf_from_quotients
 from skewlab.errors import IntegrityError, InvalidInputError, RangeError
-from skewlab.phase_approx import (BOUND_GRID, PhasePolynomial, build_phase_poly,
-                                  orbit_return_error, polap_error, torus_dist, torus_metric)
+from skewlab.phase_approx import BOUND_GRID, PhasePolynomial, build_phase_poly, polap_error
 from skewlab.presets import phase_pair
 
 

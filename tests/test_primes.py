@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmas import (build_sieve_weights, coprimality_decomposition_error,
+                    coprimality_weight_sum, majorant_window_average, mobius)
 from skewlab import primes
 from skewlab.errors import InvalidInputError, RangeError, ResourceError
-from skewlab.primes import (PrimeSource, build_sieve_weights, chebyshev_theta,
-                            coprimality_decomposition_error, coprimality_weight_sum,
-                            divisor_count_k, euler_phi, factorize,
-                            majorant_window_average, mobius, mobius_upto, primes_in,
-                            von_mangoldt)
+from skewlab.primes import (PrimeSource, chebyshev_theta, divisor_count_k, euler_phi,
+                            factorize, mobius_upto, primes_in, von_mangoldt)
 
 
 def simple_sieve(limit: int) -> np.ndarray:
@@ -224,7 +223,7 @@ def test_majorant_pointwise_and_average():
     assert all(w.divisor_sum(int(p)) >= 1 for p in ps)
     # Bonferroni: the divisor sum never goes negative
     assert all(w.divisor_sum(n) >= 0 for n in range(1, 5000))
-    from skewlab.calibration import MAJORANT_WINDOW_C
+    from lemmas import MAJORANT_WINDOW_C
 
     assert majorant_window_average(w, 10**6, 2 * 10**8 + 1) <= MAJORANT_WINDOW_C
     # the recipe that froze the constant (measured maximum 3.07)
@@ -250,7 +249,7 @@ def test_coprimality_weights():
             lhs, rhs, i1, i2 = coprimality_decomposition_error(n, weights)
             if not i1 and not i2:
                 assert lhs == rhs, (n, weights.q, weights.d)
-    from skewlab.calibration import SIEVE2_ERROR_C
+    from lemmas import SIEVE2_ERROR_C
 
     # the recipe that froze the constant (measured maximum 2.18)
     for q in (210, 30030, 510510):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmas import birkhoff_prefix, nazarov_small_set, nazarov_translate_count
 from skewlab import cocycle, skew_dynamics
-from skewlab.cocycle import AnalyticCocycle, TrigPoly, birkhoff_prefix, orbit_angles
+from skewlab.cocycle import AnalyticCocycle, TrigPoly, orbit_angles
 from skewlab.dd import dd_from_fraction, e, frac01_int_mult
 from skewlab.diophantine import cf_from_quotients
 from skewlab.errors import InvalidInputError, RangeError
@@ -15,7 +16,6 @@ from skewlab.primes import (DEFAULT_LIMIT, SEGMENT_SIZE, chebyshev_theta, defaul
                             euler_phi, primes_in)
 from skewlab.skew_dynamics import (Observable, SkewProduct, _fiber_terms, _orbit_phases,
                                    _orbit_sums, _prime_windows, exact_star_discrepancy,
-                                   nazarov_small_set, nazarov_translate_count,
                                    prime_weighted_average, prime_weighted_averages,
                                    reduced_residue_average, star_discrepancy_bound,
                                    weyl_sum)
