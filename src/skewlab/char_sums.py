@@ -24,7 +24,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -35,6 +34,8 @@ from skewlab.primes import coprime_mask, default_source, euler_phi, factorize
 
 # elements of one (z, t) block of window positions in the beta-sup statistics
 WINDOW_BLOCK_ELEMS = 1 << 16
+BETA_OVERSAMPLE = 4  # beta grid points per unit of H'
+GOLDEN_ITERS = 20  # golden-section steps of windowed_twisted_stat's refine
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +272,10 @@ def progression_char_stat(q: int, r: int, chi: Character) -> float:
     return float(np.sum(np.hypot(sums_re, sums_im)))
 
 
-@dataclass(frozen=True)
-class BetaPolicy:
-    """Documented sup-over-beta approximation: oversampled grid + golden refine.
-
-    name "zero" evaluates beta = 0 only, the oracle mode of the tests.
-    """
-
-    name: str = "grid+golden"
-    oversample: ClassVar[int] = 4
-    golden_iters: ClassVar[int] = 20
-
-    def grid(self, Hp: int) -> np.ndarray:
-        if self.name == "zero":
-            return np.zeros(1)
-        n = max(1, self.oversample * Hp)
-        return np.arange(n) / n
+def _beta_grid(Hp: int) -> np.ndarray:
+    """The betas j / n, j < n = max(1, BETA_OVERSAMPLE * Hp); {0} at Hp = 0."""
+    n = max(1, BETA_OVERSAMPLE * Hp)
+    return np.arange(n) / n
 
 
 def _window_blocks(q: int, Hp: int, width: int = 1):
@@ -308,15 +297,15 @@ def _window_blocks(q: int, Hp: int, width: int = 1):
         yield u, np.minimum(pos, len(u) - 1), pos < len(u)
 
 
-def _windows_sup_beta(vals: np.ndarray, Hp: int, policy: BetaPolicy) -> np.ndarray:
+def _windows_sup_beta(vals: np.ndarray, Hp: int) -> np.ndarray:
     """sup_beta |sum_{a in [z, z+Hp], a < q} vals[a] e(a beta)| for every z < q.
 
-    Each window takes the grid argmax, then the policy's golden-section refine
-    with the same comparisons in the same order as a window on its own.
+    Each window takes the grid argmax, then (on two or more grid points) the
+    golden-section refine with the same comparisons in the same order as a
+    window on its own.
     """
     q = len(vals)
-    grid = policy.grid(Hp)
-    refine = policy.name == "grid+golden" and len(grid) >= 2
+    grid = _beta_grid(Hp)
     sups = []
     for u, idx, inside in _window_blocks(q, Hp):
         w = np.where(inside, vals[u][idx], 0.0)
@@ -325,7 +314,7 @@ def _windows_sup_beta(vals: np.ndarray, Hp: int, policy: BetaPolicy) -> np.ndarr
             amps[j] = np.abs(np.sum(w * np.exp(2j * np.pi * beta * u)[idx], axis=1))
         i = np.argmax(amps, axis=0)
         best = amps[i, np.arange(len(idx))]
-        if not refine:
+        if len(grid) < 2:
             sups.append(best)
             continue
         a = u[idx]
@@ -338,7 +327,7 @@ def _windows_sup_beta(vals: np.ndarray, Hp: int, policy: BetaPolicy) -> np.ndarr
         invphi = (math.sqrt(5) - 1) / 2
         c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
         fc, fd = amp(c), amp(d)
-        for _ in range(policy.golden_iters):
+        for _ in range(GOLDEN_ITERS):
             left = fc < fd  # left: lo, c, fc = c, d, fd; else hi, d, fd = d, c, fc
             lo, hi = np.where(left, c, lo), np.where(left, hi, d)
             new = np.where(left, lo + invphi * (hi - lo), hi - invphi * (hi - lo))
@@ -349,8 +338,7 @@ def _windows_sup_beta(vals: np.ndarray, Hp: int, policy: BetaPolicy) -> np.ndarr
     return np.concatenate(sups)
 
 
-def windowed_twisted_stat(q: int, Hp: int, chi: Character,
-                          beta_policy: BetaPolicy = BetaPolicy()) -> dict:
+def windowed_twisted_stat(q: int, Hp: int, chi: Character) -> dict:
     """sum_{z < q} sup_beta |sum_{a in [z, z+Hp]} chi(a) e(a beta)|.
 
     Returns the statistic and the comparison scale
@@ -360,10 +348,10 @@ def windowed_twisted_stat(q: int, Hp: int, chi: Character,
         raise InvalidInputError(f"need H' >= 0, got H'={Hp}")
     if Hp > q ** (0.5 - 0.1) + 1:
         raise RangeError(f"H' = {Hp} beyond q^(1/2 - 1/10)")
-    total = sum(_windows_sup_beta(chi.values(), Hp, beta_policy).tolist())
+    total = sum(_windows_sup_beta(chi.values(), Hp).tolist())
     delta = 0.5 - math.log(max(Hp, 2)) / math.log(q) if q > 2 else 0.1
     scale = q ** (1 - delta / 4 + 0.01) * Hp + q * Hp**0.75
-    return {"value": total, "scale": scale, "policy": beta_policy.name}
+    return {"value": total, "scale": scale}
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +412,7 @@ def huxley_stat_progressions(x: int, H: int, q: int, r: int, primes=None) -> dic
     return {"value": value, "trivial_scale": float(H) * x, "windows": x}
 
 
-def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int, primes=None,
-                        beta_policy: BetaPolicy = BetaPolicy()) -> dict:
+def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int) -> dict:
     """The windowed/twisted hybrid statistic with sup over (beta, v).
 
     sum over window starts y (and z < q) of
@@ -435,17 +422,16 @@ def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int, primes=None,
     Only the H = x collapse (single y window) is offered at scale; the prime
     side then depends on p only through p_q, so the sum collapses onto the
     residue histogram of log-weights.  The sup over beta is the maximum over
-    beta_policy.grid(Hp), with no golden-section refine.
+    _beta_grid(Hp), with no golden-section refine.
     """
     if H != x:
         raise ResourceError("general H < x windows are desk-infeasible; use H = x")
-    src = primes if primes is not None else default_source()
-    ps = src.primes_in(2, x)
+    ps = default_source().primes_in(2, x)
     logp = np.log(ps.astype(np.float64))
     W = np.bincount((ps % q).astype(np.int64), weights=logp, minlength=q)
     units = coprime_mask(0, q - 1, [p for p, _ in factorize(q)])
     D = W - np.where(units, H / euler_phi(q), 0.0)
-    grid = beta_policy.grid(Hp)
+    grid = _beta_grid(Hp)
     sups = []
     for u, idx, inside in _window_blocks(q, Hp, width=r):
         nz = len(idx)

@@ -190,6 +190,13 @@ def _preset_pair(which):
     return (*prime_pair(), None)
 
 
+def _refuse_unread(mode, **keys):
+    """Refuse the first of keys given (not None): mode does not read them."""
+    for key, value in keys.items():
+        if value is not None:
+            raise InvalidInputError(f"{mode} does not read {key}")
+
+
 def _ratio(value, scale):
     if scale == 0:
         raise PreconditionError("the trivial scale is 0: window lengths must be >= 1")
@@ -205,8 +212,11 @@ def cmd_cf(quotients: tuple[int, ...] = None, decimal: str = None, depth: int = 
 
     # depth defaults to 10, or to the length of a shorter quotient list
     if quotients is not None:
+        _refuse_unread("cf --quotients", decimal=decimal)
+        cf = cf_from_quotients(quotients)
         depth = min(10, len(quotients)) if depth is None else depth
-        cf = cf_from_quotients(quotients, depth)
+        if not 1 <= depth <= len(quotients):
+            raise InvalidInputError(f"depth {depth} outside [1, {len(quotients)}]")
     elif decimal is not None:
         depth = 10 if depth is None else depth
         cf = cf_from_real(decimal, depth)
@@ -214,21 +224,22 @@ def cmd_cf(quotients: tuple[int, ...] = None, decimal: str = None, depth: int = 
         raise PreconditionError("cf needs quotients=... or decimal=...")
     return [{"k": k, "a_k": cf.quotients[k - 1] if k >= 1 else 0,
              "p_k": str(cf.p(k)), "q_k": str(cf.q(k))}
-            for k in range(0, min(depth, cf.max_index()) + 1)]
+            for k in range(depth + 1)]
 
 
-def cmd_cocycle_check(samples: int = 100, spec: str = None, decay_rate: float = 0.095,
-                      quotients: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8), seed: int = 0):
+def cmd_cocycle_check(samples: int = 100, spec: str = None, decay_rate: float = None,
+                      quotients: tuple[int, ...] = None, seed: int = 0):
     from skewlab.cocycle import AnalyticCocycle, birkhoff_closed, birkhoff_direct
     from skewlab.diophantine import cf_from_quotients
 
     _budget("cocycle-check samples", samples, COCYCLE_MAX_SAMPLES)
     if spec is not None:
-        g = AnalyticCocycle.from_csv(spec, decay_rate)
-        cf = cf_from_quotients(quotients * 4)
+        g = AnalyticCocycle.from_csv(spec, 0.095 if decay_rate is None else decay_rate)
+        cf = cf_from_quotients((tuple(range(1, 9)) if quotients is None else quotients) * 4)
     else:
         from skewlab.presets import prime_pair
 
+        _refuse_unread("cocycle-check without --spec", decay_rate=decay_rate, quotients=quotients)
         cf, g, _ = prime_pair()
     rng = np.random.default_rng(seed)
     worst_pair = worst_id = 0.0
@@ -328,12 +339,18 @@ def cmd_huxley(x: tuple[int, ...] = (10**5,), H: int = None, q: int = 97, r: int
     return rows
 
 
-def cmd_charsum(q: int = 101, stat: str = "progression", r: int = 3, gauss_x: int = 1,
-                Hp: int = None, chi_index: int = 0):
+def cmd_charsum(q: int = 101, stat: str = "progression", r: int = None, gauss_x: int = None,
+                Hp: int = None, chi_index: int = None):
     from skewlab.char_sums import (CharacterTable, build_characters, gauss_sum,
                                    progression_char_stat, windowed_twisted_stat)
     from skewlab.primes import euler_phi
 
+    unread = {"progression": dict(gauss_x=gauss_x, Hp=Hp, chi_index=chi_index),
+              "gauss": dict(r=r, Hp=Hp, chi_index=chi_index),
+              "windowed": dict(r=r, gauss_x=gauss_x)}
+    if stat not in unread:
+        raise PreconditionError(f"unknown charsum stat {stat!r}")
+    _refuse_unread(f"charsum --stat {stat}", **unread[stat])
     if stat in ("progression", "gauss") and 1 <= q <= CharacterTable.MAX_Q:
         _budget("charsum phi(q) * q", euler_phi(q) * q, CHARSUM_MAX_ENTRIES)
     if stat == "windowed" and q >= 1:  # windowed_twisted_stat refuses H' > q^0.4 + 1
@@ -341,14 +358,15 @@ def cmd_charsum(q: int = 101, stat: str = "progression", r: int = 3, gauss_x: in
         _budget("charsum windowed q * H'", q * min(Hp, int(q**0.4) + 1), CHARSUM_MAX_WINDOWED)
     tab = build_characters(q)
     if stat == "progression":
+        r = 3 if r is None else r
         scale = math.sqrt(r * q) * math.log(q)
         return [_stat_row("progression", q, progression_char_stat(q, r, chi), scale, r=r)
                 for chi in tab if not chi.is_principal()]
     if stat == "gauss":
+        gauss_x = 1 if gauss_x is None else gauss_x
         return [_stat_row("gauss", q, abs(gauss_sum(chi, gauss_x)), math.sqrt(q))
                 for chi in tab if chi.is_primitive()]
-    if stat != "windowed":
-        raise PreconditionError(f"unknown charsum stat {stat!r}")
+    chi_index = 0 if chi_index is None else chi_index
     nonprincipal = [c for c in tab if not c.is_principal()]
     if not 0 <= chi_index < len(nonprincipal):
         raise PreconditionError(f"chi_index {chi_index} out of range: mod {q} has "
@@ -422,9 +440,14 @@ def cmd_ms_sum(N: int = 10**6, H: int = None, r: int = 1, a: int = None,
 
 
 def cmd_counterexample(stages: int = 3, include_h: bool = False, mu_twist: bool = False,
-                       eps: float = 0.05, dump: str = None):
+                       eps: float = None, dump: str = None):
     from skewlab.presets import counterexample_stages
 
+    if mu_twist:
+        _refuse_unread("counterexample --mu_twist", eps=eps)
+    eps = 0.05 if eps is None else eps
+    if eps <= 0:
+        raise InvalidInputError(f"eps must be > 0, got {eps}")
     st = counterexample_stages(n_stages=stages, include_h=include_h, mu_twist=mu_twist)
     st.solve_all()
     rows = []

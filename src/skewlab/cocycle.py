@@ -26,7 +26,7 @@ _MIN_DENOM = 1e-300  # ||m*alpha|| below this is outside double range
 class TrigPoly:
     """Real trigonometric polynomial given by its positive-frequency amplitudes."""
 
-    def __init__(self, freqs, amps, mean=0.0):
+    def __init__(self, freqs, amps):
         freqs = np.asarray(freqs, dtype=np.int64)
         amps = np.asarray(amps, dtype=np.complex128)
         if len(freqs) != len(amps):
@@ -38,12 +38,11 @@ class TrigPoly:
         self.amps = amps[order]
         if len(np.unique(self.freqs)) != len(self.freqs):
             raise InvalidInputError("duplicate frequencies")
-        self.mean = float(mean)
 
     def eval(self, x):
         """Value at x (scalar or array); real by conjugate symmetry."""
         x = np.asarray(x, dtype=np.float64)
-        out = np.full(x.shape, self.mean)
+        out = np.zeros(x.shape)
         for m, a in zip(self.freqs, self.amps):
             ang = TWO_PI * m * x
             out = out + 2.0 * (a.real * np.cos(ang) - a.imag * np.sin(ang))
@@ -108,6 +107,8 @@ class AnalyticCocycle(TrigPoly):
 
     def __init__(self, coefficients, decay_rate, m_max=None):
         freqs, amps = _fold_two_sided(dict(coefficients))
+        if not decay_rate > 0:
+            raise InvalidInputError(f"decay rate must be > 0, got {decay_rate}")
         if m_max is None:
             # smallest M with e^{-tau' M} below double-precision noise
             m_max = math.ceil(-math.log(1e-16) / decay_rate)
@@ -120,7 +121,7 @@ class AnalyticCocycle(TrigPoly):
             raise InvalidInputError(
                 f"|a_{m}| = {abs(amps[np.argmax(bad)]):.3e} violates decay e^(-{decay_rate}*{m})"
             )
-        super().__init__(freqs, amps, mean=0.0)
+        super().__init__(freqs, amps)
         self.decay_rate = float(decay_rate)
         self.m_max = int(m_max)
 
@@ -134,7 +135,7 @@ class AnalyticCocycle(TrigPoly):
         )
 
     @classmethod
-    def from_csv(cls, path, decay_rate, m_max=None):
+    def from_csv(cls, path, decay_rate):
         """Read lines `m, re(a_m), im(a_m)`; negative-m lines optional."""
         coeffs = {}
         with open(path) as fh:
@@ -144,7 +145,7 @@ class AnalyticCocycle(TrigPoly):
                     continue
                 m, re, im = line.split(",")
                 coeffs[int(m)] = complex(float(re), float(im))
-        return cls(coeffs, decay_rate, m_max)
+        return cls(coeffs, decay_rate)
 
 
 class ReducedCocycle:
@@ -156,10 +157,10 @@ class ReducedCocycle:
     every block form the residual.
     """
 
-    def __init__(self, blocks, residual, depth=None):
+    def __init__(self, blocks, residual, depth):
         self.blocks = blocks  # dict n -> AnalyticCocycle
         self.residual = residual  # set of positive frequencies
-        self.depth = depth if depth is not None else (max(blocks) if blocks else 0)
+        self.depth = depth
 
     def block(self, n):
         return self.blocks.get(n)

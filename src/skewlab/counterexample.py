@@ -36,6 +36,7 @@ from skewlab.primes import mobius_upto, primes_in
 GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
 BUMP_WIDTH = 0.25  # half-width of bump_average's triangle around y = 1/2
 RIGIDITY_GRID = 4096  # sample points of rigidity_distribution_gap
+Q_CAP = 4e11  # the automatic stage indices stop before a convergent denominator beyond this
 
 
 class AlmostSparseSet:
@@ -45,18 +46,12 @@ class AlmostSparseSet:
     global minimal gap stays 3).
     primes: B_N removes both members of any prime pair at distance <= c(N),
     c(N) = ceil(loglog N), so the surviving gaps exceed c(N).
-    custom: caller supplies elements_in(lo, hi) and bad_set(N).
     """
 
-    def __init__(self, descriptor="squares", elements_in=None, bad_set=None):
-        self.descriptor = descriptor
-        if descriptor == "custom":
-            if elements_in is None or bad_set is None:
-                raise InvalidInputError("custom descriptor needs elements_in and bad_set")
-            self._elements_in = elements_in
-            self._bad_set = bad_set
-        elif descriptor not in ("squares", "primes"):
+    def __init__(self, descriptor="squares"):
+        if descriptor not in ("squares", "primes"):
             raise InvalidInputError(f"unknown descriptor {descriptor!r}")
+        self.descriptor = descriptor
 
     @staticmethod
     def gap_filter(N: int) -> int:
@@ -71,9 +66,7 @@ class AlmostSparseSet:
             m = np.arange(math.isqrt(max(lo - 1, 0)) + 1, math.isqrt(hi) + 1, dtype=np.int64)
             m *= m
             return m
-        if self.descriptor == "primes":
-            return primes_in(lo, hi)
-        return np.asarray(sorted(self._elements_in(lo, hi)), dtype=np.int64)
+        return primes_in(lo, hi)
 
     def elements_in(self, lo: int, hi: int):
         """Sorted members of A in [lo, hi]."""
@@ -88,7 +81,7 @@ class AlmostSparseSet:
         if self.descriptor == "primes":
             ps = primes_in(2, N)
             return set(ps[self._pair_mask(ps, N)].tolist())
-        return set(self._bad_set(N)) if self.descriptor == "custom" else set()
+        return set()
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Sorted members of A in [lo, hi] with B_hi removed, as an int64 array."""
@@ -96,11 +89,7 @@ class AlmostSparseSet:
             # a pair closer than c(hi) with a member >= lo has both members >= lo - c(hi)
             ps = primes_in(max(2, lo - self.gap_filter(hi)), hi)
             return ps[(ps >= lo) & ~self._pair_mask(ps, hi)]
-        elems = self._members(lo, hi)
-        if self.descriptor == "squares":
-            return elems
-        bad = np.asarray(sorted(self._bad_set(hi)), dtype=np.int64)
-        return elems[~np.isin(elems, bad)] if bad.size else elems
+        return self._members(lo, hi)
 
 
 def eps_n(A: AlmostSparseSet, n: int) -> Fraction:
@@ -292,30 +281,23 @@ class StageConstruction:
     """
 
     def __init__(self, cf: ContinuedFraction, sparse_set: AlmostSparseSet,
-                 n_stages: int = 3, stage_indices=None, include_h: bool = False,
-                 mu_twist: bool = False, q_cap: float = 4e9):
+                 n_stages: int = 3, include_h: bool = False, mu_twist: bool = False):
         if mu_twist and sparse_set.descriptor != "squares":
             raise InvalidInputError("mu-twist variant requires the squares descriptor")
         self.cf = cf
         self.A = sparse_set
         self.include_h = include_h
         self.mu_twist = mu_twist
-        self.q_cap = q_cap
-        if stage_indices is None:
-            stage_indices = []
-            k = 2
-            while len(stage_indices) < n_stages:
-                k = _next_even_stage_index(cf, sparse_set, k, mu_twist)
-                if cf.q(k) > q_cap:
-                    break
-                stage_indices.append(k)
-                k = k * k + 1
-        if not stage_indices:
+        self.stage_k = []
+        k = 2
+        while len(self.stage_k) < n_stages:
+            k = _next_even_stage_index(cf, sparse_set, k, mu_twist)
+            if cf.q(k) > Q_CAP:
+                break
+            self.stage_k.append(k)
+            k = k * k + 1
+        if not self.stage_k:
             raise ConstructionError("no feasible stages under the q cap")
-        for a, b in zip(stage_indices, stage_indices[1:]):
-            if not b > a * a:
-                raise InvalidInputError(f"stage indices must satisfy k_next > k^2: {a} -> {b}")
-        self.stage_k = list(stage_indices)
         self.stage_l = [k + 1 for k in self.stage_k] if include_h else []
         self._tents = [TentFunction(cf.q(l)) for l in self.stage_l]
         self.n_stages = len(self.stage_k)
@@ -541,11 +523,10 @@ class StageConstruction:
         d = _circle_dist(self._window_phases(n), 0.5)
         return float(np.mean(np.maximum(0.0, 1.0 - d / BUMP_WIDTH)))
 
-    def mu_twist_average(self, n=None) -> complex:
+    def mu_twist_average(self, n) -> complex:
         """(1/N) sum_{m <= N} e(S_{m^2}(g)(0)) mu(m) at N = floor(sqrt(q/2))."""
         if not self.mu_twist:
             raise PreconditionError("built without the mu-twist targets")
-        n = self.solved() if n is None else n
         N = math.isqrt(self.q_of(n) // 2)
         mu = mobius_upto(N)
         ms = [m for m in range(1, N + 1) if mu[m] != 0]

@@ -189,15 +189,15 @@ def mulmod(a, b: int, m: int):
     return out
 
 
-def frac01_poly_dd(x, coeff_hi, coeff_lo):
+def frac01_poly_dd(x, coeff):
     """frac(sum_i c_i x**i) via Horner in double-double, i from len(c) down to 1.
 
-    x: integer-valued float64 array (exact), coefficients as dd pairs indexed
-    by power i = 1..k (index 0 unused).  Returns values in [0,1).
+    x: integer-valued float64 array (exact), float64 coefficients indexed by
+    power i = 1..k (index 0 unused).  Returns values in [0,1).
     """
-    k = coeff_hi.shape[0] - 1
-    acc_hi = coeff_hi[k]
-    acc_lo = coeff_lo[k]
+    k = coeff.shape[0] - 1
+    acc_hi = coeff[k]
+    acc_lo = 0.0
     for i in range(k - 1, 0, -1):
         p_hi, e = _two_prod(acc_hi, x)
         p_lo = e + acc_lo * x
@@ -205,8 +205,8 @@ def frac01_poly_dd(x, coeff_hi, coeff_lo):
         s_hi, s_lo = _two_sum(p_hi, p_lo)
         r = s_hi - np.floor(s_hi)
         acc_hi, acc_lo = _two_sum(r, s_lo)
-        acc_hi2, acc_lo2 = _two_sum(acc_hi, coeff_hi[i])
-        acc_hi, acc_lo = acc_hi2, acc_lo2 + acc_lo + coeff_lo[i]
+        acc_hi2, acc_lo2 = _two_sum(acc_hi, coeff[i])
+        acc_hi, acc_lo = acc_hi2, acc_lo2 + acc_lo
     p_hi, e = _two_prod(acc_hi, x)
     p_lo = e + acc_lo * x
     s_hi, s_lo = _two_sum(p_hi, p_lo)

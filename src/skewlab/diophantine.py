@@ -2,8 +2,8 @@
 
 Everything here is integer/rational and exact: convergents p_k/q_k and
 distances ``|n*alpha|`` to the nearest integer with certified error bounds.
-alpha is specified primarily by its partial quotients; decimal entry is a
-convenience path with explicit precision tracking.
+alpha is specified by its partial quotients, or by a decimal string whose
+last digit fixes the precision that the expansion tracks.
 """
 
 import math
@@ -50,18 +50,13 @@ class ContinuedFraction:
     accuracy against n*err and raise PrecisionError when they cannot.
     """
 
-    def __init__(self, quotients, depth=None):
+    def __init__(self, quotients):
         quotients = [int(a) for a in quotients]
         if not quotients:
             raise InvalidInputError("quotient list is empty")
         if any(a < 1 for a in quotients):
             raise InvalidInputError("all partial quotients must be >= 1")
-        if depth is None:
-            depth = len(quotients)
-        if depth < 1 or depth > len(quotients):
-            raise InvalidInputError(f"depth {depth} outside [1, {len(quotients)}]")
         self.quotients = quotients
-        self.depth = depth
         p = [1, 0]  # p[-1], p[0] stored at indices 0, 1
         q = [0, 1]
         for a in quotients:
@@ -78,7 +73,7 @@ class ContinuedFraction:
     def __repr__(self):
         head = ",".join(str(a) for a in self.quotients[:6])
         tail = ",..." if len(self.quotients) > 6 else ""
-        return f"ContinuedFraction([{head}{tail}], depth={self.depth})"
+        return f"ContinuedFraction([{head}{tail}])"
 
     def p(self, k):
         """Numerator p_k (k >= -1)."""
@@ -142,33 +137,24 @@ class ContinuedFraction:
         return len(a)
 
 
-def cf_from_quotients(quotients, depth=None) -> ContinuedFraction:
+def cf_from_quotients(quotients) -> ContinuedFraction:
     """ContinuedFraction from explicit partial quotients."""
-    return ContinuedFraction(quotients, depth)
+    return ContinuedFraction(quotients)
 
 
-def cf_from_real(alpha, depth, uncertainty=None) -> ContinuedFraction:
-    """Expand a high-precision real in (0,1) to ``depth`` partial quotients.
+def cf_from_real(alpha: str, depth: int) -> ContinuedFraction:
+    """Expand a decimal string in (0,1), like "0.61803...", to ``depth`` partial quotients.
 
-    alpha may be a Fraction (exact), a decimal string like "0.61803..."
-    (uncertainty one unit in the last place unless given), or a float (one
-    ulp).  Expansion proceeds on the interval [alpha-u, alpha+u] and stops
-    with PrecisionError as soon as the interval no longer pins down the next
-    quotient, naming the last reliable index.
+    The uncertainty u is one unit in the last digit, so the interval
+    [alpha-u, alpha+u] has nonzero width.  Expansion proceeds on it and stops
+    with PrecisionError as soon as it no longer pins down the next quotient,
+    naming the last reliable index.
     """
-    if isinstance(alpha, str):
-        x = Fraction(alpha)
-        if uncertainty is None:  # one unit in the last digit: 6.18e-1 has three, as 0.618
-            uncertainty = Fraction(10) ** Decimal(alpha).as_tuple().exponent
-        u = Fraction(uncertainty)
-    elif isinstance(alpha, Fraction):
-        x = alpha
-        u = Fraction(uncertainty) if uncertainty is not None else Fraction(0)
-    elif isinstance(alpha, float):
-        x = Fraction(alpha)
-        u = Fraction(uncertainty) if uncertainty is not None else Fraction(math.ulp(alpha))
-    else:
-        raise InvalidInputError(f"unsupported alpha type {type(alpha)!r}")
+    x = Fraction(alpha)
+    try:  # one unit in the last digit: 6.18e-1 has three, as 0.618
+        u = Fraction(10) ** Decimal(alpha).as_tuple().exponent
+    except ArithmeticError:  # a Fraction literal such as 1/3 has no last digit
+        raise InvalidInputError(f"alpha {alpha!r} is not a decimal") from None
     if not 0 < x < 1:
         raise InvalidInputError("alpha must lie in (0, 1)")
 
@@ -190,10 +176,4 @@ def cf_from_real(alpha, depth, uncertainty=None) -> ContinuedFraction:
             )
         quotients.append(a_lo)
         lo, hi = inv_lo - a_lo, inv_hi - a_lo
-        if lo == hi == 0:
-            if k < depth:
-                raise PrecisionError(
-                    f"expansion terminates at index {k} (rational input)", last_reliable=k
-                )
-            break
-    return ContinuedFraction(quotients, depth)
+    return ContinuedFraction(quotients)

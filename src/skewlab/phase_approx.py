@@ -46,7 +46,7 @@ def build_phase_poly(gr, cf: ContinuedFraction, n: int, params: AnalysisParams) 
     A structurally valid scale with an empty block yields the zero polynomial;
     a scale outside the reduction depth is an error.
     """
-    if n < 1 or n > getattr(gr, "depth", cf.max_index() - 1):
+    if n < 1 or n > gr.depth:
         raise InvalidInputError(f"scale n = {n} outside the reduction depth")
     d = max(1, math.floor(1.0 / params.delta))
     g_n = gr.block(n)

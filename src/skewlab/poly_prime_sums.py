@@ -36,11 +36,10 @@ class ShiftedPoly:
         k = len(self.coeffs)
         if k == 0:
             return np.zeros(n.shape)
-        hi = np.zeros(k + 1)
-        lo = np.zeros(k + 1)
-        hi[1:] = np.asarray(self.coeffs, dtype=np.float64)
+        coeff = np.zeros(k + 1)
+        coeff[1:] = np.asarray(self.coeffs, dtype=np.float64)
         x = (n - self.base).astype(np.float64)
-        return frac01_poly_dd(x, hi, lo)
+        return frac01_poly_dd(x, coeff)
 
 
 def _check_regime(g: ShiftedPoly, H: int, r: int):

@@ -78,5 +78,5 @@ def counterexample_stages(n_stages=3, include_h=False, mu_twist=False) -> StageC
     quotients = COUNTEREXAMPLE_H_QUOTIENTS if include_h else COUNTEREXAMPLE_QUOTIENTS
     cf = cf_from_quotients(quotients)
     st = StageConstruction(cf, AlmostSparseSet("squares"), n_stages=n_stages,
-                           include_h=include_h, mu_twist=mu_twist, q_cap=4e11)
+                           include_h=include_h, mu_twist=mu_twist)
     return st

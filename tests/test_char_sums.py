@@ -7,7 +7,7 @@ import pytest
 
 from lemmas import residue_progression_gap, twisted_residue_window
 from skewlab import char_sums
-from skewlab.char_sums import (BetaPolicy, Character, build_characters, gauss_sum,
+from skewlab.char_sums import (Character, build_characters, gauss_sum,
                                huxley_stat_progressions, huxley_stat_windows,
                                progression_char_stat, window_coprime_count,
                                windowed_twisted_stat)
@@ -275,21 +275,20 @@ def test_windowed_twisted_stat_calibrated_bound():
 def test_windowed_twisted_stat():
     q = 211
     chi = [c for c in build_characters(q) if not c.is_principal()][2]
-    # H' = 1: single-term windows sum |chi(z)| = phi(q)
-    r1 = windowed_twisted_stat(q, 0, chi, BetaPolicy(name="zero"))
+    # H' = 0: the grid is {0} and single-term windows sum |chi(z)| = phi(q)
+    r1 = windowed_twisted_stat(q, 0, chi)
     assert r1["value"] == pytest.approx(euler_phi(q))
-    # beta restricted to 0 matches the plain windowed L1 statistic
+    # the sup over a beta grid holding 0 dominates the plain windowed L1 statistic
     vals = chi.values()
     Hp = 4
     brute = sum(abs(np.sum(vals[z:z + Hp + 1])) for z in range(q))
-    r0 = windowed_twisted_stat(q, Hp, chi, BetaPolicy(name="zero"))
-    assert r0["value"] == pytest.approx(brute)
-    # the sup over a beta grid dominates the beta = 0 slice
+    zero = sum(_window_sup_beta_oracle(vals, z, Hp, np.zeros(1)) for z in range(q))
+    assert zero == pytest.approx(brute)
     rg = windowed_twisted_stat(q, Hp, chi)
-    assert rg["value"] >= r0["value"]
+    assert rg["value"] >= brute
 
 
-def _window_sup_beta_oracle(vals, z, Hp, policy):
+def _window_sup_beta_oracle(vals, z, Hp, grid):
     """sup over beta of one window's twisted sum: grid argmax, then golden refine."""
     a = np.arange(z, min(z + Hp + 1, len(vals)))
     w = vals[a]
@@ -297,18 +296,17 @@ def _window_sup_beta_oracle(vals, z, Hp, policy):
     def amp(beta):
         return abs(np.sum(w * np.exp(2j * np.pi * beta * a)))
 
-    grid = policy.grid(Hp)
     amps = [amp(b) for b in grid]
     i = int(np.argmax(amps))
     best = amps[i]
-    if policy.name != "grid+golden" or len(grid) < 2:
+    if len(grid) < 2:
         return float(best)
     step = 1.0 / len(grid)
     lo, hi = grid[i] - step, grid[i] + step
     invphi = (math.sqrt(5) - 1) / 2
     c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
     fc, fd = amp(c), amp(d)
-    for _ in range(policy.golden_iters):
+    for _ in range(char_sums.GOLDEN_ITERS):
         if fc < fd:
             lo, c, fc = c, d, fd
             d = lo + invphi * (hi - lo)
@@ -328,15 +326,16 @@ def test_windowed_twisted_stat_matches_per_window_oracle(monkeypatch, block, q, 
     chi = next(c for c in build_characters(q) if c.order() == order)
     Hp = math.floor(q**0.3)
     vals = chi.values()
-    oracle = np.array([_window_sup_beta_oracle(vals, z, Hp, BetaPolicy()) for z in range(q)])
-    got = char_sums._windows_sup_beta(vals, Hp, BetaPolicy())
+    grid = char_sums._beta_grid(Hp)
+    oracle = np.array([_window_sup_beta_oracle(vals, z, Hp, grid) for z in range(q)])
+    got = char_sums._windows_sup_beta(vals, Hp)
     # a grid-argmax flip between near-tied points would move a window by far more
     assert np.max(np.abs(got - oracle) / oracle) <= 1e-12
     total = windowed_twisted_stat(q, Hp, chi)["value"]
     assert total == pytest.approx(math.fsum(oracle), rel=1e-12)
 
 
-def _huxley_windows_oracle(x, q, r, Hp, policy):
+def _huxley_windows_oracle(x, q, r, Hp, grid):
     """The per-window loop of the H = x hybrid statistic."""
     ps = primes_in(2, x)
     W = np.bincount(ps % q, weights=np.log(ps.astype(np.float64)), minlength=q)
@@ -349,7 +348,7 @@ def _huxley_windows_oracle(x, q, r, Hp, policy):
         mz = np.where(coprime[u], main_scale, 0.0)
         vr = u % r
         best = 0.0
-        for beta in policy.grid(Hp):
+        for beta in grid:
             tw = np.exp(2j * np.pi * beta * u)
             diff_re = np.bincount(vr, weights=(wz - mz) * tw.real, minlength=r)
             diff_im = np.bincount(vr, weights=(wz - mz) * tw.imag, minlength=r)
@@ -363,9 +362,8 @@ def _huxley_windows_oracle(x, q, r, Hp, policy):
                                          (2000, 97, 11, 2)])  # r > Hp + 1 sets the block
 def test_huxley_windows_match_per_window_oracle(monkeypatch, block, x, q, r, Hp):
     monkeypatch.setattr(char_sums, "WINDOW_BLOCK_ELEMS", block)
-    for policy in (BetaPolicy(), BetaPolicy(name="zero")):
-        res = huxley_stat_windows(x, x, q, r, Hp, beta_policy=policy)
-        assert res["value"] == _huxley_windows_oracle(x, q, r, Hp, policy)
+    res = huxley_stat_windows(x, x, q, r, Hp)
+    assert res["value"] == _huxley_windows_oracle(x, q, r, Hp, char_sums._beta_grid(Hp))
 
 
 @pytest.mark.parametrize("x, H, q, r", [
@@ -410,14 +408,15 @@ def test_huxley_q_above_x():
 def test_huxley_windows_collapse_and_main_term():
     x = 3000
     q, r, Hp = 101, 3, 8
-    res = huxley_stat_windows(x, x, q, r, Hp, beta_policy=BetaPolicy(name="zero"))
+    res = huxley_stat_windows(x, x, q, r, Hp)
     assert res["value"] > 0
     with pytest.raises(ResourceError):
         huxley_stat_windows(10**4, 10**3, q, r, Hp)
 
 
 def test_huxley_windows_brute_force_oracle():
-    # literal loop oracle: sup over v and over the betas of the grid, beta = 0 and the default
+    # literal loop oracle: sup over v and over the betas of the grid, for the library's
+    # grid and, through the per-window oracle, for beta = 0 alone
     import cmath
     import math as m
 
@@ -425,13 +424,14 @@ def test_huxley_windows_brute_force_oracle():
     ps = primes_in(2, x)
     logp = {int(p): m.log(int(p)) for p in ps}
     phi_q = euler_phi(q)
-    for policy in (BetaPolicy(name="zero"), BetaPolicy()):
-        res = huxley_stat_windows(x, x, q, r, Hp, beta_policy=policy)
-        assert set(res) == {"value", "trivial_scale"}
+    res = huxley_stat_windows(x, x, q, r, Hp)
+    assert set(res) == {"value", "trivial_scale"}
+    for grid, value in ((char_sums._beta_grid(Hp), res["value"]),
+                        (np.zeros(1), _huxley_windows_oracle(x, q, r, Hp, np.zeros(1)))):
         brute = 0.0
         for z in range(q):
             best = 0.0
-            for beta in policy.grid(Hp).tolist():
+            for beta in grid.tolist():
                 for v in range(r):
                     s = sum(w * cmath.exp(2j * m.pi * beta * (p % q)) for p, w in logp.items()
                             if p % q % r == v and z <= p % q <= z + Hp)
@@ -440,7 +440,7 @@ def test_huxley_windows_brute_force_oracle():
                                if m.gcd(a, q) == 1 and a % r == v)
                     best = max(best, abs(s - main))
             brute += best
-        assert res["value"] == pytest.approx(brute, rel=1e-9), policy.name
+        assert value == pytest.approx(brute, rel=1e-9), len(grid)
 
 
 def test_residue_progression_gap():

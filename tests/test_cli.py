@@ -214,6 +214,17 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
     ["ms-sum", "--r", "-1000", "--coeffs", "0.1"],
     ["cocycle-check", "--samples", "-1"],
     ["identities", "--buchstab_windows", "-1"],
+    ["cocycle-check", "--decay_rate", "0.05"],
+    ["cocycle-check", "--quotients", "1,2"],
+    ["counterexample", "--eps", "-1e10"],
+    ["counterexample", "--eps", "0"],
+    ["counterexample", "--mu_twist", "--eps", "0.05"],
+    ["charsum", "--stat", "gauss", "--r", "2"],
+    ["charsum", "--gauss_x", "2"],
+    ["charsum", "--Hp", "3"],
+    ["charsum", "--stat", "gauss", "--chi_index", "1"],
+    ["cf", "--quotients", "1,1", "--decimal", "0.5"],
+    ["cf", "--decimal", "1/3"],
 ], ids=["identities-k0", "charsum-q2-windowed", "charsum-chi-index-past-last",
         "prime-average-N0", "ms-sum-eta0", "charsum-windowed-Hp-negative",
         "charsum-windowed-Hp0", "huxley-x0", "huxley-H0", "orbit-unknown-pair",
@@ -225,7 +236,11 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
         "cf-old-set-flag", "cf-depth-not-integral", "prime-average-b-not-integral",
         "residue-average-scale-not-integral", "counterexample-stages-not-integral",
         "cf-bare-depth", "orbit-x-beyond-float", "ms-sum-r-negative",
-        "cocycle-check-samples-negative", "identities-buchstab-windows-negative"])
+        "cocycle-check-samples-negative", "identities-buchstab-windows-negative",
+        "cocycle-check-decay-rate-without-spec", "cocycle-check-quotients-without-spec",
+        "counterexample-eps-negative", "counterexample-eps0", "counterexample-eps-with-mu-twist",
+        "charsum-gauss-r", "charsum-progression-gauss-x", "charsum-progression-Hp",
+        "charsum-gauss-chi-index", "cf-quotients-and-decimal", "cf-decimal-fraction"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_domain_value_exit_2(args, capsys):
     assert main(args) == 2
@@ -288,6 +303,56 @@ def test_handler_signature_declares_the_keys(command):
         assert p.kind is p.POSITIONAL_OR_KEYWORD and p.annotation in KINDS, p
         assert p.default is None or isinstance(
             p.default, getattr(p.annotation, "__origin__", p.annotation)), p
+
+
+# per command: a small base run, and for each key a value other than its default; the key
+# must change the rows, or the command must refuse it with exit 2 and an error naming it
+KEY_EFFECTS = {
+    "cf": (["--quotients", "1,2,3"], {"quotients": "1,2,4", "decimal": "0.5", "depth": "2"}),
+    "cocycle-check": (["--samples", "3"], {"samples": "4", "spec": "{tmp}/g.csv",
+                                          "decay_rate": "0.05", "quotients": "1,2",
+                                          "seed": "1"}),
+    "phase": (["--scales", "1", "--m_samples", "2", "--x_grid", "2"],
+              {"scales": "2", "m_samples": "3", "w": "2", "x_grid": "3"}),
+    "orbit": (["--steps", "1,10"], {"pair": "phase", "x": "0.25", "y": "0.25", "steps": "1,100"}),
+    "prime-average": (["--N", "1000"], {"pair": "phase", "b": "1", "c": "2", "x": "0.25",
+                                        "y": "0.25", "N": "2000"}),
+    "residue-average": (["--scales", "1"], {"pair": "phase", "b": "1", "c": "2", "scales": "2"}),
+    "huxley": (["--x", "1000"], {"x": "2000", "H": "100", "q": "89", "r": "3"}),
+    "charsum": (["--q", "11"], {"q": "13", "stat": "gauss", "r": "2", "gauss_x": "2", "Hp": "1",
+                                "chi_index": "1"}),
+    "identities": (["--n_max", "50", "--buchstab_windows", "0"],
+                   {"n_max": "60", "z": "2,3", "k": "1"}),
+    "ms-sum": (["--N", "10000", "--coeffs", "0.01"],
+               {"N": "20000", "H": "100", "r": "3", "a": "1", "coeffs": "0.02", "eta": "0.1",
+                "B": "0.5"}),
+    "counterexample": (["--stages", "1"], {"stages": "2", "include_h": "true",
+                                           "mu_twist": "true", "eps": "0.001"}),
+    "discrepancy": (["--N", "100", "--K", "5"], {"N": "200", "K": "6"}),
+}
+KEY_EFFECT_EXEMPT = {
+    ("counterexample", "dump"): "writes a file beside the rows",
+    ("identities", "seed"): "the rows report a certified 0 defect for any window draw",
+    ("identities", "buchstab_windows"): "the rows report a certified 0 defect for any count",
+}
+
+
+@pytest.mark.parametrize("command", sorted(KEY_EFFECTS))
+def test_every_key_changes_the_rows_or_is_refused(command, tmp_path, capsys):
+    base, values = KEY_EFFECTS[command]
+    exempt = {key for cmd, key in KEY_EFFECT_EXEMPT if cmd == command}
+    assert not exempt & set(values) and exempt | set(values) == set(_keys(command))
+    (tmp_path / "g.csv").write_text("1,0.1,0\n3,0,0.05\n")
+    code, payload, _ = run_cli([command] + base, tmp_path)
+    assert code == 0
+    for key, value in values.items():
+        capsys.readouterr()
+        code, other, _ = run_cli([command] + base + [f"--{key}", value.format(tmp=tmp_path)],
+                                 tmp_path, f"{key}.json")
+        if code == 2:
+            assert key in capsys.readouterr().err, key
+        else:
+            assert code == 0 and other["rows"] != payload["rows"], key
 
 
 @st.composite

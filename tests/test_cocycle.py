@@ -53,6 +53,9 @@ def test_decay_certificate_rejected():
         AnalyticCocycle({10: 1.0}, TAU_P)  # 1.0 > e^{-0.95}
     with pytest.raises(InvalidInputError):
         AnalyticCocycle({0: 0.5}, TAU_P)  # zero mean required
+    for rate in (0.0, -1.0):  # no decay certificate; M_max would divide by 0
+        with pytest.raises(InvalidInputError):
+            AnalyticCocycle({1: 0.1}, rate)
 
 
 def test_birkhoff_direct_basics(cf, random_g):
@@ -147,13 +150,16 @@ def test_coboundary_drift():
 
 
 def test_coboundary_drift_growth_rate():
-    # sup_{k <= n} |S_k(g - g~)(0)| must flatten out as n grows
-    cf = cf_from_quotients([1, 2, 3, 4, 5, 6, 7, 8, 9, 10] * 4)
+    # sup_{k <= n} |S_k(g - g~)(0)| must flatten out as n grows; q_4 = 23 takes frequency 23
+    # into block 4 and leaves the rest as the residual, so the drift is not identically 0
+    cf = cf_from_quotients([3, 1, 4, 1, 5, 9, 2, 6, 5, 3] * 4)
     params = AnalysisParams(tau_prime=TAU_P)
     coeffs = {m: 0.3 * math.exp(-TAU_P * m) for m in (5, 11, 23, 41)}
     g = AnalyticCocycle(coeffs, TAU_P)
     red = reduce(g, cf, params, 10)
+    assert red.residual == {5, 11, 41}
     d3 = coboundary_drift(g, red, cf, 10**3)
+    assert d3 > 0
     d4 = coboundary_drift(g, red, cf, 10**4)
     d5 = coboundary_drift(g, red, cf, 10**5)
     assert d3 <= d4 <= d5

@@ -253,16 +253,23 @@ def test_primes_descriptor_equals_pairwise_loop(N):
     assert A.bad_set(1) == set() and A.bad_set(3) == {2, 3}
 
 
+class ListedSet(AlmostSparseSet):
+    """A test set given by its members, with an empty bad set."""
+
+    def __init__(self, members):
+        super().__init__("squares")
+        self.members = members
+
+    def _members(self, lo, hi):
+        return np.array([m for m in self.members if lo <= m <= hi], dtype=np.int64)
+
+
 def test_eps_n_examples():
     A = AlmostSparseSet("squares")
     assert eps_n(A, 100) == Fraction(1, 3)  # gap 4 - 1 = 3
-    toy = AlmostSparseSet("custom",
-                          elements_in=lambda lo, hi: [n for n in (1, 10, 100) if lo <= n <= hi],
-                          bad_set=lambda N: set())
-    assert eps_n(toy, 100) == Fraction(1, 9)
-    tiny = AlmostSparseSet("custom", elements_in=lambda lo, hi: [1], bad_set=lambda N: set())
+    assert eps_n(ListedSet([1, 10, 100]), 100) == Fraction(1, 9)
     with pytest.raises(InvalidInputError):
-        eps_n(tiny, 100)
+        eps_n(ListedSet([1]), 100)
 
 
 def test_ramp_function_shape(solved):
@@ -437,10 +444,8 @@ def test_include_h_variant():
 
 def test_empty_window_raises():
     cf = cf_from_quotients([2, 2] + [1] * 40)
-    lacunary = AlmostSparseSet("custom", elements_in=lambda lo, hi: [],
-                               bad_set=lambda N: set())
     with pytest.raises(ConstructionError):
-        StageConstruction(cf, lacunary, n_stages=1)
+        StageConstruction(cf, ListedSet([]), n_stages=1)
 
 
 def _replay(text):
@@ -448,8 +453,9 @@ def _replay(text):
     payload = json.loads(text)
     obj = StageConstruction(ContinuedFraction(payload["quotients"]),
                             AlmostSparseSet(payload["descriptor"]),
-                            stage_indices=payload["stage_k"],
+                            n_stages=len(payload["stage_k"]),
                             include_h=payload["include_h"], mu_twist=payload["mu_twist"])
+    assert obj.stage_k == payload["stage_k"]
     obj.solve_all()
     for rec in payload["stages"]:
         assert np.allclose(obj._stages[rec["n"]]["L_window"], rec["L_window"], rtol=1e-12, atol=0)

@@ -12,19 +12,19 @@ from skewlab.errors import InvalidInputError, PrecisionError
 
 
 def test_golden_ratio_fibonacci_denominators():
-    cf = cf_from_quotients([1] * 6, 6)
+    cf = cf_from_quotients([1] * 6)
     assert [cf.q(k) for k in range(0, 7)] == [1, 1, 2, 3, 5, 8, 13]
     assert abs(float(cf.value) - 0.6180339887) < 1e-2
 
 
 def test_quotients_222_by_hand_recursion():
     # oracle: q_{k+1} = 2 q_k + q_{k-1} unrolled by hand
-    cf = cf_from_quotients([2, 2, 2, 2], 4)
+    cf = cf_from_quotients([2, 2, 2, 2])
     assert [cf.q(k) for k in range(0, 5)] == [1, 2, 5, 12, 29]
 
 
 def test_single_quotient():
-    cf = cf_from_quotients([1], 1)
+    cf = cf_from_quotients([1])
     assert cf.p(1) == 1 and cf.q(1) == 1
 
 
@@ -36,19 +36,14 @@ def test_empty_and_nonpositive_quotients_rejected():
 
 
 def test_cf_from_real_sqrt2_minus_1():
-    x = Fraction(math.isqrt(2 * 10**60), 10**30) - 1  # ~sqrt(2)-1 to 30 digits
-    cf = cf_from_real(x + Fraction(1, 10**25), 4, uncertainty=Fraction(1, 10**20))
+    digits = math.isqrt(2 * 10**40) - 10**20  # sqrt(2)-1 cut to 20 digits
+    cf = cf_from_real(f"0.{digits:020d}", 4)
     assert cf.quotients == [2, 2, 2, 2]
 
 
 def test_cf_from_real_golden_string():
     cf = cf_from_real("0.61803398874989484820458683436563811772", 5)
     assert cf.quotients == [1, 1, 1, 1, 1]
-
-
-def test_cf_from_real_rational_terminates():
-    with pytest.raises(PrecisionError):
-        cf_from_real(Fraction(1, 2), 4)
 
 
 def test_cf_from_real_precision_exhaustion_names_index():
@@ -70,13 +65,16 @@ def test_cf_from_real_exponent_string_keeps_its_precision():
 
 
 def test_roundtrip_quotients_through_real():
-    cf = cf_from_quotients([3, 7, 15, 1, 292], 5)
-    # exact value: the expansion recovers the full prefix and stops there
-    back = cf_from_real(cf.value, 5)
-    assert back.quotients[:5] == [3, 7, 15, 1, 292]
-    # with the tracked uncertainty the budget supports a shorter prefix
+    # a unit tail keeps the value off the edge where a_5 = 292 would end the expansion
+    cf = cf_from_quotients([3, 7, 15, 1, 292] + [1] * 20)
+
+    def digits(d):
+        return f"0.{math.floor(cf.value * 10**d):0{d}d}"
+
+    assert cf_from_real(digits(12), 5).quotients == [3, 7, 15, 1, 292]
+    # ten digits support a shorter prefix
     with pytest.raises(PrecisionError) as exc:
-        cf_from_real(cf.value, 5, uncertainty=cf.err)
+        cf_from_real(digits(10), 5)
     assert exc.value.last_reliable >= 3
 
 
