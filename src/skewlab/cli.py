@@ -187,7 +187,7 @@ def _preset_pair(which):
         return phase_pair()
     if which != "prime":
         raise PreconditionError(f"unknown pair {which!r}; choose phase or prime")
-    return (*prime_pair(), None)
+    return prime_pair()
 
 
 def _refuse_unread(mode, **keys):
@@ -208,12 +208,12 @@ def _ratio(value, scale):
 
 
 def cmd_cf(quotients: tuple[int, ...] = None, decimal: str = None, depth: int = None):
-    from skewlab.diophantine import cf_from_quotients, cf_from_real
+    from skewlab.diophantine import ContinuedFraction, cf_from_real
 
     # depth defaults to 10, or to the length of a shorter quotient list
     if quotients is not None:
         _refuse_unread("cf --quotients", decimal=decimal)
-        cf = cf_from_quotients(quotients)
+        cf = ContinuedFraction(quotients)
         depth = min(10, len(quotients)) if depth is None else depth
         if not 1 <= depth <= len(quotients):
             raise InvalidInputError(f"depth {depth} outside [1, {len(quotients)}]")
@@ -230,12 +230,12 @@ def cmd_cf(quotients: tuple[int, ...] = None, decimal: str = None, depth: int = 
 def cmd_cocycle_check(samples: int = 100, spec: str = None, decay_rate: float = None,
                       quotients: tuple[int, ...] = None, seed: int = 0):
     from skewlab.cocycle import AnalyticCocycle, birkhoff_closed, birkhoff_direct
-    from skewlab.diophantine import cf_from_quotients
+    from skewlab.diophantine import ContinuedFraction
 
     _budget("cocycle-check samples", samples, COCYCLE_MAX_SAMPLES)
     if spec is not None:
         g = AnalyticCocycle.from_csv(spec, 0.095 if decay_rate is None else decay_rate)
-        cf = cf_from_quotients((tuple(range(1, 9)) if quotients is None else quotients) * 4)
+        cf = ContinuedFraction((tuple(range(1, 9)) if quotients is None else quotients) * 4)
     else:
         from skewlab.presets import prime_pair
 
@@ -341,8 +341,8 @@ def cmd_huxley(x: tuple[int, ...] = (10**5,), H: int = None, q: int = 97, r: int
 
 def cmd_charsum(q: int = 101, stat: str = "progression", r: int = None, gauss_x: int = None,
                 Hp: int = None, chi_index: int = None):
-    from skewlab.char_sums import (CharacterTable, build_characters, gauss_sum,
-                                   progression_char_stat, windowed_twisted_stat)
+    from skewlab.char_sums import (CharacterTable, gauss_sum, progression_char_stat,
+                                   windowed_twisted_stat)
     from skewlab.primes import euler_phi
 
     unread = {"progression": dict(gauss_x=gauss_x, Hp=Hp, chi_index=chi_index),
@@ -356,7 +356,7 @@ def cmd_charsum(q: int = 101, stat: str = "progression", r: int = None, gauss_x:
     if stat == "windowed" and q >= 1:  # windowed_twisted_stat refuses H' > q^0.4 + 1
         Hp = max(2, int(q**0.25)) if Hp is None else Hp
         _budget("charsum windowed q * H'", q * min(Hp, int(q**0.4) + 1), CHARSUM_MAX_WINDOWED)
-    tab = build_characters(q)
+    tab = CharacterTable(q)
     if stat == "progression":
         r = 3 if r is None else r
         scale = math.sqrt(r * q) * math.log(q)
@@ -379,7 +379,6 @@ def cmd_identities(n_max: int = 2000, z: tuple[int, ...] = (2, 5, 10),
                    k: tuple[int, ...] = (1, 2), buchstab_windows: int = 20, seed: int = 0):
     from skewlab.identities import (buchstab_check, heathbrown_coeff_check,
                                     linnik_check, vaughan_decompose)
-    from skewlab.primes import von_mangoldt
 
     if n_max < 2:
         raise PreconditionError(f"identities needs n_max >= 2, got n_max={n_max}")
@@ -389,13 +388,10 @@ def cmd_identities(n_max: int = 2000, z: tuple[int, ...] = (2, 5, 10),
     _budget("buchstab_windows", buchstab_windows, BUCHSTAB_MAX_WINDOWS)
     rows = []
     for z1 in z:
-        worst = 0.0
         for n in range(z1 + 1, n_max + 1):
-            t1, t2, t3, tot = vaughan_decompose(n, z1)
-            defect = abs(tot.to_float() - von_mangoldt(n))
-            worst = max(worst, defect)
+            vaughan_decompose(n, z1)  # raises IntegrityError unless the total is Lambda(n)
         rows.append({"identity": "vaughan", "n_or_range": f"({z1},{n_max}]",
-                     "params": f"z={z1}", "defect": worst})
+                     "params": f"z={z1}", "defect": 0.0})
     for z1 in z:
         w = 0.0
         for n in range(2, min(n_max, 2000) + 1):

@@ -73,10 +73,6 @@ class TrigPoly:
             refined = grid_max
         return grid_max, refined
 
-    def num_terms(self):
-        """Number of nonzero one-sided coefficients."""
-        return len(self.freqs)
-
 
 def _fold_two_sided(pairs):
     """Collapse {m: a_m} with optional negative keys into positive-only arrays."""
@@ -111,7 +107,10 @@ class AnalyticCocycle(TrigPoly):
             raise InvalidInputError(f"decay rate must be > 0, got {decay_rate}")
         if m_max is None:
             # smallest M with e^{-tau' M} below double-precision noise
-            m_max = math.ceil(-math.log(1e-16) / decay_rate)
+            m_max = -math.log(1e-16) / decay_rate
+            if m_max == math.inf:
+                raise InvalidInputError(f"decay rate {decay_rate} puts M_max beyond float range")
+            m_max = math.ceil(m_max)
         if len(freqs) and freqs[-1] > m_max:
             raise InvalidInputError(f"frequency {freqs[-1]} beyond M_max = {m_max}")
         bound = np.exp(-decay_rate * freqs.astype(np.float64))
@@ -161,9 +160,6 @@ class ReducedCocycle:
         self.blocks = blocks  # dict n -> AnalyticCocycle
         self.residual = residual  # set of positive frequencies
         self.depth = depth
-
-    def block(self, n):
-        return self.blocks.get(n)
 
 
 def reduce(g: AnalyticCocycle, cf: ContinuedFraction, params, depth: int) -> ReducedCocycle:

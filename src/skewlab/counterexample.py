@@ -26,8 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from skewlab.dd import (MULMOD_LIMIT, dd_div_int, floor_frac_dd, mulmod,
-                        round_certified)
+from skewlab.dd import dd_div_int, floor_frac_dd, mulmod, round_certified
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import (ConstructionError, IncompleteError, InvalidInputError,
                             PreconditionError, RangeError, StateError)
@@ -40,7 +39,7 @@ Q_CAP = 4e11  # the automatic stage indices stop before a convergent denominator
 
 
 class AlmostSparseSet:
-    """Membership + bad-set oracles for the supported descriptors.
+    """Windows of the supported descriptors: members with the bad set B_N removed.
 
     squares: A = {m^2}, B_N empty (window gaps grow like sqrt even though the
     global minimal gap stays 3).
@@ -59,36 +58,21 @@ class AlmostSparseSet:
         return max(1, math.ceil(math.log(max(math.log(max(N, 3)), 1.0001))))
 
     def _members(self, lo: int, hi: int) -> np.ndarray:
-        """Sorted members of A in [lo, hi] as an int64 array."""
-        if self.descriptor == "squares":
-            if hi >= 2**63:
-                raise RangeError(f"squares up to {hi} leave int64")
-            m = np.arange(math.isqrt(max(lo - 1, 0)) + 1, math.isqrt(hi) + 1, dtype=np.int64)
-            m *= m
-            return m
-        return primes_in(lo, hi)
-
-    def elements_in(self, lo: int, hi: int):
-        """Sorted members of A in [lo, hi]."""
-        return self._members(lo, hi).tolist()
-
-    def _pair_mask(self, ps: np.ndarray, N: int) -> np.ndarray:
-        """Mask of the consecutive primes ps that lie in a pair at distance <= c(N)."""
-        close = np.diff(ps) <= self.gap_filter(N)  # pairs (ps[i], ps[i+1])
-        return np.r_[close, False] | np.r_[False, close] if ps.size else close
-
-    def bad_set(self, N: int):
-        if self.descriptor == "primes":
-            ps = primes_in(2, N)
-            return set(ps[self._pair_mask(ps, N)].tolist())
-        return set()
+        """Sorted squares in [lo, hi] as an int64 array."""
+        if hi >= 2**63:
+            raise RangeError(f"squares up to {hi} leave int64")
+        m = np.arange(math.isqrt(max(lo - 1, 0)) + 1, math.isqrt(hi) + 1, dtype=np.int64)
+        m *= m
+        return m
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Sorted members of A in [lo, hi] with B_hi removed, as an int64 array."""
         if self.descriptor == "primes":
             # a pair closer than c(hi) with a member >= lo has both members >= lo - c(hi)
             ps = primes_in(max(2, lo - self.gap_filter(hi)), hi)
-            return ps[(ps >= lo) & ~self._pair_mask(ps, hi)]
+            close = np.diff(ps) <= self.gap_filter(hi)  # pairs (ps[i], ps[i+1])
+            bad = np.r_[close, False] | np.r_[False, close] if ps.size else close
+            return ps[(ps >= lo) & ~bad]
         return self._members(lo, hi)
 
 
@@ -107,19 +91,15 @@ def orbit_cells(w, alpha: Fraction, q: int, p: int):
     With rho = q alpha - p: k = floor(w rho), the residue index s = (w + k p^-1) mod q
     of the cell j = (w p + k) mod q, and the offset frac(w rho)/q of w alpha in it,
     equal to float() of the exact rational.  floor_frac_dd and one certified
-    rounding give every element they can; the rest (and all of them when q is
-    beyond mulmod's range) are recomputed in Python integers.
+    rounding give every element they can; the rest are recomputed in Python integers.
+    q must lie in mulmod's range, as every stage's q <= Q_CAP does.
     Returns (k, s, off, the number of elements recomputed).
     """
     p_inv = pow(p, -1, q)
     rho = q * alpha - p
     k, f_hi, f_lo, err = floor_frac_dd(w, rho)
     off, ok = round_certified(*dd_div_int(f_hi, f_lo, err, q))
-    if q < MULMOD_LIMIT:
-        s = (w % q + mulmod(k % q, p_inv, q)) % q
-    else:
-        s = np.empty_like(w)
-        ok[:] = False
+    s = (w % q + mulmod(k % q, p_inv, q)) % q
     exact = np.flatnonzero(~ok)
     for i in exact.tolist():
         kk, rem = divmod(int(w[i]) * rho.numerator, rho.denominator)
@@ -195,11 +175,7 @@ class RampFunction:
         x = np.asarray(x, dtype=np.float64)
         xs = np.atleast_1d(x) % 1.0
         j = np.minimum((xs * self.q).astype(np.int64), self.q - 1)
-        if self.q < MULMOD_LIMIT:
-            s = mulmod(j, self.p_inv, self.q)
-        else:
-            s = np.array([jj * self.p_inv % self.q for jj in j.tolist()], dtype=np.int64)
-        out = self._shape(self.L_of_s(s), xs - j / self.q)
+        out = self._shape(self.L_of_s(mulmod(j, self.p_inv, self.q)), xs - j / self.q)
         return out.reshape(x.shape) if x.shape else float(out[0])
 
     __call__ = eval
@@ -282,6 +258,8 @@ class StageConstruction:
 
     def __init__(self, cf: ContinuedFraction, sparse_set: AlmostSparseSet,
                  n_stages: int = 3, include_h: bool = False, mu_twist: bool = False):
+        if n_stages < 1:
+            raise InvalidInputError(f"n_stages must be >= 1, got {n_stages}")
         if mu_twist and sparse_set.descriptor != "squares":
             raise InvalidInputError("mu-twist variant requires the squares descriptor")
         self.cf = cf
@@ -397,18 +375,18 @@ class StageConstruction:
             self._phases[key] = phases
         return self._phases[key]
 
-    def birkhoff0(self, kk: int) -> float:
-        return float(self.birkhoff0_many([kk])[0])
+    def _telescoped(self, x: np.ndarray, shift: float, upto: int) -> np.ndarray:
+        """sum_{n <= upto} (F_n(x + shift) - F_n(x)) with F_n = f_n (+ h_n), float mode."""
+        out = np.zeros(x.shape)
+        for m in range(1, upto + 1):
+            for term in self._stages[m]["terms"]:
+                out += term.eval((x + shift) % 1.0) - term.eval(x)
+        return out
 
     def g_truncated(self, x, upto=None):
         """sum_{n <= upto} (f_n(x + alpha) - f_n(x)) [+ tent terms], float mode."""
         upto = self.solved() if upto is None else min(upto, self.solved())
-        x = np.asarray(x, dtype=np.float64)
-        alpha = float(self.cf.value)
-        out = np.zeros(x.shape)
-        for m in range(1, upto + 1):
-            for term in self._stages[m]["terms"]:
-                out = out + term.eval((x + alpha) % 1.0) - term.eval(x)
+        out = self._telescoped(np.asarray(x, dtype=np.float64), float(self.cf.value), upto)
         return out if out.shape else float(out)
 
     def continuity_certificate(self):
@@ -546,14 +524,9 @@ class StageConstruction:
         l = self.stage_l[n - 1]
         K = self.cf.q(l + 1) // (2 * self.cf.q(l))
         steps = K * self.cf.q(l)
-        xs = np.arange(RIGIDITY_GRID) / RIGIDITY_GRID
-        alpha_shift = float(self.cf.frac01(steps))
-        # S_steps(g)(x) = sum_n [F_n(x + steps*alpha) - F_n(x)] with F_n = f_n (+ h_n)
-        total = np.zeros(RIGIDITY_GRID)
-        for m in range(1, self.solved() + 1):
-            for term in self._stages[m]["terms"]:
-                total += term.eval((xs + alpha_shift) % 1.0) - term.eval(xs)
-        total %= 1.0
+        # S_steps(g)(x) = sum_n [F_n(x + steps*alpha) - F_n(x)]
+        total = self._telescoped(np.arange(RIGIDITY_GRID) / RIGIDITY_GRID,
+                                 float(self.cf.frac01(steps)), self.solved()) % 1.0
         best = min(float(np.mean(_circle_dist(total, c))) for c in np.arange(0, 1, 1 / 64))
         return {"n": n, "K": K, "mean_distance_to_nearest_constant": best}
 

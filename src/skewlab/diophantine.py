@@ -137,11 +137,6 @@ class ContinuedFraction:
         return len(a)
 
 
-def cf_from_quotients(quotients) -> ContinuedFraction:
-    """ContinuedFraction from explicit partial quotients."""
-    return ContinuedFraction(quotients)
-
-
 def cf_from_real(alpha: str, depth: int) -> ContinuedFraction:
     """Expand a decimal string in (0,1), like "0.61803...", to ``depth`` partial quotients.
 

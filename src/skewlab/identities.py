@@ -61,9 +61,6 @@ class LogVector:
     def is_zero(self) -> bool:
         return not self.coords
 
-    def to_float(self) -> float:
-        return sum(float(c) * math.log(p) for p, c in self.coords.items())
-
     def __repr__(self):
         if not self.coords:
             return "LogVector(0)"

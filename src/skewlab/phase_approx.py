@@ -49,8 +49,8 @@ def build_phase_poly(gr, cf: ContinuedFraction, n: int, params: AnalysisParams) 
     if n < 1 or n > gr.depth:
         raise InvalidInputError(f"scale n = {n} outside the reduction depth")
     d = max(1, math.floor(1.0 / params.delta))
-    g_n = gr.block(n)
-    if g_n is None or g_n.num_terms() == 0:
+    g_n = gr.blocks.get(n)
+    if g_n is None:  # reduce keeps no empty block
         return PhasePolynomial(n=n, degree=d, coeff_fns=[TrigPoly([], [])] * d,
                                bounds=[(0.0, 0.0)] * d)
     qn = cf.q(n)

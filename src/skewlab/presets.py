@@ -11,7 +11,7 @@ import math
 
 from skewlab.cocycle import AnalyticCocycle, reduce as reduce_cocycle
 from skewlab.counterexample import AlmostSparseSet, StageConstruction
-from skewlab.diophantine import AnalysisParams, cf_from_quotients
+from skewlab.diophantine import AnalysisParams, ContinuedFraction
 
 # Liouville-type alpha for the phase-approximation experiments: denominator
 # chain 500, 2501, 18007, 164564, 1992775 with growing jump ratios, then unit
@@ -40,14 +40,10 @@ COUNTEREXAMPLE_QUOTIENTS = [3, 15, 2, 90, 1, 1, 2] + [1] * 31 + [2] + [1] * 78
 COUNTEREXAMPLE_H_QUOTIENTS = [3, 15, 300, 180, 1, 1, 400] + [1] * 60
 
 
-def phase_params() -> AnalysisParams:
-    return AnalysisParams(tau_prime=PHASE_TAU_PRIME, delta=PHASE_DELTA)
-
-
 def phase_pair():
     """(cf, g, params, reduced) for the phase-approximation experiments."""
-    cf = cf_from_quotients(PHASE_QUOTIENTS)
-    params = phase_params()
+    cf = ContinuedFraction(PHASE_QUOTIENTS)
+    params = AnalysisParams(tau_prime=PHASE_TAU_PRIME, delta=PHASE_DELTA)
     coeffs = {}
     for n in range(1, 5):
         q = cf.q(n)
@@ -66,7 +62,7 @@ def prime_pair():
     serving as the empirical certificate that no multiple of g is a
     coboundary.
     """
-    cf = cf_from_quotients(PRIME_QUOTIENTS)
+    cf = ContinuedFraction(PRIME_QUOTIENTS)
     params = AnalysisParams(tau_prime=PRIME_TAU_PRIME, delta=0.2)
     coeffs = {cf.q(n): PRIME_AMP * math.exp(-PRIME_TAU_PRIME * cf.q(n))
               for n in range(1, PRIME_BLOCK_SCALES + 1)}
@@ -76,7 +72,6 @@ def prime_pair():
 
 def counterexample_stages(n_stages=3, include_h=False, mu_twist=False) -> StageConstruction:
     quotients = COUNTEREXAMPLE_H_QUOTIENTS if include_h else COUNTEREXAMPLE_QUOTIENTS
-    cf = cf_from_quotients(quotients)
-    st = StageConstruction(cf, AlmostSparseSet("squares"), n_stages=n_stages,
-                           include_h=include_h, mu_twist=mu_twist)
-    return st
+    cf = ContinuedFraction(quotients)
+    return StageConstruction(cf, AlmostSparseSet("squares"), n_stages=n_stages,
+                             include_h=include_h, mu_twist=mu_twist)

@@ -125,18 +125,6 @@ def coprime_mask(lo: int, hi: int, primes) -> np.ndarray:
     return keep
 
 
-def von_mangoldt(n: int) -> float:
-    """log p on prime powers p^a, zero elsewhere."""
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    if n == 1:
-        return 0.0
-    fac = factorize(n)
-    if len(fac) == 1:
-        return math.log(fac[0][0])
-    return 0.0
-
-
 def euler_phi(n: int) -> int:
     out = n
     for p, _ in factorize(n):

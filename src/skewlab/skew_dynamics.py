@@ -21,7 +21,7 @@ from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import InvalidInputError, RangeError
 from skewlab.primes import coprime_mask, default_source, euler_phi, factorize, segment_windows
 
-# the fiber split k = B + (i << _J_BITS) + j of _orbit_phases: B on dd's blocks of
+# the fiber split k = B + (i << _J_BITS) + j of _fiber_tables: B on dd's blocks of
 # 2**BLOCK_BITS, their offsets cut into 2**(BLOCK_BITS - _J_BITS) values of i and 2**_J_BITS of j
 _J_BITS = (BLOCK_BITS + 1) // 2
 # indices per worker task of _orbit_sums.  Keep it above the 9,592 primes up to 10**5:
@@ -68,7 +68,15 @@ def _fiber_terms(T: SkewProduct, x: float):
 
 
 def _fiber_tables(terms, ks: np.ndarray):
-    """(b0, [(K, L, Re kappa2)] per frequency): the tables of _orbit_phases for the window ks."""
+    """(b0, [(K, L, Re kappa2)] per frequency): the fiber tables of the window ks.
+
+    terms = _fiber_terms(T, x).  k = B + (i << 11) + j with B a multiple of 2**21,
+    0 <= i < 2**10 and 0 <= j < 2**11 (dd.BLOCK_BITS = 21 and _J_BITS = 11).
+    Per frequency, one frac01_int_mult and one e() on the B from min(ks) to max(ks),
+    the i << 11 and the j give tables K = 2 kappa e(B theta) e(i 2**11 theta) and
+    L = e(j theta); then 2 Re kappa e(k theta) = Re K[B, i] L[j] by gathers
+    (_fiber_gather).  ks is one nonempty window (two blocks at most).
+    """
     b0, b1 = int(ks.min()) >> BLOCK_BITS, int(ks.max()) >> BLOCK_BITS
     n_i, n_j, nb = 1 << (BLOCK_BITS - _J_BITS), 1 << _J_BITS, b1 - b0 + 1
     parts = np.concatenate([np.arange(b0, b1 + 1) << BLOCK_BITS, np.arange(n_i) << _J_BITS,
@@ -78,25 +86,13 @@ def _fiber_tables(terms, ks: np.ndarray):
 
 
 def _fiber_gather(b0: int, tables, ks: np.ndarray, y: float) -> np.ndarray:
-    """y_k for k in ks (inside the window of the tables), by gathers from the tables."""
+    """y_k = y + S_k(g)(x) for k in ks (inside the window of the tables), by gathers
+    from the tables; y_k depends on its own k alone."""
     row, col = (ks >> _J_BITS) - (b0 << (BLOCK_BITS - _J_BITS)), ks & ((1 << _J_BITS) - 1)
     ys = np.full(ks.shape, float(y))
     for K, L, kappa2_re in tables:
         ys += K.real[row] * L.real[col] - K.imag[row] * L.imag[col] - kappa2_re
     return ys
-
-
-def _orbit_phases(terms, ks: np.ndarray, y: float) -> np.ndarray:
-    """y_k = y + S_k(g)(x) for k in ks, terms = _fiber_terms(T, x), by table products.
-
-    k = B + (i << 11) + j with B a multiple of 2**21, 0 <= i < 2**10 and 0 <= j < 2**11
-    (dd.BLOCK_BITS = 21 and _J_BITS = 11).
-    Per frequency, one frac01_int_mult and one e() on the B from min(ks) to max(ks),
-    the i << 11 and the j give tables K = 2 kappa e(B theta) e(i 2**11 theta) and
-    L = e(j theta); then 2 Re kappa e(k theta) = Re K[B, i] L[j] by gathers.  ks is one
-    window (two blocks at most), and y_k depends on its own k alone.
-    """
-    return _fiber_gather(*_fiber_tables(terms, ks), ks, y) if ks.size else np.full(0, float(y))
 
 
 def _chunk_values(tables, ks, w, xs, y: float, fs, out) -> None:

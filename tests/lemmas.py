@@ -219,7 +219,7 @@ def coboundary_drift(g: AnalyticCocycle, g_red: ReducedCocycle, cf: ContinuedFra
     restricted to the residual.
     """
     h = g.restrict(g_red.residual)
-    if h.num_terms() == 0:
+    if len(h.freqs) == 0:
         return 0.0
     prefix = birkhoff_prefix(h, cf, n_max, 0.0)
     return float(np.max(np.abs(prefix)))

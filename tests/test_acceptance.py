@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from skewlab import calibration
-from skewlab.diophantine import cf_from_quotients
+from skewlab.diophantine import ContinuedFraction
 from skewlab.presets import counterexample_stages, phase_pair, prime_pair
 
 
@@ -93,7 +93,7 @@ def test_criterion_03_convergent_laws():
     ]
     ok = True
     for quo in test_alphas:
-        cf = cf_from_quotients(quo)
+        cf = ContinuedFraction(quo)
         assert cf.max_index() >= 20
         cf.check_laws()
         for k in range(2, cf.max_index() - 1):

@@ -225,6 +225,9 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
     ["charsum", "--stat", "gauss", "--chi_index", "1"],
     ["cf", "--quotients", "1,1", "--decimal", "0.5"],
     ["cf", "--decimal", "1/3"],
+    ["cocycle-check", "--spec", "{tmp}/g.csv", "--decay_rate", "1e-320"],
+    ["counterexample", "--stages", "0"],
+    ["counterexample", "--stages", "-1"],
 ], ids=["identities-k0", "charsum-q2-windowed", "charsum-chi-index-past-last",
         "prime-average-N0", "ms-sum-eta0", "charsum-windowed-Hp-negative",
         "charsum-windowed-Hp0", "huxley-x0", "huxley-H0", "orbit-unknown-pair",
@@ -240,10 +243,13 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
         "cocycle-check-decay-rate-without-spec", "cocycle-check-quotients-without-spec",
         "counterexample-eps-negative", "counterexample-eps0", "counterexample-eps-with-mu-twist",
         "charsum-gauss-r", "charsum-progression-gauss-x", "charsum-progression-Hp",
-        "charsum-gauss-chi-index", "cf-quotients-and-decimal", "cf-decimal-fraction"])
+        "charsum-gauss-chi-index", "cf-quotients-and-decimal", "cf-decimal-fraction",
+        "cocycle-check-decay-rate-overflows-m-max", "counterexample-stages0",
+        "counterexample-stages-negative"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_out_of_domain_value_exit_2(args, capsys):
-    assert main(args) == 2
+def test_out_of_domain_value_exit_2(args, tmp_path, capsys):
+    (tmp_path / "g.csv").write_text("1,0.1,0\n3,0,0.05\n")
+    assert main([a.format(tmp=tmp_path) for a in args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition error: ") and len(err.splitlines()) == 1
 
@@ -508,21 +514,21 @@ def test_identities_command(tmp_path):
     assert all(r["defect"] == 0 for r in payload["rows"])
 
 
-def test_identities_vaughan_rows_are_per_z(tmp_path, monkeypatch):
-    from types import SimpleNamespace
-
+def test_identities_vaughan_rows_are_per_z(monkeypatch, capsys):
     import skewlab.identities as ids
-    from skewlab.primes import von_mangoldt
+    from skewlab.errors import IntegrityError
 
-    # only z = 2 gets a nonzero defect; the z = 5 row must not inherit it
-    monkeypatch.setattr(ids, "vaughan_decompose", lambda n, z: (
-        None, None, None, SimpleNamespace(to_float=lambda: von_mangoldt(n) + (z == 2))))
-    code, payload, _ = run_cli(
-        ["identities", "--n_max", "50", "--z", "2,5", "--k", "1",
-         "--buchstab_windows", "0"], tmp_path)
-    assert code == 0
-    vaughan = {r["params"]: r["defect"] for r in payload["rows"] if r["identity"] == "vaughan"}
-    assert vaughan["z=2"] == pytest.approx(1.0) and vaughan["z=5"] == 0.0
+    # the rows' 0 defect is vaughan_decompose's certificate: a failed one at z = 2 ends the run
+    def decompose(n, z):
+        if z == 2:
+            raise IntegrityError(f"Vaughan identity failed at n={n}, z={z}")
+
+    monkeypatch.setattr(ids, "vaughan_decompose", decompose)
+    code, _, _ = run_cli(["identities", "--n_max", "50", "--z", "5,2", "--k", "1",
+                          "--buchstab_windows", "0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: Vaughan identity failed at n=3, z=2\n"
 
 
 def test_prime_average_command(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from lemmas import birkhoff_prefix, birkhoff_sup_bound, coboundary_drift, denjoy_koksma_gap
 from skewlab.cocycle import AnalyticCocycle, TrigPoly, birkhoff_closed, birkhoff_direct, reduce
-from skewlab.diophantine import AnalysisParams, cf_from_quotients
+from skewlab.diophantine import AnalysisParams, ContinuedFraction
 from skewlab.errors import InvalidInputError
 
 TAU_P = 0.095
@@ -13,7 +13,7 @@ TAU_P = 0.095
 
 @pytest.fixture(scope="module")
 def cf():
-    return cf_from_quotients([1, 2, 3, 4, 5, 6, 7, 8, 9, 10] * 4)
+    return ContinuedFraction([1, 2, 3, 4, 5, 6, 7, 8, 9, 10] * 4)
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ def test_birkhoff_prefix_matches_direct(cf, random_g):
 
 def test_reduce_blocks_and_residual():
     # q: 1, 2, 3, 5, 103, ...: frequency 7 is a multiple of no q_n in range
-    cf = cf_from_quotients([2, 1, 1, 20, 1, 1, 50, 1])
+    cf = ContinuedFraction([2, 1, 1, 20, 1, 1, 50, 1])
     params = AnalysisParams(tau_prime=TAU_P)
     q3 = cf.q(3)
     g = AnalyticCocycle({q3: 0.4 * math.exp(-TAU_P * q3),
@@ -121,7 +121,7 @@ def test_reduce_blocks_and_residual():
 
 
 def test_block_supports_pairwise_disjoint():
-    cf = cf_from_quotients([2, 3, 4, 5, 2, 3] * 3)
+    cf = ContinuedFraction([2, 3, 4, 5, 2, 3] * 3)
     params = AnalysisParams(tau_prime=TAU_P)
     coeffs = {m: 0.1 * math.exp(-TAU_P * m) for m in range(2, 70, 2)}
     red = reduce(AnalyticCocycle(coeffs, TAU_P), cf, params, 8)
@@ -133,7 +133,7 @@ def test_block_supports_pairwise_disjoint():
 
 
 def test_coboundary_drift():
-    cf = cf_from_quotients([2, 1, 1, 20, 1, 1, 50, 1])
+    cf = ContinuedFraction([2, 1, 1, 20, 1, 1, 50, 1])
     params = AnalysisParams(tau_prime=TAU_P)
     q3 = cf.q(3)
     g_pure = AnalyticCocycle({q3: 0.3 * math.exp(-TAU_P * q3)}, TAU_P)
@@ -152,7 +152,7 @@ def test_coboundary_drift():
 def test_coboundary_drift_growth_rate():
     # sup_{k <= n} |S_k(g - g~)(0)| must flatten out as n grows; q_4 = 23 takes frequency 23
     # into block 4 and leaves the rest as the residual, so the drift is not identically 0
-    cf = cf_from_quotients([3, 1, 4, 1, 5, 9, 2, 6, 5, 3] * 4)
+    cf = ContinuedFraction([3, 1, 4, 1, 5, 9, 2, 6, 5, 3] * 4)
     params = AnalysisParams(tau_prime=TAU_P)
     coeffs = {m: 0.3 * math.exp(-TAU_P * m) for m in (5, 11, 23, 41)}
     g = AnalyticCocycle(coeffs, TAU_P)
@@ -202,7 +202,7 @@ def test_denjoy_koksma_block_decay():
     cf, g, params, red = phase_pair()
     sups = []
     for n in (1, 2, 3):
-        block = red.block(n)
+        block = red.blocks.get(n)
         q = cf.q(n)
         xs = np.arange(64) / 64
         vals = [denjoy_koksma_gap(block, q, float(x), cf, mean=0.0) for x in xs[::8]]

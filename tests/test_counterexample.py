@@ -8,12 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from skewlab.counterexample import (AlmostSparseSet, RampFunction, StageConstruction,
+from skewlab.counterexample import (Q_CAP, AlmostSparseSet, RampFunction, StageConstruction,
                                     TentFunction, eps_n, orbit_cells)
 from skewlab.dd import MULMOD_LIMIT
-from skewlab.diophantine import ContinuedFraction, cf_from_quotients
-from skewlab.errors import ConstructionError, InvalidInputError, PreconditionError
+from skewlab.diophantine import ContinuedFraction
+from skewlab.errors import ConstructionError, InvalidInputError, PreconditionError, RangeError
 from skewlab.presets import counterexample_stages
+from skewlab.primes import primes_in
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +103,7 @@ def test_integer_evaluator_matches_fraction_oracle(variant, solved3):
             y = _oracle_birkhoff0(st, w, st.solved()) % 1.0
             assert deviations[i] == min(abs(y - target), 1 - abs(y - target))
     for w in (1, 5, 17):
-        assert st.birkhoff0(w) == _oracle_birkhoff0(st, w, st.solved())
+        assert st.birkhoff0_many([w])[0] == _oracle_birkhoff0(st, w, st.solved())
     assert st.f(1) is st.f(1)
 
 
@@ -182,19 +183,17 @@ def test_orbit_cells_exact_where_not_certified(q, p, rho):
     assert [a.size for a in empty[:3]] == [0, 0, 0] and empty[3] == 0
 
 
-def test_cells_beyond_mulmod_fall_back_to_integers():
-    cf = cf_from_quotients([1] * 80)
+def test_cells_beyond_mulmod_raise_range_error():
+    # every stage has q <= Q_CAP, inside mulmod's range; a larger q is refused, not recomputed
+    assert Q_CAP < MULMOD_LIMIT
+    cf = ContinuedFraction([1] * 80)
     k = next(k for k in range(80) if cf.q(k) >= MULMOD_LIMIT)
     q, p = cf.q(k), cf.p(k)
     ws = np.random.default_rng(1).integers(-2**52, 2**52, 200)
-    kk, s, off, fallbacks = orbit_cells(ws, cf.value, q, p)
-    assert fallbacks == ws.size
-    assert (kk.tolist(), s.tolist(), off.tolist()) == _exact_cells(ws.tolist(), cf.value, q, p)
-    f = RampFunction(q, cf.q(k + 1), p, [0, q // 3], [2.0, 3.0])
-    P, Q = cf.value.numerator, cf.value.denominator
-    got, fallbacks = f.at_multiples(ws, cf.value)
-    assert fallbacks == ws.size
-    assert np.array_equal(got, f.at_fractions([int(w) * P % Q for w in ws], Q))
+    with pytest.raises(RangeError):
+        orbit_cells(ws, cf.value, q, p)
+    with pytest.raises(RangeError):
+        RampFunction(q, cf.q(k + 1), p, [0, q // 3], [2.0, 3.0]).eval(0.5)
 
 
 def test_float_path_residue_is_exact(solved3):
@@ -208,11 +207,11 @@ def test_float_path_residue_is_exact(solved3):
 
 def test_squares_descriptor_windows():
     A = AlmostSparseSet("squares")
-    assert A.elements_in(1, 100) == [1, 4, 9, 16, 25, 36, 49, 64, 81, 100]
-    assert A.bad_set(100) == set()
+    # every square in [1, 100] survives: B_100 is empty
+    assert A.window(1, 100).tolist() == [1, 4, 9, 16, 25, 36, 49, 64, 81, 100]
     # consecutive gaps grow along windows
-    gaps_low = np.diff(A.elements_in(1, 100))
-    gaps_high = np.diff(A.elements_in(10**4, 2 * 10**4))
+    gaps_low = np.diff(A.window(1, 100))
+    gaps_high = np.diff(A.window(10**4, 2 * 10**4))
     assert gaps_high.min() > gaps_low.max()
 
 
@@ -222,8 +221,9 @@ def test_primes_descriptor_gap_filter():
     surv = A.window(0, N)
     c = A.gap_filter(N)
     assert min(np.diff(surv)) > c
-    bad = A.bad_set(N)
-    assert len(bad) / len(A.elements_in(1, N)) < 0.5
+    ps = primes_in(2, N)
+    bad = set(ps.tolist()) - set(surv.tolist())  # B_N: the members window removes
+    assert len(bad) / len(ps) < 0.5
 
 
 @pytest.mark.parametrize("N", [10**4, 10**6])
@@ -242,15 +242,18 @@ def test_primes_descriptor_equals_pairwise_loop(N):
             bad.add(a)
             bad.add(b)
     A = AlmostSparseSet("primes")
-    assert A.bad_set(N) == bad
     # the larger members of the first and last close pairs: their partners lie below lo
     firsts = [b for a, b in zip(ps, ps[1:]) if b - a <= c]
     for lo in (0, 2, 3, N // 2, N - 100, firsts[0], firsts[-1]):
         want = [p for p in ps if p >= lo and p not in bad]
         got = A.window(lo, N)
         assert got.dtype == np.int64 and got.tolist() == want, lo
-    assert A.elements_in(N // 3, N // 2) == [p for p in ps if N // 3 <= p <= N // 2]
-    assert A.bad_set(1) == set() and A.bad_set(3) == {2, 3}
+    # a window below N: B_{N // 2} from the primes up to N // 2 alone
+    half, c_half = [p for p in ps if p <= N // 2], AlmostSparseSet.gap_filter(N // 2)
+    bad_half = {p for a, b in zip(half, half[1:]) if b - a <= c_half for p in (a, b)}
+    want = [p for p in half if p >= N // 3 and p not in bad_half]
+    assert A.window(N // 3, N // 2).tolist() == want
+    assert A.window(0, 1).size == 0 and A.window(0, 3).size == 0  # B_3 = {2, 3}
 
 
 class ListedSet(AlmostSparseSet):
@@ -411,7 +414,7 @@ def test_g_truncated_along_orbit(solved):
     st = solved
     for k in (1, 5, 17):
         direct = sum(st.g_truncated(float((j * st.cf.value) % 1)) for j in range(k))
-        assert direct == pytest.approx(st.birkhoff0(k), abs=1e-8)
+        assert direct == pytest.approx(st.birkhoff0_many([k])[0], abs=1e-8)
 
 
 def test_g_truncated_at_zero(solved):
@@ -443,7 +446,7 @@ def test_include_h_variant():
 
 
 def test_empty_window_raises():
-    cf = cf_from_quotients([2, 2] + [1] * 40)
+    cf = ContinuedFraction([2, 2] + [1] * 40)
     with pytest.raises(ConstructionError):
         StageConstruction(cf, ListedSet([]), n_stages=1)
 

@@ -6,33 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lemmas import k_n, n_star
-from skewlab.diophantine import (AnalysisParams, ContinuedFraction, cf_from_quotients,
-                                 cf_from_real)
+from skewlab.diophantine import AnalysisParams, ContinuedFraction, cf_from_real
 from skewlab.errors import InvalidInputError, PrecisionError
 
 
 def test_golden_ratio_fibonacci_denominators():
-    cf = cf_from_quotients([1] * 6)
+    cf = ContinuedFraction([1] * 6)
     assert [cf.q(k) for k in range(0, 7)] == [1, 1, 2, 3, 5, 8, 13]
     assert abs(float(cf.value) - 0.6180339887) < 1e-2
 
 
 def test_quotients_222_by_hand_recursion():
     # oracle: q_{k+1} = 2 q_k + q_{k-1} unrolled by hand
-    cf = cf_from_quotients([2, 2, 2, 2])
+    cf = ContinuedFraction([2, 2, 2, 2])
     assert [cf.q(k) for k in range(0, 5)] == [1, 2, 5, 12, 29]
 
 
 def test_single_quotient():
-    cf = cf_from_quotients([1])
+    cf = ContinuedFraction([1])
     assert cf.p(1) == 1 and cf.q(1) == 1
 
 
 def test_empty_and_nonpositive_quotients_rejected():
     with pytest.raises(InvalidInputError):
-        cf_from_quotients([])
+        ContinuedFraction([])
     with pytest.raises(InvalidInputError):
-        cf_from_quotients([1, 0, 2])
+        ContinuedFraction([1, 0, 2])
 
 
 def test_cf_from_real_sqrt2_minus_1():
@@ -66,7 +65,7 @@ def test_cf_from_real_exponent_string_keeps_its_precision():
 
 def test_roundtrip_quotients_through_real():
     # a unit tail keeps the value off the edge where a_5 = 292 would end the expansion
-    cf = cf_from_quotients([3, 7, 15, 1, 292] + [1] * 20)
+    cf = ContinuedFraction([3, 7, 15, 1, 292] + [1] * 20)
 
     def digits(d):
         return f"0.{math.floor(cf.value * 10**d):0{d}d}"
@@ -79,7 +78,7 @@ def test_roundtrip_quotients_through_real():
 
 
 def test_dist_to_integers_examples():
-    cf = cf_from_quotients([1] * 40)
+    cf = ContinuedFraction([1] * 40)
     # oracle: |5 alpha - 3| with alpha the golden ratio conjugate
     golden = (math.sqrt(5) - 1) / 2
     assert abs(float(cf.dist_to_integers(5)) - abs(5 * golden - 3)) < 1e-9
@@ -91,7 +90,7 @@ def test_dist_to_integers_examples():
 
 
 def test_fractional_parts_are_certified_or_refused():
-    cf = cf_from_quotients([1] * 10)
+    cf = ContinuedFraction([1] * 10)
     assert cf.frac01(0) == 0 and cf.frac_signed(0) == 0
     with pytest.raises(PrecisionError):
         cf.frac_signed(10**30)  # 10**30 * err is far beyond any distance in [0, 1)
@@ -114,7 +113,7 @@ def test_fractional_parts_are_certified_or_refused():
 @given(st.lists(st.integers(1, 9), min_size=2, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_convergent_laws_random_quotients(quotients):
-    cf = cf_from_quotients(quotients)
+    cf = ContinuedFraction(quotients)
     cf.check_laws()
     for k in range(2, len(quotients)):
         d = abs(cf.convergent(k) - cf.value)
@@ -136,7 +135,7 @@ class _HugeTau:
 
 
 def test_n_star_conventions():
-    cf = cf_from_quotients([1] * 10)
+    cf = ContinuedFraction([1] * 10)
     params = AnalysisParams(tau_prime=0.095)
     assert n_star(1, cf, params) == 1  # q_0 := 0 forces the k = 1 comparison
     assert n_star(5, cf, params) == 5  # tiny tau: every index qualifies
@@ -145,14 +144,14 @@ def test_n_star_conventions():
 
 
 def test_n_star_monotone():
-    cf = cf_from_quotients([2, 1, 3, 1, 4, 1, 5, 1])
+    cf = ContinuedFraction([2, 1, 3, 1, 4, 1, 5, 1])
     params = AnalysisParams(tau_prime=0.099)
     values = [n_star(n, cf, params) for n in range(1, 8)]
     assert values == sorted(values)
 
 
 def test_k_n_examples():
-    cf = cf_from_quotients([1] * 10)
+    cf = ContinuedFraction([1] * 10)
     params = AnalysisParams(tau_prime=0.095)
     # n* = n and a_{n+1} = 1: K_n = q_{n+1}/q_n
     assert k_n(4, cf, params) == Fraction(cf.q(5), cf.q(4))
@@ -163,7 +162,7 @@ def test_k_n_examples():
 def test_liouville_type_depth20():
     # strong jumps: q_{k+1} = a q_k + q_{k-1} with huge a's stays exact
     quo = [2, 5, 1, 40, 1, 1, 10**6, 1, 1, 1, 10**12] + [1] * 12
-    cf = cf_from_quotients(quo)
+    cf = ContinuedFraction(quo)
     cf.check_laws()
     assert cf.max_index() >= 20
     assert cf.q(11) > 10**18

@@ -32,7 +32,6 @@ def test_logvector_algebra():
     a = LogVector(dict(factorize(12)))  # 2 log2 + log3
     assert a.coords == {2: Fraction(2), 3: Fraction(1)}
     assert (a - a).is_zero()
-    assert abs(a.to_float() - math.log(12)) < 1e-12
     assert LogVector.von_mangoldt(9).coords == {3: Fraction(1)}
     assert LogVector.von_mangoldt(12).is_zero()
 

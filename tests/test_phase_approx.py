@@ -6,7 +6,7 @@ import pytest
 
 from lemmas import orbit_return_error, torus_dist, torus_metric
 from skewlab.cocycle import AnalyticCocycle, TrigPoly, birkhoff_closed, reduce
-from skewlab.diophantine import AnalysisParams, cf_from_quotients
+from skewlab.diophantine import AnalysisParams, ContinuedFraction
 from skewlab.errors import IntegrityError, InvalidInputError, RangeError
 from skewlab.phase_approx import BOUND_GRID, PhasePolynomial, build_phase_poly, polap_error
 from skewlab.presets import phase_pair
@@ -45,7 +45,7 @@ def test_degree_one_regime_is_linear():
     red = reduce(g, cf, params, 5)
     P = build_phase_poly(red, cf, 2, params)
     assert P.degree == 1
-    block = red.block(2)
+    block = red.blocks.get(2)
     assert np.array_equal(P.coeff_fns[0].freqs, block.freqs)
     assert np.allclose(P.coeff_fns[0].amps, block.amps)
     xs = np.arange(16) / 16
@@ -66,7 +66,7 @@ def test_violated_bound_names_the_grid_point_of_the_sup(pair):
     params = AnalysisParams(tau_prime=5e-4, delta=0.55)
     n = 1
     block = TrigPoly([cf.q(n)], [0.3 - 0.4j])
-    red = SimpleNamespace(depth=5, block=lambda k: block if k == n else None)
+    red = SimpleNamespace(depth=5, blocks={n: block})
     xs = np.arange(BOUND_GRID) / BOUND_GRID
     x_max = float(xs[np.argmax(np.abs(block.eval(xs)))])
     assert x_max > 0
@@ -82,7 +82,7 @@ def test_coefficients_match_symbolic_rederivation(pair):
     P = build_phase_poly(red, cf, n, params)
     qn = cf.q(n)
     dist = float(cf.dist_to_integers(qn))
-    block = red.block(n)
+    block = red.blocks.get(n)
     x = 0.3125
     for s in range(2, P.degree + 1):
         deriv = block.derivative(s - 1)
@@ -131,7 +131,7 @@ def test_cross_check_sqn_vs_qn_gn(pair):
     cf, g, params, red = pair
     n = 2
     qn = cf.q(n)
-    block = red.block(n)
+    block = red.blocks.get(n)
     budget = qn * float(cf.dist_to_integers(qn))
     dsup = block.derivative(1).sup_norm(grid=1 << 10)[1]
     for x in np.arange(16) / 16:
@@ -141,7 +141,7 @@ def test_cross_check_sqn_vs_qn_gn(pair):
 
 def _orbit_pair():
     # alpha with a big first denominator so n* sticks at 1 and K_n >= 2
-    cf = cf_from_quotients([2000] + [1] * 25)
+    cf = ContinuedFraction([2000] + [1] * 25)
     params = AnalysisParams(tau_prime=0.095)
     g = AnalyticCocycle({cf.q(2): 0.3 * math.exp(-0.095 * cf.q(2))}, 0.095,
                         m_max=cf.q(8))

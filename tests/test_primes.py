@@ -11,7 +11,7 @@ from lemmas import (build_sieve_weights, coprimality_decomposition_error,
 from skewlab import primes
 from skewlab.errors import InvalidInputError, RangeError, ResourceError
 from skewlab.primes import (PrimeSource, chebyshev_theta, divisor_count_k, euler_phi,
-                            factorize, mobius_upto, primes_in, von_mangoldt)
+                            factorize, mobius_upto, primes_in)
 
 
 def simple_sieve(limit: int) -> np.ndarray:
@@ -157,8 +157,6 @@ def test_chebyshev_theta_pnt_sanity():
 
 def test_arithmetic_function_examples():
     assert mobius(12) == 0 and mobius(6) == 1
-    assert abs(von_mangoldt(9) - math.log(3)) < 1e-12
-    assert von_mangoldt(12) == 0.0
     # oracle: ordered triples with product 4: (1,1,4)x3, (1,2,2)x3
     assert divisor_count_k(3, 4) == 6
     with pytest.raises(InvalidInputError):

@@ -10,16 +10,16 @@ from lemmas import birkhoff_prefix, nazarov_small_set, nazarov_translate_count
 from skewlab import cocycle, skew_dynamics
 from skewlab.cocycle import AnalyticCocycle, TrigPoly, orbit_angles
 from skewlab.dd import dd_from_fraction, e, frac01_int_mult
-from skewlab.diophantine import cf_from_quotients
+from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import InvalidInputError, RangeError
 from skewlab.presets import prime_pair
 from skewlab.primes import (DEFAULT_LIMIT, SEGMENT_SIZE, chebyshev_theta, default_source,
                             euler_phi, primes_in)
-from skewlab.skew_dynamics import (Observable, SkewProduct, _fiber_terms, _orbit_phases,
-                                   _orbit_sums, _prime_windows, exact_star_discrepancy,
-                                   prime_weighted_average, prime_weighted_averages,
-                                   reduced_residue_average, star_discrepancy_bound,
-                                   weyl_sum)
+from skewlab.skew_dynamics import (Observable, SkewProduct, _fiber_gather, _fiber_tables,
+                                   _fiber_terms, _orbit_sums, _prime_windows,
+                                   exact_star_discrepancy, prime_weighted_average,
+                                   prime_weighted_averages, reduced_residue_average,
+                                   star_discrepancy_bound, weyl_sum)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def T():
 
 
 def test_iterate_identity_and_zero_cocycle():
-    cf = cf_from_quotients([1, 2, 3, 4, 5] * 4)
+    cf = ContinuedFraction([1, 2, 3, 4, 5] * 4)
     g0 = AnalyticCocycle({}, 0.095)
     T = SkewProduct(cf, g0)
     x, y = 0.3, 0.6
@@ -57,7 +57,7 @@ def _iterate_stepwise(T, n, x, y):
 
 def test_iterate_matches_stepwise():
     # modest cocycle so the stepwise oracle's own rounding stays under 1e-8
-    cf = cf_from_quotients([1, 2, 3, 4, 5] * 4)
+    cf = ContinuedFraction([1, 2, 3, 4, 5] * 4)
     g = AnalyticCocycle({2: 0.2, 5: 0.1}, 0.095)
     T = SkewProduct(cf, g)
     a = T.iterate(1000, 0.2, 0.7)
@@ -84,7 +84,7 @@ def test_prime_average_constant_observable(T):
 
 
 def test_prime_average_zero_cocycle_direct_loop():
-    cf = cf_from_quotients([1, 2, 3, 4, 5] * 4)
+    cf = ContinuedFraction([1, 2, 3, 4, 5] * 4)
     g0 = AnalyticCocycle({}, 0.095)
     T = SkewProduct(cf, g0)
     N = 20000
@@ -106,7 +106,8 @@ def _whole_array_averages(T, fs, N, x, y):
     """Oracle for streaming: every prime <= N in one array, one np.sum per observable."""
     ps = primes_in(2, N)
     logp = np.log(ps.astype(np.float64))
-    xs, ys = orbit_angles(T.cf, ps, x), _orbit_phases(_fiber_terms(T, x), ps, y)
+    xs = orbit_angles(T.cf, ps, x)
+    ys = _fiber_gather(*_fiber_tables(_fiber_terms(T, x), ps), ps, y)
     theta_ratio = float(np.sum(logp)) / N
     return {f: complex(np.sum(e(f.b * xs + f.c * ys) * logp) / N) for f in fs}, theta_ratio
 
@@ -157,7 +158,7 @@ def test_fiber_tables_match_dd_route_and_exact_phases(T, near):
     lo = (near // BLOCK + 1) * BLOCK - int(rng.integers(1, BLOCK // 2))
     ps = primes_in(lo, lo + BLOCK)  # crosses the block boundary
     assert ps[0] < (near // BLOCK + 1) * BLOCK < ps[-1]
-    got = _orbit_phases(_fiber_terms(T, x), ps, y)
+    got = _fiber_gather(*_fiber_tables(_fiber_terms(T, x), ps), ps, y)
     bound = FIBER_UNITS * _fiber_unit(T, x)
     assert np.abs(got - _dd_route_fiber(T, ps, x, y)).max() <= bound
     pick = np.sort(rng.choice(len(ps), 600, replace=False))
@@ -173,12 +174,13 @@ def test_fiber_is_per_element(T):
                for a, ks in near.items()]
     whole = np.union1d(primes_in(2, 2 * BLOCK + 2), edges)
     for ks in [edges] + windows + [whole]:  # edges alone: 9 elements over 477 blocks
-        xs, ys = orbit_angles(T.cf, ks, x), _orbit_phases(terms, ks, y)
+        xs, ys = orbit_angles(T.cf, ks, x), _fiber_gather(*_fiber_tables(terms, ks), ks, y)
         at = np.searchsorted(ks, edges)
         for k, i in zip(edges.tolist(), at.tolist()):
             if i < len(ks) and ks[i] == k:
                 one = np.array([k])
-                alone = orbit_angles(T.cf, one, x)[0], _orbit_phases(terms, one, y)[0]
+                alone = (orbit_angles(T.cf, one, x)[0],
+                         _fiber_gather(*_fiber_tables(terms, one), one, y)[0])
                 assert (xs[i], ys[i]) == alone, k
 
 
@@ -524,7 +526,7 @@ def test_nazarov_monotone_on_block_family():
     cf, g, _ = prime_pair()
     red = creduce(g, cf, _params_of(), 4)
     for n in sorted(red.blocks)[:2]:
-        block = red.block(n)
+        block = red.blocks.get(n)
         sup = block.sup_norm(grid=1 << 12)[1]
         vals = [nazarov_small_set(block, eps * sup, grid=1 << 14)
                 for eps in (0.5, 0.1, 0.01, 1e-4)]
@@ -537,7 +539,7 @@ def test_nazarov_translate_count(T):
     from skewlab.cocycle import reduce as creduce
 
     red = creduce(g, cf, _params_of(), 5)
-    block = red.block(1)
+    block = red.blocks.get(1)
     qn = cf.q(2)
     count = nazarov_translate_count(block, cf, qn, 2.0, 0.3)
     assert 0 <= count <= qn
