@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from skewlab.dd import dd_div_int, floor_frac_dd, mulmod, round_certified
+from skewlab.dd import MULMOD_LIMIT, dd_div_int, floor_frac_dd, mulmod, round_certified
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import (ConstructionError, IncompleteError, InvalidInputError,
                             PreconditionError, RangeError, StateError)
@@ -92,9 +92,14 @@ def orbit_cells(w, alpha: Fraction, q: int, p: int):
     of the cell j = (w p + k) mod q, and the offset frac(w rho)/q of w alpha in it,
     equal to float() of the exact rational.  floor_frac_dd and one certified
     rounding give every element they can; the rest are recomputed in Python integers.
-    q must lie in mulmod's range, as every stage's q <= Q_CAP does.
+    q must lie in mulmod's range, as every stage's q <= Q_CAP does, else RangeError;
+    p must be invertible mod q, else PreconditionError.
     Returns (k, s, off, the number of elements recomputed).
     """
+    if not 0 < q < MULMOD_LIMIT:
+        raise RangeError(f"q = {q} outside (0, 2**43)")
+    if math.gcd(p, q) != 1:
+        raise PreconditionError(f"p = {p} is not invertible mod q = {q}")
     p_inv = pow(p, -1, q)
     rho = q * alpha - p
     k, f_hi, f_lo, err = floor_frac_dd(w, rho)

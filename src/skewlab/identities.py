@@ -175,6 +175,8 @@ def heathbrown_coeff_check(k: int, z: int, N: int) -> float:
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
+    if N < 1:
+        raise PreconditionError(f"need N >= 1, got N={N}")
     # z^k >= N already holds at k = N.bit_length() for z >= 2, so a huge k costs nothing
     if z < 1 or z ** min(k, N.bit_length()) < N:
         raise PreconditionError(f"need z >= 1 and z^k >= N, got z={z}, k={k}, N={N}")

@@ -196,6 +196,17 @@ def test_cells_beyond_mulmod_raise_range_error():
         RampFunction(q, cf.q(k + 1), p, [0, q // 3], [2.0, 3.0]).eval(0.5)
 
 
+def test_orbit_cells_checks_its_domain():
+    # q = 0 and p = 0 once reached pow() (ValueError), q >= 2**63 numpy's w % q (OverflowError)
+    ws = np.arange(-5, 5, dtype=np.int64)
+    for q in (0, -7, 2**63 + 1):
+        with pytest.raises(RangeError):
+            orbit_cells(ws, (1 + Fraction(1, 3)) / max(q, 1), q, 1)
+    for p, q in ((0, 3), (6, 9), (4, 46)):
+        with pytest.raises(PreconditionError):
+            orbit_cells(ws, (p + Fraction(1, 3)) / q, q, p)
+
+
 def test_float_path_residue_is_exact(solved3):
     # at stage 3 the residue product j * p^-1 mod q leaves int64
     f = solved3.f(3)

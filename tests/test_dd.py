@@ -189,3 +189,6 @@ def test_mulmod_matches_python_integers(m):
         assert mulmod(a, b, m).tolist() == expect
     with pytest.raises(RangeError):
         mulmod(a, 1, MULMOD_LIMIT)
+    for b in (-1, -2**40):  # b < 0 once never returned: -1 >> 20 == -1, digits without end
+        with pytest.raises(RangeError):
+            mulmod(a, b, m)

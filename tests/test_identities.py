@@ -162,6 +162,9 @@ def test_heathbrown_examples():
     assert heathbrown_coeff_check(2, 32, 1000) == 0.0
     with pytest.raises(PreconditionError):
         heathbrown_coeff_check(2, 10, 1000)  # z^k < N
+    for N in (0, -1):  # N = -1 once ended in an IndexError
+        with pytest.raises(PreconditionError):
+            heathbrown_coeff_check(2, 40, N)
 
 
 def _dirichlet_convolve_oracle(a, b):

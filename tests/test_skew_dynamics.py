@@ -439,7 +439,25 @@ def _e_by_sum(t):
     return np.cos(2 * math.pi * t) + 1j * np.sin(2 * math.pi * t)
 
 
-def test_e_is_bit_identical_to_cos_plus_i_sin():
+_TAU_LD = 8 * np.arctan(np.longdouble(1))  # 2 pi in long double
+
+
+def _e_long_double(t):
+    """Oracle: cos and sin in long double of 2 pi (t - rint(t)), an exact reduction."""
+    t = np.asarray(t, dtype=np.float64)
+    ang = (t - np.rint(t)).astype(np.longdouble) * _TAU_LD
+    return np.cos(ang), np.sin(ang)
+
+
+def _e_error(z, t):
+    """Largest absolute error of a component of z = e(t) against the long-double oracle."""
+    c, s = _e_long_double(t)
+    return float(max(np.abs(z.real - c).max(), np.abs(z.imag - s).max()))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the oracle needs a long double with a 64-bit significand")
+def test_e_within_2_52_of_long_double_oracle():
     from skewlab.poly_prime_sums import ShiftedPoly
 
     inputs = [np.arange(q) * x / q for q, x in ((101, 1), (1009, 7), (1560, 1543))]  # gauss twists
@@ -448,14 +466,46 @@ def test_e_is_bit_identical_to_cos_plus_i_sin():
     N = 10**8
     for coeffs in ((1e-9, 3e-13), (-2e-9, 1e-12, -1e-17)):  # prime_phase_sum's phases
         inputs.append(ShiftedPoly(N, coeffs).phase01(primes_in(N, N + 10**4)))
+    rng = np.random.default_rng(26)
+    # e(c y_k) of the orbit pass meets |t| up to sum |2 kappa_m| = 1870 and beyond
+    inputs += [rng.uniform(lo, hi, 200000) for lo, hi in ((0, 1), (-3, 3), (-1000, 1000),
+                                                          (0, 2**20))]
+    # measured largest errors: 1.11e-16 here, 5.5e-17 to 7.1e-10 by cos + i sin
     for t in inputs:
-        got, want = e(t), _e_by_sum(t)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signs of zero too
-    assert isinstance(e(0.25), np.complex128) and e(0.25) == _e_by_sum(0.25)
-    # the one documented exception: sin(-0.0) = -0.0 now reaches the imaginary part
-    assert e(-0.0) == _e_by_sum(-0.0) == 1
-    assert math.copysign(1, e(-0.0).imag) == -1 and math.copysign(1, _e_by_sum(-0.0).imag) == 1
+        got = _e_error(e(t), t)
+        assert got <= 2.0**-52
+        assert got <= _e_error(_e_by_sum(t), t)
+    assert [e(k / 4) for k in range(4)] == [1, 1j, -1, -1j] == [e(k / 4 - 7) for k in range(4)]
+    assert isinstance(e(0.25), np.complex128) and isinstance(e(np.float64(0.1)), np.complex128)
+    assert e(np.zeros((2, 3))).shape == (2, 3) and e(np.zeros(())).shape == ()
+    strided = np.arange(40.0).reshape(8, 5)[::2, 1:4] / 7
+    assert np.array_equal(e(strided), e(strided.copy()))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(e(np.array([np.nan, np.inf, -np.inf]))).all()
+
+
+# window averages of the prime pass through e and through cos + i sin, half a block of
+# primes each: measured largest difference 2.7e-13 (near 1e9, at b = 3, c = -5)
+PRIME_WINDOW_GAP = 1e-12
+
+
+@pytest.mark.parametrize("near", [10**5, 10**7, 10**9])
+def test_prime_window_averages_match_cos_plus_i_sin(T, near, monkeypatch):
+    x, y = 0.37, 0.61
+    lo = max(2, near - BLOCK // 4)
+    ps = primes_in(lo, lo + BLOCK // 2)
+    logp = np.log(ps.astype(np.float64))
+    fs = [Observable(1, 2), Observable(0, 1), Observable(3, -5)]
+
+    def window_averages():
+        sums, mass = _orbit_sums(T, fs, (int(ps[-1]),), x, y,
+                                 [(lo, lo + BLOCK // 2, ps, logp)])
+        return [sums[f, int(ps[-1])] / mass[int(ps[-1])] for f in fs]
+
+    got = window_averages()
+    monkeypatch.setattr(skew_dynamics, "e", _e_by_sum)
+    want = window_averages()
+    assert max(abs(a - b) for a, b in zip(got, want)) <= PRIME_WINDOW_GAP, (got, want)
 
 
 def test_weyl_sum_examples():
