@@ -397,6 +397,8 @@ def huxley_stat_progressions(x: int, H: int, q: int, r: int, primes=None) -> dic
         raise PreconditionError(f"need x, H, q, r >= 1, got x={x}, H={H}, q={q}, r={r}")
     if math.gcd(r, q) != 1:
         raise PreconditionError(f"need (r, q) = 1, got ({r}, {q})")
+    if max(q, r) >= 2**63:  # the classes p_q mod r are int64
+        raise RangeError(f"need q, r < 2**63, got q={q}, r={r}")
     if x > 10**8:
         raise ResourceError("sliding-window budget is x <= 1e8")
     src = primes if primes is not None else default_source()

@@ -45,7 +45,7 @@ CHARSUM_MAX_WINDOWED = 10**7
 MS_SUM_MAX_H = 3 * 10**7  # the main term holds all H + 1 phases: ~32 bytes each
 RESIDUE_MAX_INDICES = 10**9  # sum of z over the scales; ~34 ns an orbit index
 # keys every command takes, with their least values; threads is provenance: no kernel
-# reads it, and the orbit pass sums its worker threads' chunks in a fixed order
+# reads it, and the orbit pass sums its windows in a fixed order on the calling thread
 COMMON = {"seed": 0, "threads": 1}
 # the key types a handler may declare, and what a value of each must be
 KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a path or text",

@@ -24,6 +24,8 @@ import numpy as np
 from skewlab.errors import IntegrityError, PreconditionError, ResourceError
 from skewlab.primes import coprime_mask, factorize, mobius_upto, primes_in
 
+BUCHSTAB_MAX_LENGTH = 10**8  # integers in a Buchstab window: one boolean mask of them
+
 
 class LogVector:
     """Element of the rational vector space with basis {log p : p prime}.
@@ -225,6 +227,9 @@ def buchstab_check(n_range, w: int, z: int):
         raise PreconditionError(f"need lo >= 1, got lo={lo}")
     if not 2 <= w <= z:
         raise PreconditionError(f"need 2 <= w <= z, got w={w}, z={z}")
+    if hi - lo >= BUCHSTAB_MAX_LENGTH:  # each count holds a mask of the window
+        raise ResourceError(f"Buchstab window budget is {BUCHSTAB_MAX_LENGTH} integers, "
+                            f"got [{lo}, {hi}]")
     primes = primes_in(2, z - 1).tolist()
     lhs = _sieved_count(lo, hi, primes)
     first = bisect.bisect_left(primes, w)

@@ -14,6 +14,7 @@ from skewlab.errors import InvalidInputError, RangeError, ResourceError
 
 DEFAULT_LIMIT = 2_000_000_000
 SEGMENT_SIZE = 1 << 20  # odd numbers per segment
+MOBIUS_MAX_N = 10**8  # mobius_upto holds about 18 bytes per n: 1.8 GB here
 
 
 def segment_windows(N: int, start: int = 2):
@@ -82,12 +83,19 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
     return default_source().primes_in(lo, hi)
 
 
+def prime_windows(src, N: int):
+    """(lo, hi, primes in [lo, hi], their logs) per segment window of [2, N], from src."""
+    for lo, hi in segment_windows(N):
+        ps = src.primes_in(lo, hi)
+        yield lo, hi, ps, np.log(ps.astype(np.float64))
+
+
 def chebyshev_theta(N: int) -> float:
     """theta(N) = sum of log p over primes p <= N, one segment window at a time."""
-    if N > default_source().limit:
-        raise RangeError(f"N = {N} beyond source limit {default_source().limit}")
-    return sum((float(np.sum(np.log(primes_in(lo, hi).astype(np.float64))))
-                for lo, hi in segment_windows(N)), 0.0)
+    src = default_source()
+    if N > src.limit:
+        raise RangeError(f"N = {N} beyond source limit {src.limit}")
+    return sum((float(np.sum(logp)) for *_, logp in prime_windows(src, N)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +154,8 @@ def mobius_upto(N: int) -> np.ndarray:
     """mu(n) for n = 0..N as an int8 array (mu(0) set to 0)."""
     if N < 0:
         raise InvalidInputError("N must be >= 0")
+    if N > MOBIUS_MAX_N:
+        raise ResourceError(f"mobius_upto budget is N <= {MOBIUS_MAX_N}, got {N}")
     mu = np.ones(N + 1, dtype=np.int8)
     mu[0] = 0
     prod = np.ones(N + 1, dtype=np.int64)  # product of p^{v_p(n)} over p <= sqrt(N)

@@ -3,14 +3,17 @@
 Orbit values T^n(x,y) = (x + n alpha, y + S_n(g)(x)) are computed from exact
 fractional parts (per index) or, vectorized, x_n from dd.frac01_int_mult and
 y_n from per-frequency tables of e(B theta), e(i 2**11 theta), e(j theta) over
-n = B + (i << 11) + j; never by stepwise iteration.  The prime log-weighted and
-reduced-residue averages are one orbit sum with weight log p or 1, streamed window
-by window in memory O(SEGMENT_SIZE); two worker threads evaluate each window in
-chunks, summed in a fixed order, so no value depends on the threads.
+n = B + (i << 11) + j, built once per pass; never by stepwise iteration.  The prime
+log-weighted and reduced-residue averages are one orbit sum with weight log p or 1,
+streamed window by window in memory O(SEGMENT_SIZE): one producer thread draws (sieves)
+the next window while the calling thread evaluates the current one in chunks, summed
+in a fixed order, so no value depends on the threads.
 Beside them: Weyl sums and an Erdos-Turan star-discrepancy bound.
 """
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,15 +22,16 @@ from skewlab.cocycle import birkhoff_closed, orbit_angles
 from skewlab.dd import BLOCK_BITS, dd_from_fraction, e, frac01_int_mult
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import InvalidInputError, RangeError
-from skewlab.primes import coprime_mask, default_source, euler_phi, factorize, segment_windows
+from skewlab.primes import (coprime_mask, default_source, euler_phi, factorize, prime_windows,
+                            segment_windows)
 
 # the fiber split k = B + (i << _J_BITS) + j of _fiber_tables: B on dd's blocks of
 # 2**BLOCK_BITS, their offsets cut into 2**(BLOCK_BITS - _J_BITS) values of i and 2**_J_BITS of j
 _J_BITS = (BLOCK_BITS + 1) // 2
-# indices per worker task of _orbit_sums.  Keep it above the 9,592 primes up to 10**5:
-# perfbench counts 1 + len(g.freqs) frac01_int_mult calls (one orbit_angles chunk) there
+# indices per evaluated slice of a window in _orbit_sums.  Keep it above the 9,592 primes
+# up to 10**5: perfbench counts 1 + len(g.freqs) frac01_int_mult calls (the pass's fiber
+# tables and one orbit_angles chunk) there
 CHUNK = 1 << 14
-_IN_FLIGHT = 4  # chunks submitted and not yet done: bounds the xs computed ahead
 
 
 @dataclass(frozen=True)
@@ -67,63 +71,98 @@ def _fiber_terms(T: SkewProduct, x: float):
     return terms
 
 
-def _fiber_tables(terms, ks: np.ndarray):
-    """(b0, [(K, L, Re kappa2)] per frequency): the fiber tables of the window ks.
+def _fiber_tables(terms, top: int):
+    """[(2 kappa, e(B theta), e(i 2**11 theta), e(j theta))] per frequency: one pass's tables.
 
     terms = _fiber_terms(T, x).  k = B + (i << 11) + j with B a multiple of 2**21,
-    0 <= i < 2**10 and 0 <= j < 2**11 (dd.BLOCK_BITS = 21 and _J_BITS = 11).
-    Per frequency, one frac01_int_mult and one e() on the B from min(ks) to max(ks),
-    the i << 11 and the j give tables K = 2 kappa e(B theta) e(i 2**11 theta) and
-    L = e(j theta); then 2 Re kappa e(k theta) = Re K[B, i] L[j] by gathers
-    (_fiber_gather).  ks is one nonempty window (two blocks at most).
+    0 <= i < 2**10 and 0 <= j < 2**11 (dd.BLOCK_BITS = 21 and _J_BITS = 11).  Per
+    frequency, one frac01_int_mult and one e() on every B <= top, every i << 11 and
+    every j; both are per element, so each entry is the one any subset would give.
     """
-    b0, b1 = int(ks.min()) >> BLOCK_BITS, int(ks.max()) >> BLOCK_BITS
-    n_i, n_j, nb = 1 << (BLOCK_BITS - _J_BITS), 1 << _J_BITS, b1 - b0 + 1
-    parts = np.concatenate([np.arange(b0, b1 + 1) << BLOCK_BITS, np.arange(n_i) << _J_BITS,
+    n_i, n_j, nb = 1 << (BLOCK_BITS - _J_BITS), 1 << _J_BITS, (top >> BLOCK_BITS) + 1
+    parts = np.concatenate([np.arange(nb) << BLOCK_BITS, np.arange(n_i) << _J_BITS,
                             np.arange(n_j)])
-    ts = [(kappa2, e(frac01_int_mult(parts, m_hi, m_lo))) for m_hi, m_lo, kappa2 in terms]
-    return b0, [(np.outer(k2 * t[:nb], t[nb:-n_j]).ravel(), t[-n_j:], k2.real) for k2, t in ts]
+    return [(kappa2, *np.split(e(frac01_int_mult(parts, m_hi, m_lo)), [nb, nb + n_i]))
+            for m_hi, m_lo, kappa2 in terms]
+
+
+def _window_tables(tables, ks: np.ndarray):
+    """(b0, [(K, L, Re 2 kappa)] per frequency) for the ascending, nonempty window ks.
+
+    K = 2 kappa e(B theta) e(i 2**11 theta) over the blocks b0 to b1 of ks, flat with
+    row (B >> 11) + i counted from b0, and L = e(j theta): then
+    2 Re kappa e(k theta) = Re K[row] L[j] (_fiber_gather).
+    """
+    b0, b1 = int(ks[0]) >> BLOCK_BITS, int(ks[-1]) >> BLOCK_BITS
+    return b0, [(np.outer(k2 * tb[b0 : b1 + 1], ti).ravel(), tj, k2.real)
+                for k2, tb, ti, tj in tables]
 
 
 def _fiber_gather(b0: int, tables, ks: np.ndarray, y: float) -> np.ndarray:
-    """y_k = y + S_k(g)(x) for k in ks (inside the window of the tables), by gathers
-    from the tables; y_k depends on its own k alone."""
+    """y_k = y + S_k(g)(x) for k in ks (inside the window of the tables), by one gather
+    from each table; y_k depends on its own k alone."""
     row, col = (ks >> _J_BITS) - (b0 << (BLOCK_BITS - _J_BITS)), ks & ((1 << _J_BITS) - 1)
     ys = np.full(ks.shape, float(y))
+    re, im = np.empty(ks.shape), np.empty(ks.shape)
     for K, L, kappa2_re in tables:
-        ys += K.real[row] * L.real[col] - K.imag[row] * L.imag[col] - kappa2_re
+        a, b = K.take(row), L.take(col)
+        np.multiply(a.real, b.real, out=re)
+        np.multiply(a.imag, b.imag, out=im)
+        re -= im
+        re -= kappa2_re
+        ys += re
     return ys
 
 
-def _chunk_values(tables, ks, w, xs, y: float, fs, out) -> None:
-    """out[i] = e(fs[i].b x_k + fs[i].c y_k) w_k over one chunk of a window (a worker's task)."""
-    ys = _fiber_gather(*tables, ks, y)
-    for f, row in zip(fs, out):
-        np.multiply(e(f.b * xs + f.c * ys), w, out=row)
+def _draw_ahead(windows, permits, stop, ready) -> None:
+    """The producer thread of _orbit_sums: put each window of windows on ready, then None.
+
+    It takes one of the permits before drawing each window and quits once stop is set;
+    an exception ends the queue in place of None, to be raised again by the consumer.
+    """
+    try:
+        it = iter(windows)
+        while True:
+            permits.acquire()
+            if stop.is_set():
+                return
+            window = next(it, None)
+            ready.put(window)
+            if window is None:
+                return
+    except BaseException as exc:  # handed to the calling thread, which raises it
+        ready.put(exc)
 
 
 def _orbit_sums(T: SkewProduct, observables, Ns, x: float, y: float, windows):
     """({(f, N): sum_{k <= N} w_k e_{b,c}(T^k(x,y))}, {N: sum_{k <= N} w_k}), one pass.
 
-    windows yields ascending (lo, hi, ks, w): the indices ks in [lo, hi] and their
-    weights.  (b, c) = (0, 0) gets no entry: its sum is the weight total.  This thread
-    draws the windows and makes each window's fiber tables and each chunk's x_k; two
-    worker threads write the chunks' w_k e_{b,c} into one buffer kept for every window.
-    Once all chunks of a window are done, its np.sum joins a running total in window
-    order, so a value depends on N and the windows alone, never on the threads.
+    windows yields ascending (lo, hi, ks, w): the indices ks in [lo, hi], none above
+    max(Ns), and their weights.  (b, c) = (0, 0) gets no entry: its sum is the weight
+    total.  A producer thread draws the windows, at most one ahead of the one in use:
+    it takes one of two permits per window, and this thread gives one back when it asks
+    for the next window.  This thread builds the fiber tables once, before the producer
+    starts, and writes each window's w_k e_{b,c} chunk by chunk into one buffer kept
+    for every window; its np.sum joins a running total in window order, so every value
+    depends on N and the windows alone.  The producer is stopped and joined before the
+    call returns or raises; an exception it meets is raised here.
     """
-    # imported on call, so its load time falls in the first pass, not in importing skewlab
-    from concurrent.futures import ThreadPoolExecutor
-
     live = [f for f in dict.fromkeys(observables) if (f.b, f.c) != (0, 0)]
-    terms = _fiber_terms(T, x) if live else []
+    tables = _fiber_tables(_fiber_terms(T, x), int(max(Ns, default=0))) if live else []
     with_x = any(f.b for f in live)
     mass = {N: 0.0 for N in Ns}  # N below the first window: no index <= N
     sums = {(f, N): 0j for f in live for N in Ns}
     mass_run, runs = 0.0, dict.fromkeys(live, 0j)
     buf = np.empty((len(live), 0), dtype=np.complex128)
-    with ThreadPoolExecutor(2) as pool:
-        for lo, hi, ks, w in windows:
+    permits, stop, ready = threading.Semaphore(2), threading.Event(), queue.SimpleQueue()
+    producer = threading.Thread(target=_draw_ahead, args=(windows, permits, stop, ready),
+                                name="skewlab-windows")
+    producer.start()
+    try:
+        for window in iter(ready.get, None):
+            if isinstance(window, BaseException):
+                raise window
+            lo, hi, ks, w = window
             here = {N: int(np.searchsorted(ks, N, side="right")) for N in Ns if lo <= N <= hi}
             for N, k in here.items():
                 mass[N] = mass_run + float(np.sum(w[:k]))
@@ -131,28 +170,25 @@ def _orbit_sums(T: SkewProduct, observables, Ns, x: float, y: float, windows):
             n = ks.size if live else 0
             if n > buf.shape[1]:  # rounded up, so windows a few indices longer reuse it
                 buf = np.empty((len(live), -(-n >> 14) << 14), dtype=np.complex128)
-            tables, flight = _fiber_tables(terms, ks) if n else None, []
+            if n:
+                b0, window_tables = _window_tables(tables, ks)
             for a in range(0, n, CHUNK):
                 c = slice(a, min(a + CHUNK, n))
                 xs = orbit_angles(T.cf, ks[c], x) if with_x else 0.0
-                if len(flight) == _IN_FLIGHT:
-                    flight.pop(0).result()
-                flight.append(pool.submit(_chunk_values, tables, ks[c], w[c], xs, y, live,
-                                          buf[:, c]))
-            for task in flight:
-                task.result()
+                ys = _fiber_gather(b0, window_tables, ks[c], y)
+                for f, row in zip(live, buf[:, c]):
+                    np.multiply(e(f.b * xs + f.c * ys), w[c], out=row)
             for f, vals in zip(live, buf[:, :n]):
                 for N, k in here.items():
                     sums[f, N] = runs[f] + np.sum(vals[:k])
                 runs[f] += np.sum(vals)
+            del window, ks, w  # gone before the producer may draw the window after next
+            permits.release()
+    finally:
+        stop.set()
+        permits.release()
+        producer.join()
     return sums, mass
-
-
-def _prime_windows(src, N: int):
-    """(lo, hi, primes in [lo, hi], their logs) per segment window of [2, N]."""
-    for lo, hi in segment_windows(N):
-        ps = src.primes_in(lo, hi)
-        yield lo, hi, ps, np.log(ps.astype(np.float64))
 
 
 def _coprime_windows(z: int, d: int):
@@ -176,7 +212,7 @@ def prime_weighted_averages(T: SkewProduct, observables, Ns, x: float, y: float,
     src = primes if primes is not None else default_source()
     if Ns and max(Ns) > src.limit:
         raise RangeError(f"N = {max(Ns)} beyond prime source limit {src.limit}")
-    windows = _prime_windows(src, int(max(Ns, default=0)))
+    windows = prime_windows(src, int(max(Ns, default=0)))
     sums, theta = _orbit_sums(T, observables, Ns, x, y, windows)
     out = {}
     for f in observables:

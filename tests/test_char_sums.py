@@ -12,7 +12,7 @@ from skewlab.char_sums import (Character, build_characters, gauss_sum,
                                progression_char_stat, window_coprime_count,
                                windowed_twisted_stat)
 from skewlab.dd import e
-from skewlab.errors import IntegrityError, PreconditionError, ResourceError
+from skewlab.errors import IntegrityError, PreconditionError, RangeError, ResourceError
 from skewlab.primes import default_source, euler_phi, factorize, primes_in
 
 
@@ -403,6 +403,13 @@ def test_huxley_q_above_x():
     logp = np.log(ps.astype(float))
     direct = sum(abs(float(np.sum(logp[(ps % q) % r == v])) - x / r) for v in (0, 1))
     assert res["value"] == pytest.approx(direct, rel=1e-9)
+
+
+def test_huxley_progressions_refuse_int64_overflow():
+    for q, r in ((2**64, 7), (7, 2**64), (2**63, 1)):  # OverflowError from numpy before
+        with pytest.raises(RangeError):
+            huxley_stat_progressions(1000, 100, q, r)
+    assert huxley_stat_progressions(1000, 100, 2**63 - 1, 5)["windows"] == 1000
 
 
 def test_huxley_windows_collapse_and_main_term():

@@ -110,7 +110,7 @@ def test_charsum_bytes_pinned(args, stdout_sha, monkeypatch, capsys):
 
 
 # sha256 of prime-average and residue-average stdout under SOURCE_DATE_EPOCH=0, recorded
-# with the serial orbit pass; the chunks on worker threads must keep every byte.
+# with the serial orbit pass; windows drawn on a producer thread must keep every byte.
 # Re-recorded when e() moved from cos/sin to a table of 4096th roots (largest change:
 # 1.3e-13 absolute)
 ORBIT_SHA256 = [

@@ -287,6 +287,8 @@ def test_buchstab_examples():
         buchstab_check((1, 100), 1, 10)
     with pytest.raises(PreconditionError):
         buchstab_check((0, 100), 2, 10)
+    with pytest.raises(ResourceError):  # numpy's "Maximum allowed dimension exceeded" before
+        buchstab_check((10, 2**64), 3, 20)
 
 
 @given(st.integers(1, 10**6 - 10**4), st.integers(10, 10**4),

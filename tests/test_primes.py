@@ -200,6 +200,10 @@ def test_mobius_upto_agrees_pointwise():
     mu = mobius_upto(3000)
     for n in range(1, 3001):
         assert int(mu[n]) == mobius(n)
+    with pytest.raises(InvalidInputError):
+        mobius_upto(-1)
+    with pytest.raises(ResourceError):  # numpy's "Maximum allowed dimension exceeded" before
+        mobius_upto(2**64)
 
 
 def test_divisor_count_k_brute():

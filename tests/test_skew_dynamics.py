@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,9 +16,9 @@ from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import InvalidInputError, RangeError
 from skewlab.presets import prime_pair
 from skewlab.primes import (DEFAULT_LIMIT, SEGMENT_SIZE, chebyshev_theta, default_source,
-                            euler_phi, primes_in)
+                            euler_phi, prime_windows, primes_in)
 from skewlab.skew_dynamics import (Observable, SkewProduct, _fiber_gather, _fiber_tables,
-                                   _fiber_terms, _orbit_sums, _prime_windows,
+                                   _fiber_terms, _orbit_sums, _window_tables,
                                    exact_star_discrepancy, prime_weighted_average,
                                    prime_weighted_averages, reduced_residue_average,
                                    star_discrepancy_bound, weyl_sum)
@@ -102,12 +104,34 @@ def test_prime_average_two_scale_decay(T):
     assert abs(a_big) < abs(a_small)
 
 
+def _table_fiber(terms, ks, y):
+    """y_k for the ascending ks by the pass's route: tables up to max(ks), one gather each."""
+    return _fiber_gather(*_window_tables(_fiber_tables(terms, int(ks[-1])), ks), ks, y)
+
+
+def _window_route_fiber(terms, ks, y):
+    """Oracle: y_k from tables built for the window of ks alone, one frac01_int_mult and
+    one e() per frequency on its block bases, every i << 11 and every j, and gathers from
+    the strided real and imaginary views of the tables."""
+    b0, b1 = int(ks.min()) >> 21, int(ks.max()) >> 21
+    nb = b1 - b0 + 1
+    parts = np.concatenate([np.arange(b0, b1 + 1) << 21, np.arange(1 << 10) << 11,
+                            np.arange(1 << 11)])
+    row, col = (ks >> 11) - (b0 << 10), ks & ((1 << 11) - 1)
+    ys = np.full(ks.shape, float(y))
+    for m_hi, m_lo, k2 in terms:
+        t = e(frac01_int_mult(parts, m_hi, m_lo))
+        K, L = np.outer(k2 * t[:nb], t[nb : -(1 << 11)]).ravel(), t[-(1 << 11) :]
+        ys += K.real[row] * L.real[col] - K.imag[row] * L.imag[col] - k2.real
+    return ys
+
+
 def _whole_array_averages(T, fs, N, x, y):
     """Oracle for streaming: every prime <= N in one array, one np.sum per observable."""
     ps = primes_in(2, N)
     logp = np.log(ps.astype(np.float64))
     xs = orbit_angles(T.cf, ps, x)
-    ys = _fiber_gather(*_fiber_tables(_fiber_terms(T, x), ps), ps, y)
+    ys = _table_fiber(_fiber_terms(T, x), ps, y)
     theta_ratio = float(np.sum(logp)) / N
     return {f: complex(np.sum(e(f.b * xs + f.c * ys) * logp) / N) for f in fs}, theta_ratio
 
@@ -158,11 +182,25 @@ def test_fiber_tables_match_dd_route_and_exact_phases(T, near):
     lo = (near // BLOCK + 1) * BLOCK - int(rng.integers(1, BLOCK // 2))
     ps = primes_in(lo, lo + BLOCK)  # crosses the block boundary
     assert ps[0] < (near // BLOCK + 1) * BLOCK < ps[-1]
-    got = _fiber_gather(*_fiber_tables(_fiber_terms(T, x), ps), ps, y)
+    got = _table_fiber(_fiber_terms(T, x), ps, y)
     bound = FIBER_UNITS * _fiber_unit(T, x)
     assert np.abs(got - _dd_route_fiber(T, ps, x, y)).max() <= bound
     pick = np.sort(rng.choice(len(ps), 600, replace=False))
     assert np.abs(got[pick] - _exact_phase_fiber(T, ps[pick], x, y)).max() <= bound
+
+
+@pytest.mark.parametrize("near", [10**5, 10**7, 10**9])
+def test_pass_tables_equal_window_tables(T, near):
+    x, y = 0.37, 0.61
+    terms = _fiber_terms(T, x)
+    lo = (near // BLOCK + 1) * BLOCK - BLOCK // 3
+    ps = primes_in(lo, lo + BLOCK)  # crosses the block boundary
+    assert ps[0] < (near // BLOCK + 1) * BLOCK < ps[-1]
+    want = _window_route_fiber(terms, ps, y)
+    assert np.array_equal(_table_fiber(terms, ps, y), want)
+    # tables up to 2e9, as a pass to the prime source's limit builds them
+    tables = _window_tables(_fiber_tables(terms, DEFAULT_LIMIT), ps)
+    assert np.array_equal(_fiber_gather(*tables, ps, y), want)
 
 
 def test_fiber_is_per_element(T):
@@ -174,13 +212,13 @@ def test_fiber_is_per_element(T):
                for a, ks in near.items()]
     whole = np.union1d(primes_in(2, 2 * BLOCK + 2), edges)
     for ks in [edges] + windows + [whole]:  # edges alone: 9 elements over 477 blocks
-        xs, ys = orbit_angles(T.cf, ks, x), _fiber_gather(*_fiber_tables(terms, ks), ks, y)
+        xs, ys = orbit_angles(T.cf, ks, x), _table_fiber(terms, ks, y)
         at = np.searchsorted(ks, edges)
         for k, i in zip(edges.tolist(), at.tolist()):
             if i < len(ks) and ks[i] == k:
                 one = np.array([k])
                 alone = (orbit_angles(T.cf, one, x)[0],
-                         _fiber_gather(*_fiber_tables(terms, one), one, y)[0])
+                         _table_fiber(terms, one, y)[0])
                 assert (xs[i], ys[i]) == alone, k
 
 
@@ -189,7 +227,7 @@ def test_empty_window_is_skipped(T):
     src = _HoleSource(N, hole)
     fs = [Observable(0, 1), Observable(1, 1)]
     got = prime_weighted_averages(T, fs, (N,), 0.37, 0.61, primes=src)
-    windows = (w for w in _prime_windows(default_source(), N) if w[0] != hole)
+    windows = (w for w in prime_windows(default_source(), N) if w[0] != hole)
     sums, mass = _orbit_sums(T, fs, (N,), 0.37, 0.61, windows)
     assert (hole, hole + BLOCK - 1) in src.calls
     for f in fs:
@@ -249,8 +287,8 @@ def default_chunks(T):
             reduced_residue_average(T, Observable(1, 1), 7272, 7272, 0.3, 0.7))
 
 
-# chunks of one index cost one task each, so CHUNK = 1 runs the smaller sizes only; a short
-# switch interval interleaves the calling thread and the two workers as finely as it can
+# chunks of one index cost one slice each, so CHUNK = 1 runs the smaller sizes only; a short
+# switch interval interleaves the calling thread and the producer as finely as it can
 @pytest.mark.parametrize("chunk", [1, 1000, 10**9])
 def test_averages_do_not_depend_on_chunk(T, default_chunks, chunk, monkeypatch):
     import sys
@@ -271,32 +309,75 @@ def test_averages_do_not_depend_on_chunk(T, default_chunks, chunk, monkeypatch):
     assert small == small_residue
 
 
-def test_sieve_and_tables_run_on_the_calling_thread(T, monkeypatch):
-    import threading
+def _recorded(calls, name, fn):
+    def wrapper(*args):
+        calls.append((name, threading.get_ident()))
+        return fn(*args)
+    return wrapper
 
+
+def test_sieve_runs_on_one_producer_thread(T, monkeypatch):
     calls = []
-
-    def recorded(name, fn):
-        def wrapper(*args):
-            calls.append((name, threading.get_ident()))
-            return fn(*args)
-        return wrapper
 
     class Source:
         limit = DEFAULT_LIMIT
-        primes_in = staticmethod(recorded("primes_in", default_source().primes_in))
+        primes_in = staticmethod(_recorded(calls, "primes_in", default_source().primes_in))
 
     for mod, name in ((skew_dynamics, "frac01_int_mult"), (cocycle, "frac01_int_mult"),
                       (skew_dynamics, "e")):  # cocycle's serves orbit_angles
-        monkeypatch.setattr(mod, name, recorded(name, getattr(mod, name)))
+        monkeypatch.setattr(mod, name, _recorded(calls, name, getattr(mod, name)))
     threads = threading.active_count()
     prime_weighted_averages(T, [Observable(1, 1), Observable(0, 2)], (10**5, 4194306),
                             0.37, 0.61, primes=Source())
-    assert threading.active_count() == threads  # the pool is shut down inside the call
+    assert threading.active_count() == threads  # the producer is joined inside the call
     me = threading.get_ident()
     on = {name: {t for n, t in calls if n == name} for name in ("primes_in", "frac01_int_mult", "e")}
-    assert on["primes_in"] == on["frac01_int_mult"] == {me}
-    assert on["e"] - {me}  # the chunks' e() ran on worker threads
+    assert len(on["primes_in"]) == 1 and me not in on["primes_in"]
+    assert on["frac01_int_mult"] == on["e"] == {me}
+
+
+class _RecordedSource:
+    """The primes of [2, limit], each call recorded; the call numbered fail_at raises."""
+
+    def __init__(self, limit, fail_at=0):
+        self.limit, self.fail_at, self.calls = limit, fail_at, []
+
+    def primes_in(self, lo, hi):
+        self.calls.append((lo, hi))
+        if len(self.calls) == self.fail_at:
+            raise RangeError(f"window [{lo}, {hi}] refused")
+        return primes_in(lo, hi)
+
+
+def test_producer_error_reaches_the_caller_as_its_type(T):
+    threads = threading.active_count()
+    src = _RecordedSource(3 * BLOCK, fail_at=2)
+    with pytest.raises(RangeError, match=f"window \\[{2 + BLOCK}, "):
+        prime_weighted_averages(T, [Observable(1, 1)], (3 * BLOCK,), 0.37, 0.61, primes=src)
+    assert threading.active_count() == threads
+    assert len(src.calls) == 2
+
+
+def test_consumer_error_stops_the_producer(T, monkeypatch):
+    boom, reached = ZeroDivisionError("second gather"), []
+
+    def gather(b0, tables, ks, y):
+        reached.append(int(ks[0]))
+        if len(reached) == 2:
+            time.sleep(0.2)  # time enough for a producer without permits to draw every window
+            raise boom
+        return _fiber_gather(b0, tables, ks, y)
+
+    monkeypatch.setattr(skew_dynamics, "_fiber_gather", gather)
+    threads = threading.active_count()
+    N = 5 * 2 * SEGMENT_SIZE
+    src = _RecordedSource(N)
+    with pytest.raises(ZeroDivisionError) as raised:
+        prime_weighted_averages(T, [Observable(1, 1)], (N,), 0.37, 0.61, primes=src)
+    assert raised.value is boom
+    assert threading.active_count() == threads  # the producer was joined
+    taken = len({lo for lo, _ in src.calls if lo <= max(reached)})  # windows evaluated
+    assert taken == 1 and len(src.calls) <= taken + 1, src.calls
 
 
 def test_theta_ratio_equals_chebyshev_theta():
