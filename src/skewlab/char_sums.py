@@ -16,8 +16,13 @@ positions, and the golden-section refine runs on all windows in lockstep.
 
 The sliding-window prime statistics treat each residue-class count as a step
 function of the window start y that changes only where a prime enters or
-leaves the window, so a full pass over [0, x) costs O(pi(x) log pi(x)) array
-work, independent of x.
+leaves the window.  They walk y one segment window at a time: the primes
+entering and leaving in it come from two prime-window walks, two stable sorts
+order its events by (class, y), and each class carries its count and the y of
+its last event to the next window.  The primes p <= H, in the window at y = 0,
+start the counts, and the H = x collapse is their one histogram.  So a pass
+costs O(pi(x + H)) array work, and memory is O(SEGMENT_SIZE + min(q, r))
+whatever x and H.
 """
 
 import functools
@@ -30,12 +35,15 @@ import numpy as np
 from skewlab.dd import e
 from skewlab.errors import (IntegrityError, InvalidInputError, PreconditionError, RangeError,
                             ResourceError)
-from skewlab.primes import coprime_mask, default_source, euler_phi, factorize
+from skewlab.primes import coprime_mask, default_source, euler_phi, factorize, prime_windows
 
 # elements of one (z, t) block of window positions in the beta-sup statistics
 WINDOW_BLOCK_ELEMS = 1 << 16
 BETA_OVERSAMPLE = 4  # beta grid points per unit of H'
 GOLDEN_ITERS = 20  # golden-section steps of windowed_twisted_stat's refine
+HUXLEY_MAX_X = 10**9  # window starts: x = 1e9 takes 19-21 s at any H, under 60 MB
+HUXLEY_MAX_CLASSES = 10**8  # residue classes, 16 bytes each of carried state
+COPRIME_MAX_LENGTH = 10**8  # integers in a window_coprime_count window: one boolean mask
 
 
 # ---------------------------------------------------------------------------
@@ -358,40 +366,70 @@ def windowed_twisted_stat(q: int, Hp: int, chi: Character) -> dict:
 # sliding-window prime statistics
 
 
-def _window_l1(positions, weights, classes, x, H, r, target):
-    """sum over y in [0, x) of sum_v |S_v(y) - target| for windows [y, y+H].
+def _class_log_sums(src, N: int, q: int, r: int, m: int) -> np.ndarray:
+    """sum of log p over the primes p <= N in each class p_q mod r < m, one prime
+    window of [2, N] at a time.  np.add.at adds in the order of the primes, as
+    one bincount of all of them would, so the sums keep its bits."""
+    sums = np.zeros(m)
+    for *_, ps, logp in prime_windows(src, N):
+        np.add.at(sums, ps % q % r, logp)
+    return sums
 
-    S_v(y) sums the weights of the positions p in [y, y+H] with class v; it is
-    constant between the events y = max(p - H, 0), where p enters, and
-    y = p + 1, where p leaves.  classes must lie in [0, r).
+
+def _sliding_l1(src, x: int, H: int, q: int, r: int, sums: np.ndarray) -> float:
+    """sum over y in [0, x) and the classes v < m = len(sums) of |S_v(y) - H/r|.
+
+    S_v(y) sums log p over the primes p in [y, y+H] of class v: it starts at
+    sums[v], the primes p <= H, and changes only at the events y = p - H where
+    a prime p > H enters and y = p + 1 where p leaves.  The events with y in
+    [1 + 2 S k, 1 + 2 S (k+1)), S = SEGMENT_SIZE, come from the k-th prime
+    window of [H + 1, x + H - 1] (entering) and of [0, x - 2] (leaving), so
+    only y < x occurs.  Each class carries S_v and the y of its last event
+    from one chunk to the next.
     """
-    ev_y = np.concatenate([np.maximum(positions - H, 0), positions + 1])
-    ev_c = np.concatenate([classes, classes])
-    ev_w = np.concatenate([weights, -weights])
-    order = np.lexsort((ev_y, ev_c))
-    ev_y, ev_c, ev_w = ev_y[order], ev_c[order], ev_w[order]
-    first = np.ones(len(ev_c), dtype=bool)  # first event of its class
-    first[1:] = ev_c[1:] != ev_c[:-1]
-    # S_v right after each event: the running sum restarted at each class
-    csum = np.cumsum(ev_w)
-    before = np.concatenate([[0.0], csum[:-1]])
-    counts = csum - before[first][np.cumsum(first) - 1]
-    # each count holds until the class's next event, the last one until x
-    seg_end = np.empty_like(ev_y)
-    seg_end[:-1] = ev_y[1:]
-    seg_end[np.roll(first, -1)] = x
-    lengths = np.minimum(seg_end, x) - np.minimum(ev_y, x)
-    total = float(np.sum(np.abs(counts - target) * lengths))
-    # S_v = 0 before a class's first event and throughout a class without events
-    idle = np.sum(np.minimum(ev_y[first], x)) + x * (r - np.count_nonzero(first))
-    return total + target * float(idle)
+    target = H / r
+    S, Y = sums.copy(), np.zeros(len(sums))  # Y: y < 2**53 is exact
+    key = np.int16 if len(sums) <= 2**15 else np.int64  # int16 sorts by radix
+    total = 0.0
+    for (*_, pe, we), (*_, pl, wl) in zip(prime_windows(src, x + H - 1, H + 1),
+                                          prime_windows(src, x - 2, 0)):
+        if len(pe) + len(pl) == 0:
+            continue
+        ev_y = np.concatenate([pe - H, pl + 1])
+        ev_c = (np.concatenate([pe, pl]) % q % r).astype(key)
+        ev_w = np.concatenate([we, -wl])
+        # each list ascends in y: a stable sort by y merges the two runs, and a
+        # stable sort by class then orders the events by class, then y
+        order = np.argsort(ev_y, kind="stable")
+        order = order[np.argsort(ev_c[order], kind="stable")]
+        ev_y, ev_c, ev_w = ev_y[order], ev_c[order], ev_w[order]
+        first = np.ones(len(ev_c), dtype=bool)  # first event of its class in the chunk
+        first[1:] = ev_c[1:] != ev_c[:-1]
+        starts = np.flatnonzero(first)
+        sizes = np.diff(starts, append=len(ev_c))
+        last = starts + sizes - 1
+        cls = ev_c[starts]
+        # S_v right after each event: the carried S_v plus the running sum of the class
+        csum = np.cumsum(ev_w)
+        before = csum[starts - 1]
+        before[0] = 0.0
+        counts = csum + np.repeat(S[cls] - before, sizes)
+        # the carried S_v holds until the class's first event, each count until the next
+        gaps = np.diff(ev_y).astype(np.float64)
+        gaps[starts[1:] - 1] = 0.0
+        total += float(np.abs(S[cls] - target) @ (ev_y[starts] - Y[cls]))
+        total += float(np.abs(counts[:-1] - target) @ gaps)
+        S[cls], Y[cls] = counts[last], ev_y[last]
+    return total + float(np.abs(S - target) @ (x - Y))
 
 
 def huxley_stat_progressions(x: int, H: int, q: int, r: int, primes=None) -> dict:
     """sum_{y < x} sum_{v=1..r} |sum_{p in [y,y+H], p_q = v mod r} log p - H/r|.
 
     With H = x this collapses to the single window [0, x].  Returns the value
-    and the trivial scale H * x (H for the collapsed case).
+    and the trivial scale H * x (H for the collapsed case).  Both walk the
+    prime windows, so memory stays O(SEGMENT_SIZE + min(q, r)) whatever x and
+    H are.
     """
     if min(x, H, q, r) < 1:
         raise PreconditionError(f"need x, H, q, r >= 1, got x={x}, H={H}, q={q}, r={r}")
@@ -399,18 +437,22 @@ def huxley_stat_progressions(x: int, H: int, q: int, r: int, primes=None) -> dic
         raise PreconditionError(f"need (r, q) = 1, got ({r}, {q})")
     if max(q, r) >= 2**63:  # the classes p_q mod r are int64
         raise RangeError(f"need q, r < 2**63, got q={q}, r={r}")
-    if x > 10**8:
-        raise ResourceError("sliding-window budget is x <= 1e8")
+    if x > HUXLEY_MAX_X:
+        raise ResourceError(f"sliding-window budget is x <= {HUXLEY_MAX_X}, got x={x}")
     src = primes if primes is not None else default_source()
-    ps = src.primes_in(2, x + (0 if H == x else H))
-    logp = np.log(ps.astype(np.float64))
-    classes = ((ps % q) % r).astype(np.int64)
+    top = x if H == x else x + H  # the largest prime read; refused before any sieving
+    if top > src.limit:
+        raise RangeError(f"primes up to {top} beyond prime source limit {src.limit}")
+    # a class p_q mod r is below min(q, r) and at most p <= top: each class v >= m
+    # holds no prime and adds |0 - H/r| at every y
+    m = min(q, r, top + 1)
+    if m > HUXLEY_MAX_CLASSES:
+        raise ResourceError(f"class budget is min(q, r, x + H) <= {HUXLEY_MAX_CLASSES}, got {m}")
+    sums = _class_log_sums(src, H, q, r, m)  # the window [0, H], at y = 0
     if H == x:
-        # classes = p_q mod r < min(q, r): each class v >= q holds no prime and adds H/r
-        sums = np.bincount(classes, weights=logp, minlength=min(r, q))
-        value = float(np.sum(np.abs(sums - H / r))) + max(r - q, 0) * (H / r)
+        value = float(np.sum(np.abs(sums - H / r))) + (r - m) * (H / r)
         return {"value": value, "trivial_scale": float(H), "windows": 1}
-    value = float(_window_l1(ps, logp, classes, x, H, r, H / r))
+    value = _sliding_l1(src, x, H, q, r, sums) + (r - m) * (H / r) * x
     return {"value": value, "trivial_scale": float(H) * x, "windows": x}
 
 
@@ -426,6 +468,10 @@ def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int) -> dict:
     residue histogram of log-weights.  The sup over beta is the maximum over
     _beta_grid(Hp), with no golden-section refine.
     """
+    if min(q, r) < 1 or Hp < 0:
+        raise InvalidInputError(f"need q, r >= 1 and H' >= 0, got q={q}, r={r}, H'={Hp}")
+    if max(q, r, Hp) > CharacterTable.MAX_Q:
+        raise ResourceError(f"window statistic capped at q, r, H' <= {CharacterTable.MAX_Q}")
     if H != x:
         raise ResourceError("general H < x windows are desk-infeasible; use H = x")
     ps = default_source().primes_in(2, x)
@@ -454,6 +500,10 @@ def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int) -> dict:
 
 def window_coprime_count(qp: int, y: int, H: int) -> dict:
     """#{n in [y, y+H] : (n, q') = 1} against the smooth count H phi(q')/q'."""
+    if H < 0:
+        raise InvalidInputError(f"need H >= 0, got H={H}")
+    if H >= COPRIME_MAX_LENGTH:  # the count holds a mask of the window
+        raise ResourceError(f"coprime window budget is {COPRIME_MAX_LENGTH} integers, got H={H}")
     count = int(np.count_nonzero(coprime_mask(y, y + H, [p for p, _ in factorize(qp)])))
     expected = (H + 1) * euler_phi(qp) / qp
     return {"count": count, "expected": expected, "gap": abs(count - expected)}

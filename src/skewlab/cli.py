@@ -42,7 +42,7 @@ BUCHSTAB_MAX_WINDOWS = 10**4  # ~2 ms a window
 CHARSUM_MAX_ENTRIES = 10**9
 # charsum windowed: q windows of H' + 1 terms, ~2 us per q * H' (~5 us at H' = 2)
 CHARSUM_MAX_WINDOWED = 10**7
-MS_SUM_MAX_H = 3 * 10**7  # the main term holds all H + 1 phases: ~32 bytes each
+MS_SUM_MAX_H = 10**8  # streamed: 6 s at degree 0, 28 s at degree 3, 50 MB peak RSS
 RESIDUE_MAX_INDICES = 10**9  # sum of z over the scales; ~34 ns an orbit index
 # keys every command takes, with their least values; threads is provenance: no kernel
 # reads it, and the orbit pass sums its windows in a fixed order on the calling thread

@@ -6,6 +6,10 @@ double-double Horner scheme (folding after every step, which is exact because
 n - N is an integer), so e(g(p)) stays accurate up to window lengths ~1e8.
 The guaranteed regime is |gamma_1| <= e^(-r) (the outline's normalization
 tau = 1) and |gamma_i| <= H^(1-i); sums outside it warn.
+
+Both sums of ms_gap stream: the prime sum walks the prime windows of
+[N, N+H] and the integer main term takes PHASE_CHUNK integers at a time, so
+memory does not grow with H, and time alone sets the CLI's H budget.
 """
 
 import math
@@ -16,7 +20,11 @@ import numpy as np
 
 from skewlab.dd import e, frac01_poly_dd
 from skewlab.errors import InvalidInputError, RangeError
-from skewlab.primes import default_source, euler_phi
+from skewlab.primes import default_source, euler_phi, prime_windows
+
+# integers per chunk of the main term: a degree-3 phase holds ~20 MB of Horner
+# temporaries for it, where a segment window's 2**21 held 320 MB and ran slower
+PHASE_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -65,21 +73,26 @@ def prime_phase_sum(N: int, H: int, r: int, a: int, g: ShiftedPoly,
     if N + H > src.limit:
         raise RangeError(f"window end {N + H} beyond prime source limit")
     _check_regime(g, H, r)
-    ps = src.primes_in(N, N + H)
-    if r > 1:
-        ps = ps[ps % r == a % r]
-    if len(ps) == 0:
-        return 0j
-    logp = np.log(ps.astype(np.float64))
-    return complex(np.sum(e(g.phase01(ps)) * logp))
+    total = 0j
+    for *_, ps, logp in prime_windows(src, N + H, N):
+        if r > 1:
+            keep = ps % r == a % r
+            ps, logp = ps[keep], logp[keep]
+        if len(ps):
+            total += complex(np.sum(e(g.phase01(ps)) * logp))
+    return total
 
 
 def integer_phase_main_term(N: int, H: int, r: int, g: ShiftedPoly) -> complex:
-    """(1/phi(r)) sum over integers n in [N, N+H] of e(g(n))."""
+    """(1/phi(r)) sum over integers n in [N, N+H] of e(g(n)), PHASE_CHUNK
+    integers at a time."""
     if r < 1:
         raise InvalidInputError("r must be >= 1")
-    ns = np.arange(N, N + H + 1, dtype=np.int64)
-    return complex(np.sum(e(g.phase01(ns))) / euler_phi(r))
+    total = 0j
+    for lo in range(N, N + H + 1, PHASE_CHUNK):
+        ns = np.arange(lo, min(lo + PHASE_CHUNK, N + H + 1), dtype=np.int64)
+        total += complex(np.sum(e(g.phase01(ns))))
+    return total / euler_phi(r)
 
 
 def _check_window(N: int, H: int):

@@ -83,9 +83,9 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
     return default_source().primes_in(lo, hi)
 
 
-def prime_windows(src, N: int):
-    """(lo, hi, primes in [lo, hi], their logs) per segment window of [2, N], from src."""
-    for lo, hi in segment_windows(N):
+def prime_windows(src, N: int, start: int = 2):
+    """(lo, hi, primes in [lo, hi], their logs) per segment window of [start, N], from src."""
+    for lo, hi in segment_windows(N, start):
         ps = src.primes_in(lo, hi)
         yield lo, hi, ps, np.log(ps.astype(np.float64))
 

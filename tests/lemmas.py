@@ -6,7 +6,8 @@ weights (Brun's majorant and the coprimality expansion) with the constants
 frozen from their recipes, the scales n* and K_n, Birkhoff prefixes, the
 a-priori sup bound, coboundary drift and Denjoy-Koksma gaps, the torus metric
 and orbit return error, the residue progression and twisted window sums, the
-partition lemma, and the Nazarov small-set measures.
+partition lemma, the whole-array sliding-window L1 (the oracle of the streamed
+statistic) and the Nazarov small-set measures.
 
 pytest does not collect this file; test modules import it as a sibling
 (``from lemmas import ...``), since pytest puts the directory of each test
@@ -342,6 +343,47 @@ def combi_partition(a, eta: float):
                     if abs(sI - sJ) <= 1 / 3 - eta:
                         return tuple(I), J, K
     raise IntegrityError("no valid partition found: contradicts the partition lemma")
+
+
+# ---------------------------------------------------------------------------
+# the whole-array sliding-window L1, the oracle of the streamed statistic
+
+
+def _window_l1(positions, weights, classes, x, H, r, target):
+    """sum over y in [0, x) of sum_v |S_v(y) - target| for windows [y, y+H].
+
+    S_v(y) sums the weights of the positions p in [y, y+H] with class v; it is
+    constant between the events y = max(p - H, 0), where p enters, and
+    y = p + 1, where p leaves.  classes must lie in [0, r).
+    """
+    ev_y = np.concatenate([np.maximum(positions - H, 0), positions + 1])
+    ev_c = np.concatenate([classes, classes])
+    ev_w = np.concatenate([weights, -weights])
+    order = np.lexsort((ev_y, ev_c))
+    ev_y, ev_c, ev_w = ev_y[order], ev_c[order], ev_w[order]
+    first = np.ones(len(ev_c), dtype=bool)  # first event of its class
+    first[1:] = ev_c[1:] != ev_c[:-1]
+    # S_v right after each event: the running sum restarted at each class
+    csum = np.cumsum(ev_w)
+    before = np.concatenate([[0.0], csum[:-1]])
+    counts = csum - before[first][np.cumsum(first) - 1]
+    # each count holds until the class's next event, the last one until x
+    seg_end = np.empty_like(ev_y)
+    seg_end[:-1] = ev_y[1:]
+    seg_end[np.roll(first, -1)] = x
+    lengths = np.minimum(seg_end, x) - np.minimum(ev_y, x)
+    total = float(np.sum(np.abs(counts - target) * lengths))
+    # S_v = 0 before a class's first event and throughout a class without events
+    idle = np.sum(np.minimum(ev_y[first], x)) + x * (r - np.count_nonzero(first))
+    return total + target * float(idle)
+
+
+def huxley_sliding_oracle(x: int, H: int, q: int, r: int) -> float:
+    """The sliding-window statistic of huxley_stat_progressions (H != x) from
+    all primes in [2, x + H] at once, as the package computed it before it
+    streamed them: one lexsort of every enter and leave event."""
+    ps = primes_in(2, x + H)
+    return _window_l1(ps, np.log(ps.astype(np.float64)), (ps % q) % r, x, H, r, H / r)
 
 
 # ---------------------------------------------------------------------------

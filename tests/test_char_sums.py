@@ -1,19 +1,23 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lemmas import residue_progression_gap, twisted_residue_window
+from lemmas import huxley_sliding_oracle, residue_progression_gap, twisted_residue_window
 from skewlab import char_sums
 from skewlab.char_sums import (Character, build_characters, gauss_sum,
                                huxley_stat_progressions, huxley_stat_windows,
                                progression_char_stat, window_coprime_count,
                                windowed_twisted_stat)
 from skewlab.dd import e
-from skewlab.errors import IntegrityError, PreconditionError, RangeError, ResourceError
-from skewlab.primes import default_source, euler_phi, factorize, primes_in
+from skewlab.errors import (IntegrityError, InvalidInputError, PreconditionError, RangeError,
+                            ResourceError)
+from skewlab.primes import SEGMENT_SIZE, default_source, euler_phi, factorize, primes_in
 
 
 def test_group_sizes_and_flags():
@@ -386,6 +390,62 @@ def test_huxley_progressions_brute_force(x, H, q, r):
     assert res["value"] == pytest.approx(brute, rel=1e-9)
 
 
+SEG = 2 * SEGMENT_SIZE  # integers per prime window: the streamed statistic's chunk of y
+
+
+@pytest.mark.parametrize("x, H, q, r", [
+    (SEG - 1, 3000, 9973, 31),
+    (SEG, 3000, 9973, 31),
+    (SEG + 1, 3000, 9973, 31),
+    (SEG + 2, 3000, 9973, 31),  # the first x with two chunks, y in [1, SEG + 1) and {SEG + 1}
+    (10**5, 3 * SEG, 97, 5),  # H spans three prime windows: the primes <= H fold in by window
+    (3 * 10**6, 3 * 10**6 - 1, 9973, 31),  # H close to x: leave events stop at x - 2
+    (10**5, 10**3, 7, 100),  # r > q: the classes 7..99 hold no prime
+    (10**5, 10**3, 97, 1),
+    (10**5, 50, 6, 5),  # p mod 6 mod 5 is never 4
+    (3000, 2999, 53, 7),  # every prime <= 2999 enters at y = 0
+    (1000, 100, 2**40 + 1, 2**40),  # q, r beyond every prime: each prime is its own class
+])
+def test_streamed_sliding_matches_whole_array_oracle(x, H, q, r):
+    # measured against the oracle: 4.0e-14 relative at H = 3 SEG, where both sides lose
+    # digits to |S_v - H/r| << H/r, and at most 3.6e-15 on the other rows
+    assert huxley_stat_progressions(x, H, q, r)["value"] == pytest.approx(
+        huxley_sliding_oracle(x, H, q, r), rel=1e-12)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sliding_peak_does_not_grow_with_x_or_H():
+    default_source().primes_in(2, 10**4)  # the sieve's base-prime table, before tracing
+    small, big = (_traced_peak(huxley_stat_progressions, x, 10**4, 9973, 31)
+                  for x in (3 * SEG, 6 * SEG))
+    # the whole-array route held ~100 bytes per prime: 3 SEG more x would add ~40 MB
+    assert big < small + (1 << 20)
+    small, big = (_traced_peak(huxley_stat_progressions, 10**4, H, 9973, 31)
+                  for H in (2 * SEG, 8 * SEG))
+    assert big < small + (1 << 20)
+    assert big < 32 << 20  # one window of primes and its events
+
+
+def test_sliding_returns_under_one_gib_of_address_space():
+    # the whole-array route ended in MemoryError here: 2e8 of H held 11M primes 4 times over
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from skewlab.char_sums import huxley_stat_progressions; "
+            "print(huxley_stat_progressions(10, 2 * 10**8, 97, 5)['value'])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert 0 < float(out.stdout) < 10 * 2 * 10**8
+
+
 def test_huxley_collapse_r1_Hx():
     # r = 1, H = x: the statistic is |theta(x) - x|
     from skewlab.primes import chebyshev_theta
@@ -410,6 +470,18 @@ def test_huxley_progressions_refuse_int64_overflow():
         with pytest.raises(RangeError):
             huxley_stat_progressions(1000, 100, q, r)
     assert huxley_stat_progressions(1000, 100, 2**63 - 1, 5)["windows"] == 1000
+    with pytest.raises(ResourceError):  # 1e9 classes of carried state, refused before sieving
+        huxley_stat_progressions(10**9, 10**6, 2**40 + 1, 2**40)
+
+
+def test_huxley_windows_refuse_out_of_domain():
+    # a reshape and a bincount ValueError, numpy's size limit, and q = 0 after a warning
+    for q, r, Hp in ((101, 0, 3), (-1, 3, 3), (101, 3, -1), (0, 3, 3)):
+        with pytest.raises(InvalidInputError):
+            huxley_stat_windows(1000, 1000, q, r, Hp)
+    for q, r, Hp in ((101, 3, 2**64), (2**64, 3, 3), (101, 2**64, 3)):
+        with pytest.raises(ResourceError):
+            huxley_stat_windows(1000, 1000, q, r, Hp)
 
 
 def test_huxley_windows_collapse_and_main_term():
@@ -498,3 +570,7 @@ def test_window_coprime_count_j3():
         y = int(rng.integers(0, qp))
         res = window_coprime_count(qp, y, H)
         assert res["gap"] <= max(50.0, 0.05 * res["expected"])
+    with pytest.raises(ResourceError):  # numpy's "Maximum allowed dimension exceeded" before
+        window_coprime_count(30, 5, 2**64)
+    with pytest.raises(InvalidInputError):  # expected = -0.53 before
+        window_coprime_count(30, 5, -3)

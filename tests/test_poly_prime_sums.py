@@ -1,14 +1,17 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewlab import poly_prime_sums
+from skewlab.dd import e
 from skewlab.poly_prime_sums import (ShiftedPoly, integer_phase_main_term, ms_gap,
                                      oscillation_classify, prime_phase_sum)
-from skewlab.primes import chebyshev_theta, euler_phi, primes_in
+from skewlab.primes import SEGMENT_SIZE, chebyshev_theta, default_source, euler_phi, primes_in
 
 
 def test_zero_phase_r1_is_theta_window():
@@ -84,6 +87,37 @@ def test_main_term_examples():
     direct = sum(cmath.exp(2j * math.pi * ((n - N) ** 2 / 1024))
                  for n in range(N, N + H + 1))
     assert integer_phase_main_term(N, H, 1, g) == pytest.approx(direct, abs=1e-9)
+
+
+def test_streamed_sums_match_whole_array():
+    # the main term over three chunks and a few integers, the prime sum over three
+    # prime windows, against one whole-array sum each: measured 2.7e-15 and 1.6e-15
+    N, g = 10**7, ShiftedPoly(10**7, (1e-5, 1e-13))  # in regime up to r = 10
+    H = 3 * poly_prime_sums.PHASE_CHUNK + 5
+    whole = complex(np.sum(e(g.phase01(np.arange(N, N + H + 1, dtype=np.int64)))))
+    assert integer_phase_main_term(N, H, 1, g) == pytest.approx(whole, rel=1e-13)
+    H = 4 * SEGMENT_SIZE + 5
+    for r, a in ((1, 0), (10, 3)):
+        ps = primes_in(N, N + H)
+        ps = ps[ps % r == a % r]
+        whole = complex(np.sum(e(g.phase01(ps)) * np.log(ps.astype(float))))
+        assert prime_phase_sum(N, H, r, a, g) == pytest.approx(whole, rel=1e-13)
+
+
+def test_ms_gap_peak_does_not_grow_with_H():
+    N, g = 10**8, ShiftedPoly(10**8, (1e-3,))
+    default_source().primes_in(2, 10**4)  # the sieve's base-prime table, before tracing
+    peaks = []
+    for H in (2 * SEGMENT_SIZE, 8 * SEGMENT_SIZE):
+        tracemalloc.start()
+        try:
+            ms_gap(N, H, 1, 0, g, 0.05)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # holding every phase took 40 bytes per integer: 6 SEGMENT_SIZE more H would add 250 MB
+    assert peaks[1] < peaks[0] + (1 << 20)
+    assert peaks[1] < 32 << 20
 
 
 def test_ms_gap_zero_phase_is_window_pnt_defect():
