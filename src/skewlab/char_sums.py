@@ -191,7 +191,7 @@ class CharacterTable:
     def _roots(self) -> np.ndarray:
         """zeta_L^j for j < L, then 0 at index L (read by the non-units)."""
         L = self.exponent
-        return np.append(np.exp(2j * np.pi * (np.arange(L, dtype=np.float64) / L)), 0.0)
+        return np.append(e(np.arange(L) / L), 0.0)
 
     def _exponent_block(self, lo: int) -> np.ndarray:
         """Exponent rows sum_j k_j (L / order_j) dlog_j mod L (L on non-units) of the
@@ -319,7 +319,7 @@ def _windows_sup_beta(vals: np.ndarray, Hp: int) -> np.ndarray:
         w = np.where(inside, vals[u][idx], 0.0)
         amps = np.empty((len(grid), len(idx)))
         for j, beta in enumerate(grid):
-            amps[j] = np.abs(np.sum(w * np.exp(2j * np.pi * beta * u)[idx], axis=1))
+            amps[j] = np.abs(np.sum(w * e(beta * u)[idx], axis=1))
         i = np.argmax(amps, axis=0)
         best = amps[i, np.arange(len(idx))]
         if len(grid) < 2:
@@ -328,7 +328,7 @@ def _windows_sup_beta(vals: np.ndarray, Hp: int) -> np.ndarray:
         a = u[idx]
 
         def amp(beta):  # one beta per window
-            return np.abs(np.sum(w * np.exp((2j * np.pi * beta)[:, None] * a), axis=1))
+            return np.abs(np.sum(w * e(beta[:, None] * a), axis=1))
 
         step = 1.0 / len(grid)
         lo, hi = grid[i] - step, grid[i] + step
@@ -489,7 +489,7 @@ def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int) -> dict:
         flat = idx.ravel()
         best = np.zeros(nz)
         for beta in grid:
-            tw = np.exp(2j * np.pi * beta * u)[flat]
+            tw = e(beta * u)[flat]
             diff_re = np.bincount(keys, weights=dz * tw.real, minlength=nz * r)
             diff_im = np.bincount(keys, weights=dz * tw.imag, minlength=nz * r)
             best = np.maximum(best, np.hypot(diff_re, diff_im).reshape(nz, r).max(axis=1))

@@ -3,8 +3,8 @@
 Every run resolves a flat key=value config (file plus flag overrides), runs
 one named experiment, and emits a JSON envelope {command, config, started,
 rows} (plus a CSV next to it when --out ends in .csv).  Output is
-byte-identical across reruns and thread counts; set SOURCE_DATE_EPOCH to pin
-the envelope timestamp.
+byte-identical across reruns; set SOURCE_DATE_EPOCH to pin the envelope
+timestamp.
 
 A command's keys are its handler's keyword parameters: the name is the key,
 the default is the default and the annotation is the type.  main casts each
@@ -23,8 +23,7 @@ import numpy as np
 
 from skewlab.errors import InvalidInputError, PreconditionError, ResourceError, SkewlabError
 
-USAGE = ("usage: skewlab COMMAND [--config PATH] [--out PATH] [--threads N] [--seed N] "
-         "[--key value | --key=value ...]")
+USAGE = "usage: skewlab COMMAND [--config PATH] [--out PATH] [--key value | --key=value ...]"
 
 
 # discrepancy budgets, checked before allocating: N = 10**7 points take 718 MB, and 34 s at
@@ -44,9 +43,6 @@ CHARSUM_MAX_ENTRIES = 10**9
 CHARSUM_MAX_WINDOWED = 10**7
 MS_SUM_MAX_H = 10**8  # streamed: 6 s at degree 0, 28 s at degree 3, 50 MB peak RSS
 RESIDUE_MAX_INDICES = 10**9  # sum of z over the scales; ~34 ns an orbit index
-# keys every command takes, with their least values; threads is provenance: no kernel
-# reads it, and the orbit pass sums its windows in a fixed order on the calling thread
-COMMON = {"seed": 0, "threads": 1}
 # the key types a handler may declare, and what a value of each must be
 KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a path or text",
          tuple[int, ...]: "a comma list of integers", tuple[float, ...]: "a comma list of numbers"}
@@ -197,6 +193,13 @@ def _refuse_unread(mode, **keys):
             raise InvalidInputError(f"{mode} does not read {key}")
 
 
+def _rng(seed):
+    """The generator of a seeded command, made before any work; a seed < 0 is refused."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _ratio(value, scale):
     if scale == 0:
         raise PreconditionError("the trivial scale is 0: window lengths must be >= 1")
@@ -232,6 +235,7 @@ def cmd_cocycle_check(samples: int = 100, spec: str = None, decay_rate: float = 
     from skewlab.cocycle import AnalyticCocycle, birkhoff_closed, birkhoff_direct
     from skewlab.diophantine import ContinuedFraction
 
+    rng = _rng(seed)
     _budget("cocycle-check samples", samples, COCYCLE_MAX_SAMPLES)
     if spec is not None:
         g = AnalyticCocycle.from_csv(spec, 0.095 if decay_rate is None else decay_rate)
@@ -241,7 +245,6 @@ def cmd_cocycle_check(samples: int = 100, spec: str = None, decay_rate: float = 
 
         _refuse_unread("cocycle-check without --spec", decay_rate=decay_rate, quotients=quotients)
         cf, g, _ = prime_pair()
-    rng = np.random.default_rng(seed)
     worst_pair = worst_id = 0.0
     for _ in range(samples):
         n = int(rng.integers(1, 10_000))
@@ -380,6 +383,7 @@ def cmd_identities(n_max: int = 2000, z: tuple[int, ...] = (2, 5, 10),
     from skewlab.identities import (buchstab_check, heathbrown_coeff_check,
                                     linnik_check, vaughan_decompose)
 
+    rng = _rng(seed)
     if n_max < 2:
         raise PreconditionError(f"identities needs n_max >= 2, got n_max={n_max}")
     if min(k, default=1) < 1:
@@ -404,7 +408,6 @@ def cmd_identities(n_max: int = 2000, z: tuple[int, ...] = (2, 5, 10),
         d = heathbrown_coeff_check(k1, z1, n_max)
         rows.append({"identity": "heath-brown", "n_or_range": f"[1,{n_max}]",
                      "params": f"k={k1},z={z1}", "defect": d})
-    rng = np.random.default_rng(seed)
     w = 0
     for _ in range(buchstab_windows):
         lo = int(rng.integers(1, 10**6 - 10**4))
@@ -512,19 +515,14 @@ def main(argv=None):
         flags, paths = _parse_flags(argv[1:])
         cfg = load_config(paths["config"]) if "config" in paths else {}
         cfg.update(flags)
-        cfg.setdefault("threads", "1")
         handler = HANDLERS[command]
         params = inspect.signature(handler).parameters
-        kinds = {key: p.annotation for key, p in params.items()} | dict.fromkeys(COMMON, int)
+        kinds = {key: p.annotation for key, p in params.items()}
         unknown = sorted(set(cfg) - set(kinds))
         if unknown:
             raise InvalidInputError(f"{command} has no key {unknown[0]!r}; it reads "
                                     f"{', '.join(kinds)}")
-        args = {key: _cast(key, kinds[key], value) for key, value in cfg.items()}
-        for key, low in COMMON.items():
-            if args.get(key, low) < low:
-                raise InvalidInputError(f"{key} must be an integer >= {low}, got {args[key]}")
-        rows = handler(**{key: args[key] for key in args.keys() & params.keys()})
+        rows = handler(**{key: _cast(key, kinds[key], value) for key, value in cfg.items()})
         # the envelope records text keys as given, and any other value as parsed
         config = {key: value if value is True or kinds[key] is str else _parse_scalar(value)
                   for key, value in cfg.items()}

@@ -7,18 +7,19 @@ the direct n-term orbit sum, and the closed per-frequency form
 S_n(e_m)(x) = e_m(x) (e_m(n alpha) - 1)/(e_m(alpha) - 1) whose cost does not
 grow with n.  Fractional parts of large multiples of alpha come from exact
 rational arithmetic (per frequency) or the offset split of dd.frac01_int_mult
-(per orbit).
+(per orbit); the phase m x of the closed form is reduced exactly too, as a
+rational, so dd.e gets an argument in [0, 1) that carries no error of m x.
+Every phase goes through dd.e.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from skewlab.dd import frac01_int_mult
+from skewlab.dd import e, frac01_int_mult
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import InvalidInputError, PrecisionError
-
-TWO_PI = 2.0 * math.pi
 
 _MIN_DENOM = 1e-300  # ||m*alpha|| below this is outside double range
 
@@ -40,19 +41,15 @@ class TrigPoly:
             raise InvalidInputError("duplicate frequencies")
 
     def eval(self, x):
-        """Value at x (scalar or array); real by conjugate symmetry."""
+        """Value at x (scalar or array); real by conjugate symmetry.  One e() over every
+        x times every frequency."""
         x = np.asarray(x, dtype=np.float64)
-        out = np.zeros(x.shape)
-        for m, a in zip(self.freqs, self.amps):
-            ang = TWO_PI * m * x
-            out = out + 2.0 * (a.real * np.cos(ang) - a.imag * np.sin(ang))
+        out = 2.0 * (self.amps * e(x[..., None] * self.freqs)).real.sum(axis=-1)
         return out if out.shape else float(out)
-
-    __call__ = eval
 
     def derivative(self, order=1):
         """Exact derivative by frequency multiplication (2*pi*i*m)^order."""
-        factor = (TWO_PI * 1j * self.freqs.astype(np.float64)) ** order
+        factor = (2j * math.pi * self.freqs.astype(np.float64)) ** order
         return TrigPoly(self.freqs.copy(), self.amps * factor)
 
     def sup_norm(self, grid=1 << 14):
@@ -208,36 +205,37 @@ def birkhoff_direct(g, cf: ContinuedFraction, n: int, x: float) -> float:
     return float(np.sum(g.eval(orbit_angles(cf, np.arange(n, dtype=np.int64), x))))
 
 
-def _kernel_ratio(cf: ContinuedFraction, m: int, n: int):
-    """(e_m(n alpha) - 1) / (e_m(alpha) - 1) from exact signed fractional parts."""
-    v = float(cf.frac_signed(m))
-    if abs(v) < _MIN_DENOM:
-        raise PrecisionError(f"||{m}*alpha|| below double-precision floor")
-    u = float(cf.frac_signed(m * n))
-    su, sv = math.sin(math.pi * u), math.sin(math.pi * v)
-    phase = complex(math.cos(math.pi * (u - v)), math.sin(math.pi * (u - v)))
-    return (su / sv) * phase
+def _kernel_ratio(cf: ContinuedFraction, ms, n: int) -> np.ndarray:
+    """(e_m(n alpha) - 1) / (e_m(alpha) - 1) per frequency m of ms, from exact signed
+    fractional parts.
+
+    It is sin(pi u) / sin(pi v) e((u - v) / 2) with u = m n alpha and v = m alpha reduced
+    to (-1/2, 1/2]: the sines keep their relative accuracy however small ||m alpha|| is.
+    """
+    sines, phases = [], []
+    for m in map(int, ms):
+        v = float(cf.frac_signed(m))
+        if abs(v) < _MIN_DENOM:
+            raise PrecisionError(f"||{m}*alpha|| below double-precision floor")
+        u = float(cf.frac_signed(m * n))
+        sines.append(math.sin(math.pi * u) / math.sin(math.pi * v))
+        phases.append((u - v) / 2)
+    return np.array(sines) * e(np.array(phases))
 
 
 def birkhoff_closed(g, cf: ContinuedFraction, n: int, x: float, orbit_shift: int = 0) -> float:
     """S_n(g)(x + orbit_shift * alpha) by the closed per-frequency form.
 
-    Cost independent of n.  The shift enters through exact fractional parts,
-    so S_m at an orbit point x + k*alpha keeps full accuracy even where the
-    kernel ratio is huge (evaluating at the rounded float x + k*alpha would
-    amplify its last-bit error by m * |S|).
+    Cost independent of n.  The phase m x + m orbit_shift alpha is reduced mod 1 as
+    an exact rational, so S_m at an orbit point x + k*alpha keeps full accuracy even
+    where the kernel ratio is huge (evaluating at the rounded float x + k*alpha would
+    amplify its last-bit error by m * |S|, and a float m x rounds by up to m ulp(x)).
     """
     if n < 0:
         raise InvalidInputError("n must be >= 0")
     if n == 0:
         return 0.0
-    total = 0.0
-    for m, a in zip(g.freqs, g.amps):
-        m = int(m)
-        r = _kernel_ratio(cf, m, n)
-        phase = (m * x) % 1.0
-        if orbit_shift:
-            phase += float(cf.frac01(m * orbit_shift))
-        term = a * complex(math.cos(TWO_PI * phase), math.sin(TWO_PI * phase)) * r
-        total += 2.0 * term.real
-    return total
+    phases = [Fraction(x) * m + (cf.frac01(m * orbit_shift) if orbit_shift else 0)
+              for m in map(int, g.freqs)]
+    terms = g.amps * e(np.array([float(p % 1) for p in phases])) * _kernel_ratio(cf, g.freqs, n)
+    return float(2.0 * terms.real.sum())

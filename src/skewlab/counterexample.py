@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from skewlab.dd import MULMOD_LIMIT, dd_div_int, floor_frac_dd, mulmod, round_certified
+from skewlab.dd import MULMOD_LIMIT, dd_div_int, e, floor_frac_dd, mulmod, round_certified
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import (ConstructionError, IncompleteError, InvalidInputError,
                             PreconditionError, RangeError, StateError)
@@ -34,7 +34,6 @@ from skewlab.primes import mobius_upto, primes_in
 
 GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
 BUMP_WIDTH = 0.25  # half-width of bump_average's triangle around y = 1/2
-RIGIDITY_GRID = 4096  # sample points of rigidity_distribution_gap
 Q_CAP = 4e11  # the automatic stage indices stop before a convergent denominator beyond this
 
 
@@ -175,16 +174,6 @@ class RampFunction:
         """Evaluation at a rational point (mod 1)."""
         return float(self.at_fractions([x.numerator % x.denominator], x.denominator)[0])
 
-    def eval(self, x):
-        """Vectorized float evaluation on [0,1)."""
-        x = np.asarray(x, dtype=np.float64)
-        xs = np.atleast_1d(x) % 1.0
-        j = np.minimum((xs * self.q).astype(np.int64), self.q - 1)
-        out = self._shape(self.L_of_s(mulmod(j, self.p_inv, self.q)), xs - j / self.q)
-        return out.reshape(x.shape) if x.shape else float(out[0])
-
-    __call__ = eval
-
 
 class TentFunction:
     """The 1/q-periodic tent of height 1: h(j/q) = 0, h(j/q + 1/(2q)) = 1."""
@@ -214,17 +203,6 @@ class TentFunction:
             P, Q = alpha.numerator, alpha.denominator
             out[exact] = self.at_fractions([int(x) * P % Q for x in w[exact].tolist()], Q)
         return out, exact.size
-
-    def eval(self, x):
-        u = (np.asarray(x, dtype=np.float64) * self.q) % 1.0
-        out = np.where(u <= 0.5, 2.0 * u, 2.0 * (1.0 - u))
-        return out if out.shape else float(out)
-
-    __call__ = eval
-
-    @property
-    def variation(self):
-        return 2 * self.q
 
 
 def _stage_window(A: AlmostSparseSet, q: int, mu_twist: bool) -> np.ndarray:
@@ -380,31 +358,6 @@ class StageConstruction:
             self._phases[key] = phases
         return self._phases[key]
 
-    def _telescoped(self, x: np.ndarray, shift: float, upto: int) -> np.ndarray:
-        """sum_{n <= upto} (F_n(x + shift) - F_n(x)) with F_n = f_n (+ h_n), float mode."""
-        out = np.zeros(x.shape)
-        for m in range(1, upto + 1):
-            for term in self._stages[m]["terms"]:
-                out += term.eval((x + shift) % 1.0) - term.eval(x)
-        return out
-
-    def g_truncated(self, x, upto=None):
-        """sum_{n <= upto} (f_n(x + alpha) - f_n(x)) [+ tent terms], float mode."""
-        upto = self.solved() if upto is None else min(upto, self.solved())
-        out = self._telescoped(np.asarray(x, dtype=np.float64), float(self.cf.value), upto)
-        return out if out.shape else float(out)
-
-    def continuity_certificate(self):
-        """Per solved stage: the two summands of the continuity criterion."""
-        rows = []
-        for n in range(1, self.solved() + 1):
-            st = self._stages[n]
-            q, q1 = st["q"], st["q_next"]
-            dmax = float(self._slope_steps(n)[1].max())
-            rows.append({"n": n, "sup_term": float(st["L_window"].max()) / (q * q1),
-                         "lip_term": dmax / q1})
-        return rows
-
     def _slope_steps(self, n):
         """|L(s+1) - L(s)| at 0, the window residues and their successors, s < q - 1."""
         st = self._stages[n]
@@ -512,28 +465,8 @@ class StageConstruction:
             raise PreconditionError("built without the mu-twist targets")
         N = math.isqrt(self.q_of(n) // 2)
         mu = mobius_upto(N)
-        ms = [m for m in range(1, N + 1) if mu[m] != 0]
-        total = 0.0 + 0.0j
-        for m, s in zip(ms, self.birkhoff0_many([m * m for m in ms]).tolist()):
-            total += int(mu[m]) * complex(math.cos(2 * math.pi * s), math.sin(2 * math.pi * s))
-        return total / N
-
-    def rigidity_distribution_gap(self, n):
-        """Histogram distance of S_{K_n q_l}(g) mod 1 from its nearest constant.
-
-        K_n = floor(q_{l_n + 1} / (2 q_{l_n})); reported diagnostic for the
-        unique-ergodicity variant, not asserted against any constant.
-        """
-        if not self.include_h:
-            raise PreconditionError("needs the tent variant")
-        l = self.stage_l[n - 1]
-        K = self.cf.q(l + 1) // (2 * self.cf.q(l))
-        steps = K * self.cf.q(l)
-        # S_steps(g)(x) = sum_n [F_n(x + steps*alpha) - F_n(x)]
-        total = self._telescoped(np.arange(RIGIDITY_GRID) / RIGIDITY_GRID,
-                                 float(self.cf.frac01(steps)), self.solved()) % 1.0
-        best = min(float(np.mean(_circle_dist(total, c))) for c in np.arange(0, 1, 1 / 64))
-        return {"n": n, "K": K, "mean_distance_to_nearest_constant": best}
+        ms = np.flatnonzero(mu)
+        return complex(np.sum(mu[ms] * e(self.birkhoff0_many(ms * ms)))) / N
 
     # -- dump ----------------------------------------------------------------
 

@@ -60,9 +60,6 @@ class LogVector:
     def __eq__(self, other):
         return self.coords == other.coords
 
-    def is_zero(self) -> bool:
-        return not self.coords
-
     def __repr__(self):
         if not self.coords:
             return "LogVector(0)"

@@ -37,8 +37,6 @@ class PhasePolynomial:
             total = total + a_s.eval(x) * mf**s
         return total if total.shape else float(total)
 
-    __call__ = eval
-
 
 def build_phase_poly(gr, cf: ContinuedFraction, n: int, params: AnalysisParams) -> PhasePolynomial:
     """Construct P_n from the reduced block g_n and certify its coefficient bounds.
@@ -61,10 +59,7 @@ def build_phase_poly(gr, cf: ContinuedFraction, n: int, params: AnalysisParams) 
     for s in range(2, d + 1):
         deriv = g_n.derivative(s - 1)
         scale = dist ** (s - 1) / (float(qn) ** s * math.factorial(s))
-        amps = np.array([
-            a * _kernel_ratio(cf, int(m), qn) * scale
-            for m, a in zip(deriv.freqs, deriv.amps)
-        ])
+        amps = deriv.amps * _kernel_ratio(cf, deriv.freqs, qn) * scale
         coeff_fns.append(TrigPoly(deriv.freqs.copy(), amps))
 
     bounds = []

@@ -11,10 +11,10 @@ in a fixed order, so no value depends on the threads.
 Beside them: Weyl sums and an Erdos-Turan star-discrepancy bound.
 """
 
-import math
 import queue
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,12 +61,16 @@ def _fiber_terms(T: SkewProduct, x: float):
     """(m_hi, m_lo, 2 kappa_m) per frequency m of g, m alpha as a dd pair.
 
     S_n(g)(x) = sum_m 2 Re kappa_m (e(n m alpha) - 1), kappa_m = a_m e(m x) / (e(m alpha) - 1).
+    With v = m alpha reduced to (-1/2, 1/2], e(v) - 1 = 2i sin(pi v) e(v / 2), so
+    kappa_m = a_m e(m x - v / 2) / (2i Im e(v / 2)): the phase is reduced mod 1 as an exact
+    rational, and the sine keeps its relative accuracy where e(v) - 1 would cancel.
     """
     cf = T.cf
     terms = []
     for m, a in zip(T.g.freqs, T.g.amps):
         m = int(m)
-        kappa = a * np.exp(2j * math.pi * m * x) / (e(float(cf.frac_signed(m))) - 1.0)
+        v = cf.frac_signed(m)
+        kappa = a * e(float((Fraction(x) * m - v / 2) % 1)) / (2j * e(float(v / 2)).imag)
         terms.append((*dd_from_fraction(cf.frac01(m)), 2.0 * kappa))
     return terms
 

@@ -7,7 +7,9 @@ frozen from their recipes, the scales n* and K_n, Birkhoff prefixes, the
 a-priori sup bound, coboundary drift and Denjoy-Koksma gaps, the torus metric
 and orbit return error, the residue progression and twisted window sums, the
 partition lemma, the whole-array sliding-window L1 (the oracle of the streamed
-statistic) and the Nazarov small-set measures.
+statistic), the Nazarov small-set measures, and the float evaluation of the
+counterexample's terms (the package evaluates them exactly, at rationals and at
+orbit points).
 
 pytest does not collect this file; test modules import it as a sibling
 (``from lemmas import ...``), since pytest puts the directory of each test
@@ -23,7 +25,8 @@ import numpy as np
 
 from skewlab.cocycle import (AnalyticCocycle, ReducedCocycle, TrigPoly, birkhoff_closed,
                              orbit_angles)
-from skewlab.dd import e
+from skewlab.counterexample import RampFunction, _circle_dist
+from skewlab.dd import e, mulmod
 from skewlab.diophantine import AnalysisParams, ContinuedFraction
 from skewlab.errors import (IntegrityError, InvalidInputError, PreconditionError, RangeError,
                             ResourceError)
@@ -229,7 +232,7 @@ def coboundary_drift(g: AnalyticCocycle, g_red: ReducedCocycle, cf: ContinuedFra
 def denjoy_koksma_gap(h, q: int, x: float, cf: ContinuedFraction, mean: float) -> float:
     """|S_q(h)(x) - q * mean| for a convergent denominator q.
 
-    h is any callable on arrays (a TrigPoly too) and mean its integral.
+    h is any callable on arrays (a TrigPoly's eval too) and mean its integral.
     """
     denominators = {cf.q(k) for k in range(0, cf.max_index() + 1)}
     if q not in denominators:
@@ -404,3 +407,79 @@ def nazarov_translate_count(g_block: TrigPoly, cf: ContinuedFraction, q_n: int,
     angles = orbit_angles(cf, np.arange(1, q_n + 1, dtype=np.int64), x)
     thresh = float(q_n) ** (-eps_exponent)
     return int(np.count_nonzero(np.abs(g_block.eval(angles)) <= thresh))
+
+
+# ---------------------------------------------------------------------------
+# float evaluation of the counterexample's terms f_n and h_n
+
+RIGIDITY_GRID = 4096  # sample points of rigidity_distribution_gap
+
+
+def ramp_eval(f, x):
+    """Vectorized float evaluation of a RampFunction on [0,1)."""
+    x = np.asarray(x, dtype=np.float64)
+    xs = np.atleast_1d(x) % 1.0
+    j = np.minimum((xs * f.q).astype(np.int64), f.q - 1)
+    out = f._shape(f.L_of_s(mulmod(j, f.p_inv, f.q)), xs - j / f.q)
+    return out.reshape(x.shape) if x.shape else float(out[0])
+
+
+def tent_eval(h, x):
+    """Float evaluation of a TentFunction."""
+    u = (np.asarray(x, dtype=np.float64) * h.q) % 1.0
+    out = np.where(u <= 0.5, 2.0 * u, 2.0 * (1.0 - u))
+    return out if out.shape else float(out)
+
+
+def tent_variation(h):
+    return 2 * h.q
+
+
+def _term_eval(term, x):
+    return ramp_eval(term, x) if isinstance(term, RampFunction) else tent_eval(term, x)
+
+
+def _telescoped(st, x: np.ndarray, shift: float, upto: int) -> np.ndarray:
+    """sum_{n <= upto} (F_n(x + shift) - F_n(x)) with F_n = f_n (+ h_n), float mode."""
+    out = np.zeros(x.shape)
+    for m in range(1, upto + 1):
+        for term in st._stages[m]["terms"]:
+            out += _term_eval(term, (x + shift) % 1.0) - _term_eval(term, x)
+    return out
+
+
+def g_truncated(st, x, upto=None):
+    """sum_{n <= upto} (f_n(x + alpha) - f_n(x)) [+ tent terms] of st, float mode."""
+    upto = st.solved() if upto is None else min(upto, st.solved())
+    out = _telescoped(st, np.asarray(x, dtype=np.float64), float(st.cf.value), upto)
+    return out if out.shape else float(out)
+
+
+def continuity_certificate(st):
+    """Per solved stage: the two summands of the continuity criterion."""
+    rows = []
+    for n in range(1, st.solved() + 1):
+        stage = st._stages[n]
+        q, q1 = stage["q"], stage["q_next"]
+        dmax = float(st._slope_steps(n)[1].max())
+        rows.append({"n": n, "sup_term": float(stage["L_window"].max()) / (q * q1),
+                     "lip_term": dmax / q1})
+    return rows
+
+
+def rigidity_distribution_gap(st, n):
+    """Histogram distance of S_{K_n q_l}(g) mod 1 from its nearest constant.
+
+    K_n = floor(q_{l_n + 1} / (2 q_{l_n})); reported diagnostic for the
+    unique-ergodicity variant, not asserted against any constant.
+    """
+    if not st.include_h:
+        raise PreconditionError("needs the tent variant")
+    l = st.stage_l[n - 1]
+    K = st.cf.q(l + 1) // (2 * st.cf.q(l))
+    steps = K * st.cf.q(l)
+    # S_steps(g)(x) = sum_n [F_n(x + steps*alpha) - F_n(x)]
+    total = _telescoped(st, np.arange(RIGIDITY_GRID) / RIGIDITY_GRID,
+                        float(st.cf.frac01(steps)), st.solved()) % 1.0
+    best = min(float(np.mean(_circle_dist(total, c))) for c in np.arange(0, 1, 1 / 64))
+    return {"n": n, "K": K, "mean_distance_to_nearest_constant": best}

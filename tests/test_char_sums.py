@@ -50,7 +50,7 @@ def test_multiplicativity_exhaustive():
 
 
 def _exp_row_oracle(chi):
-    """The value row as one complex exp per entry, masked to 0 on non-units."""
+    """The value row as one e(row / L) per entry, masked to 0 on non-units."""
     tab = chi.table
     q, L = tab.q, tab.exponent
     a = np.arange(q) if q > 1 else np.zeros(1, dtype=np.int64)
@@ -58,7 +58,7 @@ def _exp_row_oracle(chi):
     for k, comp in zip(chi.ks, tab.components):
         D = comp.dlog[a % comp.modulus]
         row = (row + (k * (L // comp.order)) * np.where(D >= 0, D, 0)) % L
-    out = np.exp(2j * np.pi * (row.astype(np.float64) / L))
+    out = e(row.astype(np.float64) / L)
     out[np.gcd(a, q) != 1] = 0.0
     return out
 
@@ -75,6 +75,16 @@ def test_value_rows_match_exp_oracle():
                 for x in (1, q + 3):
                     want = complex(np.sum(oracle * e(b * (x % q) / q)))
                     assert gauss_sum(chi, x) == want, (q, chi.ks, x)
+
+
+@pytest.mark.parametrize("q", [5, 8, 12, 4999])
+def test_quadratic_characters_are_exactly_real(q):
+    # e(1/2) is exactly -1: an order-2 character takes only the values -1, 0 and 1
+    quadratic = [chi for chi in build_characters(q) if chi.order() == 2]
+    assert quadratic
+    for chi in quadratic:
+        vals = chi.values()
+        assert np.all(vals.imag == 0) and set(vals.real.tolist()) <= {-1.0, 0.0, 1.0}, chi.ks
 
 
 @pytest.mark.parametrize("q", [1, 2, 12, 1024, 1155])
@@ -298,7 +308,7 @@ def _window_sup_beta_oracle(vals, z, Hp, grid):
     w = vals[a]
 
     def amp(beta):
-        return abs(np.sum(w * np.exp(2j * np.pi * beta * a)))
+        return abs(np.sum(w * e(beta * a)))
 
     amps = [amp(b) for b in grid]
     i = int(np.argmax(amps))

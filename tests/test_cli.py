@@ -59,23 +59,25 @@ def test_cf_default_depth(tmp_path, capsys):
 
 
 # sha256 of the counterexample's stdout and dump file under SOURCE_DATE_EPOCH=0, recorded
-# with the exact per-point integer evaluation; the array evaluation must keep every byte
+# with the exact per-point integer evaluation; the array evaluation must keep every byte.
+# Every stdout pin in this file was re-recorded when the envelope lost its "threads" key
 COUNTEREXAMPLE_SHA256 = [
     (["--stages", "3", "--dump", "st.json"],
-     "7b0b77d5f2e5d2b0512951f0e6e6671148504829fe528d820481a35b87d4e7f8",
+     "5800f59bf5a4333e3c75796a8b1858700335d95cc1a054a73cb7fbbd4777b196",
      "5e0d39ae7120520f42cfe1185d47fc3d0a9f128ae496d4106d63ed3767e280a4"),
     (["--stages", "2", "--include_h", "true"],
-     "6d12e3a0b0a079c75b7c5177a3dc750bb31e875701c932d94e3892c45ef631f2", None),
+     "c7b56deb9e338c3f62cb0af21ea0398da16773ce69d058050c3cf3e9e331c6e7", None),
     (["--stages", "2", "--include_h", "true", "--dump", "st.json"],
-     "bd985127bd00cb8636d2efce72252830c502e13ad3580d6577fe8eb1b6823ba1",
+     "3d234a49eacf588aba11fe5f082f72242c068532a893bcbce6303ee2375d408b",
      "bb0874d16d8ef5c5cc5c8b9abdf1e3cbeb620f4360b50307eff9fd9275ba747a"),
     (["--stages", "2", "--mu_twist", "true", "--dump", "st.json"],
-     "e754e6783da2bf94f1ba7255e6b02b9b7ecb1621a772e4dbfca366c0c853dd58",
+     "8c43de76be5a8fa9b1e518c2c3c02c66b72bbb871619c630ba61ae933092cee0",
      "fa8d0d828d4d00300b4165d875cec4eeab262814e91be7ee030b9147f912e2f8"),
 ]
 
 
-@pytest.mark.parametrize("args, stdout_sha, dump_sha", COUNTEREXAMPLE_SHA256)
+@pytest.mark.parametrize("args, stdout_sha, dump_sha", COUNTEREXAMPLE_SHA256,
+                         ids=["stages-3-dump", "stages-2-h", "stages-2-h-dump", "stages-2-mu-dump"])
 def test_counterexample_bytes_pinned(args, stdout_sha, dump_sha, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     monkeypatch.chdir(tmp_path)
@@ -88,16 +90,17 @@ def test_counterexample_bytes_pinned(args, stdout_sha, dump_sha, tmp_path, monke
 # sha256 of charsum stdout under SOURCE_DATE_EPOCH=0, recorded with the character groups
 # built from per-element dlog loops and per-kind conductor rules; every byte must stay.
 # The gauss rows were re-recorded when e() moved from cos/sin to a table of 4096th roots
-# (largest change in |G|: 1.8e-14)
+# (largest change in |G|: 1.8e-14), and all four when the value rows and the window twists
+# came from e() too (largest change 3.6e-12 absolute, in windowed-1009: 8.4e-16 relative)
 CHARSUM_SHA256 = [
     (["--stat", "gauss", "--q", "1024"],
-     "d3bab12fec9b8ff33d2a93b398055b95bb2ba3a6a1680942d0ab2e62bbdbbdfc"),
+     "de495584bb39a5203ff803a5da8503346f03859f9042ad5c016055479b62b5ca"),
     (["--stat", "gauss", "--q", "1155"],
-     "2293c26e5f0492ba63bc57af47397d4cd76b4bf85d1adcc1585c7fd2dddc8989"),
+     "e016b6173479a55e0be97460ee0af4744ee3f4e0fd06496df8a211e6066abdd1"),
     (["--stat", "progression", "--q", "1155", "--r", "2"],
-     "918bbf13a696fd571964fc5658993b0a77c2ea66e7dd70988e6c5af4d1559778"),
+     "4c0cee78aa0a2cacfae6f81202fdce3e101d2ccae5f8d8c90fa62bc020f53a5c"),
     (["--stat", "windowed", "--q", "1009"],
-     "66018becc3a3cb0e0a4878e01b97dea787062fe43234a689117857f7b67e48fb"),
+     "c1c53fc008c9288204fff6a5507db50a46cc8f41e4bf65583bdf927281e488c9"),
 ]
 
 
@@ -112,14 +115,15 @@ def test_charsum_bytes_pinned(args, stdout_sha, monkeypatch, capsys):
 # sha256 of prime-average and residue-average stdout under SOURCE_DATE_EPOCH=0, recorded
 # with the serial orbit pass; windows drawn on a producer thread must keep every byte.
 # Re-recorded when e() moved from cos/sin to a table of 4096th roots (largest change:
-# 1.3e-13 absolute)
+# 1.3e-13 absolute), and when kappa_m = a_m e(m x) / (e(m alpha) - 1) of the fiber was
+# formed without the cancelling e(m alpha) - 1 (largest change 2.2e-10, in prime-three-N)
 ORBIT_SHA256 = [
     (["prime-average", "--N", "1e5,4194306,1e7", "--b", "1", "--c", "2"],
-     "fc8cdbcb324b53a866e216fa96e416f8ed79ea794a66ac74fb6d23ff17a8bccf"),
+     "8e833ec312aa9ebc70794ee4dcbeacc23b8c2cbc2c684362ceeb985ab1e603b9"),
     (["prime-average", "--N", "3e6", "--b", "0", "--c", "1"],
-     "0c9f676c7d968d3bc6280af18a377076489001e80d658d124214a2b7301507bd"),
+     "8795f7f0146be8ed064d60076a3096dd236d276a2e934225fe1b26dd7f76568f"),
     (["residue-average", "--scales", "3"],
-     "d2f2bc6d6d73e241df53b5a0521f1a322467b06c8eb017d96f098d4651304a86"),
+     "bf0ca5d7f34925e7b03a04b095465c3bca49b33654b2294faee60aad5861cb0c"),
 ]
 
 
@@ -136,12 +140,12 @@ def test_orbit_bytes_pinned(args, stdout_sha, monkeypatch, capsys):
 # was re-recorded when the sliding statistic streamed its events by prime window (value
 # 197358407.15576762 -> ...56, a change of 6.0e-8, 3.0e-16 relative)
 PRIME_FED_SHA256 = [
-    (["huxley"], "cf9be69fa9fc49b4701c8e2108d5525b3a70165a2c06d81627d9a89e28295fec"),
+    (["huxley"], "1636b83be49c2c2245991f1879a319a3198b6031b46ccba0c6a9cf07f830e284"),
     (["huxley", "--x", "300000", "--H", "3000", "--q", "9973", "--r", "31"],
-     "60f3912760b5d7843e4547c4c80fb215ac2654f54e5ef700b1c0fea768429f8a"),
+     "ae42e66900947b872cd0003e8aca9463322ed78db66c06cb69b0d2b826ad9aa3"),
     (["identities", "--n_max", "5000", "--k", "1,2,3"],
-     "fc378100e7c444721ef552e44e2a1fcc0420c687897dc53009a24909dae9ed50"),
-    (["ms-sum"], "45cc8b92ab9e528b2efae5de1141ff78908bc8f28e6a176025e53a6d74746ad0"),
+     "2803b1b2c8a09a84a65de233c7b0c916fcfb62ae834a561ecbe89908355c4635"),
+    (["ms-sum"], "a4a56dbd8881a0038c985a02ead2f39574179783fe111f0ee0d26107283e88a0"),
 ]
 
 
@@ -155,14 +159,16 @@ def test_prime_fed_bytes_pinned(args, stdout_sha, monkeypatch, capsys):
 
 # sha256 of the remaining commands' stdout under SOURCE_DATE_EPOCH=0; every byte must stay.
 # discrepancy (Weyl sums) was re-recorded when e() moved from cos/sin to a table of
-# 4096th roots (largest change: 1.6e-16)
+# 4096th roots (largest change: 1.6e-16); cocycle-check and phase when their phases m x
+# were reduced exactly and fed to e() (closed_vs_direct 7.6e-10 -> 1.8e-11; phase errors
+# by at most 9.2e-15)
 OTHER_SHA256 = [
     (["cf", "--quotients", "3,7,15,1,292"],
-     "d8de858e945e4a82faf1925d779de40c7c8e22e62e4325e93595e3d64b8ddab7"),
-    (["orbit"], "0563c1edc6b4fd8ff503a90cfde4a3d7a686e4a0d4968c9fead2d43cebacf824"),
-    (["cocycle-check"], "7b6d3f24b9eae66e45e4b5bdf80f1a0e0cccb75587e863dd36168131b8779d76"),
-    (["phase"], "8557d138006cac9b9eb525717dfa7b57e9f9c724109dd54326381f24b5f665a2"),
-    (["discrepancy"], "6fa155bce9fd49fb4eb23ce611b9f485c658bd6cf79fddb33df371cffc7fec9a"),
+     "86167a59c8562fdc715fab5862c5469b236cbc71f08689afca8ee8e352bdccfa"),
+    (["orbit"], "fe23b01d1325dfdf13ec6cb6873d5cbf1ae92f2f8659bf6ff645826237eccb35"),
+    (["cocycle-check"], "9a97998ffdbc69e58d6d55783018f1cc449ce872d6c5353554cbc7d665bb0d26"),
+    (["phase"], "9fe1a583e2dff26e0bcce11dfebaa1795945ad5b5bf69ce5cefd31c1097562f3"),
+    (["discrepancy"], "feaf72b12c1bc93804f0738b760c15931a45c78655f59d9915f91e12e5968330"),
 ]
 
 
@@ -236,6 +242,10 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
     ["cocycle-check", "--spec", "{tmp}/g.csv", "--decay_rate", "1e-320"],
     ["counterexample", "--stages", "0"],
     ["counterexample", "--stages", "-1"],
+    ["cocycle-check", "--seed", "-1"],
+    ["identities", "--seed", "-1"],
+    ["prime-average", "--N", "1e9", "--threads", "2"],
+    ["orbit", "--seed", "1"],
 ], ids=["identities-k0", "charsum-q2-windowed", "charsum-chi-index-past-last",
         "prime-average-N0", "ms-sum-eta0", "charsum-windowed-Hp-negative",
         "charsum-windowed-Hp0", "huxley-x0", "huxley-H0", "orbit-unknown-pair",
@@ -253,7 +263,8 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
         "charsum-gauss-r", "charsum-progression-gauss-x", "charsum-progression-Hp",
         "charsum-gauss-chi-index", "cf-quotients-and-decimal", "cf-decimal-fraction",
         "cocycle-check-decay-rate-overflows-m-max", "counterexample-stages0",
-        "counterexample-stages-negative"])
+        "counterexample-stages-negative", "cocycle-check-seed-negative",
+        "identities-seed-negative", "threads-is-no-key", "seed-only-where-drawn"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_domain_value_exit_2(args, tmp_path, capsys):
     (tmp_path / "g.csv").write_text("1,0.1,0\n3,0,0.05\n")
@@ -281,25 +292,25 @@ def test_unknown_config_file_key_exit_2(tmp_path, capsys):
     assert "'dpeth'" in err and len(err.splitlines()) == 1
 
 
-COMMON = ("seed", "threads")
-# each command's keys besides seed and threads, written out as the handler table listed them
-# before the handler signatures declared them
+# each command's keys, written out as the handler table listed them before the handler
+# signatures declared them; seed only where a command draws random inputs
 KEYS = {
     "cf": ("quotients", "decimal", "depth"),
-    "cocycle-check": ("samples", "spec", "decay_rate", "quotients"),
+    "cocycle-check": ("samples", "spec", "decay_rate", "quotients", "seed"),
     "phase": ("scales", "m_samples", "w", "x_grid"),
     "orbit": ("pair", "x", "y", "steps"),
     "prime-average": ("pair", "b", "c", "x", "y", "N"),
     "residue-average": ("pair", "b", "c", "scales"),
     "huxley": ("x", "H", "q", "r"),
     "charsum": ("q", "stat", "r", "gauss_x", "Hp", "chi_index"),
-    "identities": ("n_max", "z", "k", "buchstab_windows"),
+    "identities": ("n_max", "z", "k", "buchstab_windows", "seed"),
     "ms-sum": ("N", "H", "r", "a", "coeffs", "eta", "B"),
     "counterexample": ("stages", "include_h", "mu_twist", "eps", "dump"),
     "discrepancy": ("N", "K"),
 }
-# misspelt keys, the old parser's --set, and keys that only other commands read
-UNKNOWN = ("dpeth", "obs", "set", "n_max", "stages")
+# misspelt keys, the old parser's --set, keys that only other commands read, and the
+# removed --threads
+UNKNOWN = ("dpeth", "obs", "set", "n_max", "stages", "seed", "threads")
 MALFORMED = ("abc", "", "-1", "0", "2.5", "1e10", "-1e10", "1e15", "1e400", "Infinity", "NaN", "[]",
              "1,zz", "true")
 
@@ -312,7 +323,7 @@ def _keys(command):
 def test_handler_signature_declares_the_keys(command):
     assert set(HANDLERS) == set(KEYS)
     params = inspect.signature(HANDLERS[command]).parameters
-    assert set(params) | set(COMMON) == set(KEYS[command] + COMMON)
+    assert set(params) == set(KEYS[command])
     for p in params.values():
         assert p.kind is p.POSITIONAL_OR_KEYWORD and p.annotation in KINDS, p
         assert p.default is None or isinstance(
@@ -372,7 +383,7 @@ def test_every_key_changes_the_rows_or_is_refused(command, tmp_path, capsys):
 @st.composite
 def malformed_runs(draw):
     command = draw(st.sampled_from(sorted(HANDLERS)))
-    keys = st.sampled_from(_keys(command) + COMMON + UNKNOWN)
+    keys = st.sampled_from(_keys(command) + UNKNOWN)
     flags = draw(st.dictionaries(keys, st.sampled_from(MALFORMED), min_size=1, max_size=3))
     return [command] + [tok for key, val in flags.items() for tok in (f"--{key}", val)]
 
@@ -389,7 +400,7 @@ def test_malformed_flags_never_raise(argv, tmp_path_factory):
     assert code in (0, 2, 3)
     if code:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
-    if {tok[2:] for tok in argv[1::2]} - set(_keys(argv[0]) + COMMON):
+    if {tok[2:] for tok in argv[1::2]} - set(_keys(argv[0])):
         assert code == 2 and err.getvalue().startswith("precondition error: "), err.getvalue()
 
 
@@ -402,6 +413,17 @@ def test_counterexample_dump_reports_cli_eps(tmp_path):
     assert passed == [False, True]
     stages = json.loads(dump.read_text())["stages"]
     assert [s["phi_report"]["passed"] for s in stages] == passed
+
+
+@pytest.mark.parametrize("command, work", [("cocycle-check", "skewlab.presets.prime_pair"),
+                                           ("identities", "skewlab.identities.vaughan_decompose")])
+def test_negative_seed_refused_before_any_work(command, work, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError(f"{work} ran before the seed was checked")
+
+    monkeypatch.setattr(work, refuse)
+    assert main([command, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "precondition error: seed must be >= 0, got -1\n"
 
 
 def test_identities_beyond_int64_exit_3(capsys):
@@ -498,9 +520,9 @@ def test_boolean_keys_take_true_and_false(key, tmp_path):
 
 def test_bare_flag_before_another_flag(tmp_path, capsys):
     code, payload, _ = run_cli(["counterexample", "--mu_twist", "--stages", "1"], tmp_path)
-    assert code == 0 and payload["config"] == {"mu_twist": True, "stages": 1, "threads": 1}
+    assert code == 0 and payload["config"] == {"mu_twist": True, "stages": 1}
     assert "mu_twist_avg" in payload["rows"][0]
-    assert main(["cf", "--quotients", "1,1", "--depth", "--seed", "1"]) == 2
+    assert main(["cf", "--depth", "--quotients", "1,1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition error: depth ") and len(err.splitlines()) == 1
 
@@ -581,21 +603,6 @@ def test_config_file_and_overrides(tmp_path):
                                tmp_path, "out2.json")
     assert code == 0
     assert len(payload["rows"]) == 3
-
-
-def test_determinism_across_thread_counts(tmp_path, monkeypatch):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    outs = []
-    for threads, name in ((1, "a.json"), (4, "b.json")):
-        code, _, out = run_cli(["prime-average", "--N", "1e4", "--threads",
-                                str(threads)], tmp_path, name)
-        assert code == 0
-        outs.append(open(out, "rb").read())
-    a, b = outs
-    # thread count is provenance inside the config block; strip it before comparing
-    a = a.replace(b'"threads": 1', b'"threads": N')
-    b = b.replace(b'"threads": 4', b'"threads": N')
-    assert a == b
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -166,6 +166,21 @@ def test_coboundary_drift_growth_rate():
     assert d5 <= 1.05 * d4  # growth has flattened
 
 
+def test_closed_form_matches_direct_sum_on_the_cli_draw():
+    # cocycle-check's default draw: the closed form's phases m x are reduced exactly, so
+    # the two routes agree far inside 1e-10 (a float m x put 7.6e-10 between them)
+    from skewlab.presets import prime_pair
+
+    cf, g, _ = prime_pair()
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(100):
+        # m is drawn and dropped, as cocycle-check draws it for its identity row
+        n, _, x = int(rng.integers(1, 10_000)), rng.integers(1, 10_000), float(rng.random())
+        worst = max(worst, abs(birkhoff_direct(g, cf, n, x) - birkhoff_closed(g, cf, n, x)))
+    assert worst <= 1e-10
+
+
 def test_denjoy_koksma(cf):
     h = lambda xs: (np.asarray(xs) % 1.0) - 0.5  # Var = 1, mean 0
     for k in (3, 5, 7):
@@ -205,7 +220,7 @@ def test_denjoy_koksma_block_decay():
         block = red.blocks.get(n)
         q = cf.q(n)
         xs = np.arange(64) / 64
-        vals = [denjoy_koksma_gap(block, q, float(x), cf, mean=0.0) for x in xs[::8]]
+        vals = [denjoy_koksma_gap(block.eval, q, float(x), cf, mean=0.0) for x in xs[::8]]
         sups.append(max(vals))
     assert sups[2] < sups[0]
 

@@ -8,6 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lemmas import (continuity_certificate, g_truncated, ramp_eval, rigidity_distribution_gap,
+                    tent_eval, tent_variation)
 from skewlab.counterexample import (Q_CAP, AlmostSparseSet, RampFunction, StageConstruction,
                                     TentFunction, eps_n, orbit_cells)
 from skewlab.dd import MULMOD_LIMIT
@@ -193,7 +195,7 @@ def test_cells_beyond_mulmod_raise_range_error():
     with pytest.raises(RangeError):
         orbit_cells(ws, cf.value, q, p)
     with pytest.raises(RangeError):
-        RampFunction(q, cf.q(k + 1), p, [0, q // 3], [2.0, 3.0]).eval(0.5)
+        ramp_eval(RampFunction(q, cf.q(k + 1), p, [0, q // 3], [2.0, 3.0]), 0.5)
 
 
 def test_orbit_cells_checks_its_domain():
@@ -213,7 +215,7 @@ def test_float_path_residue_is_exact(solved3):
     assert (f.q - 1) * f.p_inv >= 2**63
     xs = np.random.default_rng(7).random(2000)
     exact = np.array([f.eval_frac(Fraction(x)) for x in xs])
-    assert np.max(np.abs(f.eval(xs) - exact)) < 1e-3
+    assert np.max(np.abs(ramp_eval(f, xs) - exact)) < 1e-3
 
 
 def test_squares_descriptor_windows():
@@ -306,16 +308,16 @@ def test_ramp_function_shape(solved):
     # float evaluation agrees with the exact branch off the breakpoints
     xs = np.linspace(0.01, 0.99, 37)
     exact = [f.eval_frac(Fraction(x).limit_denominator(10**12)) for x in xs]
-    assert np.allclose(f.eval(xs), exact, rtol=1e-6, atol=1e-9)
+    assert np.allclose(ramp_eval(f, xs), exact, rtol=1e-6, atol=1e-9)
 
 
 def test_tent_function():
     h = TentFunction(7)
     assert h.at_fractions([6, 7], 14).tolist() == [0.0, 1.0]  # h(3/7) and h(1/2)
     xs = np.linspace(0, 1, 101)
-    assert np.allclose(h.eval((xs + 1 / 7) % 1.0), h.eval(xs), atol=1e-12)
-    assert h.variation == 14
-    assert abs(np.mean(h.eval(np.arange(7000) / 7000)) - 0.5) < 1e-3
+    assert np.allclose(tent_eval(h, (xs + 1 / 7) % 1.0), tent_eval(h, xs), atol=1e-12)
+    assert tent_variation(h) == 14
+    assert abs(np.mean(tent_eval(h, np.arange(7000) / 7000)) - 0.5) < 1e-3
 
 
 def test_stage_schedule_constraints(solved):
@@ -386,7 +388,7 @@ def test_slope_probes_match_unique_oracle(solved3):
 
 
 def test_continuity_certificate_decays(solved):
-    rows = solved.continuity_certificate()
+    rows = continuity_certificate(solved)
     sups = [r["sup_term"] for r in rows]
     assert all(s > 0 for s in sups)
     assert sups[-1] < sups[0]
@@ -424,7 +426,7 @@ def test_g_truncated_along_orbit(solved):
     # S_k(g)(0) from the coboundary telescoping equals the sum of f_n(k alpha)
     st = solved
     for k in (1, 5, 17):
-        direct = sum(st.g_truncated(float((j * st.cf.value) % 1)) for j in range(k))
+        direct = sum(g_truncated(st, float((j * st.cf.value) % 1)) for j in range(k))
         assert direct == pytest.approx(st.birkhoff0_many([k])[0], abs=1e-8)
 
 
@@ -432,8 +434,8 @@ def test_g_truncated_at_zero(solved):
     # x = 0: S_1 = g(0) = sum f_n(alpha), since f_n(0) = 0
     st = solved
     total = sum(st.f(n).eval_frac(st.cf.value % 1) for n in range(1, st.solved() + 1))
-    assert st.g_truncated(0.0) == pytest.approx(total, abs=1e-9)
-    assert st.g_truncated(0.0, upto=0) == 0.0
+    assert g_truncated(st, 0.0) == pytest.approx(total, abs=1e-9)
+    assert g_truncated(st, 0.0, upto=0) == 0.0
 
 
 def test_mu_twist_average():
@@ -451,7 +453,7 @@ def test_include_h_variant():
     for n in (1, 2):
         rep = st.verify_phi(n, eps=0.05)
         assert rep["passed"], rep
-    diag = st.rigidity_distribution_gap(1)
+    diag = rigidity_distribution_gap(st, 1)
     assert 0 < diag["mean_distance_to_nearest_constant"] <= 0.25 + 1e-9
     assert diag["K"] == st.cf.q(st.stage_l[0] + 1) // (2 * st.cf.q(st.stage_l[0]))
 
@@ -502,7 +504,7 @@ def test_denjoy_koksma_on_ramp_handle(solved):
     q, q1 = st.cf.q(k), st.cf.q(k + 1)
     var = sum(2 * f1.L_of_s(w) / q1 for w in range(q))  # up+down per cell
     grid = np.arange(1 << 16) / (1 << 16)
-    mean = float(np.mean(f1.eval(grid)))
+    mean = float(np.mean(ramp_eval(f1, grid)))
     for dk in (4, 6):
-        gap = denjoy_koksma_gap(f1.eval, st.cf.q(dk), 0.3, st.cf, mean=mean)
+        gap = denjoy_koksma_gap(lambda xs: ramp_eval(f1, xs), st.cf.q(dk), 0.3, st.cf, mean=mean)
         assert gap <= var + 1e-6

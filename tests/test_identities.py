@@ -31,9 +31,9 @@ def simple_sieve(limit: int) -> np.ndarray:
 def test_logvector_algebra():
     a = LogVector(dict(factorize(12)))  # 2 log2 + log3
     assert a.coords == {2: Fraction(2), 3: Fraction(1)}
-    assert (a - a).is_zero()
+    assert not (a - a).coords
     assert LogVector.von_mangoldt(9).coords == {3: Fraction(1)}
-    assert LogVector.von_mangoldt(12).is_zero()
+    assert not LogVector.von_mangoldt(12).coords
 
 
 @given(st.integers(1, 5000), st.integers(1, 5000))
@@ -47,14 +47,14 @@ def test_logvector_respects_multiplication(a, b):
 def test_vaughan_examples():
     # n = 7, z = 2: only d = 1 contributes to term1; oracle by hand
     t1, t2, t3, tot = vaughan_decompose(7, 2)
-    assert t1.coords == {7: 1} and t2.is_zero() and t3.is_zero()
+    assert t1.coords == {7: 1} and not t2.coords and not t3.coords
     assert tot.coords == {7: 1}
     # n = 12 composite squareful: total must be Lambda(12) = 0
     _, _, _, tot = vaughan_decompose(12, 2)
-    assert tot.is_zero()
+    assert not tot.coords
     # prime with z = 1: term1 = log p alone
     t1, t2, t3, _ = vaughan_decompose(13, 1)
-    assert t1.coords == {13: 1} and t2.is_zero() and t3.is_zero()
+    assert t1.coords == {13: 1} and not t2.coords and not t3.coords
     with pytest.raises(PreconditionError):
         vaughan_decompose(5, 5)
 
@@ -89,7 +89,7 @@ def _vaughan_oracle(n, z):
             add(0, mud, LogVector(dict(factorize(n))) - LogVector(dict(factorize(d))))
         for c in _divisor_list(n // d):
             lam = LogVector.von_mangoldt(c)
-            if lam.is_zero():
+            if not lam.coords:
                 continue
             if d <= z and c <= z:
                 add(1, mud, lam)

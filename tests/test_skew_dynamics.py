@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,7 +53,7 @@ def _iterate_stepwise(T, n, x, y):
     """Oracle: T applied n times step by step (rounding accumulates)."""
     alpha = float(T.cf.value)
     for _ in range(n):
-        y = (y + float(T.g(x))) % 1.0
+        y = (y + float(T.g.eval(x))) % 1.0
         x = (x + alpha) % 1.0
     return x, y
 
@@ -137,15 +138,18 @@ def _whole_array_averages(T, fs, N, x, y):
 
 
 def _dd_route_fiber(T, ks, x, y):
-    """Oracle: y_k by one frac01_int_mult and one e() over all of ks per frequency."""
+    """Oracle: y_k by one frac01_int_mult and one e() over all of ks per frequency, with
+    kappa_m's own e(m x) from the exact rational m x mod 1 and e(v) - 1 = -2 sin(pi v)**2
+    + i sin(2 pi v), v = m alpha in (-1/2, 1/2], whose parts do not cancel."""
     cf, g = T.cf, T.g
     ys = np.full(ks.shape, float(y))
     for m, a in zip(g.freqs, g.amps):
         m = int(m)
-        denom = e(float(cf.frac_signed(m))) - 1.0
+        v = float(cf.frac_signed(m))
+        denom = complex(-2 * math.sin(math.pi * v) ** 2, math.sin(2 * math.pi * v))
         m_hi, m_lo = dd_from_fraction(cf.frac01(m))
         ratio = (e(frac01_int_mult(ks, m_hi, m_lo)) - 1.0) / denom
-        ys += 2.0 * ((a * np.exp(2j * math.pi * m * x)) * ratio).real
+        ys += 2.0 * ((a * e(float(Fraction(x) * m % 1))) * ratio).real
     return ys
 
 
@@ -169,9 +173,9 @@ def _fiber_unit(T, x):
 
 # per-point bound on |y_table - y_oracle| in units of _fiber_unit (935 = sum |kappa_m| for
 # the prime pair at x = 0.37, so one unit is 4.2e-13).  Measured on 18 windows of the
-# kind below (seeds 0-5 near 1e5, 1e7 and 1e9): table against the dd route at most 6.6
-# units over every prime, against exact phases at most 6.0 units on 600 sampled primes
-# each; the dd route itself is 2.2 units from exact.
+# kind below (seeds 0-5 near 1e5, 1e7 and 1e9): table against the dd route at most 4.4
+# units over every prime, against exact phases and against the long-double oracle at most
+# 4.4 units on 300 sampled primes each; the dd route itself is 2.7 units from the latter.
 FIBER_UNITS = 8
 
 
@@ -187,6 +191,44 @@ def test_fiber_tables_match_dd_route_and_exact_phases(T, near):
     assert np.abs(got - _dd_route_fiber(T, ps, x, y)).max() <= bound
     pick = np.sort(rng.choice(len(ps), 600, replace=False))
     assert np.abs(got[pick] - _exact_phase_fiber(T, ps[pick], x, y)).max() <= bound
+
+
+def _long_double_fiber(T, ks, x, y):
+    """Oracle apart from _fiber_terms and dd.e: every phase (m x, m alpha, k m alpha) an exact
+    rational mod 1, every e() long-double cos and sin, y_k rounded to float once.  e(m alpha) - 1
+    is -2 sin(pi v)**2 + i sin(2 pi v) with v = m alpha in (-1/2, 1/2]: no cancellation."""
+    tau = 8 * np.arctan(np.longdouble(1))  # 2 pi in long double
+
+    def ang(phases):  # 2 pi t in long double: t's float and the float of the rest
+        hi = [float(t) for t in phases]
+        lo = [float(t - Fraction(h)) for t, h in zip(phases, hi)]
+        return tau * (np.array(hi, dtype=np.longdouble) + np.array(lo, dtype=np.longdouble))
+
+    ys = np.full(ks.shape, np.longdouble(y))
+    for m, a in zip(T.g.freqs.tolist(), T.g.amps):
+        theta, v = T.cf.frac01(m), T.cf.frac_signed(m)
+        px, pv, pk = ang([Fraction(x) * m % 1]), ang([v]), ang([int(k) * theta % 1 for k in ks])
+        ar, ai = np.longdouble(a.real), np.longdouble(a.imag)
+        nr, ni = ar * np.cos(px) - ai * np.sin(px), ar * np.sin(px) + ai * np.cos(px)
+        dr, di = -2 * np.sin(pv / 2) ** 2, np.sin(pv)
+        den = dr * dr + di * di
+        kr, ki = (nr * dr + ni * di) / den, (ni * dr - nr * di) / den
+        ys += 2 * (kr * (np.cos(pk) - 1) - ki * np.sin(pk))
+    return ys.astype(np.float64)
+
+
+@pytest.mark.parametrize("near", [10**5, 10**7, 10**9])
+def test_table_fiber_matches_long_double_phases(T, near):
+    # the same bound against an oracle that shares no kappa_m with the table: a kappa_m built
+    # on a float m x and on e(m alpha) - 1, whose real part cancels, put the fiber
+    # 1.3e-9 to 1.9e-9 (3,000 to 4,600 units) from it
+    x, y = 0.37, 0.61
+    rng = np.random.default_rng(near + 1)
+    lo = (near // BLOCK + 1) * BLOCK - int(rng.integers(1, BLOCK // 2))
+    ps = primes_in(lo, lo + BLOCK)
+    pick = ps[np.sort(rng.choice(len(ps), 300, replace=False))]
+    got = _table_fiber(_fiber_terms(T, x), ps, y)[np.searchsorted(ps, pick)]
+    assert np.abs(got - _long_double_fiber(T, pick, x, y)).max() <= FIBER_UNITS * _fiber_unit(T, x)
 
 
 @pytest.mark.parametrize("near", [10**5, 10**7, 10**9])

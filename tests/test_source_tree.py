@@ -3,6 +3,8 @@
 An AST scan of src/skewlab/*.py: a name a module imports must appear in that module,
 and a module-level private name or a private method must be referenced somewhere in
 the package other than at its own definition.  Tests do not count as references.
+And every phase e(t) goes through dd.e: no module but dd.py calls cos, sin (save the
+sine ratio of cocycle._kernel_ratio), cmath or np.exp of a complex argument.
 """
 
 import ast
@@ -63,3 +65,54 @@ def test_every_private_helper_is_referenced():
         unreferenced += [f"{module}: {name}" for name in defined
                          if _private(name) and name not in referenced]
     assert not unreferenced, unreferenced
+
+
+# cos and sin of a phase: dd.e builds every e(t), from its table of roots; math.sin stays
+# only in the sine ratio of cocycle._kernel_ratio, which keeps relative accuracy
+TRIG = {"np.cos", "np.sin", "math.cos"}
+SINE_RATIO = "_kernel_ratio"
+
+
+def _hand_built_phases(tree):
+    """line: name of every hand-built exponential or trig phase in a module's tree."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        if isinstance(node, ast.Import) and any(a.name == "cmath" for a in node.names):
+            found.append(f"{node.lineno}: import cmath")
+        elif isinstance(node, ast.ImportFrom) and node.module == "cmath":
+            found.append(f"{node.lineno}: from cmath")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            name = f"{node.value.id}.{node.attr}"
+            if name in TRIG or node.value.id == "cmath" or (name == "math.sin"
+                                                            and func != SINE_RATIO):
+                found.append(f"{node.lineno}: {name}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)
+              and f"{node.func.value.id}.{node.func.attr}" == "np.exp"
+              and any(isinstance(n, ast.Constant) and isinstance(n.value, complex)
+                      for arg in node.args for n in ast.walk(arg))):
+            found.append(f"{node.lineno}: np.exp of a complex phase")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_phase_goes_through_dd_e():
+    hand_built = [f"{module}:{site}" for module, tree in _modules().items() if module != "dd.py"
+                  for site in _hand_built_phases(tree)]
+    assert not hand_built, hand_built
+
+
+def test_the_phase_guard_sees_each_form():
+    source = ("import cmath\nimport math\nimport numpy as np\n"
+              "def f(x):\n    return np.exp(2j * np.pi * x) + math.cos(x) + cmath.exp(x)\n"
+              "def _kernel_ratio(u):\n    return math.sin(u)\n"
+              "def g(u):\n    return math.sin(u) + np.exp(-u)\n")
+    assert _hand_built_phases(ast.parse(source)) == [
+        "1: import cmath", "5: np.exp of a complex phase", "5: math.cos", "5: cmath.exp",
+        "9: math.sin"]
