@@ -222,9 +222,6 @@ class CharacterTable:
         for ks in itertools.product(*(range(order) for order in self._orders)):
             yield Character(self, ks)
 
-    def principal(self) -> Character:
-        return Character(self, (0,) * len(self.components))
-
     def orthogonality_defect(self) -> float:
         """max over character pairs of |sum_a chi(a) conj(psi(a)) - phi(q) delta|."""
         rows = np.empty((self.phi, self.q), dtype=np.complex128)

@@ -431,8 +431,8 @@ def cmd_ms_sum(N: int = 10**6, H: int = None, r: int = 1, a: int = None,
     _budget("ms-sum H", H, MS_SUM_MAX_H)
     a = (0 if r == 1 else 1) if a is None else a
     g = ShiftedPoly(N, () if coeffs == (0.0,) else coeffs)  # --coeffs 0: no polynomial
+    cls, witness = oscillation_classify(g, H, N, B)  # before ms_gap: a refusal costs no sum
     gap, budget = ms_gap(N, H, r, a, g, eta)
-    cls, witness = oscillation_classify(g, H, N, B)
     return [{"N": N, "H": H, "r": r, "a": a, "deg": g.degree, "gap": gap,
              "budget": budget, "ratio": gap / budget if budget else math.inf,
              "class": cls if witness is None else f"{cls}(q={witness})"}]

@@ -22,6 +22,7 @@ from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import InvalidInputError, PrecisionError
 
 _MIN_DENOM = 1e-300  # ||m*alpha|| below this is outside double range
+BOUND_GRID = 1 << 12  # grid points of the sampled sup of TrigPoly.sup_norm
 
 
 class TrigPoly:
@@ -52,9 +53,9 @@ class TrigPoly:
         factor = (2j * math.pi * self.freqs.astype(np.float64)) ** order
         return TrigPoly(self.freqs.copy(), self.amps * factor)
 
-    def sup_norm(self, grid=1 << 14):
-        """(grid max, refined max) of |f| over a uniform grid plus one Newton step."""
-        xs = np.arange(grid) / grid
+    def sup_norm(self):
+        """(grid max, refined max) of |f| over BOUND_GRID uniform points plus one Newton step."""
+        xs = np.arange(BOUND_GRID) / BOUND_GRID
         vals = np.abs(self.eval(xs))
         i = int(np.argmax(vals))
         grid_max = float(vals[i])

@@ -14,8 +14,6 @@ from fractions import Fraction
 from skewlab.dd import dd_from_fraction
 from skewlab.errors import InvalidInputError, PrecisionError, RangeError
 
-HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class AnalysisParams:
@@ -97,23 +95,26 @@ class ContinuedFraction:
         """(hi, lo) double-double approximation of alpha."""
         return self._dd
 
-    def _frac(self, n: int, edges) -> Fraction:
-        """frac(n*value) in [0, 1), or PrecisionError if frac(n*alpha) may lie across an edge."""
-        v = (n * self.value) % 1
-        d, u = min(abs(v - t) for t in edges), abs(n) * self.err
-        if n and u >= d:
-            raise PrecisionError(f"frac({n}*alpha) = {float(v):.3e} lies {float(d):.3e} from "
-                                 f"an edge, not separated at uncertainty {float(u):.3e}")
-        return v
+    def _frac(self, n: int, signed: bool) -> Fraction:
+        """frac(n*value) in [0, 1), or in (-1/2, 1/2] if signed; PrecisionError if frac(n*alpha)
+        may lie across 0, 1 or (signed) 1/2.  On integers: value = P/Q, err = 1/(Q(Q + Q'));
+        r = n P mod Q lies D/(2Q) from the nearest edge, refused iff |n| err >= D/(2Q)."""
+        P, Q, Q1 = self._p[-1], self._q[-1], self._q[-2]
+        r = n * P % Q
+        D = min(2 * r, 2 * (Q - r), abs(2 * r - Q)) if signed else min(2 * r, 2 * (Q - r))
+        if n and 2 * abs(n) >= D * (Q + Q1):
+            u = float(abs(n) * self.err)
+            raise PrecisionError(f"frac({n}*alpha) = {r / Q:.3e} lies {D / (2 * Q):.3e} from "
+                                 f"an edge, not separated at uncertainty {u:.3e}")
+        return Fraction(r - Q if signed and 2 * r > Q else r, Q)
 
     def frac01(self, n: int) -> Fraction:
         """Exact rational frac(n * value) in [0, 1); certified within |n|*err."""
-        return self._frac(n, (0, 1))
+        return self._frac(n, False)
 
     def frac_signed(self, n: int) -> Fraction:
         """n*alpha reduced to (-1/2, 1/2]; certified within |n|*err of an integer and of 1/2."""
-        v = self._frac(n, (0, HALF, 1))
-        return v if v <= HALF else v - 1
+        return self._frac(n, True)
 
     def dist_to_integers(self, n: int) -> Fraction:
         """||n*alpha|| in [0, 1/2], exact to the tracked precision."""

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from skewlab.cocycle import TrigPoly, _kernel_ratio, birkhoff_closed
+from skewlab.cocycle import BOUND_GRID, TrigPoly, _kernel_ratio, birkhoff_closed
 from skewlab.diophantine import AnalysisParams, ContinuedFraction
 from skewlab.errors import IntegrityError, InvalidInputError, RangeError
-
-BOUND_GRID = 1 << 12  # grid points of the sampled sup of each coefficient
 
 
 @dataclass
@@ -69,7 +67,7 @@ def build_phase_poly(gr, cf: ContinuedFraction, n: int, params: AnalysisParams) 
             stated = math.exp(-params.tau * qn)
         else:
             stated = 1.0 / (float(qn) * float(qn1) ** (s - 1))
-        _, sup = a_s.sup_norm(grid=BOUND_GRID)
+        _, sup = a_s.sup_norm()
         bounds.append((stated, sup))
         if sup > stated * (1 + 1e-9) and (worst is None or sup / stated > worst[3]):
             i = int(np.argmax(np.abs(a_s.eval(np.arange(BOUND_GRID) / BOUND_GRID))))

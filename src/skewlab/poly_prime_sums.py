@@ -19,12 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from skewlab.dd import e, frac01_poly_dd
-from skewlab.errors import InvalidInputError, RangeError
+from skewlab.errors import InvalidInputError, RangeError, ResourceError
 from skewlab.primes import default_source, euler_phi, prime_windows
 
 # integers per chunk of the main term: a degree-3 phase holds ~20 MB of Horner
 # temporaries for it, where a segment window's 2**21 held 320 MB and ran slower
 PHASE_CHUNK = 1 << 17
+# values of q oscillation_classify scans, 0.75-1.7 us each (one to three coefficients
+# tested): 8-17 s
+CLASSIFY_MAX_Q = 10**7
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,8 @@ def oscillation_classify(g: ShiftedPoly, H: int, N: int, B: float):
 
     Non-oscillatory means some q <= (log N)^B has ||q gamma_i|| <=
     (log N)^B / H^i for every i; otherwise some coefficient is far from all
-    low-height rationals and the Weyl regime applies.
+    low-height rationals and the Weyl regime applies.  At most CLASSIFY_MAX_Q
+    values of q are scanned: beyond them, with no witness yet, ResourceError.
     """
     _check_window(N, H)
     if B <= 0:
@@ -128,13 +132,14 @@ def oscillation_classify(g: ShiftedPoly, H: int, N: int, B: float):
         raise RangeError(f"(log N)^B overflows a double at N = {N}, B = {B}") from None
     Q = max(1, math.floor(height))
     thresh = [height / float(H) ** i for i in range(1, g.degree + 1)]
-    for q in range(1, Q + 1):
-        ok = True
-        for i, c in enumerate(g.coeffs, start=1):
+    for q in range(1, min(Q, CLASSIFY_MAX_Q) + 1):
+        for c, t in zip(g.coeffs, thresh):
             v = (q * c) % 1.0
-            if min(v, 1.0 - v) > thresh[i - 1]:
-                ok = False
+            if min(v, 1.0 - v) > t:
                 break
-        if ok:
+        else:
             return "non-oscillatory", q
+    if Q > CLASSIFY_MAX_Q:
+        raise ResourceError(f"classification budget is q <= {CLASSIFY_MAX_Q}, "
+                            f"(log N)^B = {height:.3e} asks for q <= {Q}")
     return "oscillatory", None

@@ -5,14 +5,12 @@ fractional parts (per index) or, vectorized, x_n from dd.frac01_int_mult and
 y_n from per-frequency tables of e(B theta), e(i 2**11 theta), e(j theta) over
 n = B + (i << 11) + j, built once per pass; never by stepwise iteration.  The prime
 log-weighted and reduced-residue averages are one orbit sum with weight log p or 1,
-streamed window by window in memory O(SEGMENT_SIZE): one producer thread draws (sieves)
+streamed window by window in memory O(SEGMENT_SIZE): one executor worker draws (sieves)
 the next window while the calling thread evaluates the current one in chunks, summed
 in a fixed order, so no value depends on the threads.
 Beside them: Weyl sums and an Erdos-Turan star-discrepancy bound.
 """
 
-import queue
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +19,7 @@ import numpy as np
 from skewlab.cocycle import birkhoff_closed, orbit_angles
 from skewlab.dd import BLOCK_BITS, dd_from_fraction, e, frac01_int_mult
 from skewlab.diophantine import ContinuedFraction
-from skewlab.errors import InvalidInputError, RangeError
+from skewlab.errors import InvalidInputError, RangeError, ResourceError
 from skewlab.primes import (coprime_mask, default_source, euler_phi, factorize, prime_windows,
                             segment_windows)
 
@@ -32,6 +30,8 @@ _J_BITS = (BLOCK_BITS + 1) // 2
 # up to 10**5: perfbench counts 1 + len(g.freqs) frac01_int_mult calls (the pass's fiber
 # tables and one orbit_angles chunk) there
 CHUNK = 1 << 14
+# largest index an orbit pass takes: at about 34 ns an index, 2**40 is some 10 hours
+ORBIT_MAX_INDEX = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -118,54 +118,35 @@ def _fiber_gather(b0: int, tables, ks: np.ndarray, y: float) -> np.ndarray:
     return ys
 
 
-def _draw_ahead(windows, permits, stop, ready) -> None:
-    """The producer thread of _orbit_sums: put each window of windows on ready, then None.
-
-    It takes one of the permits before drawing each window and quits once stop is set;
-    an exception ends the queue in place of None, to be raised again by the consumer.
-    """
-    try:
-        it = iter(windows)
-        while True:
-            permits.acquire()
-            if stop.is_set():
-                return
-            window = next(it, None)
-            ready.put(window)
-            if window is None:
-                return
-    except BaseException as exc:  # handed to the calling thread, which raises it
-        ready.put(exc)
-
-
 def _orbit_sums(T: SkewProduct, observables, Ns, x: float, y: float, windows):
     """({(f, N): sum_{k <= N} w_k e_{b,c}(T^k(x,y))}, {N: sum_{k <= N} w_k}), one pass.
 
     windows yields ascending (lo, hi, ks, w): the indices ks in [lo, hi], none above
     max(Ns), and their weights.  (b, c) = (0, 0) gets no entry: its sum is the weight
-    total.  A producer thread draws the windows, at most one ahead of the one in use:
-    it takes one of two permits per window, and this thread gives one back when it asks
-    for the next window.  This thread builds the fiber tables once, before the producer
-    starts, and writes each window's w_k e_{b,c} chunk by chunk into one buffer kept
-    for every window; its np.sum joins a running total in window order, so every value
-    depends on N and the windows alone.  The producer is stopped and joined before the
-    call returns or raises; an exception it meets is raised here.
+    total.  One executor worker draws each next window while this thread evaluates the
+    current one, which it drops before it waits for that draw: at most two are alive.
+    This thread builds the fiber tables once and writes each window's w_k e_{b,c} chunk
+    by chunk into one buffer kept for every window; its np.sum joins a running total in
+    window order, so every value depends on N and the windows alone.  Leaving the
+    executor joins the worker; an exception met while drawing is raised here.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import
+
+    top = int(max(Ns, default=0))
+    if top > ORBIT_MAX_INDEX:
+        raise ResourceError(f"orbit pass budget is N <= {ORBIT_MAX_INDEX} (2**40), got {top}")
     live = [f for f in dict.fromkeys(observables) if (f.b, f.c) != (0, 0)]
-    tables = _fiber_tables(_fiber_terms(T, x), int(max(Ns, default=0))) if live else []
+    tables = _fiber_tables(_fiber_terms(T, x), top) if live else []
     with_x = any(f.b for f in live)
     mass = {N: 0.0 for N in Ns}  # N below the first window: no index <= N
     sums = {(f, N): 0j for f in live for N in Ns}
     mass_run, runs = 0.0, dict.fromkeys(live, 0j)
     buf = np.empty((len(live), 0), dtype=np.complex128)
-    permits, stop, ready = threading.Semaphore(2), threading.Event(), queue.SimpleQueue()
-    producer = threading.Thread(target=_draw_ahead, args=(windows, permits, stop, ready),
-                                name="skewlab-windows")
-    producer.start()
-    try:
-        for window in iter(ready.get, None):
-            if isinstance(window, BaseException):
-                raise window
+    windows = iter(windows)
+    with ThreadPoolExecutor(1, thread_name_prefix="skewlab-windows") as ahead:
+        drawn = ahead.submit(next, windows, None)
+        while (window := drawn.result()) is not None:
+            drawn = ahead.submit(next, windows, None)
             lo, hi, ks, w = window
             here = {N: int(np.searchsorted(ks, N, side="right")) for N in Ns if lo <= N <= hi}
             for N, k in here.items():
@@ -186,12 +167,7 @@ def _orbit_sums(T: SkewProduct, observables, Ns, x: float, y: float, windows):
                 for N, k in here.items():
                     sums[f, N] = runs[f] + np.sum(vals[:k])
                 runs[f] += np.sum(vals)
-            del window, ks, w  # gone before the producer may draw the window after next
-            permits.release()
-    finally:
-        stop.set()
-        permits.release()
-        producer.join()
+            del window, ks, w  # gone before the window after next is drawn
     return sums, mass
 
 

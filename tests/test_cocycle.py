@@ -235,7 +235,7 @@ def test_derivative_frequency_multiplication():
 
 def test_sup_norm_grid_refine():
     g = AnalyticCocycle({1: 0.5}, TAU_P)
-    grid_max, refined = g.sup_norm(grid=1 << 10)
+    grid_max, refined = g.sup_norm()
     assert refined >= grid_max
     assert abs(refined - 1.0) < 1e-10
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from lemmas import k_n, n_star
 from skewlab.diophantine import AnalysisParams, ContinuedFraction, cf_from_real
 from skewlab.errors import InvalidInputError, PrecisionError
+from skewlab.presets import COUNTEREXAMPLE_QUOTIENTS, PHASE_QUOTIENTS, PRIME_QUOTIENTS
 
 
 def test_golden_ratio_fibonacci_denominators():
@@ -108,6 +110,54 @@ def test_fractional_parts_are_certified_or_refused():
         cf.frac_signed(n)
     with pytest.raises(PrecisionError):
         cf.dist_to_integers(-q)
+
+
+def _frac_oracle(cf, n, edges):
+    """frac(n*value) as a Fraction, or None where |n| err reaches the nearest edge."""
+    v = (n * cf.value) % 1
+    d, u = min(abs(v - t) for t in edges), abs(n) * cf.err
+    return None if n and u >= d else v
+
+
+def _certified(f, n):
+    try:
+        return f(n)
+    except PrecisionError:
+        return None
+
+
+def _sampled_indices(cf, rng):
+    """0, +-1, +-Q and +-Q**2, every q_k and its neighbours, and random n of every size."""
+    Q = cf.q(cf.max_index())
+    ns = {0, 1, Q, Q * Q, Q - 1, Q + 1, 2 * Q, Q * Q // 3}
+    for k in range(cf.max_index() + 1):
+        ns.update(cf.q(k) * m + o for m in (1, 2, 3, 7) for o in (-1, 0, 1))
+    for bits in range(1, 2 * Q.bit_length() + 2):
+        ns.update(int.from_bytes(rng.bytes(bits // 8 + 1), "little") % (1 << bits)
+                  for _ in range(4))
+    ns.update(range(300))
+    return sorted(ns | {-n for n in ns})
+
+
+@pytest.mark.parametrize("quotients", [PHASE_QUOTIENTS, PRIME_QUOTIENTS,
+                                       COUNTEREXAMPLE_QUOTIENTS, [1, 2, 3], [2], [1]],
+                         ids=["phase", "prime", "counterexample", "1-2-3", "2", "1"])
+def test_integer_frac_matches_fraction_oracle(quotients):
+    # the Fraction formula the integer _frac replaced, on sampled n: same value, same refusal
+    cf = ContinuedFraction(quotients)
+    ns = _sampled_indices(cf, np.random.default_rng(len(quotients)))
+    refused = undecided = 0
+    for n in ns:
+        want01 = _frac_oracle(cf, n, (0, 1))
+        want = _frac_oracle(cf, n, (0, Fraction(1, 2), 1))
+        assert _certified(cf.frac01, n) == want01, n
+        got = _certified(cf.frac_signed, n)
+        assert got == (None if want is None else want if want <= Fraction(1, 2) else want - 1), n
+        refused += want is None
+        undecided += want01 is not None and want is None
+    assert 0 < refused < len(ns)  # both outcomes are sampled
+    # and n that only the edge 1/2 refuses, but at value 1/1, where 0 refuses every n != 0
+    assert undecided or cf.value == 1
 
 
 @given(st.lists(st.integers(1, 9), min_size=2, max_size=12))

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from lemmas import orbit_return_error, torus_dist, torus_metric
-from skewlab.cocycle import AnalyticCocycle, TrigPoly, birkhoff_closed, reduce
+from skewlab.cocycle import BOUND_GRID, AnalyticCocycle, TrigPoly, birkhoff_closed, reduce
 from skewlab.diophantine import AnalysisParams, ContinuedFraction
 from skewlab.errors import IntegrityError, InvalidInputError, RangeError
-from skewlab.phase_approx import BOUND_GRID, PhasePolynomial, build_phase_poly, polap_error
+from skewlab.phase_approx import PhasePolynomial, build_phase_poly, polap_error
 from skewlab.presets import phase_pair
 
 
@@ -133,7 +133,7 @@ def test_cross_check_sqn_vs_qn_gn(pair):
     qn = cf.q(n)
     block = red.blocks.get(n)
     budget = qn * float(cf.dist_to_integers(qn))
-    dsup = block.derivative(1).sup_norm(grid=1 << 10)[1]
+    dsup = block.derivative(1).sup_norm()[1]
     for x in np.arange(16) / 16:
         lhs = abs(birkhoff_closed(block, cf, qn, float(x)) - qn * block.eval(float(x)))
         assert lhs <= dsup * budget / 2 * (1 + 1e-6) + 1e-12

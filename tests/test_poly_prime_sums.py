@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from skewlab import poly_prime_sums
 from skewlab.dd import e
+from skewlab.errors import ResourceError
 from skewlab.poly_prime_sums import (ShiftedPoly, integer_phase_main_term, ms_gap,
                                      oscillation_classify, prime_phase_sum)
 from skewlab.primes import SEGMENT_SIZE, chebyshev_theta, default_source, euler_phi, primes_in
@@ -142,6 +143,30 @@ def test_oscillation_classify_examples():
     # a quotient-generic irrational with big H: no low-height rational is close
     cls, _ = oscillation_classify(ShiftedPoly(N, (0.6180339887498949,)), 10**6, N, 2.0)
     assert cls == "oscillatory"
+
+
+def test_classification_refuses_beyond_its_q_budget(monkeypatch, capsys):
+    from skewlab.cli import main
+
+    # at B = 8, (log 1e9)^8 ~ 3.4e10 values of q; sqrt(2) - 1 finds its witness at 13,860
+    N, H, root2 = 10**9, 10**5, 0.41421356237309503
+    g = ShiftedPoly(N, (0.0, 0.0, root2))
+    assert oscillation_classify(g, H, N, 8.0) == ("non-oscillatory", 13860)
+    monkeypatch.setattr(poly_prime_sums, "CLASSIFY_MAX_Q", 100)
+    with pytest.raises(ResourceError, match="classification budget is q <= 100"):
+        oscillation_classify(g, H, N, 8.0)
+    # a witness inside the budget still returns
+    assert oscillation_classify(ShiftedPoly(N, (0.0, 0.0, 1 / 7)), H, N, 8.0) == (
+        "non-oscillatory", 7)
+
+    def no_sum(*args):
+        raise AssertionError("ms_gap ran before the refusal")
+
+    monkeypatch.setattr(poly_prime_sums, "ms_gap", no_sum)
+    args = ["ms-sum", "--N", "1e9", "--H", "1e5", "--coeffs", f"0,0,{root2}", "--B", "8"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: classification budget") and len(err.splitlines()) == 1
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3))

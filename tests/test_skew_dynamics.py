@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from skewlab import cocycle, skew_dynamics
 from skewlab.cocycle import AnalyticCocycle, TrigPoly, orbit_angles
 from skewlab.dd import dd_from_fraction, e, frac01_int_mult
 from skewlab.diophantine import ContinuedFraction
-from skewlab.errors import InvalidInputError, RangeError
+from skewlab.errors import InvalidInputError, RangeError, ResourceError
 from skewlab.presets import prime_pair
 from skewlab.primes import (DEFAULT_LIMIT, SEGMENT_SIZE, chebyshev_theta, default_source,
                             euler_phi, prime_windows, primes_in)
@@ -406,7 +407,7 @@ def test_consumer_error_stops_the_producer(T, monkeypatch):
     def gather(b0, tables, ks, y):
         reached.append(int(ks[0]))
         if len(reached) == 2:
-            time.sleep(0.2)  # time enough for a producer without permits to draw every window
+            time.sleep(0.2)  # time enough for a drawer not held one window ahead to draw them all
             raise boom
         return _fiber_gather(b0, tables, ks, y)
 
@@ -420,6 +421,71 @@ def test_consumer_error_stops_the_producer(T, monkeypatch):
     assert threading.active_count() == threads  # the producer was joined
     taken = len({lo for lo, _ in src.calls if lo <= max(reached)})  # windows evaluated
     assert taken == 1 and len(src.calls) <= taken + 1, src.calls
+
+
+class _TrackedSource:
+    """The primes of [2, limit]; each returned array is tracked until it is freed, and
+    each call records how many earlier arrays were still alive when it started."""
+
+    def __init__(self, limit):
+        self.limit, self.alive_at_draw, self._alive = limit, [], []
+
+    def primes_in(self, lo, hi):
+        self.alive_at_draw.append(sum(f.alive for f in self._alive))
+        ps = primes_in(lo, hi)
+        self._alive.append(weakref.finalize(ps, lambda: None))
+        return ps
+
+
+class _EagerExecutor:
+    """An executor whose submit runs the job at once: a worker that starts each draw
+    before the calling thread takes another step, the earliest any worker could."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+@pytest.mark.parametrize("eager", [False, True], ids=["worker", "eager"])
+def test_at_most_one_earlier_window_alive_when_a_draw_starts(T, eager, monkeypatch):
+    import concurrent.futures
+
+    if eager:
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _EagerExecutor)
+    N = 5 * 2 * SEGMENT_SIZE
+    src = _TrackedSource(N)
+    prime_weighted_averages(T, [Observable(1, 1)], (N,), 0.37, 0.61, primes=src)
+    assert len(src.alive_at_draw) == 5
+    # the window in use, and none before it: two windows at most, the one drawn included
+    assert max(src.alive_at_draw) <= 1, src.alive_at_draw
+
+
+def test_orbit_pass_refuses_an_index_bound_it_cannot_finish(T):
+    z = 1 << 60  # 4 TiB of fiber tables for (0, 1); 2**39 windows for (0, 0)
+    for f in (Observable(0, 1), Observable(0, 0)):
+        with pytest.raises(ResourceError, match="orbit pass budget"):
+            reduced_residue_average(T, f, z, 1, 0.0, 0.0)
+
+    class Unbounded(_NoPrimes):
+        limit = 1 << 41
+
+    src = Unbounded()
+    with pytest.raises(ResourceError, match="orbit pass budget"):
+        prime_weighted_average(T, Observable(1, 1), skew_dynamics.ORBIT_MAX_INDEX + 1, 0.0, 0.0,
+                               primes=src)
+    assert src.calls == []  # refused before any window is sieved
 
 
 def test_theta_ratio_equals_chebyshev_theta():
@@ -700,7 +766,7 @@ def test_nazarov_monotone_on_block_family():
     red = creduce(g, cf, _params_of(), 4)
     for n in sorted(red.blocks)[:2]:
         block = red.blocks.get(n)
-        sup = block.sup_norm(grid=1 << 12)[1]
+        sup = block.sup_norm()[1]
         vals = [nazarov_small_set(block, eps * sup, grid=1 << 14)
                 for eps in (0.5, 0.1, 0.01, 1e-4)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))

@@ -5,6 +5,8 @@ and a module-level private name or a private method must be referenced somewhere
 the package other than at its own definition.  Tests do not count as references.
 And every phase e(t) goes through dd.e: no module but dd.py calls cos, sin (save the
 sine ratio of cocycle._kernel_ratio), cmath or np.exp of a complex argument.
+And no module starts threads or processes but the orbit pass of skew_dynamics.py,
+through one concurrent.futures executor.
 """
 
 import ast
@@ -116,3 +118,42 @@ def test_the_phase_guard_sees_each_form():
     assert _hand_built_phases(ast.parse(source)) == [
         "1: import cmath", "5: np.exp of a complex phase", "5: math.cos", "5: cmath.exp",
         "9: math.sin"]
+
+
+# the orbit pass's one executor worker is the package's only concurrency
+THREAD_MODULES = {"threading", "_thread", "queue", "multiprocessing"}
+
+
+def _concurrency_imports(module, tree):
+    """line: module of every import of a threading module, and of concurrent.futures
+    outside skew_dynamics.py."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top in THREAD_MODULES or (top == "concurrent" and module != "skew_dynamics.py"):
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_no_threads_but_the_orbit_pass_executor():
+    found = [f"{module}:{site}" for module, tree in _modules().items()
+             for site in _concurrency_imports(module, tree)]
+    assert not found, found
+
+
+def test_the_concurrency_guard_sees_each_form():
+    source = ("import threading\nfrom queue import SimpleQueue\nimport multiprocessing.pool\n"
+              "def f():\n    from concurrent.futures import ThreadPoolExecutor\n"
+              "    import _thread\n")
+    want = ["1: threading", "2: queue", "3: multiprocessing.pool",
+            "5: concurrent.futures", "6: _thread"]
+    assert sorted(_concurrency_imports("cli.py", ast.parse(source))) == want
+    assert sorted(_concurrency_imports("skew_dynamics.py", ast.parse(source))) == (
+        want[:3] + want[4:])
