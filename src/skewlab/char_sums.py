@@ -43,7 +43,6 @@ BETA_OVERSAMPLE = 4  # beta grid points per unit of H'
 GOLDEN_ITERS = 20  # golden-section steps of windowed_twisted_stat's refine
 HUXLEY_MAX_X = 10**9  # window starts: x = 1e9 takes 19-21 s at any H, under 60 MB
 HUXLEY_MAX_CLASSES = 10**8  # residue classes, 16 bytes each of carried state
-COPRIME_MAX_LENGTH = 10**8  # integers in a window_coprime_count window: one boolean mask
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +495,10 @@ def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int) -> dict:
 
 
 def window_coprime_count(qp: int, y: int, H: int) -> dict:
-    """#{n in [y, y+H] : (n, q') = 1} against the smooth count H phi(q')/q'."""
+    """#{n in [y, y+H] : (n, q') = 1} against the smooth count H phi(q')/q', from one
+    primes.coprime_mask, which refuses a window beyond its budget."""
     if H < 0:
         raise InvalidInputError(f"need H >= 0, got H={H}")
-    if H >= COPRIME_MAX_LENGTH:  # the count holds a mask of the window
-        raise ResourceError(f"coprime window budget is {COPRIME_MAX_LENGTH} integers, got H={H}")
     count = int(np.count_nonzero(coprime_mask(y, y + H, [p for p, _ in factorize(qp)])))
     expected = (H + 1) * euler_phi(qp) / qp
     return {"count": count, "expected": expected, "gap": abs(count - expected)}

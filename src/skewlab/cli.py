@@ -26,13 +26,12 @@ from skewlab.errors import InvalidInputError, PreconditionError, ResourceError, 
 USAGE = "usage: skewlab COMMAND [--config PATH] [--out PATH] [--key value | --key=value ...]"
 
 
-# discrepancy budgets, checked before allocating: N = 10**7 points take 718 MB, and 34 s at
-# K = 50; each of the K Weyl sums costs ~70 ns a point plus ~20 us, the cost of ~256 points
+# discrepancy points, checked before allocating: N = 10**7 points take 718 MB, and 34 s at
+# K = 50; skew_dynamics.DISCREPANCY_MAX_TERMS bounds the K Weyl sums
 DISCREPANCY_MAX_N = 10**7
-DISCREPANCY_MAX_TERMS = 10**9
 # the other work budgets, each about half a minute on a 2-core desk machine
-COCYCLE_MAX_SAMPLES = 10**4  # ~2.2 ms a sample
-PHASE_MAX_ROWS = 5 * 10**4  # ~0.7 ms a row; rows = scales * m_samples * x_grid
+COCYCLE_MAX_SAMPLES = 10**4  # ~0.9 ms a sample, nearly all of it its direct sum
+PHASE_MAX_ROWS = 5 * 10**4  # ~40 us a row; rows = scales * m_samples * x_grid
 # Heath-Brown: k Dirichlet convolutions of ~2 sqrt(N) strided slices, a few ms each at
 # N = 1e5, then one (N // p + 1)-array per prime p <= N, O(N log log N) in all
 IDENTITIES_MAX_N = 10**5
@@ -41,7 +40,6 @@ BUCHSTAB_MAX_WINDOWS = 10**4  # ~2 ms a window
 CHARSUM_MAX_ENTRIES = 10**9
 # charsum windowed: q windows of H' + 1 terms, ~2 us per q * H' (~5 us at H' = 2)
 CHARSUM_MAX_WINDOWED = 10**7
-MS_SUM_MAX_H = 10**8  # streamed: 6 s at degree 0, 28 s at degree 3, 50 MB peak RSS
 RESIDUE_MAX_INDICES = 10**9  # sum of z over the scales; ~34 ns an orbit index
 # the key types a handler may declare, and what a value of each must be
 KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a path or text",
@@ -245,19 +243,16 @@ def cmd_cocycle_check(samples: int = 100, spec: str = None, decay_rate: float = 
 
         _refuse_unread("cocycle-check without --spec", decay_rate=decay_rate, quotients=quotients)
         cf, g, _ = prime_pair()
-    worst_pair = worst_id = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(1, 10_000))
-        m = int(rng.integers(1, 10_000))
-        x = float(rng.random())
-        d = birkhoff_direct(g, cf, n, x)
-        c = birkhoff_closed(g, cf, n, x)
-        worst_pair = max(worst_pair, abs(d - c))
-        lhs = birkhoff_closed(g, cf, n + m, x)
-        rhs = c + birkhoff_closed(g, cf, m, x, orbit_shift=n)
-        worst_id = max(worst_id, abs(lhs - rhs))
-    return [{"check": "closed_vs_direct", "samples": samples, "defect": worst_pair},
-            {"check": "cocycle_identity", "samples": samples, "defect": worst_id}]
+    n, m, x = np.empty(samples, np.int64), np.empty(samples, np.int64), np.empty(samples)
+    for k in range(samples):  # n, m and x of each sample, drawn in that order
+        n[k], m[k], x[k] = rng.integers(1, 10_000), rng.integers(1, 10_000), rng.random()
+    d = np.array([birkhoff_direct(g, cf, nk, xk) for nk, xk in zip(n.tolist(), x.tolist())])
+    c = birkhoff_closed(g, cf, n, x)
+    identity = birkhoff_closed(g, cf, n + m, x) - (c + birkhoff_closed(g, cf, m, x, orbit_shift=n))
+    return [{"check": "closed_vs_direct", "samples": samples,
+             "defect": float(np.max(np.abs(d - c), initial=0.0))},
+            {"check": "cocycle_identity", "samples": samples,
+             "defect": float(np.max(np.abs(identity), initial=0.0))}]
 
 
 def cmd_phase(scales: tuple[int, ...] = (1, 2, 3, 4), m_samples: int = 10, w: int = 1,
@@ -273,10 +268,10 @@ def cmd_phase(scales: tuple[int, ...] = (1, 2, 3, 4), m_samples: int = 10, w: in
         P = build_phase_poly(red, cf, n, params)
         mmax = float(cf.q(n + 1)) ** (1 - params.delta)
         ms = np.unique(np.logspace(0, math.log10(mmax), m_samples).astype(np.int64))
-        for m in ms:
-            for x in np.arange(x_grid) / x_grid:
-                err = polap_error(g, red, P, float(x), int(m), w, cf, params)
-                rows.append({"n": n, "m": int(m), "w": w, "x": float(x), "error": err})
+        m, x = (a.ravel() for a in np.meshgrid(ms, np.arange(x_grid) / x_grid, indexing="ij"))
+        err = polap_error(g, red, P, x, m, w, cf, params)  # rows in (m, x) order
+        rows += [{"n": n, "m": mk, "w": w, "x": xk, "error": ek}
+                 for mk, xk, ek in zip(m.tolist(), x.tolist(), err.tolist())]
     return rows
 
 
@@ -423,7 +418,7 @@ def cmd_identities(n_max: int = 2000, z: tuple[int, ...] = (2, 5, 10),
 
 def cmd_ms_sum(N: int = 10**6, H: int = None, r: int = 1, a: int = None,
                coeffs: tuple[float, ...] = (), eta: float = 0.05, B: float = 2.0):
-    from skewlab.poly_prime_sums import ShiftedPoly, ms_gap, oscillation_classify
+    from skewlab.poly_prime_sums import MS_SUM_MAX_H, ShiftedPoly, ms_gap, oscillation_classify
 
     if N < 2:  # before N**0.7, which is complex for N < 0
         raise PreconditionError(f"ms-sum needs N >= 2, got N={N}")
@@ -470,7 +465,8 @@ def cmd_counterexample(stages: int = 3, include_h: bool = False, mu_twist: bool 
 def cmd_discrepancy(N: tuple[int, ...] = (10**3, 10**4), K: int = 50):
     from skewlab.cocycle import orbit_angles
     from skewlab.presets import prime_pair
-    from skewlab.skew_dynamics import exact_star_discrepancy, star_discrepancy_bound
+    from skewlab.skew_dynamics import (DISCREPANCY_MAX_TERMS, exact_star_discrepancy,
+                                       star_discrepancy_bound)
 
     cf, _, _ = prime_pair()
     for n in N:

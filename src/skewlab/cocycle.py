@@ -6,19 +6,18 @@ construction.  Birkhoff sums come in two routes that cross-check each other:
 the direct n-term orbit sum, and the closed per-frequency form
 S_n(e_m)(x) = e_m(x) (e_m(n alpha) - 1)/(e_m(alpha) - 1) whose cost does not
 grow with n.  Fractional parts of large multiples of alpha come from exact
-rational arithmetic (per frequency) or the offset split of dd.frac01_int_mult
-(per orbit); the phase m x of the closed form is reduced exactly too, as a
-rational, so dd.e gets an argument in [0, 1) that carries no error of m x.
-Every phase goes through dd.e.
+integer arithmetic (per frequency) or the offset split of dd.frac01_int_mult
+(per orbit); the phase m x of the closed form is reduced exactly too, on plain
+integers, so dd.e gets an argument in [0, 1) that carries no error of m x.
+Every phase goes through dd.e, and the closed form takes whole arrays of rows.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from skewlab.dd import e, frac01_int_mult
-from skewlab.diophantine import ContinuedFraction
+from skewlab.diophantine import ContinuedFraction, frac_phase
 from skewlab.errors import InvalidInputError, PrecisionError
 
 _MIN_DENOM = 1e-300  # ||m*alpha|| below this is outside double range
@@ -206,37 +205,43 @@ def birkhoff_direct(g, cf: ContinuedFraction, n: int, x: float) -> float:
     return float(np.sum(g.eval(orbit_angles(cf, np.arange(n, dtype=np.int64), x))))
 
 
-def _kernel_ratio(cf: ContinuedFraction, ms, n: int) -> np.ndarray:
-    """(e_m(n alpha) - 1) / (e_m(alpha) - 1) per frequency m of ms, from exact signed
-    fractional parts.
+def _kernel_ratio(cf: ContinuedFraction, ms, n):
+    """(sines, half) with (e_m(n alpha) - 1) / (e_m(alpha) - 1) = sines e(half) for every n
+    of the array n and every frequency m of ms, shaped n.shape + ms.shape, from exact signed
+    fractional parts; the caller's one e() call takes half.
 
-    It is sin(pi u) / sin(pi v) e((u - v) / 2) with u = m n alpha and v = m alpha reduced
-    to (-1/2, 1/2]: the sines keep their relative accuracy however small ||m alpha|| is.
+    sines = sin(pi u) / sin(pi v) and half = (u - v) / 2 with u = m n alpha and v = m alpha
+    reduced to (-1/2, 1/2]: the sines keep their relative accuracy however small ||m alpha|| is.
     """
-    sines, phases = [], []
-    for m in map(int, ms):
-        v = float(cf.frac_signed(m))
-        if abs(v) < _MIN_DENOM:
-            raise PrecisionError(f"||{m}*alpha|| below double-precision floor")
-        u = float(cf.frac_signed(m * n))
-        sines.append(math.sin(math.pi * u) / math.sin(math.pi * v))
-        phases.append((u - v) / 2)
-    return np.array(sines) * e(np.array(phases))
+    frac = np.frompyfunc(lambda k, m: float(cf.frac_signed(k * m)), 2, 1)
+    sine = np.frompyfunc(math.sin, 1, 1)  # per element: the sine ratio in libm's bits
+    v = frac(1, ms).astype(np.float64)
+    if np.any(tiny := np.abs(v) < _MIN_DENOM):
+        raise PrecisionError(f"||{ms[np.argmax(tiny)]}*alpha|| below double-precision floor")
+    u = frac(np.asarray(n).astype(object)[..., None], ms).astype(np.float64)
+    return (sine(math.pi * u) / sine(math.pi * v)).astype(np.float64), (u - v) / 2
 
 
-def birkhoff_closed(g, cf: ContinuedFraction, n: int, x: float, orbit_shift: int = 0) -> float:
-    """S_n(g)(x + orbit_shift * alpha) by the closed per-frequency form.
+def birkhoff_closed(g, cf: ContinuedFraction, n, x, orbit_shift=0):
+    """S_n(g)(x + orbit_shift * alpha) by the closed per-frequency form, elementwise over
+    broadcast arrays of n, x and orbit_shift: a float when all three are scalars.
 
-    Cost independent of n.  The phase m x + m orbit_shift alpha is reduced mod 1 as
-    an exact rational, so S_m at an orbit point x + k*alpha keeps full accuracy even
+    Cost independent of n.  The phase m x + m orbit_shift alpha is reduced mod 1 exactly
+    (diophantine.frac_phase), so S_m at an orbit point x + k*alpha keeps full accuracy even
     where the kernel ratio is huge (evaluating at the rounded float x + k*alpha would
     amplify its last-bit error by m * |S|, and a float m x rounds by up to m ulp(x)).
+    S_0 is exactly 0.0.
     """
-    if n < 0:
+    # object arrays of Python ints: m n and m orbit_shift stay exact however large
+    n, x, shift = np.broadcast_arrays(np.asarray(n).astype(object), np.asarray(x, np.float64),
+                                      np.asarray(orbit_shift).astype(object))
+    if np.any(n < 0):
         raise InvalidInputError("n must be >= 0")
-    if n == 0:
-        return 0.0
-    phases = [Fraction(x) * m + (cf.frac01(m * orbit_shift) if orbit_shift else 0)
-              for m in map(int, g.freqs)]
-    terms = g.amps * e(np.array([float(p % 1) for p in phases])) * _kernel_ratio(cf, g.freqs, n)
-    return float(2.0 * terms.real.sum())
+    out = np.zeros(n.shape)
+    if np.any(live := n != 0):
+        phase = np.frompyfunc(lambda y, s, m: frac_phase(y, m, cf.frac01(m * s) if s else 0), 3, 1)
+        phases = phase(x[live][:, None], shift[live][:, None], g.freqs).astype(np.float64)
+        sines, half = _kernel_ratio(cf, g.freqs, n[live])
+        turns = e(np.stack([phases, half]))
+        out[live] = 2.0 * (g.amps * turns[0] * (sines * turns[1])).real.sum(axis=-1)
+    return out if out.shape else float(out)

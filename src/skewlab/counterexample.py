@@ -30,7 +30,7 @@ from skewlab.dd import MULMOD_LIMIT, dd_div_int, e, floor_frac_dd, mulmod, round
 from skewlab.diophantine import ContinuedFraction
 from skewlab.errors import (ConstructionError, IncompleteError, InvalidInputError,
                             PreconditionError, RangeError, StateError)
-from skewlab.primes import mobius_upto, primes_in
+from skewlab.primes import mobius_upto
 
 GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
 BUMP_WIDTH = 0.25  # half-width of bump_average's triangle around y = 1/2
@@ -38,41 +38,16 @@ Q_CAP = 4e11  # the automatic stage indices stop before a convergent denominator
 
 
 class AlmostSparseSet:
-    """Windows of the supported descriptors: members with the bad set B_N removed.
-
-    squares: A = {m^2}, B_N empty (window gaps grow like sqrt even though the
-    global minimal gap stays 3).
-    primes: B_N removes both members of any prime pair at distance <= c(N),
-    c(N) = ceil(loglog N), so the surviving gaps exceed c(N).
-    """
-
-    def __init__(self, descriptor="squares"):
-        if descriptor not in ("squares", "primes"):
-            raise InvalidInputError(f"unknown descriptor {descriptor!r}")
-        self.descriptor = descriptor
-
-    @staticmethod
-    def gap_filter(N: int) -> int:
-        """c(N) = ceil(loglog N), at least 1: the primes descriptor's pair distance."""
-        return max(1, math.ceil(math.log(max(math.log(max(N, 3)), 1.0001))))
-
-    def _members(self, lo: int, hi: int) -> np.ndarray:
-        """Sorted squares in [lo, hi] as an int64 array."""
-        if hi >= 2**63:
-            raise RangeError(f"squares up to {hi} leave int64")
-        m = np.arange(math.isqrt(max(lo - 1, 0)) + 1, math.isqrt(hi) + 1, dtype=np.int64)
-        m *= m
-        return m
+    """The squares A = {m^2}, windowed, with an empty bad set B_N: window gaps grow like
+    sqrt even though the global minimal gap stays 3."""
 
     def window(self, lo: int, hi: int) -> np.ndarray:
-        """Sorted members of A in [lo, hi] with B_hi removed, as an int64 array."""
-        if self.descriptor == "primes":
-            # a pair closer than c(hi) with a member >= lo has both members >= lo - c(hi)
-            ps = primes_in(max(2, lo - self.gap_filter(hi)), hi)
-            close = np.diff(ps) <= self.gap_filter(hi)  # pairs (ps[i], ps[i+1])
-            bad = np.r_[close, False] | np.r_[False, close] if ps.size else close
-            return ps[(ps >= lo) & ~bad]
-        return self._members(lo, hi)
+        """Sorted members of A in [lo, hi] as an int64 array (empty where hi < lo)."""
+        if hi >= 2**63:
+            raise RangeError(f"squares up to {hi} leave int64")
+        m = np.arange(math.isqrt(max(lo - 1, 0)) + 1, math.isqrt(max(hi, 0)) + 1, dtype=np.int64)
+        m *= m
+        return m
 
 
 def eps_n(A: AlmostSparseSet, n: int) -> Fraction:
@@ -243,8 +218,6 @@ class StageConstruction:
                  n_stages: int = 3, include_h: bool = False, mu_twist: bool = False):
         if n_stages < 1:
             raise InvalidInputError(f"n_stages must be >= 1, got {n_stages}")
-        if mu_twist and sparse_set.descriptor != "squares":
-            raise InvalidInputError("mu-twist variant requires the squares descriptor")
         self.cf = cf
         self.A = sparse_set
         self.include_h = include_h
@@ -491,7 +464,7 @@ class StageConstruction:
                 }
             stages.append(rec)
         payload = {
-            "descriptor": self.A.descriptor,
+            "descriptor": "squares",
             "quotients": self.cf.quotients,
             "stage_k": self.stage_k,
             "stage_l": self.stage_l,

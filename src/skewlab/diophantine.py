@@ -138,6 +138,15 @@ class ContinuedFraction:
         return len(a)
 
 
+def frac_phase(x: float, m: int, r) -> float:
+    """frac(m x + r) for a double x, an integer m and an int or Fraction r (as frac01 gives),
+    on plain integers: x = X / 2**k exactly, so the phase is one residue over 2**k times r's
+    denominator, and one int/int division rounds it correctly, as float(Fraction) does."""
+    X, D = x.as_integer_ratio()
+    den = D * r.denominator
+    return (m * X * r.denominator + r.numerator * D) % den / den
+
+
 def cf_from_real(alpha: str, depth: int) -> ContinuedFraction:
     """Expand a decimal string in (0,1), like "0.61803...", to ``depth`` partial quotients.
 

@@ -24,8 +24,6 @@ import numpy as np
 from skewlab.errors import IntegrityError, PreconditionError, ResourceError
 from skewlab.primes import coprime_mask, factorize, mobius_upto, primes_in
 
-BUCHSTAB_MAX_LENGTH = 10**8  # integers in a Buchstab window: one boolean mask of them
-
 
 class LogVector:
     """Element of the rational vector space with basis {log p : p prime}.
@@ -217,16 +215,14 @@ def _sieved_count(lo: int, hi: int, primes) -> int:
 def buchstab_check(n_range, w: int, z: int):
     """(lhs, rhs) of Buchstab's identity S(A,z) = S(A,w) - sum_{w<=p<z} S(A_p,p).
 
-    A is the integer window [lo, hi]; counts are exact enumerations.
+    A is the integer window [lo, hi]; counts are exact enumerations, each from one
+    primes.coprime_mask, which refuses a window beyond its budget.
     """
     lo, hi = map(int, n_range)
     if lo < 1:
         raise PreconditionError(f"need lo >= 1, got lo={lo}")
     if not 2 <= w <= z:
         raise PreconditionError(f"need 2 <= w <= z, got w={w}, z={z}")
-    if hi - lo >= BUCHSTAB_MAX_LENGTH:  # each count holds a mask of the window
-        raise ResourceError(f"Buchstab window budget is {BUCHSTAB_MAX_LENGTH} integers, "
-                            f"got [{lo}, {hi}]")
     primes = primes_in(2, z - 1).tolist()
     lhs = _sieved_count(lo, hi, primes)
     first = bisect.bisect_left(primes, w)

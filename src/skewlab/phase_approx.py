@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from skewlab.cocycle import BOUND_GRID, TrigPoly, _kernel_ratio, birkhoff_closed
+from skewlab.dd import e
 from skewlab.diophantine import AnalysisParams, ContinuedFraction
 from skewlab.errors import IntegrityError, InvalidInputError, RangeError
 
@@ -27,12 +28,13 @@ class PhasePolynomial:
     coeff_fns: list  # TrigPoly per s = 1..degree
     bounds: list  # per s: (stated bound, sampled refined sup)
 
-    def eval(self, x, m) -> float:
+    def eval(self, x, m):
+        """P_n at broadcast arrays of x and m: a float when both are scalars."""
         x = np.asarray(x, dtype=np.float64)
+        mo = np.asarray(m, np.float64).astype(object)  # Python's pow: numpy's m**s differs, s >= 4
         total = np.zeros(x.shape)
-        mf = float(m)
         for s, a_s in enumerate(self.coeff_fns, start=1):
-            total = total + a_s.eval(x) * mf**s
+            total = total + a_s.eval(x) * np.asarray(mo**s, dtype=np.float64)
         return total if total.shape else float(total)
 
 
@@ -53,12 +55,12 @@ def build_phase_poly(gr, cf: ContinuedFraction, n: int, params: AnalysisParams) 
     qn1 = cf.q(n + 1)
     dist = float(cf.dist_to_integers(qn))
 
+    sines, half = _kernel_ratio(cf, g_n.freqs, qn)  # one for every s: derivatives keep freqs
+    ratio = sines * e(half)
     coeff_fns = [g_n]
     for s in range(2, d + 1):
-        deriv = g_n.derivative(s - 1)
         scale = dist ** (s - 1) / (float(qn) ** s * math.factorial(s))
-        amps = deriv.amps * _kernel_ratio(cf, deriv.freqs, qn) * scale
-        coeff_fns.append(TrigPoly(deriv.freqs.copy(), amps))
+        coeff_fns.append(TrigPoly(g_n.freqs.copy(), g_n.derivative(s - 1).amps * ratio * scale))
 
     bounds = []
     worst = None
@@ -80,20 +82,21 @@ def build_phase_poly(gr, cf: ContinuedFraction, n: int, params: AnalysisParams) 
     return PhasePolynomial(n=n, degree=d, coeff_fns=coeff_fns, bounds=bounds)
 
 
-def polap_error(g, gr, P: PhasePolynomial, x: float, m: int, w: int,
-                cf: ContinuedFraction, params: AnalysisParams) -> float:
-    """|S_m(g)(x) - S_{m mod w q_n}(g)(x) - P_n(x, m)|.
+def polap_error(g, gr, P: PhasePolynomial, x, m, w: int,
+                cf: ContinuedFraction, params: AnalysisParams):
+    """|S_m(g)(x) - S_{m mod w q_n}(g)(x) - P_n(x, m)| at broadcast arrays of x and m: a
+    float when both are scalars.
 
     The approximation is only guaranteed for m <= q_{n+1}^{1-delta} and
     w <= log^3 q_n; outside those ranges a RangeError is raised.
     """
     n = P.n
     qn, qn1 = cf.q(n), cf.q(n + 1)
-    if m > float(qn1) ** (1.0 - params.delta):
-        raise RangeError(f"m = {m} beyond q_(n+1)^(1-delta)")
+    m = np.asarray(m)
+    if np.any(m > float(qn1) ** (1.0 - params.delta)):
+        raise RangeError(f"m = {np.max(m)} beyond q_(n+1)^(1-delta)")
     if w < 1 or w > max(1.0, math.log(qn) ** 3):
         raise RangeError(f"w = {w} beyond log^3 q_n")
-    m_red = m % (w * qn)
     s_m = birkhoff_closed(g, cf, m, x)
-    s_red = birkhoff_closed(g, cf, m_red, x)
+    s_red = birkhoff_closed(g, cf, m % (w * qn), x)
     return abs(s_m - s_red - P.eval(x, m))

@@ -9,7 +9,7 @@ tau = 1) and |gamma_i| <= H^(1-i); sums outside it warn.
 
 Both sums of ms_gap stream: the prime sum walks the prime windows of
 [N, N+H] and the integer main term takes PHASE_CHUNK integers at a time, so
-memory does not grow with H, and time alone sets the CLI's H budget.
+memory does not grow with H, and time alone sets its budget MS_SUM_MAX_H.
 """
 
 import math
@@ -25,9 +25,9 @@ from skewlab.primes import default_source, euler_phi, prime_windows
 # integers per chunk of the main term: a degree-3 phase holds ~20 MB of Horner
 # temporaries for it, where a segment window's 2**21 held 320 MB and ran slower
 PHASE_CHUNK = 1 << 17
-# values of q oscillation_classify scans, 0.75-1.7 us each (one to three coefficients
-# tested): 8-17 s
-CLASSIFY_MAX_Q = 10**7
+CLASSIFY_MAX_Q = 10**7  # values of q oscillation_classify scans: 0.5-1 s at degree 3
+CLASSIFY_BLOCK = 1 << 16  # values of q it tests at a time
+MS_SUM_MAX_H = 10**8  # main-term integers: 6 s at degree 0, 28 s at degree 3, 50 MB peak RSS
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,19 @@ def prime_phase_sum(N: int, H: int, r: int, a: int, g: ShiftedPoly,
     return total
 
 
+def _check_main_term(N: int, H: int):
+    if H > MS_SUM_MAX_H:
+        raise ResourceError(f"main term budget is H <= {MS_SUM_MAX_H}, got H={H}")
+    if max(abs(N), abs(N + H)) >= 2**63:
+        raise RangeError(f"window [{N}, {N + H}] leaves int64")
+
+
 def integer_phase_main_term(N: int, H: int, r: int, g: ShiftedPoly) -> complex:
     """(1/phi(r)) sum over integers n in [N, N+H] of e(g(n)), PHASE_CHUNK
-    integers at a time."""
+    integers at a time, for H <= MS_SUM_MAX_H."""
     if r < 1:
         raise InvalidInputError("r must be >= 1")
+    _check_main_term(N, H)
     total = 0j
     for lo in range(N, N + H + 1, PHASE_CHUNK):
         ns = np.arange(lo, min(lo + PHASE_CHUNK, N + H + 1), dtype=np.int64)
@@ -109,6 +117,7 @@ def ms_gap(N: int, H: int, r: int, a: int, g: ShiftedPoly, eta: float, primes=No
     _check_window(N, H)
     if not 0 < eta < 1:
         raise InvalidInputError(f"need eta in (0, 1), got eta={eta}")
+    _check_main_term(N, H)  # before the prime sum
     s = prime_phase_sum(N, H, r, a, g, primes=primes)
     m = integer_phase_main_term(N, H, r, g)
     budget = eta * math.log(1.0 / eta) * H / euler_phi(r)
@@ -120,8 +129,9 @@ def oscillation_classify(g: ShiftedPoly, H: int, N: int, B: float):
 
     Non-oscillatory means some q <= (log N)^B has ||q gamma_i|| <=
     (log N)^B / H^i for every i; otherwise some coefficient is far from all
-    low-height rationals and the Weyl regime applies.  At most CLASSIFY_MAX_Q
-    values of q are scanned: beyond them, with no witness yet, ResourceError.
+    low-height rationals and the Weyl regime applies.  The q are tested whole-array,
+    CLASSIFY_BLOCK at a time, and the least that passes is the witness.  At most
+    CLASSIFY_MAX_Q values are scanned: beyond them, with no witness yet, ResourceError.
     """
     _check_window(N, H)
     if B <= 0:
@@ -132,13 +142,13 @@ def oscillation_classify(g: ShiftedPoly, H: int, N: int, B: float):
         raise RangeError(f"(log N)^B overflows a double at N = {N}, B = {B}") from None
     Q = max(1, math.floor(height))
     thresh = [height / float(H) ** i for i in range(1, g.degree + 1)]
-    for q in range(1, min(Q, CLASSIFY_MAX_Q) + 1):
-        for c, t in zip(g.coeffs, thresh):
-            v = (q * c) % 1.0
-            if min(v, 1.0 - v) > t:
-                break
-        else:
-            return "non-oscillatory", q
+    top = min(Q, CLASSIFY_MAX_Q)
+    for lo in range(1, top + 1, CLASSIFY_BLOCK):
+        q = np.arange(lo, min(lo + CLASSIFY_BLOCK, top + 1))
+        v = np.remainder(np.multiply.outer(q, g.coeffs), 1.0)  # Python's float %, bit for bit
+        far = (np.minimum(v, 1.0 - v) > thresh).any(axis=1)
+        if not far.all():
+            return "non-oscillatory", lo + int(np.argmin(far))
     if Q > CLASSIFY_MAX_Q:
         raise ResourceError(f"classification budget is q <= {CLASSIFY_MAX_Q}, "
                             f"(log N)^B = {height:.3e} asks for q <= {Q}")

@@ -73,5 +73,5 @@ def prime_pair():
 def counterexample_stages(n_stages=3, include_h=False, mu_twist=False) -> StageConstruction:
     quotients = COUNTEREXAMPLE_H_QUOTIENTS if include_h else COUNTEREXAMPLE_QUOTIENTS
     cf = ContinuedFraction(quotients)
-    return StageConstruction(cf, AlmostSparseSet("squares"), n_stages=n_stages,
+    return StageConstruction(cf, AlmostSparseSet(), n_stages=n_stages,
                              include_h=include_h, mu_twist=mu_twist)

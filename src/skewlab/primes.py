@@ -15,6 +15,7 @@ from skewlab.errors import InvalidInputError, RangeError, ResourceError
 DEFAULT_LIMIT = 2_000_000_000
 SEGMENT_SIZE = 1 << 20  # odd numbers per segment
 MOBIUS_MAX_N = 10**8  # mobius_upto holds about 18 bytes per n: 1.8 GB here
+MASK_MAX_LENGTH = 10**8  # integers in one coprime_mask window, a byte each
 
 
 def segment_windows(N: int, start: int = 2):
@@ -126,7 +127,10 @@ def factorize(n: int):
 
 
 def coprime_mask(lo: int, hi: int, primes) -> np.ndarray:
-    """Boolean mask over [lo, hi]: True where n is divisible by none of the primes."""
+    """Boolean mask over [lo, hi]: True where n is divisible by none of the primes.
+    ResourceError for a window of more than MASK_MAX_LENGTH integers."""
+    if hi - lo >= MASK_MAX_LENGTH:
+        raise ResourceError(f"coprime mask budget is {MASK_MAX_LENGTH}, got [{lo}, {hi}]")
     keep = np.ones(max(hi - lo + 1, 0), dtype=bool)
     for p in primes:
         keep[-lo % p :: p] = False

@@ -12,13 +12,12 @@ Beside them: Weyl sums and an Erdos-Turan star-discrepancy bound.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from skewlab.cocycle import birkhoff_closed, orbit_angles
 from skewlab.dd import BLOCK_BITS, dd_from_fraction, e, frac01_int_mult
-from skewlab.diophantine import ContinuedFraction
+from skewlab.diophantine import ContinuedFraction, frac_phase
 from skewlab.errors import InvalidInputError, RangeError, ResourceError
 from skewlab.primes import (coprime_mask, default_source, euler_phi, factorize, prime_windows,
                             segment_windows)
@@ -32,6 +31,8 @@ _J_BITS = (BLOCK_BITS + 1) // 2
 CHUNK = 1 << 14
 # largest index an orbit pass takes: at about 34 ns an index, 2**40 is some 10 hours
 ORBIT_MAX_INDEX = 1 << 40
+# star_discrepancy_bound's K (N + 256): a Weyl sum costs ~70 ns a point plus ~20 us (256 points)
+DISCREPANCY_MAX_TERMS = 10**9
 
 
 @dataclass(frozen=True)
@@ -62,15 +63,16 @@ def _fiber_terms(T: SkewProduct, x: float):
 
     S_n(g)(x) = sum_m 2 Re kappa_m (e(n m alpha) - 1), kappa_m = a_m e(m x) / (e(m alpha) - 1).
     With v = m alpha reduced to (-1/2, 1/2], e(v) - 1 = 2i sin(pi v) e(v / 2), so
-    kappa_m = a_m e(m x - v / 2) / (2i Im e(v / 2)): the phase is reduced mod 1 as an exact
-    rational, and the sine keeps its relative accuracy where e(v) - 1 would cancel.
+    kappa_m = a_m e(m x - v / 2) / (2i Im e(v / 2)): the phase is reduced mod 1 exactly
+    (diophantine.frac_phase), and the sine keeps its relative accuracy where e(v) - 1 would
+    cancel.
     """
     cf = T.cf
     terms = []
     for m, a in zip(T.g.freqs, T.g.amps):
         m = int(m)
         v = cf.frac_signed(m)
-        kappa = a * e(float((Fraction(x) * m - v / 2) % 1)) / (2j * e(float(v / 2)).imag)
+        kappa = a * e(frac_phase(x, m, -v / 2)) / (2j * e(float(v / 2)).imag)
         terms.append((*dd_from_fraction(cf.frac01(m)), 2.0 * kappa))
     return terms
 
@@ -254,6 +256,9 @@ def star_discrepancy_bound(points, K: int) -> float:
     if K < 1:
         raise InvalidInputError("K must be >= 1")
     pts = _nonempty(points)
+    if K * (pts.size + 256) > DISCREPANCY_MAX_TERMS:
+        raise ResourceError(f"discrepancy budget is K (N + 256) <= {DISCREPANCY_MAX_TERMS}, "
+                            f"got N={pts.size}, K={K}")
     total = 1.0 / K
     for k in range(1, K + 1):
         total += 3.0 * abs(weyl_sum(pts, k)) / k

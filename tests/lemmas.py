@@ -9,7 +9,10 @@ and orbit return error, the residue progression and twisted window sums, the
 partition lemma, the whole-array sliding-window L1 (the oracle of the streamed
 statistic), the Nazarov small-set measures, and the float evaluation of the
 counterexample's terms (the package evaluates them exactly, at rationals and at
-orbit points).
+orbit points).  Beside them, oracles of whole-array package code: the closed
+Birkhoff form one row at a time with Fraction phases, the short-sum classifier
+one q at a time, and the primes as an almost-sparse set (the package keeps the
+squares alone).
 
 pytest does not collect this file; test modules import it as a sibling
 (``from lemmas import ...``), since pytest puts the directory of each test
@@ -26,10 +29,11 @@ import numpy as np
 from skewlab.cocycle import (AnalyticCocycle, ReducedCocycle, TrigPoly, birkhoff_closed,
                              orbit_angles)
 from skewlab.counterexample import RampFunction, _circle_dist
+from skewlab import poly_prime_sums
 from skewlab.dd import e, mulmod
 from skewlab.diophantine import AnalysisParams, ContinuedFraction
-from skewlab.errors import (IntegrityError, InvalidInputError, PreconditionError, RangeError,
-                            ResourceError)
+from skewlab.errors import (IntegrityError, InvalidInputError, PrecisionError,
+                            PreconditionError, RangeError, ResourceError)
 from skewlab.primes import coprime_mask, euler_phi, factorize, primes_in
 
 
@@ -208,6 +212,35 @@ def birkhoff_prefix(g, cf: ContinuedFraction, n: int, x: float) -> np.ndarray:
     return out
 
 
+def _kernel_ratio_per_frequency(cf: ContinuedFraction, ms, n: int) -> np.ndarray:
+    """(e_m(n alpha) - 1) / (e_m(alpha) - 1) per frequency m of ms, one frequency at a time:
+    the oracle of cocycle._kernel_ratio."""
+    sines, phases = [], []
+    for m in map(int, ms):
+        v = float(cf.frac_signed(m))
+        if abs(v) < 1e-300:
+            raise PrecisionError(f"||{m}*alpha|| below double-precision floor")
+        u = float(cf.frac_signed(m * n))
+        sines.append(math.sin(math.pi * u) / math.sin(math.pi * v))
+        phases.append((u - v) / 2)
+    return np.array(sines) * e(np.array(phases))
+
+
+def birkhoff_closed_fraction(g, cf: ContinuedFraction, n: int, x: float,
+                             orbit_shift: int = 0) -> float:
+    """S_n(g)(x + orbit_shift * alpha) by the closed form for one row, its phases reduced
+    as Fractions: the oracle of the whole-array cocycle.birkhoff_closed."""
+    if n < 0:
+        raise InvalidInputError("n must be >= 0")
+    if n == 0:
+        return 0.0
+    phases = [Fraction(x) * m + (cf.frac01(m * orbit_shift) if orbit_shift else 0)
+              for m in map(int, g.freqs)]
+    terms = (g.amps * e(np.array([float(p % 1) for p in phases]))
+             * _kernel_ratio_per_frequency(cf, g.freqs, n))
+    return float(2.0 * terms.real.sum())
+
+
 def birkhoff_sup_bound(g, cf: ContinuedFraction) -> float:
     """The a-priori bound 4 * sum |a_m| / ||m alpha||, valid for every n."""
     total = 0.0
@@ -301,6 +334,57 @@ def twisted_residue_window(q: int, d: int, r: int, a: int, y: int, H: int, beta:
     cop_rd = cop_d & coprime_mask(y, y + H, [p for p, _ in factorize(r)])
     second = complex(np.sum(e(n[cop_rd] * beta)) / euler_phi(r))
     return first, second
+
+
+# ---------------------------------------------------------------------------
+# short prime sums: the classifier one q at a time
+
+
+def oscillation_classify_per_q(g, H: int, N: int, B: float):
+    """poly_prime_sums.oscillation_classify testing one q per step, under the same
+    poly_prime_sums.CLASSIFY_MAX_Q: its oracle."""
+    if N < 2 or H < 1:
+        raise InvalidInputError(f"need N >= 2 and H >= 1, got N={N}, H={H}")
+    if B <= 0:
+        raise InvalidInputError("B must be positive")
+    try:
+        height = math.log(N) ** B
+    except OverflowError:
+        raise RangeError(f"(log N)^B overflows a double at N = {N}, B = {B}") from None
+    Q = max(1, math.floor(height))
+    thresh = [height / float(H) ** i for i in range(1, g.degree + 1)]
+    budget = poly_prime_sums.CLASSIFY_MAX_Q
+    for q in range(1, min(Q, budget) + 1):
+        for c, t in zip(g.coeffs, thresh):
+            v = (q * c) % 1.0
+            if min(v, 1.0 - v) > t:
+                break
+        else:
+            return "non-oscillatory", q
+    if Q > budget:
+        raise ResourceError(f"classification budget is q <= {budget}, "
+                            f"(log N)^B = {height:.3e} asks for q <= {Q}")
+    return "oscillatory", None
+
+
+# ---------------------------------------------------------------------------
+# the primes as an almost-sparse set
+
+
+def prime_gap_filter(N: int) -> int:
+    """c(N) = ceil(loglog N), at least 1: the pair distance of the primes' bad set B_N."""
+    return max(1, math.ceil(math.log(max(math.log(max(N, 3)), 1.0001))))
+
+
+def prime_sparse_window(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi] with B_hi removed: both members of any prime pair at distance
+    <= c(hi), so the surviving gaps exceed c(hi)."""
+    c = prime_gap_filter(hi)
+    # a pair closer than c(hi) with a member >= lo has both members >= lo - c(hi)
+    ps = primes_in(max(2, lo - c), hi)
+    close = np.diff(ps) <= c  # pairs (ps[i], ps[i+1])
+    bad = np.r_[close, False] | np.r_[False, close] if ps.size else close
+    return ps[(ps >= lo) & ~bad]
 
 
 # ---------------------------------------------------------------------------

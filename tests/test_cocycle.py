@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lemmas import birkhoff_prefix, birkhoff_sup_bound, coboundary_drift, denjoy_koksma_gap
+from lemmas import (birkhoff_closed_fraction, birkhoff_prefix, birkhoff_sup_bound,
+                    coboundary_drift, denjoy_koksma_gap)
 from skewlab.cocycle import AnalyticCocycle, TrigPoly, birkhoff_closed, birkhoff_direct, reduce
 from skewlab.diophantine import AnalysisParams, ContinuedFraction
 from skewlab.errors import InvalidInputError
@@ -179,6 +180,38 @@ def test_closed_form_matches_direct_sum_on_the_cli_draw():
         n, _, x = int(rng.integers(1, 10_000)), rng.integers(1, 10_000), float(rng.random())
         worst = max(worst, abs(birkhoff_direct(g, cf, n, x) - birkhoff_closed(g, cf, n, x)))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("preset", ["prime", "phase"])
+def test_closed_form_matches_the_fraction_oracle(preset):
+    # the whole-array form against the per-row Fraction form it replaced, bit for bit: rows
+    # with n = 0, with orbit_shift 0 and not, x outside [0, 1), array and scalar input
+    from skewlab.presets import phase_pair, prime_pair
+
+    cf, g = (prime_pair() if preset == "prime" else phase_pair())[:2]
+    rng = np.random.default_rng(11)
+    rows = 3000
+    n = rng.integers(0, 20_000, rows)
+    n[:100] = 0
+    x = rng.random(rows) * rng.choice([1.0, -3.0, 1e3], rows)
+    shift = np.where(rng.random(rows) < 0.5, 0, rng.integers(1, 20_000, rows))
+    want = np.array([birkhoff_closed_fraction(g, cf, int(a), float(b), int(c))
+                     for a, b, c in zip(n, x, shift)])
+    got = birkhoff_closed(g, cf, n, x, shift)
+    assert got.shape == (rows,) and np.array_equal(got, want)
+    assert not np.any(np.signbit(got[:100]))  # S_0 is exactly 0.0
+    assert birkhoff_closed(g, cf, n.reshape(60, 50), x.reshape(60, 50),
+                           shift.reshape(60, 50)).ravel().tolist() == want.tolist()
+    for a, b, c, w in list(zip(n.tolist(), x.tolist(), shift.tolist(), want.tolist()))[::10]:
+        v = birkhoff_closed(g, cf, a, b, orbit_shift=c)
+        assert type(v) is float and v == w
+    # broadcasting: one n over many x, one x over many n
+    assert birkhoff_closed(g, cf, 777, x[:50]).tolist() == [
+        birkhoff_closed_fraction(g, cf, 777, b) for b in x[:50].tolist()]
+    assert birkhoff_closed(g, cf, n[:50], 0.25).tolist() == [
+        birkhoff_closed_fraction(g, cf, a, 0.25) for a in n[:50].tolist()]
+    with pytest.raises(InvalidInputError):
+        birkhoff_closed(g, cf, np.array([3, -1]), 0.5)
 
 
 def test_denjoy_koksma(cf):

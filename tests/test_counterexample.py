@@ -8,8 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lemmas import (continuity_certificate, g_truncated, ramp_eval, rigidity_distribution_gap,
-                    tent_eval, tent_variation)
+from lemmas import (continuity_certificate, g_truncated, prime_gap_filter, prime_sparse_window,
+                    ramp_eval, rigidity_distribution_gap, tent_eval, tent_variation)
 from skewlab.counterexample import (Q_CAP, AlmostSparseSet, RampFunction, StageConstruction,
                                     TentFunction, eps_n, orbit_cells)
 from skewlab.dd import MULMOD_LIMIT
@@ -219,7 +219,7 @@ def test_float_path_residue_is_exact(solved3):
 
 
 def test_squares_descriptor_windows():
-    A = AlmostSparseSet("squares")
+    A = AlmostSparseSet()
     # every square in [1, 100] survives: B_100 is empty
     assert A.window(1, 100).tolist() == [1, 4, 9, 16, 25, 36, 49, 64, 81, 100]
     # consecutive gaps grow along windows
@@ -229,10 +229,9 @@ def test_squares_descriptor_windows():
 
 
 def test_primes_descriptor_gap_filter():
-    A = AlmostSparseSet("primes")
     N = 10**4
-    surv = A.window(0, N)
-    c = A.gap_filter(N)
+    surv = prime_sparse_window(0, N)
+    c = prime_gap_filter(N)
     assert min(np.diff(surv)) > c
     ps = primes_in(2, N)
     bad = set(ps.tolist()) - set(surv.tolist())  # B_N: the members window removes
@@ -248,41 +247,41 @@ def test_primes_descriptor_equals_pairwise_loop(N):
         if is_prime[p]:
             is_prime[p * p :: p] = False
     ps = np.flatnonzero(is_prime).tolist()
-    c = AlmostSparseSet.gap_filter(N)
+    c = prime_gap_filter(N)
     bad = set()
     for a, b in zip(ps, ps[1:]):
         if b - a <= c:
             bad.add(a)
             bad.add(b)
-    A = AlmostSparseSet("primes")
     # the larger members of the first and last close pairs: their partners lie below lo
     firsts = [b for a, b in zip(ps, ps[1:]) if b - a <= c]
     for lo in (0, 2, 3, N // 2, N - 100, firsts[0], firsts[-1]):
         want = [p for p in ps if p >= lo and p not in bad]
-        got = A.window(lo, N)
+        got = prime_sparse_window(lo, N)
         assert got.dtype == np.int64 and got.tolist() == want, lo
     # a window below N: B_{N // 2} from the primes up to N // 2 alone
-    half, c_half = [p for p in ps if p <= N // 2], AlmostSparseSet.gap_filter(N // 2)
+    half, c_half = [p for p in ps if p <= N // 2], prime_gap_filter(N // 2)
     bad_half = {p for a, b in zip(half, half[1:]) if b - a <= c_half for p in (a, b)}
     want = [p for p in half if p >= N // 3 and p not in bad_half]
-    assert A.window(N // 3, N // 2).tolist() == want
-    assert A.window(0, 1).size == 0 and A.window(0, 3).size == 0  # B_3 = {2, 3}
+    assert prime_sparse_window(N // 3, N // 2).tolist() == want
+    assert prime_sparse_window(0, 1).size == 0 and prime_sparse_window(0, 3).size == 0  # B_3
 
 
 class ListedSet(AlmostSparseSet):
     """A test set given by its members, with an empty bad set."""
 
     def __init__(self, members):
-        super().__init__("squares")
         self.members = members
 
-    def _members(self, lo, hi):
+    def window(self, lo, hi):
         return np.array([m for m in self.members if lo <= m <= hi], dtype=np.int64)
 
 
 def test_eps_n_examples():
-    A = AlmostSparseSet("squares")
+    A = AlmostSparseSet()
     assert eps_n(A, 100) == Fraction(1, 3)  # gap 4 - 1 = 3
+    with pytest.raises(InvalidInputError):  # math.isqrt's ValueError before
+        eps_n(A, -1)
     assert eps_n(ListedSet([1, 10, 100]), 100) == Fraction(1, 9)
     with pytest.raises(InvalidInputError):
         eps_n(ListedSet([1]), 100)
@@ -467,8 +466,8 @@ def test_empty_window_raises():
 def _replay(text):
     """Rebuild and re-solve a construction from its dump; the replay must match the dump."""
     payload = json.loads(text)
-    obj = StageConstruction(ContinuedFraction(payload["quotients"]),
-                            AlmostSparseSet(payload["descriptor"]),
+    assert payload["descriptor"] == "squares"
+    obj = StageConstruction(ContinuedFraction(payload["quotients"]), AlmostSparseSet(),
                             n_stages=len(payload["stage_k"]),
                             include_h=payload["include_h"], mu_twist=payload["mu_twist"])
     assert obj.stage_k == payload["stage_k"]

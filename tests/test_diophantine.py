@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lemmas import k_n, n_star
-from skewlab.diophantine import AnalysisParams, ContinuedFraction, cf_from_real
+from skewlab.diophantine import AnalysisParams, ContinuedFraction, cf_from_real, frac_phase
 from skewlab.errors import InvalidInputError, PrecisionError
 from skewlab.presets import COUNTEREXAMPLE_QUOTIENTS, PHASE_QUOTIENTS, PRIME_QUOTIENTS
 
@@ -169,6 +169,21 @@ def test_convergent_laws_random_quotients(quotients):
         d = abs(cf.convergent(k) - cf.value)
         if d > 0 and k + 1 <= cf.max_index():
             assert Fraction(1, 2 * cf.q(k + 1) * cf.q(k)) <= d + cf.err
+
+
+def test_frac_phase_rounds_as_the_fraction_does():
+    # float((Fraction(x) m + r) % 1), the Fraction form it replaced, bit for bit: x of
+    # every size and sign, r from frac01 and frac_signed (so of either sign), and r = 0
+    cf = ContinuedFraction(PRIME_QUOTIENTS)
+    rng = np.random.default_rng(17)
+    for _ in range(3000):
+        x = float(rng.random() * 10.0 ** rng.integers(-30, 8) * rng.choice([-1, 1]))
+        m = int(rng.integers(1, 10**6))
+        k = int(rng.integers(0, 10**4))
+        for r in (0, cf.frac01(m * k), cf.frac_signed(m) / 2, -cf.frac_signed(m) / 2):
+            got = frac_phase(x, m, r)
+            assert got == float((Fraction(x) * m + r) % 1), (x, m, r)  # 1.0 when just below 1
+    assert frac_phase(np.float64(0.75), 3, 0) == 0.25 and frac_phase(-0.0, 5, 0) == 0.0
 
 
 def test_analysis_params_tau_enforced():

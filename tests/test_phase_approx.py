@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lemmas import orbit_return_error, torus_dist, torus_metric
+from lemmas import birkhoff_closed_fraction, orbit_return_error, torus_dist, torus_metric
 from skewlab.cocycle import BOUND_GRID, AnalyticCocycle, TrigPoly, birkhoff_closed, reduce
 from skewlab.diophantine import AnalysisParams, ContinuedFraction
 from skewlab.errors import IntegrityError, InvalidInputError, RangeError
@@ -100,6 +100,37 @@ def test_polap_error_m_below_window(pair):
     x = 0.21
     err = polap_error(g, red, P, x, m, 1, cf, params)
     assert err == pytest.approx(abs(P.eval(x, m)), abs=1e-12)
+
+
+def test_polap_rows_match_the_per_row_oracle(pair):
+    # one whole-array call per scale against the per-row form it replaced, bit for bit:
+    # the Fraction closed form and P_n(x, m) with Python's float powers of m
+    cf, g, params, red = pair
+    xs, rng = np.arange(8) / 8, np.random.default_rng(3)
+    for n in (1, 2, 3, 4):
+        P = build_phase_poly(red, cf, n, params)
+        mmax = float(cf.q(n + 1)) ** (1 - params.delta)
+        ms = np.unique(np.logspace(0, math.log10(mmax), 40).astype(np.int64))
+        m, x = (a.ravel() for a in np.meshgrid(ms, xs, indexing="ij"))
+        got = polap_error(g, red, P, x, m, 1, cf, params)
+        want = []
+        for mk, xk in zip(m.tolist(), x.tolist()):
+            p_n = 0.0
+            for s, a_s in enumerate(P.coeff_fns, start=1):
+                p_n = p_n + a_s.eval(xk) * float(mk) ** s
+            s_m = birkhoff_closed_fraction(g, cf, mk, xk)
+            want.append(abs(s_m - birkhoff_closed_fraction(g, cf, mk % cf.q(n), xk) - p_n))
+        assert got.tolist() == want, n
+        assert polap_error(g, red, P, x[-1], m[-1], 1, cf, params) == want[-1]
+        # P_n alone on random rows, where numpy's own m**s would move about one value in 20
+        m, x = rng.integers(1, 110_000, 3000), rng.random(3000)
+        want = []
+        for mk, xk in zip(m.tolist(), x.tolist()):
+            p_n = 0.0
+            for s, a_s in enumerate(P.coeff_fns, start=1):
+                p_n = p_n + a_s.eval(xk) * float(mk) ** s
+            want.append(p_n)
+        assert P.eval(x, m).tolist() == want, n
 
 
 def test_polap_range_errors(pair):

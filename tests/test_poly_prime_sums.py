@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmas import oscillation_classify_per_q
 from skewlab import poly_prime_sums
 from skewlab.dd import e
-from skewlab.errors import ResourceError
+from skewlab.errors import RangeError, ResourceError
 from skewlab.poly_prime_sums import (ShiftedPoly, integer_phase_main_term, ms_gap,
                                      oscillation_classify, prime_phase_sum)
 from skewlab.primes import SEGMENT_SIZE, chebyshev_theta, default_source, euler_phi, primes_in
@@ -90,6 +92,22 @@ def test_main_term_examples():
     assert integer_phase_main_term(N, H, 1, g) == pytest.approx(direct, abs=1e-9)
 
 
+def test_main_term_refuses_beyond_its_budget():
+    # H above MS_SUM_MAX_H: at once, where the chunk loop ran for ages; a window beyond
+    # int64 is a RangeError, not numpy's OverflowError
+    g = ShiftedPoly(1000, (0.1,))
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceError, match="main term budget is H <= 100000000"):
+        integer_phase_main_term(1000, 2**64, 1, g)
+    with pytest.raises(ResourceError, match="main term budget"):
+        integer_phase_main_term(1000, poly_prime_sums.MS_SUM_MAX_H + 1, 1, g)
+    with pytest.raises(ResourceError, match="main term budget"):  # before the prime sum
+        ms_gap(10**6, poly_prime_sums.MS_SUM_MAX_H + 1, 1, 0, g, 0.05)
+    assert time.perf_counter() - t0 < 1
+    with pytest.raises(RangeError, match="leaves int64"):
+        integer_phase_main_term(2**64, 100, 1, g)
+
+
 def test_streamed_sums_match_whole_array():
     # the main term over three chunks and a few integers, the prime sum over three
     # prime windows, against one whole-array sum each: measured 2.7e-15 and 1.6e-15
@@ -167,6 +185,53 @@ def test_classification_refuses_beyond_its_q_budget(monkeypatch, capsys):
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource error: classification budget") and len(err.splitlines()) == 1
+
+
+def _both(g, H, N, B):
+    """(block scan, per-q oracle): each a result or the text of its ResourceError."""
+    out = []
+    for classify in (oscillation_classify, oscillation_classify_per_q):
+        try:
+            out.append(classify(g, H, N, B))
+        except ResourceError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_block_scan_matches_the_per_q_oracle(monkeypatch):
+    # coefficients near a/b (witness b or a multiple of it), generic ones (oscillatory)
+    # and the sqrt(2) - 1 cubic, whose witness 13,860 lies inside the first block
+    rng = np.random.default_rng(21)
+    N, H, root2 = 10**6, 10**4, 0.41421356237309503
+    cases = [ShiftedPoly(N, ()), ShiftedPoly(10**9, (0.0, 0.0, root2))]
+    for _ in range(40):
+        deg = int(rng.integers(1, 4))
+        b = rng.integers(1, 150, deg)
+        near = rng.integers(0, b) / b + rng.normal(0, 1e-6, deg) * (rng.random(deg) < 0.5)
+        cases.append(ShiftedPoly(N, tuple((near if rng.random() < 0.7 else rng.random(deg))
+                                          .tolist())))
+    results = set()
+    for g in cases:
+        HH, B = (10**5, 8.0) if g.base == 10**9 else (H, 2.0)
+        fast, oracle = _both(g, HH, g.base, B)
+        assert fast == oracle, g
+        results.add(fast[0])
+    assert results == {"non-oscillatory", "oscillatory"}
+    # a witness at each side of a block edge: 1/7 passes first at q = 7
+    g = ShiftedPoly(N, (1 / 7,))
+    for block, first in ((7, 7), (6, 7), (8, 7)):
+        monkeypatch.setattr(poly_prime_sums, "CLASSIFY_BLOCK", block)
+        assert _both(g, H, N, 2.0) == [("non-oscillatory", first)] * 2
+    # the budget's refusal, and a witness just inside it
+    monkeypatch.setattr(poly_prime_sums, "CLASSIFY_BLOCK", 64)
+    monkeypatch.setattr(poly_prime_sums, "CLASSIFY_MAX_Q", 100)
+    refusal, _ = _both(cases[1], 10**5, 10**9, 8.0)
+    assert refusal.startswith("classification budget is q <= 100")
+    assert _both(cases[1], 10**5, 10**9, 8.0) == [refusal] * 2
+    # (log N)^2 ~ 190.9 and H = 1e5: no q below b passes for 1/b, and 101 is beyond budget
+    assert _both(ShiftedPoly(N, (1 / 97,)), 10**5, N, 2.0) == [("non-oscillatory", 97)] * 2
+    assert _both(ShiftedPoly(N, (1 / 101,)), 10**5, N, 2.0)[0].startswith(
+        "classification budget is q <= 100")
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3))

@@ -196,6 +196,15 @@ def test_coprime_mask_matches_remainders():
         assert got.dtype == bool and np.array_equal(got, want), (lo, hi, ps)
 
 
+def test_coprime_mask_refuses_beyond_its_budget():
+    # numpy's "Maximum allowed dimension exceeded" ValueError before
+    with pytest.raises(ResourceError, match="coprime mask budget"):
+        primes.coprime_mask(10, 2**64, [2, 3])
+    with pytest.raises(ResourceError):
+        primes.coprime_mask(0, primes.MASK_MAX_LENGTH, [2])
+    assert primes.coprime_mask(1, primes.MASK_MAX_LENGTH // 10**4, [2]).sum() == 5000
+
+
 def test_mobius_upto_agrees_pointwise():
     mu = mobius_upto(3000)
     for n in range(1, 3001):

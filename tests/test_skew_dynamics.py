@@ -736,6 +736,18 @@ def test_star_discrepancy_never_undercuts():
         assert star_discrepancy_bound(pts, 100) >= exact_star_discrepancy(pts)
 
 
+def test_star_discrepancy_bound_refuses_beyond_its_budget():
+    # K (N + 256) above DISCREPANCY_MAX_TERMS: at once, where the K Weyl sums never ended
+    pts = np.arange(1000) / 1000
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceError, match="discrepancy budget is K"):
+        star_discrepancy_bound(pts, 2**64)
+    with pytest.raises(ResourceError, match="discrepancy budget is K"):
+        star_discrepancy_bound(pts, skew_dynamics.DISCREPANCY_MAX_TERMS // 1256 + 1)
+    assert time.perf_counter() - t0 < 1
+    assert star_discrepancy_bound(pts, 2) > 0  # inside the budget
+
+
 def test_nazarov_small_set_constants():
     one = SimpleNamespace(eval=np.ones_like)  # the constant 1
     assert nazarov_small_set(one, 0.5) == 0.0

@@ -6,7 +6,9 @@ the package other than at its own definition.  Tests do not count as references.
 And every phase e(t) goes through dd.e: no module but dd.py calls cos, sin (save the
 sine ratio of cocycle._kernel_ratio), cmath or np.exp of a complex argument.
 And no module starts threads or processes but the orbit pass of skew_dynamics.py,
-through one concurrent.futures executor.
+through one concurrent.futures executor.  And Fraction stays in the exact layers that
+need it: the continued fractions, the double-double splits, the counterexample's
+rational points and the prime identities.
 """
 
 import ast
@@ -157,3 +159,35 @@ def test_the_concurrency_guard_sees_each_form():
     assert sorted(_concurrency_imports("cli.py", ast.parse(source))) == want
     assert sorted(_concurrency_imports("skew_dynamics.py", ast.parse(source))) == (
         want[:3] + want[4:])
+
+
+# the modules whose exact rationals are Fractions; elsewhere phases and fractional parts are
+# reduced on plain integers (diophantine.frac_phase) or in double-double
+FRACTION_MODULES = {"diophantine.py", "dd.py", "counterexample.py", "identities.py"}
+
+
+def _fraction_imports(tree):
+    """line: module of every import of fractions in a module's tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names if name.split(".")[0] == "fractions"]
+    return found
+
+
+def test_fractions_only_in_the_exact_layers():
+    found = [f"{module}:{site}" for module, tree in _modules().items()
+             if module not in FRACTION_MODULES for site in _fraction_imports(tree)]
+    assert not found, found
+
+
+def test_the_fractions_guard_sees_each_form():
+    source = ("import fractions\nfrom fractions import Fraction\nimport numpy as np\n"
+              "def f():\n    from fractions import Fraction as F\n    import fractions as fr\n")
+    assert _fraction_imports(ast.parse(source)) == [
+        "1: fractions", "2: fractions", "5: fractions", "6: fractions"]
