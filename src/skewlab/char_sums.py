@@ -2,12 +2,12 @@
 
 Characters are built by CRT over prime-power factors, one record per cyclic
 factor of (Z/q)*: its prime, modulus, order, discrete-log table (the powers of
-its generator, by doubling) and conductor exponent offset, so the conductor is
-a per-factor lookup.  Values are exact roots of unity (group exponent L, integer
-exponents), so a table costs O(q omega(q)) memory, not phi(q) q: it builds the
-exponent rows of a block of WINDOW_BLOCK_ELEMS / q consecutive characters by one
-matrix product, and a character gathers its read-only complex row from
-zeta_L^0, ..., zeta_L^(L-1), 0 (non-units) once.
+its generator, by doubling) and conductor exponent offset.  The exponents
+k_j = n // stride_j % order_j of character n give, whole-array, the orders and
+conductors of all characters (once) and the exponent rows of a block of
+WINDOW_BLOCK_ELEMS / q characters (one exact integer product).  So a table costs
+O(q omega(q)) memory, not phi(q) q: a character gathers its read-only row from
+zeta_L^j, j < L (the group exponent), and 0 (non-units) once.
 
 The sup-over-beta window statistics (windowed_twisted_stat and
 huxley_stat_windows) evaluate every window start z < q at once: each beta of
@@ -22,7 +22,7 @@ order its events by (class, y), and each class carries its count and the y of
 its last event to the next window.  The primes p <= H, in the window at y = 0,
 start the counts, and the H = x collapse is their one histogram.  So a pass
 costs O(pi(x + H)) array work, and memory is O(SEGMENT_SIZE + min(q, r))
-whatever x and H.
+whatever x and H.  The same walk gives the hybrid statistic's histogram mod q.
 """
 
 import functools
@@ -114,36 +114,28 @@ def _components_of(fac) -> list:
 
 
 class Character:
-    """One Dirichlet character mod q, stored as exponents of zeta_L; its value row
-    (read-only) and its conductor are computed on the first request and kept."""
+    """One Dirichlet character mod q, stored as exponents of zeta_L; its read-only value
+    row is built on the first request and kept, its order and conductor table lookups."""
 
-    __slots__ = ("table", "q", "ks", "_values", "_conductor")
+    __slots__ = ("table", "q", "ks", "_values")
 
     def __init__(self, table, ks):
         self.table, self.q, self.ks = table, table.q, tuple(map(int, ks))
-        self._values = self._conductor = None
+        self._values = None
 
     def is_principal(self) -> bool:
         return not any(self.ks)
 
-    def _component_orders(self) -> list:
-        """d_j = order_j / gcd(order_j, k_j), the order of chi on each cyclic factor."""
-        return [comp.order // math.gcd(comp.order, k)
-                for k, comp in zip(self.ks, self.table.components)]
+    def _index(self) -> int:
+        """n, the character's place in the table's iteration order."""
+        tab = self.table
+        return sum(k % o * s for k, o, s in zip(self.ks, tab._orders, tab._strides))
 
     def order(self) -> int:
-        return math.lcm(*self._component_orders())
+        return int(self.table._orders_conductors[0, self._index()])
 
     def conductor(self) -> int:
-        """prod over p | q of the largest p^(c_j + v_p(d_j)) over the factors j at p
-        with d_j > 1, that is the lcm of these prime powers; only the two factors
-        of 2^e share a prime.  d_j divides the order, whose p-part divides p^e, so
-        gcd(d_j, p^e) = p^v_p(d_j)."""
-        if self._conductor is None:
-            self._conductor = math.lcm(*[
-                comp.p**comp.c * math.gcd(d, comp.modulus)
-                for comp, d in zip(self.table.components, self._component_orders()) if d > 1])
-        return self._conductor
+        return int(self.table._orders_conductors[1, self._index()])
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.q
@@ -151,8 +143,7 @@ class Character:
     def values(self) -> np.ndarray:
         """Complex value row over [0, q), 0 on non-units; read-only."""
         if self._values is None:
-            tab = self.table
-            n = sum(k % o * s for k, o, s in zip(self.ks, tab._orders, tab._strides))
+            tab, n = self.table, self._index()
             self._values = tab._roots.take(tab._exponent_block(n - n % tab._block)[n % tab._block])
             self._values.setflags(write=False)
         return self._values
@@ -192,6 +183,21 @@ class CharacterTable:
         L = self.exponent
         return np.append(e(np.arange(L) / L), 0.0)
 
+    def _digits(self, n: np.ndarray):
+        """The exponents k_j = n // stride_j % order_j of the characters n, per component."""
+        return (n // stride % order for order, stride in zip(self._orders, self._strides))
+
+    @functools.cached_property
+    def _orders_conductors(self) -> np.ndarray:
+        """Rows: the order and the conductor of every character n < phi(q).  On factor j,
+        chi has order d_j = order_j / gcd(order_j, k_j); its order is the lcm of the d_j,
+        its conductor that of p^(c_j + v_p(d_j)) = p^c_j gcd(d_j, p^e) where d_j > 1."""
+        out = np.ones((2, self.phi), dtype=np.int64)
+        for comp, k in zip(self.components, self._digits(np.arange(self.phi))):
+            d = comp.order // np.gcd(comp.order, k)
+            np.lcm(out, [d, np.where(d > 1, comp.p**comp.c * np.gcd(d, comp.modulus), 1)], out=out)
+        return out
+
     def _exponent_block(self, lo: int) -> np.ndarray:
         """Exponent rows sum_j k_j (L / order_j) dlog_j mod L (L on non-units) of the
         block from character lo, by one float64 product of (block x r) coefficients and
@@ -207,9 +213,9 @@ class CharacterTable:
         n = np.arange(lo, min(lo + self._block, self.phi))
         coef, prod, quot, rows = (buf[: len(n)] for buf in self._buffers)
         L = self.exponent
-        for j, (order, stride) in enumerate(zip(self._orders, self._strides)):
-            coef[:, j] = n // stride % order * (L // order)
-        np.dot(coef, self._dlogs, out=prod)
+        for j, (order, k) in enumerate(zip(self._orders, self._digits(n))):
+            coef[:, j] = k * (L // order)
+        np.dot(coef, self._dlogs, out=prod)  # exact integers: its bits follow no BLAS order
         np.floor(np.divide(prod, L, out=quot), out=quot)
         quot *= L
         rows[...] = np.subtract(prod, quot, out=prod)
@@ -226,9 +232,8 @@ class CharacterTable:
         rows = np.empty((self.phi, self.q), dtype=np.complex128)
         for lo in range(0, self.phi, self._block):  # "clip" is unbuffered; all in [0, L]
             self._roots.take(self._exponent_block(lo), out=rows[lo : lo + self._block], mode="clip")
-        gram = rows @ rows.conj().T
-        target = self.phi * np.eye(len(rows))
-        return float(np.max(np.abs(gram - target)))
+        # a BLAS product: its low bits follow the threads, and no command prints it
+        return float(np.max(np.abs(rows @ rows.conj().T - self.phi * np.eye(self.phi))))
 
 
 build_characters = CharacterTable
@@ -372,6 +377,11 @@ def _class_log_sums(src, N: int, q: int, r: int, m: int) -> np.ndarray:
     return sums
 
 
+def _weighted_sum(a: np.ndarray, b) -> float:
+    """sum a * b, formed in place in a, by numpy's pairwise sum: not a BLAS dot's thread order."""
+    return float(np.sum(np.multiply(a, b, out=a)))
+
+
 def _sliding_l1(src, x: int, H: int, q: int, r: int, sums: np.ndarray) -> float:
     """sum over y in [0, x) and the classes v < m = len(sums) of |S_v(y) - H/r|.
 
@@ -413,10 +423,10 @@ def _sliding_l1(src, x: int, H: int, q: int, r: int, sums: np.ndarray) -> float:
         # the carried S_v holds until the class's first event, each count until the next
         gaps = np.diff(ev_y).astype(np.float64)
         gaps[starts[1:] - 1] = 0.0
-        total += float(np.abs(S[cls] - target) @ (ev_y[starts] - Y[cls]))
-        total += float(np.abs(counts[:-1] - target) @ gaps)
+        total += _weighted_sum(np.abs(S[cls] - target), ev_y[starts] - Y[cls])
+        total += _weighted_sum(np.abs(counts[:-1] - target), gaps)
         S[cls], Y[cls] = counts[last], ev_y[last]
-    return total + float(np.abs(S - target) @ (x - Y))
+    return total + _weighted_sum(np.abs(S - target), x - Y)
 
 
 def huxley_stat_progressions(x: int, H: int, q: int, r: int, primes=None) -> dict:
@@ -461,7 +471,8 @@ def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int) -> dict:
 
     Only the H = x collapse (single y window) is offered at scale; the prime
     side then depends on p only through p_q, so the sum collapses onto the
-    residue histogram of log-weights.  The sup over beta is the maximum over
+    residue histogram of log-weights, summed one prime window at a time as in
+    huxley_stat_progressions.  The sup over beta is the maximum over
     _beta_grid(Hp), with no golden-section refine.
     """
     if min(q, r) < 1 or Hp < 0:
@@ -470,9 +481,10 @@ def huxley_stat_windows(x: int, H: int, q: int, r: int, Hp: int) -> dict:
         raise ResourceError(f"window statistic capped at q, r, H' <= {CharacterTable.MAX_Q}")
     if H != x:
         raise ResourceError("general H < x windows are desk-infeasible; use H = x")
-    ps = default_source().primes_in(2, x)
-    logp = np.log(ps.astype(np.float64))
-    W = np.bincount((ps % q).astype(np.int64), weights=logp, minlength=q)
+    src = default_source()
+    if x > src.limit:
+        raise RangeError(f"primes up to {x} beyond prime source limit {src.limit}")
+    W = _class_log_sums(src, x, q, q, q)
     units = coprime_mask(0, q - 1, [p for p, _ in factorize(q)])
     D = W - np.where(units, H / euler_phi(q), 0.0)
     grid = _beta_grid(Hp)

@@ -269,7 +269,7 @@ def cmd_phase(scales: tuple[int, ...] = (1, 2, 3, 4), m_samples: int = 10, w: in
         mmax = float(cf.q(n + 1)) ** (1 - params.delta)
         ms = np.unique(np.logspace(0, math.log10(mmax), m_samples).astype(np.int64))
         m, x = (a.ravel() for a in np.meshgrid(ms, np.arange(x_grid) / x_grid, indexing="ij"))
-        err = polap_error(g, red, P, x, m, w, cf, params)  # rows in (m, x) order
+        err = polap_error(g, P, x, m, w, cf, params)  # rows in (m, x) order
         rows += [{"n": n, "m": mk, "w": w, "x": xk, "error": ek}
                  for mk, xk, ek in zip(m.tolist(), x.tolist(), err.tolist())]
     return rows

@@ -311,9 +311,12 @@ class StageConstruction:
     # -- evaluation --------------------------------------------------------
 
     def birkhoff0_many(self, ws, upto=None):
-        """S_w(g)(0) = sum over solved stages of f_n(w*alpha) [+ h_n], per w in ws."""
+        """S_w(g)(0) = sum over solved stages of f_n(w*alpha) [+ h_n], per int64 w in ws."""
         upto = self.solved() if upto is None else min(upto, self.solved())
-        ws = np.asarray(ws, dtype=np.int64)
+        try:
+            ws = np.asarray(ws, dtype=np.int64)
+        except OverflowError:
+            raise RangeError("birkhoff0_many takes indices w in int64") from None
         total = np.zeros(ws.size)
         for m in range(1, upto + 1):
             for term in self._stages[m]["terms"]:

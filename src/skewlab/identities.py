@@ -1,17 +1,17 @@
 """Exact combinatorial prime-decomposition identities.
 
 Vaughan, Linnik, Heath-Brown, and Buchstab are verified exactly, with no
-floating point in the checks.  Vaughan's terms live in the vector space
-spanned by {log p}: each is a LogVector of int multiplicities per prime,
-computed from the one factorization of n by summing over its squarefree
-divisors.  Linnik's ordered-factorization counts come from the same single
+floating point in the checks.  Vaughan's terms, and their total checked
+against Lambda(n), are int dicts on the basis {log p} from the one
+factorization of n, summed over its squarefree divisors, and returned as
+LogVectors.  Linnik's ordered-factorization counts come from the same single
 factorization through the multiplicative d_j(n); only its 1/k-weighted sides
 are Fractions.  Heath-Brown's weight takes k int64 Dirichlet convolutions,
 each split at sqrt(N) by the hyperbola method into about 2 sqrt(N) strided
 slices and preceded by a check in Python ints that its result fits in int64;
 beyond that bound the check raises ResourceError (CLI exit 3).  Buchstab's
-sifted counts each strike the multiples of a prefix of the primes below z,
-drawn once, from one boolean window.
+sifted counts each strike the multiples of a prefix of the primes below z
+(at most BUCHSTAB_MAX_Z), drawn once, from one boolean window.
 """
 
 import bisect
@@ -24,6 +24,9 @@ import numpy as np
 from skewlab.errors import IntegrityError, PreconditionError, ResourceError
 from skewlab.primes import coprime_mask, factorize, mobius_upto, primes_in
 
+# sifting level: z = 1e4 strikes about 7.5e5 prime slices in 0.5 s, 3e4 takes 3.2 s
+BUCHSTAB_MAX_Z = 10**4
+
 
 class LogVector:
     """Element of the rational vector space with basis {log p : p prime}.
@@ -35,25 +38,6 @@ class LogVector:
 
     def __init__(self, coords=None):
         self.coords = {p: c for p, c in (coords or {}).items() if c != 0}
-
-    @classmethod
-    def von_mangoldt(cls, n: int) -> "LogVector":
-        fac = factorize(n) if n > 1 else []
-        if len(fac) == 1:
-            return cls({fac[0][0]: 1})
-        return cls()
-
-    def __add__(self, other):
-        out = dict(self.coords)
-        for p, c in other.coords.items():
-            out[p] = out.get(p, 0) + c
-        return LogVector(out)
-
-    def __sub__(self, other):
-        out = dict(self.coords)
-        for p, c in other.coords.items():
-            out[p] = out.get(p, 0) - c
-        return LogVector(out)
 
     def __eq__(self, other):
         return self.coords == other.coords
@@ -76,31 +60,30 @@ def vaughan_decompose(n: int, z: int):
     Only squarefree d contribute, and Lambda(c) = log p at c = p^j.  So with
     a = v_p(n/d), the coordinate at p of term1 is the sum over d <= z of
     mu(d) a, of term2 the sum over d <= z of mu(d) #{1 <= j <= a : p^j <= z},
-    and of term3 the sum over d > z of mu(d) #{1 <= j <= a : p^j > z}.
+    and of term3 the sum over d > z of mu(d) #{1 <= j <= a : p^j > z}, where
+    a = e - 1 on the d divisible by p and a = e = v_p(n) on the others.
     """
     if not n > z >= 1:
         raise PreconditionError(f"need n > z >= 1, got n={n}, z={z}")
     fac = factorize(n)
-    # j_max[p] = #{j >= 1 : p^j <= z}
-    j_max = {p: next(j for j in itertools.count() if p ** (j + 1) > z) for p, _ in fac}
     squarefree = [(1, 1)]  # (d, mu(d)) over the squarefree divisors d of n
     for p, _ in fac:
         squarefree += [(d * p, -mu) for d, mu in squarefree]
-    terms = [dict.fromkeys(j_max, 0) for _ in range(3)]
-    for d, mu in squarefree:
-        for p, e in fac:
-            a = e - (d % p == 0)
-            small = min(a, j_max[p])
-            if d <= z:
-                terms[0][p] += mu * a
-                terms[1][p] += mu * small
-            else:
-                terms[2][p] += mu * (a - small)
-    term1, term2, term3 = map(LogVector, terms)
-    total = term1 - term2 + term3
-    if total.coords != ({fac[0][0]: 1} if len(fac) == 1 else {}):
+    low = [(d, mu) for d, mu in squarefree if d <= z]
+    high = [(d, mu) for d, mu in squarefree if d > z]
+    low_all, high_all = sum(mu for _, mu in low), sum(mu for _, mu in high)
+    terms = [{}, {}, {}]
+    for p, e in fac:
+        low_p, high_p = (sum(mu for d, mu in part if d % p == 0) for part in (low, high))
+        j_max = next(j for j in itertools.count() if p ** (j + 1) > z)  # #{j >= 1 : p^j <= z}
+        s0, s1 = min(e, j_max), min(e - 1, j_max)  # the j counted in term2 at a = e, e - 1
+        terms[0][p] = e * low_all - low_p
+        terms[1][p] = s0 * (low_all - low_p) + s1 * low_p
+        terms[2][p] = (e - s0) * (high_all - high_p) + (e - 1 - s1) * high_p
+    total = {p: c for p, _ in fac if (c := terms[0][p] - terms[1][p] + terms[2][p])}
+    if total != ({fac[0][0]: 1} if len(fac) == 1 else {}):
         raise IntegrityError(f"Vaughan identity failed at n={n}, z={z}")
-    return term1, term2, term3, total
+    return (*map(LogVector, terms), LogVector(total))
 
 
 def linnik_check(n: int, z: int):
@@ -130,9 +113,7 @@ def linnik_check(n: int, z: int):
     for k in range(1, len(d)):
         count = sum((-1) ** (k - j) * math.comb(k, j) * d[j] for j in range(1, k + 1))
         num -= (-1) ** k * count * (D // k)
-    lhs = Fraction(num, D)
-    rhs = Fraction(1, exps[0]) if len(fac) == 1 else Fraction(0)
-    return lhs, rhs
+    return Fraction(num, D), Fraction(1 if len(fac) == 1 else 0, exps[0])
 
 
 def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,13 +197,16 @@ def buchstab_check(n_range, w: int, z: int):
     """(lhs, rhs) of Buchstab's identity S(A,z) = S(A,w) - sum_{w<=p<z} S(A_p,p).
 
     A is the integer window [lo, hi]; counts are exact enumerations, each from one
-    primes.coprime_mask, which refuses a window beyond its budget.
+    primes.coprime_mask, which refuses a window beyond its budget.  The work grows as
+    pi(z)^2, so z is refused beyond BUCHSTAB_MAX_Z before any prime is listed.
     """
     lo, hi = map(int, n_range)
     if lo < 1:
         raise PreconditionError(f"need lo >= 1, got lo={lo}")
     if not 2 <= w <= z:
         raise PreconditionError(f"need 2 <= w <= z, got w={w}, z={z}")
+    if z > BUCHSTAB_MAX_Z:
+        raise ResourceError(f"Buchstab budget is z <= {BUCHSTAB_MAX_Z}, got z={z}")
     primes = primes_in(2, z - 1).tolist()
     lhs = _sieved_count(lo, hi, primes)
     first = bisect.bisect_left(primes, w)

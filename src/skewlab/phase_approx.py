@@ -82,7 +82,7 @@ def build_phase_poly(gr, cf: ContinuedFraction, n: int, params: AnalysisParams) 
     return PhasePolynomial(n=n, degree=d, coeff_fns=coeff_fns, bounds=bounds)
 
 
-def polap_error(g, gr, P: PhasePolynomial, x, m, w: int,
+def polap_error(g, P: PhasePolynomial, x, m, w: int,
                 cf: ContinuedFraction, params: AnalysisParams):
     """|S_m(g)(x) - S_{m mod w q_n}(g)(x) - P_n(x, m)| at broadcast arrays of x and m: a
     float when both are scalars.

@@ -11,8 +11,10 @@ statistic), the Nazarov small-set measures, and the float evaluation of the
 counterexample's terms (the package evaluates them exactly, at rationals and at
 orbit points).  Beside them, oracles of whole-array package code: the closed
 Birkhoff form one row at a time with Fraction phases, the short-sum classifier
-one q at a time, and the primes as an almost-sparse set (the package keeps the
-squares alone).
+one q at a time, the primes as an almost-sparse set (the package keeps the
+squares alone), the hybrid statistic's class histogram by one bincount, each
+character's order and conductor on its own, and the log-vector sums and
+Lambda(n) of the identity checks (the package sums int dicts).
 
 pytest does not collect this file; test modules import it as a sibling
 (``from lemmas import ...``), since pytest puts the directory of each test
@@ -34,6 +36,7 @@ from skewlab.dd import e, mulmod
 from skewlab.diophantine import AnalysisParams, ContinuedFraction
 from skewlab.errors import (IntegrityError, InvalidInputError, PrecisionError,
                             PreconditionError, RangeError, ResourceError)
+from skewlab.identities import LogVector
 from skewlab.primes import coprime_mask, euler_phi, factorize, primes_in
 
 
@@ -471,6 +474,54 @@ def huxley_sliding_oracle(x: int, H: int, q: int, r: int) -> float:
     streamed them: one lexsort of every enter and leave event."""
     ps = primes_in(2, x + H)
     return _window_l1(ps, np.log(ps.astype(np.float64)), (ps % q) % r, x, H, r, H / r)
+
+
+def class_log_histogram(x: int, q: int) -> np.ndarray:
+    """sum of log p over the primes p <= x in each class mod q, by one bincount of all
+    of them: the histogram of huxley_stat_windows before it walked the prime windows."""
+    ps = primes_in(2, x)
+    return np.bincount((ps % q).astype(np.int64), weights=np.log(ps.astype(np.float64)),
+                       minlength=q)
+
+
+# ---------------------------------------------------------------------------
+# one character's order and conductor
+
+
+def character_order_conductor(chi) -> tuple:
+    """(order, conductor) of one character from its exponents, one lcm each: the route
+    of Character before the table built both for all characters at once."""
+    comps = chi.table.components
+    ds = [comp.order // math.gcd(comp.order, k) for k, comp in zip(chi.ks, comps)]
+    conductor = math.lcm(*[comp.p**comp.c * math.gcd(d, comp.modulus)
+                           for comp, d in zip(comps, ds) if d > 1])
+    return math.lcm(*ds), conductor
+
+
+# ---------------------------------------------------------------------------
+# the log-vector algebra of the identity checks
+
+
+class LogSum(LogVector):
+    """A LogVector with + and -: the per-divisor oracles add and subtract terms, while
+    vaughan_decompose sums plain int dicts."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        out = dict(self.coords)
+        for p, c in other.coords.items():
+            out[p] = out.get(p, 0) + c
+        return LogSum(out)
+
+    def __sub__(self, other):
+        return self + LogSum({p: -c for p, c in other.coords.items()})
+
+
+def von_mangoldt(n: int) -> LogSum:
+    """Lambda(n) as a log-vector: log p at n = p^k, else 0."""
+    fac = factorize(n) if n > 1 else []
+    return LogSum({fac[0][0]: 1} if len(fac) == 1 else {})
 
 
 # ---------------------------------------------------------------------------

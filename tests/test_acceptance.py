@@ -26,15 +26,16 @@ def _report(num, name, passed, detail=""):
 
 
 def test_criterion_01_identity_suite():
-    from skewlab.identities import (LogVector, buchstab_check, heathbrown_coeff_check,
-                                    linnik_check, vaughan_decompose)
+    from lemmas import von_mangoldt
+    from skewlab.identities import (buchstab_check, heathbrown_coeff_check, linnik_check,
+                                    vaughan_decompose)
 
     t0 = time.time()
     n_max = 10**4
     for z in (1, 2, 5, 10, 30):
         for n in range(z + 1, n_max + 1):
             *_, tot = vaughan_decompose(n, z)
-            assert tot == LogVector.von_mangoldt(n), ("vaughan", n, z)
+            assert tot == von_mangoldt(n), ("vaughan", n, z)
     for z in (1, 2, 10):
         for n in range(2, n_max + 1):
             lhs, rhs = linnik_check(n, z)
@@ -130,7 +131,7 @@ def test_criterion_04_phase_decay():
     for n in (1, 2, 3, 4):
         mmax = float(cf.q(n + 1)) ** (1 - params.delta)
         ms = np.unique(np.logspace(0, math.log10(mmax), 10).astype(np.int64))
-        errs[n] = max(polap_error(g, red, polys[n], float(x), int(m), 1, cf, params)
+        errs[n] = max(polap_error(g, polys[n], float(x), int(m), 1, cf, params)
                       for m in ms for x in xs)
     decay = errs[3] < errs[1] and errs[4] < errs[2]
     elapsed = time.time() - t0

@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lemmas import huxley_sliding_oracle, residue_progression_gap, twisted_residue_window
+from lemmas import (character_order_conductor, class_log_histogram, huxley_sliding_oracle,
+                    residue_progression_gap, twisted_residue_window)
 from skewlab import char_sums
 from skewlab.char_sums import (Character, build_characters, gauss_sum,
                                huxley_stat_progressions, huxley_stat_windows,
@@ -188,6 +189,16 @@ def test_conductor_matches_kernel_oracle(qs):
     for q in qs:
         tab = build_characters(q)
         assert [chi.conductor() for chi in tab] == _conductor_oracle(tab), q
+
+
+@pytest.mark.parametrize("qs", [range(1, 1201), (2048, 4096, 30030, 60060, 65536, 99991, 120120)],
+                         ids=["q<=1200", "larger-q"])
+def test_orders_and_conductors_match_the_per_character_oracle(qs):
+    for q in qs:
+        got = [(chi.order(), chi.conductor(), chi.is_primitive()) for chi in build_characters(q)]
+        want = [(*oc, oc[1] == q)
+                for oc in map(character_order_conductor, build_characters(q))]
+        assert got == want, q
 
 
 def _loop_dlog_tables(q):
@@ -378,6 +389,17 @@ def test_huxley_windows_match_per_window_oracle(monkeypatch, block, x, q, r, Hp)
     monkeypatch.setattr(char_sums, "WINDOW_BLOCK_ELEMS", block)
     res = huxley_stat_windows(x, x, q, r, Hp)
     assert res["value"] == _huxley_windows_oracle(x, q, r, Hp, char_sums._beta_grid(Hp))
+
+
+@pytest.mark.parametrize("x, q, r, Hp", [(10**7, 1999, 7, 9), (3 * 10**6, 9973, 31, 3),
+                                         (10**6, 97, 5, 3), (12345, 7, 3, 1), (1, 5, 2, 1)])
+def test_windows_histogram_matches_the_bincount_route(monkeypatch, x, q, r, Hp):
+    # the prime walk adds each class's log p in prime order, as one bincount of all did
+    W = class_log_histogram(x, q)
+    assert np.array_equal(char_sums._class_log_sums(default_source(), x, q, q, q), W)
+    got = huxley_stat_windows(x, x, q, r, Hp)
+    monkeypatch.setattr(char_sums, "_class_log_sums", lambda *args: W)
+    assert got == huxley_stat_windows(x, x, q, r, Hp)
 
 
 @pytest.mark.parametrize("x, H, q, r", [

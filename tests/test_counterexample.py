@@ -209,6 +209,14 @@ def test_orbit_cells_checks_its_domain():
             orbit_cells(ws, (p + Fraction(1, 3)) / q, q, p)
 
 
+def test_birkhoff0_many_refuses_indices_beyond_int64(solved3):
+    # numpy's int64 conversion once raised a bare OverflowError
+    for ws in ([2**64], [5, -2**63 - 1]):
+        with pytest.raises(RangeError):
+            solved3.birkhoff0_many(ws)
+    assert solved3.birkhoff0_many([2**63 - 1, -2**63]).shape == (2,)
+
+
 def test_float_path_residue_is_exact(solved3):
     # at stage 3 the residue product j * p^-1 mod q leaves int64
     f = solved3.f(3)

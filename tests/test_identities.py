@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lemmas import combi_partition, mobius
+from lemmas import LogSum, combi_partition, mobius, von_mangoldt
 from skewlab import identities
 from skewlab.errors import IntegrityError, PreconditionError, ResourceError
-from skewlab.identities import (LogVector, _dirichlet_convolve, _sieved_count,
+from skewlab.identities import (BUCHSTAB_MAX_Z, _dirichlet_convolve, _sieved_count,
                                 buchstab_check, heathbrown_coeff_check, linnik_check,
                                 vaughan_decompose)
 from skewlab.primes import factorize
@@ -29,19 +29,19 @@ def simple_sieve(limit: int) -> np.ndarray:
 
 
 def test_logvector_algebra():
-    a = LogVector(dict(factorize(12)))  # 2 log2 + log3
+    a = LogSum(dict(factorize(12)))  # 2 log2 + log3
     assert a.coords == {2: Fraction(2), 3: Fraction(1)}
     assert not (a - a).coords
-    assert LogVector.von_mangoldt(9).coords == {3: Fraction(1)}
-    assert not LogVector.von_mangoldt(12).coords
+    assert von_mangoldt(9).coords == {3: Fraction(1)}
+    assert not von_mangoldt(12).coords
 
 
 @given(st.integers(1, 5000), st.integers(1, 5000))
 @settings(max_examples=80, deadline=None)
 def test_logvector_respects_multiplication(a, b):
     # log(ab) = log a + log b in the vector space
-    assert LogVector(dict(factorize(a * b))) == (LogVector(dict(factorize(a)))
-                                                 + LogVector(dict(factorize(b))))
+    assert LogSum(dict(factorize(a * b))) == (LogSum(dict(factorize(a)))
+                                              + LogSum(dict(factorize(b))))
 
 
 def test_vaughan_examples():
@@ -64,7 +64,7 @@ def test_vaughan_examples():
 def test_vaughan_exact_random(n, z):
     if n > z:
         *_, tot = vaughan_decompose(n, z)
-        assert tot == LogVector.von_mangoldt(n)
+        assert tot == von_mangoldt(n)
 
 
 def _divisor_list(n):
@@ -75,8 +75,8 @@ def _divisor_list(n):
 
 
 def _vaughan_oracle(n, z):
-    """Vaughan's three sums taken divisor by divisor, one LogVector per term."""
-    terms = [LogVector(), LogVector(), LogVector()]
+    """Vaughan's three sums taken divisor by divisor, one log-vector per term."""
+    terms = [LogSum(), LogSum(), LogSum()]
 
     def add(i, mu, v):
         terms[i] = terms[i] + v if mu > 0 else terms[i] - v
@@ -86,9 +86,9 @@ def _vaughan_oracle(n, z):
         if mud == 0:
             continue
         if d <= z:
-            add(0, mud, LogVector(dict(factorize(n))) - LogVector(dict(factorize(d))))
+            add(0, mud, LogSum(dict(factorize(n))) - LogSum(dict(factorize(d))))
         for c in _divisor_list(n // d):
-            lam = LogVector.von_mangoldt(c)
+            lam = von_mangoldt(c)
             if not lam.coords:
                 continue
             if d <= z and c <= z:
@@ -142,6 +142,15 @@ def test_identities_match_oracles_on_large_n():
     for n in seeded + composite:
         for z in (1, 2, 5, 10, 30):
             _assert_identities_match_oracles(n, z)
+
+
+@pytest.mark.parametrize("z", [2, 5, 10])
+def test_vaughan_matches_the_per_divisor_oracle_to_ten_thousand(z):
+    for n in range(z + 1, 10**4 + 1):
+        got = vaughan_decompose(n, z)
+        want = _vaughan_oracle(n, z)
+        assert [t.coords for t in got] == [t.coords for t in want], (n, z)
+        assert LogSum(got[0].coords) - got[1] + got[2] == got[3] == von_mangoldt(n), (n, z)
 
 
 def test_linnik_examples():
@@ -289,6 +298,20 @@ def test_buchstab_examples():
         buchstab_check((0, 100), 2, 10)
     with pytest.raises(ResourceError):  # numpy's "Maximum allowed dimension exceeded" before
         buchstab_check((10, 2**64), 3, 20)
+
+
+def test_buchstab_refuses_z_beyond_its_budget(monkeypatch):
+    # it listed the primes below z, then struck a prefix of them per prime: z = 1e8 ran on
+    # past 120 s.  Now z is refused before any prime is listed
+    assert buchstab_check((1, 100), 2, BUCHSTAB_MAX_Z) == (1, 1)
+
+    def listed(*args):
+        raise AssertionError("primes listed before the budget check")
+
+    monkeypatch.setattr(identities, "primes_in", listed)
+    for z in (BUCHSTAB_MAX_Z + 1, 10**8):
+        with pytest.raises(ResourceError):
+            buchstab_check((1, 100), 2, z)
 
 
 @given(st.integers(1, 10**6 - 10**4), st.integers(10, 10**4),

@@ -98,7 +98,7 @@ def test_polap_error_m_below_window(pair):
     P = build_phase_poly(red, cf, n, params)
     m = cf.q(n) // 2
     x = 0.21
-    err = polap_error(g, red, P, x, m, 1, cf, params)
+    err = polap_error(g, P, x, m, 1, cf, params)
     assert err == pytest.approx(abs(P.eval(x, m)), abs=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_polap_rows_match_the_per_row_oracle(pair):
         mmax = float(cf.q(n + 1)) ** (1 - params.delta)
         ms = np.unique(np.logspace(0, math.log10(mmax), 40).astype(np.int64))
         m, x = (a.ravel() for a in np.meshgrid(ms, xs, indexing="ij"))
-        got = polap_error(g, red, P, x, m, 1, cf, params)
+        got = polap_error(g, P, x, m, 1, cf, params)
         want = []
         for mk, xk in zip(m.tolist(), x.tolist()):
             p_n = 0.0
@@ -121,7 +121,7 @@ def test_polap_rows_match_the_per_row_oracle(pair):
             s_m = birkhoff_closed_fraction(g, cf, mk, xk)
             want.append(abs(s_m - birkhoff_closed_fraction(g, cf, mk % cf.q(n), xk) - p_n))
         assert got.tolist() == want, n
-        assert polap_error(g, red, P, x[-1], m[-1], 1, cf, params) == want[-1]
+        assert polap_error(g, P, x[-1], m[-1], 1, cf, params) == want[-1]
         # P_n alone on random rows, where numpy's own m**s would move about one value in 20
         m, x = rng.integers(1, 110_000, 3000), rng.random(3000)
         want = []
@@ -138,9 +138,9 @@ def test_polap_range_errors(pair):
     P = build_phase_poly(red, cf, 2, params)
     too_big_m = int(float(cf.q(3)) ** (1 - params.delta)) + 10
     with pytest.raises(RangeError):
-        polap_error(g, red, P, 0.1, too_big_m, 1, cf, params)
+        polap_error(g, P, 0.1, too_big_m, 1, cf, params)
     with pytest.raises(RangeError):
-        polap_error(g, red, P, 0.1, 5, 10**9, cf, params)
+        polap_error(g, P, 0.1, 5, 10**9, cf, params)
 
 
 def test_polap_two_scale_decay(pair):
@@ -151,7 +151,7 @@ def test_polap_two_scale_decay(pair):
         P = build_phase_poly(red, cf, n, params)
         mmax = float(cf.q(n + 1)) ** (1 - params.delta)
         ms = np.unique(np.logspace(0, math.log10(mmax), 8).astype(np.int64))
-        errs[n] = max(polap_error(g, red, P, float(x), int(m), 1, cf, params)
+        errs[n] = max(polap_error(g, P, float(x), int(m), 1, cf, params)
                       for m in ms for x in xs[::8])
     assert errs[3] < errs[1]
 

@@ -8,7 +8,9 @@ sine ratio of cocycle._kernel_ratio), cmath or np.exp of a complex argument.
 And no module starts threads or processes but the orbit pass of skew_dynamics.py,
 through one concurrent.futures executor.  And Fraction stays in the exact layers that
 need it: the continued fractions, the double-double splits, the counterexample's
-rational points and the prime identities.
+rational points and the prime identities.  And no printed value comes from a BLAS
+product, whose order of summation follows the BLAS thread count: the two products in
+src/ are an exact integer one and one that no command prints.
 """
 
 import ast
@@ -191,3 +193,55 @@ def test_the_fractions_guard_sees_each_form():
               "def f():\n    from fractions import Fraction as F\n    import fractions as fr\n")
     assert _fraction_imports(ast.parse(source)) == [
         "1: fractions", "2: fractions", "5: fractions", "6: fractions"]
+
+
+# numpy's BLAS entry points; a BLAS product sums in an order set by its thread count.  The
+# exponent rows are exact integers below 2^53, so their product is the same in any order,
+# and the Gram matrix of orthogonality_defect is never printed
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot", "linalg"}
+BLAS_ALLOWED = {("char_sums.py", "_exponent_block", "np.dot"),
+                ("char_sums.py", "orthogonality_defect", "@")}
+
+
+def _blas_products(module, tree):
+    """line: form of every BLAS product or import in a module's tree, but the allowed two."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        site = None
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            site = "@"
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy") and node.attr in BLAS_NAMES):
+            site = f"np.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy" and (
+                node.module == "numpy.linalg" or any(a.name in BLAS_NAMES for a in node.names)):
+            site = f"from {node.module}"
+        if site is not None and (module, func, site) not in BLAS_ALLOWED:
+            found.append(f"{node.lineno}: {site}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_blas_product_in_a_printed_value():
+    found = [f"{module}:{site}" for module, tree in _modules().items()
+             for site in _blas_products(module, tree)]
+    assert not found, found
+
+
+def test_the_blas_guard_sees_each_form():
+    source = ("import numpy as np\nfrom numpy.linalg import norm\nfrom numpy import einsum\n"
+              "def f(a, b):\n    a @= b\n"
+              "    return a @ b + np.dot(a, b) + np.linalg.norm(a) + np.vdot(a, b)\n"
+              "def _exponent_block(a, b):\n    return np.dot(a, b) @ b\n"
+              "def orthogonality_defect(a):\n    return a @ a + np.matmul(a, np.inner(a, a))\n")
+    tree = ast.parse(source)
+    assert sorted(_blas_products("char_sums.py", tree)) == [
+        "10: np.inner", "10: np.matmul", "2: from numpy.linalg", "3: from numpy", "5: @",
+        "6: @", "6: np.dot", "6: np.linalg", "6: np.vdot", "8: @"]
+    assert len(_blas_products("cli.py", tree)) == 12
