@@ -16,13 +16,15 @@ positions, and the golden-section refine runs on all windows in lockstep.
 
 The sliding-window prime statistics treat each residue-class count as a step
 function of the window start y that changes only where a prime enters or
-leaves the window.  They walk y one segment window at a time: the primes
-entering and leaving in it come from two prime-window walks, two stable sorts
-order its events by (class, y), and each class carries its count and the y of
-its last event to the next window.  The primes p <= H, in the window at y = 0,
-start the counts, and the H = x collapse is their one histogram.  So a pass
-costs O(pi(x + H)) array work, and memory is O(SEGMENT_SIZE + min(q, r))
-whatever x and H.  The same walk gives the hybrid statistic's histogram mod q.
+leaves the window.  They walk y in steps of SLIDE_STEP window starts: the
+primes entering and leaving in a step are slices of the windows of two
+prime-window walks, two stable sorts order its events by (class, y), and each
+class carries its count and the y of its last event to the next step.  The
+primes p <= H, in the window at y = 0, start the counts, and the H = x
+collapse is their one histogram.  So a pass costs O(pi(x + H)) array work, and
+memory holds two prime windows, one step's events and O(min(q, r)) class
+state whatever x and H.  The same walk gives the hybrid statistic's histogram
+mod q.
 """
 
 import functools
@@ -35,13 +37,16 @@ import numpy as np
 from skewlab.dd import e
 from skewlab.errors import (IntegrityError, InvalidInputError, PreconditionError, RangeError,
                             ResourceError)
-from skewlab.primes import coprime_mask, default_source, euler_phi, factorize, prime_windows
+from skewlab.primes import (SEGMENT_SIZE, coprime_mask, default_source, euler_phi, factorize,
+                            prime_windows)
 
 # elements of one (z, t) block of window positions in the beta-sup statistics
 WINDOW_BLOCK_ELEMS = 1 << 16
 BETA_OVERSAMPLE = 4  # beta grid points per unit of H'
 GOLDEN_ITERS = 20  # golden-section steps of windowed_twisted_stat's refine
-HUXLEY_MAX_X = 10**9  # window starts: x = 1e9 takes 19-21 s at any H, under 60 MB
+# window starts per step of the sliding walk: a divisor of a prime window's 2 SEGMENT_SIZE
+SLIDE_STEP = 1 << 18
+HUXLEY_MAX_X = 10**9  # window starts: x = 1e9 at H = 1e6 takes about 9 s and 44 MB
 HUXLEY_MAX_CLASSES = 10**8  # residue classes, 16 bytes each of carried state
 
 
@@ -382,23 +387,33 @@ def _weighted_sum(a: np.ndarray, b) -> float:
     return float(np.sum(np.multiply(a, b, out=a)))
 
 
+def _event_steps(src, x: int, H: int):
+    """The primes of the events y = p - H (entering) and y = p + 1 (leaving) with y in
+    [y0, y0 + SLIDE_STEP), and their logs, per step of y0 through [1, x).  The steps
+    divide the y-range [1 + 2 S k, 1 + 2 S (k+1)), S = SEGMENT_SIZE, of the k-th prime
+    window of [H + 1, x + H - 1] and of [0, x - 2]; each yields slices of the two."""
+    for (*_, pe, we), (lo, _, pl, wl) in zip(prime_windows(src, x + H - 1, H + 1),
+                                             prime_windows(src, x - 2, 0)):
+        for y0 in range(lo + 1, min(lo + 1 + 2 * SEGMENT_SIZE, x), SLIDE_STEP):
+            e0, e1 = np.searchsorted(pe, (y0 + H, y0 + SLIDE_STEP + H))
+            l0, l1 = np.searchsorted(pl, (y0 - 1, y0 + SLIDE_STEP - 1))
+            yield pe[e0:e1], we[e0:e1], pl[l0:l1], wl[l0:l1]
+
+
 def _sliding_l1(src, x: int, H: int, q: int, r: int, sums: np.ndarray) -> float:
     """sum over y in [0, x) and the classes v < m = len(sums) of |S_v(y) - H/r|.
 
     S_v(y) sums log p over the primes p in [y, y+H] of class v: it starts at
     sums[v], the primes p <= H, and changes only at the events y = p - H where
-    a prime p > H enters and y = p + 1 where p leaves.  The events with y in
-    [1 + 2 S k, 1 + 2 S (k+1)), S = SEGMENT_SIZE, come from the k-th prime
-    window of [H + 1, x + H - 1] (entering) and of [0, x - 2] (leaving), so
-    only y < x occurs.  Each class carries S_v and the y of its last event
-    from one chunk to the next.
+    a prime p > H enters and y = p + 1 where p leaves.  They come SLIDE_STEP
+    window starts at a time from _event_steps, so only y < x occurs, and each
+    class carries S_v and the y of its last event from one step to the next.
     """
     target = H / r
     S, Y = sums.copy(), np.zeros(len(sums))  # Y: y < 2**53 is exact
     key = np.int16 if len(sums) <= 2**15 else np.int64  # int16 sorts by radix
     total = 0.0
-    for (*_, pe, we), (*_, pl, wl) in zip(prime_windows(src, x + H - 1, H + 1),
-                                          prime_windows(src, x - 2, 0)):
+    for pe, we, pl, wl in _event_steps(src, x, H):
         if len(pe) + len(pl) == 0:
             continue
         ev_y = np.concatenate([pe - H, pl + 1])
@@ -409,7 +424,7 @@ def _sliding_l1(src, x: int, H: int, q: int, r: int, sums: np.ndarray) -> float:
         order = np.argsort(ev_y, kind="stable")
         order = order[np.argsort(ev_c[order], kind="stable")]
         ev_y, ev_c, ev_w = ev_y[order], ev_c[order], ev_w[order]
-        first = np.ones(len(ev_c), dtype=bool)  # first event of its class in the chunk
+        first = np.ones(len(ev_c), dtype=bool)  # first event of its class in the step
         first[1:] = ev_c[1:] != ev_c[:-1]
         starts = np.flatnonzero(first)
         sizes = np.diff(starts, append=len(ev_c))
@@ -434,8 +449,8 @@ def huxley_stat_progressions(x: int, H: int, q: int, r: int, primes=None) -> dic
 
     With H = x this collapses to the single window [0, x].  Returns the value
     and the trivial scale H * x (H for the collapsed case).  Both walk the
-    prime windows, so memory stays O(SEGMENT_SIZE + min(q, r)) whatever x and
-    H are.
+    prime windows, so memory stays two prime windows, SLIDE_STEP window starts'
+    events and O(min(q, r)) whatever x and H are.
     """
     if min(x, H, q, r) < 1:
         raise PreconditionError(f"need x, H, q, r >= 1, got x={x}, H={H}, q={q}, r={r}")

@@ -58,9 +58,25 @@ def eps_n(A: AlmostSparseSet, n: int) -> Fraction:
     return Fraction(1, int(gaps.min()))
 
 
+def _int64_indices(w) -> np.ndarray:
+    """w as an int64 array, checked before any work: InvalidInputError unless it holds
+    integers (an integer dtype, or Python ints), RangeError for a value outside int64."""
+    arr = np.asarray(w)
+    if arr.dtype == object:  # Python ints beyond int64 (or not ints at all)
+        if not all(isinstance(v, (int, np.integer)) for v in arr.flat):
+            raise InvalidInputError("indices w must be integers")
+        if arr.size and not -(2**63) <= min(arr.flat) <= max(arr.flat) < 2**63:
+            raise RangeError("indices w must lie in int64")
+    elif arr.dtype.kind not in "iu" and arr.size:
+        raise InvalidInputError(f"indices w must be integers, got dtype {arr.dtype}")
+    elif arr.dtype.kind == "u" and arr.size and arr.max() >= 2**63:
+        raise RangeError("indices w must lie in int64")
+    return arr.astype(np.int64, copy=False)
+
+
 def orbit_cells(w, alpha: Fraction, q: int, p: int):
-    """Where the points w alpha fall among the cells [j/q, (j + 1)/q), for an int64
-    array w and a convergent p/q of alpha.
+    """Where the points w alpha fall among the cells [j/q, (j + 1)/q), for integers w
+    within int64 (InvalidInputError, RangeError otherwise) and a convergent p/q of alpha.
 
     With rho = q alpha - p: k = floor(w rho), the residue index s = (w + k p^-1) mod q
     of the cell j = (w p + k) mod q, and the offset frac(w rho)/q of w alpha in it,
@@ -70,6 +86,7 @@ def orbit_cells(w, alpha: Fraction, q: int, p: int):
     p must be invertible mod q, else PreconditionError.
     Returns (k, s, off, the number of elements recomputed).
     """
+    w = _int64_indices(w)
     if not 0 < q < MULMOD_LIMIT:
         raise RangeError(f"q = {q} outside (0, 2**43)")
     if math.gcd(p, q) != 1:
@@ -311,12 +328,10 @@ class StageConstruction:
     # -- evaluation --------------------------------------------------------
 
     def birkhoff0_many(self, ws, upto=None):
-        """S_w(g)(0) = sum over solved stages of f_n(w*alpha) [+ h_n], per int64 w in ws."""
+        """S_w(g)(0) = sum over solved stages of f_n(w*alpha) [+ h_n], per integer w in
+        ws within int64 (InvalidInputError, RangeError otherwise)."""
+        ws = _int64_indices(ws)
         upto = self.solved() if upto is None else min(upto, self.solved())
-        try:
-            ws = np.asarray(ws, dtype=np.int64)
-        except OverflowError:
-            raise RangeError("birkhoff0_many takes indices w in int64") from None
         total = np.zeros(ws.size)
         for m in range(1, upto + 1):
             for term in self._stages[m]["terms"]:

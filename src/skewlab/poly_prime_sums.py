@@ -8,8 +8,10 @@ The guaranteed regime is |gamma_1| <= e^(-r) (the outline's normalization
 tau = 1) and |gamma_i| <= H^(1-i); sums outside it warn.
 
 Both sums of ms_gap stream: the prime sum walks the prime windows of
-[N, N+H] and the integer main term takes PHASE_CHUNK integers at a time, so
+[N, N+H] and the integer main term sums PHASE_CHUNK integers at a time, so
 memory does not grow with H, and time alone sets its budget MS_SUM_MAX_H.
+Within a window or chunk the phases are formed PHASE_PIECE at a time into one
+array of terms, so the Horner temporaries do not grow with it either.
 """
 
 import math
@@ -22,12 +24,14 @@ from skewlab.dd import e, frac01_poly_dd
 from skewlab.errors import InvalidInputError, RangeError, ResourceError
 from skewlab.primes import default_source, euler_phi, prime_windows
 
-# integers per chunk of the main term: a degree-3 phase holds ~20 MB of Horner
-# temporaries for it, where a segment window's 2**21 held 320 MB and ran slower
+# integers per chunk of the main term, the unit of its np.sum
 PHASE_CHUNK = 1 << 17
+# integers or primes whose phases are formed at a time: a degree-3 phase holds ~2.5 MB
+# of Horner temporaries for them, where a whole chunk of 2**17 held 20 MB
+PHASE_PIECE = 1 << 14
 CLASSIFY_MAX_Q = 10**7  # values of q oscillation_classify scans: 0.5-1 s at degree 3
 CLASSIFY_BLOCK = 1 << 16  # values of q it tests at a time
-MS_SUM_MAX_H = 10**8  # main-term integers: 6 s at degree 0, 28 s at degree 3, 50 MB peak RSS
+MS_SUM_MAX_H = 10**8  # main-term integers: 2 s at degree 0, 7-8 s at degree 3, 36 MB peak RSS
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,19 @@ class ShiftedPoly:
         coeff[1:] = np.asarray(self.coeffs, dtype=np.float64)
         x = (n - self.base).astype(np.float64)
         return frac01_poly_dd(x, coeff)
+
+
+def _phase_terms(g: ShiftedPoly, ns: np.ndarray, weights=None) -> np.ndarray:
+    """e(g(n)), times weights if given, for the integers ns, formed PHASE_PIECE at a
+    time into one complex array.  Both work element by element, so each term has the
+    bits of one whole-array expression."""
+    out = np.empty(len(ns), dtype=np.complex128)
+    for i in range(0, len(ns), PHASE_PIECE):
+        piece = slice(i, i + PHASE_PIECE)
+        out[piece] = e(g.phase01(ns[piece]))
+        if weights is not None:
+            out[piece] *= weights[piece]
+    return out
 
 
 def _check_regime(g: ShiftedPoly, H: int, r: int):
@@ -82,7 +99,7 @@ def prime_phase_sum(N: int, H: int, r: int, a: int, g: ShiftedPoly,
             keep = ps % r == a % r
             ps, logp = ps[keep], logp[keep]
         if len(ps):
-            total += complex(np.sum(e(g.phase01(ps)) * logp))
+            total += complex(np.sum(_phase_terms(g, ps, logp)))
     return total
 
 
@@ -102,7 +119,7 @@ def integer_phase_main_term(N: int, H: int, r: int, g: ShiftedPoly) -> complex:
     total = 0j
     for lo in range(N, N + H + 1, PHASE_CHUNK):
         ns = np.arange(lo, min(lo + PHASE_CHUNK, N + H + 1), dtype=np.int64)
-        total += complex(np.sum(e(g.phase01(ns))))
+        total += complex(np.sum(_phase_terms(g, ns)))
     return total / euler_phi(r)
 
 

@@ -66,7 +66,12 @@ class PrimeSource:
             mask = np.ones(count, dtype=bool)
             for p, i in zip(ps.tolist(), ((first - low) >> 1).tolist()):
                 mask[i::p] = False
-            out.append(low + 2 * np.flatnonzero(mask))
+            found = np.flatnonzero(mask)  # the indices i, then low + 2i in place
+            found *= 2
+            found += low
+            out.append(found)
+        if len(out) == 1:  # one segment: no concatenated copy
+            return out[0]
         return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
@@ -88,7 +93,7 @@ def prime_windows(src, N: int, start: int = 2):
     """(lo, hi, primes in [lo, hi], their logs) per segment window of [start, N], from src."""
     for lo, hi in segment_windows(N, start):
         ps = src.primes_in(lo, hi)
-        yield lo, hi, ps, np.log(ps.astype(np.float64))
+        yield lo, hi, ps, np.log(ps, dtype=np.float64)
 
 
 def chebyshev_theta(N: int) -> float:

@@ -11,10 +11,12 @@ statistic), the Nazarov small-set measures, and the float evaluation of the
 counterexample's terms (the package evaluates them exactly, at rationals and at
 orbit points).  Beside them, oracles of whole-array package code: the closed
 Birkhoff form one row at a time with Fraction phases, the short-sum classifier
-one q at a time, the primes as an almost-sparse set (the package keeps the
+one q at a time, the short prime sums with each window's phases in one
+expression, the primes as an almost-sparse set (the package keeps the
 squares alone), the hybrid statistic's class histogram by one bincount, each
 character's order and conductor on its own, and the log-vector sums and
-Lambda(n) of the identity checks (the package sums int dicts).
+Lambda(n) of the identity checks (the package sums int dicts).  Last, the
+traced-memory peak of one call, for the tests that bound it.
 
 pytest does not collect this file; test modules import it as a sibling
 (``from lemmas import ...``), since pytest puts the directory of each test
@@ -23,6 +25,7 @@ module on sys.path.
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,7 +40,7 @@ from skewlab.diophantine import AnalysisParams, ContinuedFraction
 from skewlab.errors import (IntegrityError, InvalidInputError, PrecisionError,
                             PreconditionError, RangeError, ResourceError)
 from skewlab.identities import LogVector
-from skewlab.primes import coprime_mask, euler_phi, factorize, primes_in
+from skewlab.primes import coprime_mask, euler_phi, factorize, primes_in, segment_windows
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +373,29 @@ def oscillation_classify_per_q(g, H: int, N: int, B: float):
     return "oscillatory", None
 
 
+def integer_phase_main_term_whole(N: int, H: int, r: int, g) -> complex:
+    """poly_prime_sums.integer_phase_main_term with e(g(n)) formed for a whole
+    PHASE_CHUNK of integers by one expression, as before it went in pieces."""
+    chunk = poly_prime_sums.PHASE_CHUNK
+    total = 0j
+    for lo in range(N, N + H + 1, chunk):
+        ns = np.arange(lo, min(lo + chunk, N + H + 1), dtype=np.int64)
+        total += complex(np.sum(e(g.phase01(ns))))
+    return total / euler_phi(r)
+
+
+def prime_phase_sum_whole(N: int, H: int, r: int, a: int, g) -> complex:
+    """poly_prime_sums.prime_phase_sum with e(g(p)) log p formed for a whole prime
+    window by one expression, and the logs from a float64 copy of the primes."""
+    total = 0j
+    for lo, hi in segment_windows(N + H, N):
+        ps = primes_in(lo, hi)
+        ps = ps[ps % r == a % r]
+        if len(ps):
+            total += complex(np.sum(e(g.phase01(ps)) * np.log(ps.astype(np.float64))))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # the primes as an almost-sparse set
 
@@ -618,3 +644,17 @@ def rigidity_distribution_gap(st, n):
                         float(st.cf.frac01(steps)), st.solved()) % 1.0
     best = min(float(np.mean(_circle_dist(total, c))) for c in np.arange(0, 1, 1 / 64))
     return {"n": n, "K": K, "mean_distance_to_nearest_constant": best}
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak of tracemalloc's traced memory, in bytes, while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from lemmas import (character_order_conductor, class_log_histogram, huxley_sliding_oracle,
-                    residue_progression_gap, twisted_residue_window)
+                    residue_progression_gap, traced_peak, twisted_residue_window)
 from skewlab import char_sums
-from skewlab.char_sums import (Character, build_characters, gauss_sum,
+from skewlab.char_sums import (SLIDE_STEP, Character, build_characters, gauss_sum,
                                huxley_stat_progressions, huxley_stat_windows,
                                progression_char_stat, window_coprime_count,
                                windowed_twisted_stat)
@@ -422,14 +422,21 @@ def test_huxley_progressions_brute_force(x, H, q, r):
     assert res["value"] == pytest.approx(brute, rel=1e-9)
 
 
-SEG = 2 * SEGMENT_SIZE  # integers per prime window: the streamed statistic's chunk of y
+SEG = 2 * SEGMENT_SIZE  # integers per prime window: the streamed statistic's window of y
+STEP = SLIDE_STEP  # window starts per step of the walk, a divisor of SEG
 
 
 @pytest.mark.parametrize("x, H, q, r", [
+    (STEP - 1, 3000, 9973, 31),
+    (STEP, 3000, 9973, 31),
+    (STEP + 1, 3000, 9973, 31),
+    (STEP + 2, 3000, 9973, 31),  # the first x with two steps, y in [1, STEP + 1) and {STEP + 1}
     (SEG - 1, 3000, 9973, 31),
     (SEG, 3000, 9973, 31),
     (SEG + 1, 3000, 9973, 31),
-    (SEG + 2, 3000, 9973, 31),  # the first x with two chunks, y in [1, SEG + 1) and {SEG + 1}
+    (SEG + 2, 3000, 9973, 31),  # the first x with two windows, y in [1, SEG + 1) and {SEG + 1}
+    (SEG + STEP + 2, 3000, 9973, 31),  # the first x with two steps in the second window
+    (3 * 10**5, 3 * STEP, 97, 5),  # H spans three steps, x two of them
     (10**5, 3 * SEG, 97, 5),  # H spans three prime windows: the primes <= H fold in by window
     (3 * 10**6, 3 * 10**6 - 1, 9973, 31),  # H close to x: leave events stop at x - 2
     (10**5, 10**3, 7, 100),  # r > q: the classes 7..99 hold no prime
@@ -445,25 +452,19 @@ def test_streamed_sliding_matches_whole_array_oracle(x, H, q, r):
         huxley_sliding_oracle(x, H, q, r), rel=1e-12)
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_sliding_peak_does_not_grow_with_x_or_H():
     default_source().primes_in(2, 10**4)  # the sieve's base-prime table, before tracing
-    small, big = (_traced_peak(huxley_stat_progressions, x, 10**4, 9973, 31)
+    small, big = (traced_peak(huxley_stat_progressions, x, 10**4, 9973, 31)
                   for x in (3 * SEG, 6 * SEG))
     # the whole-array route held ~100 bytes per prime: 3 SEG more x would add ~40 MB
     assert big < small + (1 << 20)
-    small, big = (_traced_peak(huxley_stat_progressions, 10**4, H, 9973, 31)
+    # two windows of primes and one step's events: measured 10.9 MiB, where a whole
+    # window's events took 25.2 MiB
+    assert big < 16 << 20
+    small, big = (traced_peak(huxley_stat_progressions, 10**4, H, 9973, 31)
                   for H in (2 * SEG, 8 * SEG))
     assert big < small + (1 << 20)
-    assert big < 32 << 20  # one window of primes and its events
+    assert big < 16 << 20
 
 
 def test_sliding_returns_under_one_gib_of_address_space():

@@ -139,11 +139,12 @@ def test_orbit_bytes_pinned(args, stdout_sha, monkeypatch, capsys):
 # the dense sieve beside the segmented one; one sieve must keep every byte.  huxley-sliding
 # was re-recorded when the sliding statistic streamed its events by prime window (value
 # 197358407.15576762 -> ...56, a change of 6.0e-8, 3.0e-16 relative), and again when its
-# three L1 terms left the BLAS dot for numpy's pairwise sum (...56 -> ...62, the same size)
+# three L1 terms left the BLAS dot for numpy's pairwise sum (...56 -> ...62, the same size),
+# and when the walk grouped those terms by steps of SLIDE_STEP window starts (...62 -> ...56)
 PRIME_FED_SHA256 = [
     (["huxley"], "1636b83be49c2c2245991f1879a319a3198b6031b46ccba0c6a9cf07f830e284"),
     (["huxley", "--x", "300000", "--H", "3000", "--q", "9973", "--r", "31"],
-     "3d36c8bf4f2bff8e63b00088bb91ef31d532de73d8bd8054d1ce07d9a9e4adf7"),
+     "ae42e66900947b872cd0003e8aca9463322ed78db66c06cb69b0d2b826ad9aa3"),
     (["identities", "--n_max", "5000", "--k", "1,2,3"],
      "2803b1b2c8a09a84a65de233c7b0c916fcfb62ae834a561ecbe89908355c4635"),
     (["ms-sum"], "a4a56dbd8881a0038c985a02ead2f39574179783fe111f0ee0d26107283e88a0"),

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -207,6 +208,8 @@ def test_orbit_cells_checks_its_domain():
     for p, q in ((0, 3), (6, 9), (4, 46)):
         with pytest.raises(PreconditionError):
             orbit_cells(ws, (p + Fraction(1, 3)) / q, q, p)
+    # uint64 within int64 is taken: floor(3 rho) = 1 at rho = 1/3
+    assert orbit_cells(np.array([3], dtype=np.uint64), Fraction(4, 3) / 7, 7, 1)[0].tolist() == [1]
 
 
 def test_birkhoff0_many_refuses_indices_beyond_int64(solved3):
@@ -215,6 +218,32 @@ def test_birkhoff0_many_refuses_indices_beyond_int64(solved3):
         with pytest.raises(RangeError):
             solved3.birkhoff0_many(ws)
     assert solved3.birkhoff0_many([2**63 - 1, -2**63]).shape == (2,)
+
+
+# w = 2.5 was evaluated at 2, uint64 2**63 wrapped to -2**63, 1e30 only warned, and
+# orbit_cells([2**64]) raised a bare TypeError; each is refused before any work
+INDEX_DOMAIN = [
+    pytest.param([2.5], InvalidInputError, id="float"),
+    pytest.param(np.array([2**63], dtype=np.uint64), RangeError, id="uint64"),
+    pytest.param(np.array([1e30]), InvalidInputError, id="1e30"),
+    pytest.param([2**64], RangeError, id="2**64"),
+]
+
+
+@pytest.mark.parametrize("ws, error", INDEX_DOMAIN)
+def test_birkhoff0_many_keeps_its_index_domain(ws, error, solved3):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning of the cast is no refusal
+        with pytest.raises(error):
+            solved3.birkhoff0_many(ws)
+
+
+@pytest.mark.parametrize("ws, error", INDEX_DOMAIN)
+def test_orbit_cells_keeps_its_index_domain(ws, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            orbit_cells(ws, Fraction(4, 3) / 7, 7, 1)
 
 
 def test_float_path_residue_is_exact(solved3):

@@ -1,20 +1,21 @@
 import cmath
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lemmas import oscillation_classify_per_q
+from lemmas import (integer_phase_main_term_whole, oscillation_classify_per_q,
+                    prime_phase_sum_whole, traced_peak)
 from skewlab import poly_prime_sums
 from skewlab.dd import e
 from skewlab.errors import RangeError, ResourceError
 from skewlab.poly_prime_sums import (ShiftedPoly, integer_phase_main_term, ms_gap,
                                      oscillation_classify, prime_phase_sum)
-from skewlab.primes import SEGMENT_SIZE, chebyshev_theta, default_source, euler_phi, primes_in
+from skewlab.primes import (SEGMENT_SIZE, chebyshev_theta, default_source, euler_phi,
+                            prime_windows, primes_in)
 
 
 def test_zero_phase_r1_is_theta_window():
@@ -126,17 +127,49 @@ def test_streamed_sums_match_whole_array():
 def test_ms_gap_peak_does_not_grow_with_H():
     N, g = 10**8, ShiftedPoly(10**8, (1e-3,))
     default_source().primes_in(2, 10**4)  # the sieve's base-prime table, before tracing
-    peaks = []
-    for H in (2 * SEGMENT_SIZE, 8 * SEGMENT_SIZE):
-        tracemalloc.start()
-        try:
-            ms_gap(N, H, 1, 0, g, 0.05)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(ms_gap, N, H, 1, 0, g, 0.05)
+             for H in (2 * SEGMENT_SIZE, 8 * SEGMENT_SIZE)]
     # holding every phase took 40 bytes per integer: 6 SEGMENT_SIZE more H would add 250 MB
     assert peaks[1] < peaks[0] + (1 << 20)
     assert peaks[1] < 32 << 20
+
+
+# in the guaranteed regime for r <= 10 and H <= 2.2e6
+CUBIC = (4.1e-5, 3.1e-7, 1.9e-13)
+
+
+@pytest.mark.parametrize("N", [10**8, 10**9])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_phase_sums_keep_the_bits_of_one_expression(N, degree):
+    g = ShiftedPoly(N, CUBIC[:degree])
+    chunk, piece = poly_prime_sums.PHASE_CHUNK, poly_prime_sums.PHASE_PIECE
+    # a full chunk, then a piece and two integers: the second chunk crosses a piece edge
+    H = chunk + piece + 1
+    assert integer_phase_main_term(N, H, 1, g) == integer_phase_main_term_whole(N, H, 1, g)
+    assert integer_phase_main_term(N, 7, 3, g) == integer_phase_main_term_whole(N, 7, 3, g)
+    # two prime windows of over 3 pieces of primes each, the last one short
+    H = 2 * SEGMENT_SIZE + 10**5
+    for r, a in ((1, 0), (10, 3)):
+        assert prime_phase_sum(N, H, r, a, g) == prime_phase_sum_whole(N, H, r, a, g)
+
+
+def test_prime_window_logs_equal_those_of_a_float_copy():
+    src = default_source()
+    for N, start in ((4 * SEGMENT_SIZE, 2), (10**9 + 10**5, 10**9),
+                     (1_997_000_000, 1_996_000_000)):
+        for *_, ps, logp in prime_windows(src, N, start):
+            assert np.array_equal(logp, np.log(ps.astype(np.float64)))
+
+
+def test_phase_sum_peaks_are_set_by_the_piece():
+    default_source().primes_in(2, 10**5)  # the sieve's base-prime table, before tracing
+    g = ShiftedPoly(10**9, CUBIC)
+    # measured 5.5 MiB: the chunk's integers and terms, and one piece's Horner
+    # temporaries; the whole chunk's temporaries took 20.0 MiB
+    assert traced_peak(integer_phase_main_term, 10**9, poly_prime_sums.PHASE_CHUNK, 1, g) < 8 << 20
+    # measured 4.0 MiB: a window of primes, its logs and terms, and one piece's
+    # temporaries; a whole window's took 7.7 MiB
+    assert traced_peak(prime_phase_sum, 10**9, 10**6, 1, 0, g) < 6 << 20
 
 
 def test_ms_gap_zero_phase_is_window_pnt_defect():
