@@ -116,10 +116,12 @@ def test_charsum_bytes_pinned(args, stdout_sha, monkeypatch, capsys):
 # with the serial orbit pass; windows drawn on a producer thread must keep every byte.
 # Re-recorded when e() moved from cos/sin to a table of 4096th roots (largest change:
 # 1.3e-13 absolute), and when kappa_m = a_m e(m x) / (e(m alpha) - 1) of the fiber was
-# formed without the cancelling e(m alpha) - 1 (largest change 2.2e-10, in prime-three-N)
+# formed without the cancelling e(m alpha) - 1 (largest change 2.2e-10, in prime-three-N).
+# prime-three-N was re-recorded when e(b x_k) came from rotation tables instead of one e() of
+# the rounded b x_k + c y_k (largest change 1.0e-15 absolute at N = 1e5, 4.3e-13 relative at 1e7)
 ORBIT_SHA256 = [
     (["prime-average", "--N", "1e5,4194306,1e7", "--b", "1", "--c", "2"],
-     "8e833ec312aa9ebc70794ee4dcbeacc23b8c2cbc2c684362ceeb985ab1e603b9"),
+     "ef9bf055a15f3d4f5d7d8798f124a2811288021a9ecf41e5b8098e0df6549a72"),
     (["prime-average", "--N", "3e6", "--b", "0", "--c", "1"],
      "8795f7f0146be8ed064d60076a3096dd236d276a2e934225fe1b26dd7f76568f"),
     (["residue-average", "--scales", "3"],
@@ -164,7 +166,7 @@ def test_pinned_bytes_do_not_follow_the_blas_threads():
     outs = []
     for threads in ("1", "2"):
         env = {"PATH": "/usr/bin:/bin", "SOURCE_DATE_EPOCH": "0",
-               "PYTHONPATH": str(REPO_ROOT / "src"),
+               "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1",
                "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         proc = subprocess.run([sys.executable, "-m", "skewlab.cli", *PRIME_FED_SHA256[1][0]],
                               capture_output=True, env=env, cwd=REPO_ROOT, timeout=120)
@@ -262,6 +264,8 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
     ["identities", "--seed", "-1"],
     ["prime-average", "--N", "1e9", "--threads", "2"],
     ["orbit", "--seed", "1"],
+    ["prime-average", "--N", "1000", "--c", "1e30"],
+    ["residue-average", "--scales", "1", "--c", "1e30"],
 ], ids=["identities-k0", "charsum-q2-windowed", "charsum-chi-index-past-last",
         "prime-average-N0", "ms-sum-eta0", "charsum-windowed-Hp-negative",
         "charsum-windowed-Hp0", "huxley-x0", "huxley-H0", "orbit-unknown-pair",
@@ -280,13 +284,24 @@ def test_malformed_value_exit_2(command, flag, bad, capsys):
         "charsum-gauss-chi-index", "cf-quotients-and-decimal", "cf-decimal-fraction",
         "cocycle-check-decay-rate-overflows-m-max", "counterexample-stages0",
         "counterexample-stages-negative", "cocycle-check-seed-negative",
-        "identities-seed-negative", "threads-is-no-key", "seed-only-where-drawn"])
+        "identities-seed-negative", "threads-is-no-key", "seed-only-where-drawn",
+        "prime-average-c-beyond-phase-bound", "residue-average-c-beyond-phase-bound"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_domain_value_exit_2(args, tmp_path, capsys):
     (tmp_path / "g.csv").write_text("1,0.1,0\n3,0,0.05\n")
     assert main([a.format(tmp=tmp_path) for a in args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition error: ") and len(err.splitlines()) == 1
+
+
+def test_prime_average_keeps_a_huge_b(tmp_path):
+    # b = 10**30 was once multiplied into a float x_k, rounded away, and the (0, 0) value
+    # theta(N)/N printed as the average; a huge c is refused (exit 2, above)
+    code, payload, _ = run_cli(["prime-average", "--N", "1000", "--b", "1" + "0" * 30,
+                                "--c", "0"], tmp_path)
+    assert code == 0
+    (row,) = payload["rows"]
+    assert abs(complex(row["re_avg"], row["im_avg"]) - row["theta_ratio"]) > 0.1
 
 
 @pytest.mark.parametrize("args", [
@@ -627,7 +642,8 @@ def test_entry_point_subprocess(tmp_path):
         [sys.executable, "-m", "skewlab.cli", "cf", "--quotients", "3,7", "--depth", "2",
          "--out", str(out)],
         capture_output=True, text=True, env={"PATH": "/usr/bin:/bin", "SOURCE_DATE_EPOCH": "0",
-                                             "PYTHONPATH": str(REPO_ROOT / "src")},
+                                             "PYTHONPATH": str(REPO_ROOT / "src"),
+                                             "PYTHONDONTWRITEBYTECODE": "1"},
         cwd=REPO_ROOT)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(out.read_text())

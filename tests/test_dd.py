@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skewlab.dd import (MULMOD_LIMIT, _two_prod, _two_sum, dd_div_int, dd_from_fraction,
+from skewlab.dd import (_ROOTS, MULMOD_LIMIT, _two_prod, _two_sum, dd_div_int, dd_from_fraction,
                         floor_frac_dd, frac01_int_mult, mulmod, round_certified)
 from skewlab.errors import RangeError
 from skewlab.presets import counterexample_stages, prime_pair
@@ -192,3 +192,49 @@ def test_mulmod_matches_python_integers(m):
     for b in (-1, -2**40):  # b < 0 once never returned: -1 >> 20 == -1, digits without end
         with pytest.raises(RangeError):
             mulmod(a, b, m)
+
+
+# the correctly rounded table of e(j / 4096) from integers alone: fixed point with 2**-240
+# units, pi by Machin's formula, cos and sin of r pi / 2048 for r < 1024 by Taylor series,
+# and e((1024 q + r) / 4096) = i**q e(r / 4096) exactly
+_FIX = 240
+
+
+def _atan_inv(n):
+    """arctan(1/n) in units of 2**-_FIX, within one unit per term of the series."""
+    total, power, k = 0, (1 << _FIX) // n, 0
+    while power:
+        total += (-1) ** k * (power // (2 * k + 1))
+        power //= n * n
+        k += 1
+    return total
+
+
+def _cos_sin_fixed(a):
+    """(cos a, sin a) in units of 2**-_FIX for a in [0, pi/2] in the same units."""
+    one, sums, term, n = 1 << _FIX, [0, 0], 1 << _FIX, 0
+    while term:
+        sums[n % 2] += -term if n % 4 >= 2 else term
+        n += 1
+        term = term * a // (one * n)
+    return sums
+
+
+def test_root_table_is_correctly_rounded_on_every_platform():
+    # the table is built from np.longdouble cos and sin, which are binary64 on some platforms;
+    # here every entry must be the double nearest to e(j / 4096), certified: both ends of
+    # each fixed-point value's error interval round to it
+    pi = 4 * (4 * _atan_inv(5) - _atan_inv(239))  # within about 2**-230
+    err = 1 << 12  # units: pi's error times r / 2048 < 1/2, plus the series' truncations
+    want = np.empty(4096, dtype=np.complex128)
+    for r in range(1024):
+        parts = []
+        for v in _cos_sin_fixed(pi * r // 2048):
+            lo, hi = (v - err) / (1 << _FIX), (v + err) / (1 << _FIX)
+            assert lo == hi or v == 0, r  # int / int rounds correctly
+            parts.append(v / (1 << _FIX))
+        for q in range(4):
+            want[1024 * q + r] = complex(*parts) * 1j**q
+    assert np.array_equal(_ROOTS.real, want.real) and np.array_equal(_ROOTS.imag, want.imag)
+    parts = np.concatenate([_ROOTS.real, _ROOTS.imag])
+    assert not np.signbit(parts[parts == 0]).any()  # no -0.0 at the axes

@@ -15,12 +15,12 @@ from skewlab import cocycle, skew_dynamics
 from skewlab.cocycle import AnalyticCocycle, TrigPoly, orbit_angles
 from skewlab.dd import dd_from_fraction, e, frac01_int_mult
 from skewlab.diophantine import ContinuedFraction
-from skewlab.errors import InvalidInputError, RangeError, ResourceError
+from skewlab.errors import InvalidInputError, PrecisionError, RangeError, ResourceError
 from skewlab.presets import prime_pair
 from skewlab.primes import (DEFAULT_LIMIT, SEGMENT_SIZE, chebyshev_theta, default_source,
                             euler_phi, prime_windows, primes_in)
 from skewlab.skew_dynamics import (Observable, SkewProduct, _fiber_gather, _fiber_tables,
-                                   _fiber_terms, _orbit_sums, _window_tables,
+                                   _fiber_terms, _orbit_sums, _table_index, _window_tables,
                                    exact_star_discrepancy, prime_weighted_average,
                                    prime_weighted_averages, reduced_residue_average,
                                    star_discrepancy_bound, weyl_sum)
@@ -108,7 +108,8 @@ def test_prime_average_two_scale_decay(T):
 
 def _table_fiber(terms, ks, y):
     """y_k for the ascending ks by the pass's route: tables up to max(ks), one gather each."""
-    return _fiber_gather(*_window_tables(_fiber_tables(terms, int(ks[-1])), ks), ks, y)
+    b0, tables = _window_tables(_fiber_tables(terms, int(ks[-1])), ks)
+    return _fiber_gather(tables, *_table_index(b0, ks), y)
 
 
 def _window_route_fiber(terms, ks, y):
@@ -194,16 +195,21 @@ def test_fiber_tables_match_dd_route_and_exact_phases(T, near):
     assert np.abs(got[pick] - _exact_phase_fiber(T, ps[pick], x, y)).max() <= bound
 
 
-def _long_double_fiber(T, ks, x, y):
+def _long_double(phases):
+    """Exact rationals in long double: each one's float plus the float of the rest."""
+    hi = [float(t) for t in phases]
+    lo = [float(t - Fraction(h)) for t, h in zip(phases, hi)]
+    return np.array(hi, dtype=np.longdouble) + np.array(lo, dtype=np.longdouble)
+
+
+def _long_double_fiber(T, ks, x, y, dtype=np.float64):
     """Oracle apart from _fiber_terms and dd.e: every phase (m x, m alpha, k m alpha) an exact
-    rational mod 1, every e() long-double cos and sin, y_k rounded to float once.  e(m alpha) - 1
+    rational mod 1, every e() long-double cos and sin, y_k rounded to dtype once.  e(m alpha) - 1
     is -2 sin(pi v)**2 + i sin(2 pi v) with v = m alpha in (-1/2, 1/2]: no cancellation."""
     tau = 8 * np.arctan(np.longdouble(1))  # 2 pi in long double
 
-    def ang(phases):  # 2 pi t in long double: t's float and the float of the rest
-        hi = [float(t) for t in phases]
-        lo = [float(t - Fraction(h)) for t, h in zip(phases, hi)]
-        return tau * (np.array(hi, dtype=np.longdouble) + np.array(lo, dtype=np.longdouble))
+    def ang(phases):  # 2 pi t in long double
+        return tau * _long_double(phases)
 
     ys = np.full(ks.shape, np.longdouble(y))
     for m, a in zip(T.g.freqs.tolist(), T.g.amps):
@@ -215,7 +221,7 @@ def _long_double_fiber(T, ks, x, y):
         den = dr * dr + di * di
         kr, ki = (nr * dr + ni * di) / den, (ni * dr - nr * di) / den
         ys += 2 * (kr * (np.cos(pk) - 1) - ki * np.sin(pk))
-    return ys.astype(np.float64)
+    return ys.astype(dtype)
 
 
 @pytest.mark.parametrize("near", [10**5, 10**7, 10**9])
@@ -242,8 +248,127 @@ def test_pass_tables_equal_window_tables(T, near):
     want = _window_route_fiber(terms, ps, y)
     assert np.array_equal(_table_fiber(terms, ps, y), want)
     # tables up to 2e9, as a pass to the prime source's limit builds them
-    tables = _window_tables(_fiber_tables(terms, DEFAULT_LIMIT), ps)
-    assert np.array_equal(_fiber_gather(*tables, ps, y), want)
+    b0, tables = _window_tables(_fiber_tables(terms, DEFAULT_LIMIT), ps)
+    assert np.array_equal(_fiber_gather(tables, *_table_index(b0, ps), y), want)
+
+
+def _pass_values(T, fs, ks, x, y):
+    """{f: e_{b,c}(T^k(x,y)) per k of ks} by the pass's route, one single-index pass per k:
+    each value depends on its own k alone, and a sum of one value is that value."""
+    out = {f: [] for f in fs}
+    for k in ks.tolist():
+        sums, _ = _orbit_sums(T, fs, (k,), x, y, [(k, k, np.array([k]), np.ones(1))])
+        for f in fs:
+            out[f].append(sums[f, k])
+    return {f: np.array(vals) for f, vals in out.items()}
+
+
+def _long_double_values(T, f, ks, x, ys):
+    """Oracle: (cos, sin) in long double of 2 pi (b x_k + c y_k), with b x_k = b (x + k alpha)
+    an exact rational mod 1 and c y_k reduced mod 1 in long double, for the fiber ys of
+    _long_double_fiber kept in long double."""
+    t = f.c * ys
+    t -= np.rint(t)
+    t += _long_double([f.b * (Fraction(x) + int(k) * T.cf.value) % 1 for k in ks])
+    return np.cos(_TAU_LD * t), np.sin(_TAU_LD * t)
+
+
+# e(b x_k) from the rotation tables: e(b x) with its rounded phase (3.0 units of 2**-52),
+# three table entries (4.6 each: frac01_int_mult's 2**-53 and dd.e's 2**-52 a component)
+# and three complex products (1.1 each); then e(c y_k) (1.4 beyond the fiber's share) and
+# its product with e(b x_k) (1.1): 22.6 units.  Measured on e(b x_k) alone at most 5.8, for
+# b from -5 to 10**30 on prime windows near 1e5, 1e7, 1e9 and 2e9
+TURN_UNITS = 24
+
+
+def _point_bound(T, f, x):
+    """The stated per-point bound of e(b x_k + c y_k): 2 pi |c| times the fiber bound, plus
+    TURN_UNITS units of 2**-52."""
+    return 2 * math.pi * abs(f.c) * FIBER_UNITS * _fiber_unit(T, x) + TURN_UNITS * 2.0**-52
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the oracle needs a long double with a 64-bit significand")
+@pytest.mark.parametrize("near", [10**5, 10**7, 10**9])
+def test_pass_values_within_point_bound_of_long_double_oracle(T, near):
+    x, y = 0.37, 0.61
+    fs = [Observable(1, 1), Observable(-1, 3), Observable(2, -1)]
+    rng = np.random.default_rng(near + 2)
+    edge = (near // BLOCK + 1) * BLOCK
+    ps = primes_in(edge - int(rng.integers(1, BLOCK // 2)), edge + BLOCK // 2)
+    pick = ps[np.sort(rng.choice(len(ps), 200, replace=False))]
+    assert pick[0] < edge < pick[-1]  # the points cross the block edge
+    got = _pass_values(T, fs, pick, x, y)
+    ys = _long_double_fiber(T, pick, x, y, np.longdouble)
+    # today's route: x_k by orbit_angles, one e() of the rounded b x_k + c y_k
+    xs, table_ys = orbit_angles(T.cf, pick, x), _table_fiber(_fiber_terms(T, x), pick, y)
+    for f in fs:
+
+        def worst(z, fiber):
+            cos, sin = _long_double_values(T, f, pick, x, fiber)
+            return float(np.hypot(z.real - cos, z.imag - sin).max())
+
+        assert worst(got[f], ys) <= _point_bound(T, f, x), f
+        # both routes share the table fiber, whose error leads the first comparison (the old
+        # route's rounding of b x_k + c y_k moves its worst point either way), so the routes
+        # are compared on the step they differ in: from the same float y_k to e(b x_k + c y_k)
+        at = table_ys.astype(np.longdouble)
+        assert worst(got[f], at) <= worst(e(f.b * xs + f.c * table_ys), at), f
+
+
+def test_huge_b_keeps_exact_phases(T):
+    # e(b x_k) from tables of theta = frac(b alpha): b is never rounded to a float, where
+    # f.b * x_k once rounded 10**30 x_k to an integer and returned the (0, 0) average
+    x, y, N = 0.37, 0.61, 1000
+    ps = primes_in(2, N)
+    logp = np.log(ps.astype(np.float64))
+    for b in (10**30, -(10**30) - 7, 3**60):
+        f = Observable(b, 0)
+        got, theta_ratio = prime_weighted_average(T, f, N, x, y)
+        turns = _TAU_LD * _long_double([b * (Fraction(x) + int(p) * T.cf.value) % 1 for p in ps])
+        want = complex(np.sum(np.cos(turns) * logp), np.sum(np.sin(turns) * logp)) / N
+        assert abs(got - want) <= _point_bound(T, f, x) * theta_ratio, (b, got, want)
+        assert abs(got - theta_ratio) > 0.1
+    with pytest.raises(PrecisionError):  # frac(b alpha) is not certified at this b
+        prime_weighted_average(T, Observable(10**70, 1), N, x, y)
+
+
+def test_fiber_skips_frequencies_below_one_unit(monkeypatch):
+    # |2 kappa_m| = |a_m| / sin(pi ||m alpha||): the amplitudes put 2 |2 kappa_m| just above
+    # (m = 2) and just below (m = 3) the unit sum_m |2 kappa_m| 2**-52 of the fiber bound
+    cf = ContinuedFraction([1, 2, 3, 4, 5] * 4)
+    sine = {m: abs(math.sin(math.pi * float(cf.frac_signed(m)))) for m in (1, 2, 3)}
+    amps = {1: 0.2 * sine[1], 2: 2.0**-53 * 0.2 * (1 + 1e-6) * sine[2],
+            3: 2.0**-53 * 0.2 * (1 - 1e-6) * sine[3]}
+    T = SkewProduct(cf, AnalyticCocycle(amps, 0.01))
+    x, y = 0.37, 0.61
+    terms = _fiber_terms(T, x)
+    unit = sum(abs(k2) for *_, k2 in terms) * 2.0**-52
+    assert [2 * abs(k2) > unit for *_, k2 in terms] == [True, True, False]
+    gathered = []
+
+    def gather(tables, row, col, y):
+        gathered.append([k2_re for *_, k2_re in tables])
+        return _fiber_gather(tables, row, col, y)
+
+    monkeypatch.setattr(skew_dynamics, "_fiber_gather", gather)
+    ks = primes_in(2, 10**4)
+    got = _pass_values(T, [Observable(0, 1)], ks[-50:], x, y)[Observable(0, 1)]
+    assert all(kept == [k2.real for *_, k2 in terms[:2]] for kept in gathered)
+    every = e(_table_fiber(terms, ks[-50:], y))  # all three frequencies
+    assert np.abs(got - every).max() <= 2 * math.pi * (unit + 2.0**-52)
+
+
+def test_orbit_pass_never_reaches_orbit_angles(T, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("orbit_angles reached")
+
+    # cocycle's frac01_int_mult serves orbit_angles alone, however the pass would name it
+    for name in ("orbit_angles", "frac01_int_mult"):
+        monkeypatch.setattr(cocycle, name, refuse)
+    fs = [Observable(1, 1), Observable(-1, 3), Observable(2, 0)]
+    prime_weighted_averages(T, fs, (10**5,), 0.37, 0.61)
+    reduced_residue_average(T, Observable(1, 1), 7272, 7272, 0.3, 0.7)
 
 
 def test_fiber_is_per_element(T):
@@ -300,8 +425,10 @@ def test_streamed_average_matches_whole_array_oracle(T, streamed, N):
         avg, ratio = streamed[f, N]
         if f == Observable(0, 0):
             assert avg == complex(ratio)
-        else:
+        elif f.b == 0:
             assert abs(avg - want[f]) <= 1e-13 * abs(want[f]), (f, avg, want[f])
+        else:  # e(b x_k) from the rotation tables; the oracle rounds b x_k + c y_k at ulp(y_k)
+            assert abs(avg - want[f]) <= _point_bound(T, f, 0.37) * ratio, (f, avg, want[f])
         assert ratio == pytest.approx(theta_ratio, rel=1e-13, abs=0)
 
 
@@ -402,16 +529,16 @@ def test_producer_error_reaches_the_caller_as_its_type(T):
 
 
 def test_consumer_error_stops_the_producer(T, monkeypatch):
-    boom, reached = ZeroDivisionError("second gather"), []
+    boom, reached = ZeroDivisionError("second chunk"), []
 
-    def gather(b0, tables, ks, y):
+    def index(b0, ks):
         reached.append(int(ks[0]))
         if len(reached) == 2:
             time.sleep(0.2)  # time enough for a drawer not held one window ahead to draw them all
             raise boom
-        return _fiber_gather(b0, tables, ks, y)
+        return _table_index(b0, ks)
 
-    monkeypatch.setattr(skew_dynamics, "_fiber_gather", gather)
+    monkeypatch.setattr(skew_dynamics, "_table_index", index)
     threads = threading.active_count()
     N = 5 * 2 * SEGMENT_SIZE
     src = _RecordedSource(N)
@@ -549,6 +676,34 @@ def test_prime_average_domain_errors(T):
             assert src.calls == []  # rejected before any window is sieved
         with pytest.raises(RangeError):
             call(DEFAULT_LIMIT + 1, None)
+
+
+def test_orbit_pass_domain_is_checked_before_any_window(T):
+    x, y = 0.37, 0.61
+    k2 = sum(abs(kappa2) for *_, kappa2 in _fiber_terms(T, x))
+    c_max = int(skew_dynamics.ORBIT_MAX_PHASE_ERROR / (8 * (y + k2) * 2.0**-52))
+    bad = [(Observable(1.5, 1), x, y, InvalidInputError, "integers"),
+           (Observable(1, 2.0), x, y, InvalidInputError, "integers"),
+           (Observable(0, 1), math.nan, y, InvalidInputError, "finite"),
+           (Observable(0, 0), x, math.inf, InvalidInputError, "finite"),
+           (Observable(0, 10**12), x, y, RangeError, "ORBIT_MAX_PHASE_ERROR"),
+           (Observable(0, 10**30), x, y, RangeError, "2\\*\\*53"),
+           (Observable(1, -c_max - 1), x, y, RangeError, "ORBIT_MAX_PHASE_ERROR")]
+    for f, x_, y_, error, match in bad:
+        src = _NoPrimes()
+        with pytest.raises(error, match=match):
+            prime_weighted_average(T, f, 1000, x_, y_, primes=src)
+        assert src.calls == []  # refused before any window is sieved
+        with pytest.raises(error, match=match):
+            reduced_residue_average(T, f, 1000, 10, x_, y_)
+    f = Observable(np.int64(1), -c_max)  # numpy integers pass, and the largest |c|
+    assert abs(reduced_residue_average(T, f, 1000, 10, x, y)) <= 1 + 1e-12
+    # no fiber and y = 0: any c keeps y_k = 0 exactly, up to where c stops being a float64
+    flat = SkewProduct(T.cf, AnalyticCocycle({}, 0.1))
+    assert reduced_residue_average(flat, Observable(0, 2**53 - 1), 1000, 10, x, 0.0) == 1
+    for c in (2**53, 10**400):  # 10**400 once raised a bare OverflowError
+        with pytest.raises(RangeError, match="2\\*\\*53"):
+            reduced_residue_average(flat, Observable(0, c), 1000, 10, x, 0.0)
 
 
 def test_reduced_residue_average_basics(T):

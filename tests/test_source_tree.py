@@ -10,7 +10,9 @@ through one concurrent.futures executor.  And Fraction stays in the exact layers
 need it: the continued fractions, the double-double splits, the counterexample's
 rational points and the prime identities.  And no printed value comes from a BLAS
 product, whose order of summation follows the BLAS thread count: the two products in
-src/ are an exact integer one and one that no command prints.
+src/ are an exact integer one and one that no command prints.  And the orbit pass takes
+e(b x_k) from its rotation tables: skew_dynamics.py imports nothing of cocycle but the
+closed Birkhoff sum, so orbit_angles cannot come back into it.
 """
 
 import ast
@@ -245,3 +247,39 @@ def test_the_blas_guard_sees_each_form():
         "10: np.inner", "10: np.matmul", "2: from numpy.linalg", "3: from numpy", "5: @",
         "6: @", "6: np.dot", "6: np.linalg", "6: np.vdot", "8: @"]
     assert len(_blas_products("cli.py", tree)) == 12
+
+
+# what skew_dynamics.py may import of cocycle: x_k of the orbit pass is never formed, so
+# orbit_angles (and with it the whole module) stays out
+COCYCLE_ALLOWED = {"birkhoff_closed"}
+
+
+def _cocycle_imports(tree):
+    """line: name of every import of cocycle, or from it, beyond COCYCLE_ALLOWED."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: {a.name}" for a in node.names
+                      if a.name.split(".")[-1] == "cocycle"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "cocycle":
+                found += [f"{node.lineno}: {a.name}" for a in node.names
+                          if a.name not in COCYCLE_ALLOWED]
+            else:
+                found += [f"{node.lineno}: {module}.{a.name}" for a in node.names
+                          if a.name == "cocycle"]
+    return found
+
+
+def test_the_orbit_pass_imports_only_the_closed_form_of_cocycle():
+    found = _cocycle_imports(_modules()["skew_dynamics.py"])
+    assert not found, found
+
+
+def test_the_cocycle_guard_sees_each_form():
+    source = ("from skewlab.cocycle import birkhoff_closed, orbit_angles\n"
+              "from skewlab import cocycle\nimport skewlab.cocycle\n"
+              "def f():\n    from .cocycle import *\n    from . import cocycle as c\n")
+    assert sorted(_cocycle_imports(ast.parse(source))) == [
+        "1: orbit_angles", "2: skewlab.cocycle", "3: skewlab.cocycle", "5: *", "6: .cocycle"]
