@@ -28,7 +28,6 @@ mod q.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,28 +118,28 @@ def _components_of(fac) -> list:
 
 
 class Character:
-    """One Dirichlet character mod q, stored as exponents of zeta_L; its read-only value
-    row is built on the first request and kept, its order and conductor table lookups."""
+    """Character n of its table's iteration order, n = 0 the principal one: its order and
+    conductor are table lookups, its read-only value row is built on first request and kept."""
 
-    __slots__ = ("table", "q", "ks", "_values")
+    __slots__ = ("table", "q", "n", "_values")
 
-    def __init__(self, table, ks):
-        self.table, self.q, self.ks = table, table.q, tuple(map(int, ks))
+    def __init__(self, table, n: int):
+        self.table, self.q, self.n = table, table.q, n
         self._values = None
 
-    def is_principal(self) -> bool:
-        return not any(self.ks)
+    @property
+    def ks(self) -> tuple:
+        """The exponents k_j of zeta_L on the cyclic factors of (Z/q)*."""
+        return tuple(self.table._digits(self.n))
 
-    def _index(self) -> int:
-        """n, the character's place in the table's iteration order."""
-        tab = self.table
-        return sum(k % o * s for k, o, s in zip(self.ks, tab._orders, tab._strides))
+    def is_principal(self) -> bool:
+        return self.n == 0
 
     def order(self) -> int:
-        return int(self.table._orders_conductors[0, self._index()])
+        return int(self.table._orders_conductors[0, self.n])
 
     def conductor(self) -> int:
-        return int(self.table._orders_conductors[1, self._index()])
+        return int(self.table._orders_conductors[1, self.n])
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.q
@@ -148,7 +147,7 @@ class Character:
     def values(self) -> np.ndarray:
         """Complex value row over [0, q), 0 on non-units; read-only."""
         if self._values is None:
-            tab, n = self.table, self._index()
+            tab, n = self.table, self.n
             self._values = tab._roots.take(tab._exponent_block(n - n % tab._block)[n % tab._block])
             self._values.setflags(write=False)
         return self._values
@@ -229,8 +228,7 @@ class CharacterTable:
         return rows
 
     def __iter__(self):
-        for ks in itertools.product(*(range(order) for order in self._orders)):
-            yield Character(self, ks)
+        return (Character(self, n) for n in range(self.phi))
 
     def orthogonality_defect(self) -> float:
         """max over character pairs of |sum_a chi(a) conj(psi(a)) - phi(q) delta|."""
@@ -278,9 +276,11 @@ def progression_char_stat(q: int, r: int, chi: Character) -> float:
         raise PreconditionError(f"need r >= 1 and (r, q) = 1, got ({r}, {q})")
     if chi.is_principal():
         raise PreconditionError("statistic defined for non-principal characters")
+    if q != chi.q:
+        raise PreconditionError(f"q = {q} is not the modulus {chi.q} of the character")
     vals = chi.values()
-    keys = np.arange(q, dtype=np.int64) % r
-    # a < q, so the classes v >= q are empty and add 0
+    # a < q, so a mod r = a mod min(r, q), and the classes v >= q are empty and add 0
+    keys = np.arange(q, dtype=np.int64) % min(r, q)
     sums_re = np.bincount(keys, weights=vals.real, minlength=min(r, q))
     sums_im = np.bincount(keys, weights=vals.imag, minlength=min(r, q))
     return float(np.sum(np.hypot(sums_re, sums_im)))
@@ -358,6 +358,8 @@ def windowed_twisted_stat(q: int, Hp: int, chi: Character) -> dict:
     Returns the statistic and the comparison scale
     q^(1 - delta/4 + eps) Hp + q Hp^(3/4) with delta read from Hp = q^(1/2 - delta).
     """
+    if q != chi.q:  # before H' is bounded by q
+        raise PreconditionError(f"q = {q} is not the modulus {chi.q} of the character")
     if Hp < 0:
         raise InvalidInputError(f"need H' >= 0, got H'={Hp}")
     if Hp > q ** (0.5 - 0.1) + 1:

@@ -339,8 +339,8 @@ def cmd_huxley(x: tuple[int, ...] = (10**5,), H: int = None, q: int = 97, r: int
 
 def cmd_charsum(q: int = 101, stat: str = "progression", r: int = None, gauss_x: int = None,
                 Hp: int = None, chi_index: int = None):
-    from skewlab.char_sums import (CharacterTable, gauss_sum, progression_char_stat,
-                                   windowed_twisted_stat)
+    from skewlab.char_sums import (Character, CharacterTable, gauss_sum,
+                                   progression_char_stat, windowed_twisted_stat)
     from skewlab.primes import euler_phi
 
     unread = {"progression": dict(gauss_x=gauss_x, Hp=Hp, chi_index=chi_index),
@@ -365,11 +365,10 @@ def cmd_charsum(q: int = 101, stat: str = "progression", r: int = None, gauss_x:
         return [_stat_row("gauss", q, abs(gauss_sum(chi, gauss_x)), math.sqrt(q))
                 for chi in tab if chi.is_primitive()]
     chi_index = 0 if chi_index is None else chi_index
-    nonprincipal = [c for c in tab if not c.is_principal()]
-    if not 0 <= chi_index < len(nonprincipal):
+    if not 0 <= chi_index < tab.phi - 1:  # character 0 is the principal one
         raise PreconditionError(f"chi_index {chi_index} out of range: mod {q} has "
-                                f"{len(nonprincipal)} non-principal characters")
-    res = windowed_twisted_stat(q, Hp, nonprincipal[chi_index])
+                                f"{tab.phi - 1} non-principal characters")
+    res = windowed_twisted_stat(q, Hp, Character(tab, chi_index + 1))
     return [_stat_row("windowed_twisted", q, res["value"], res["scale"], Hp=Hp)]
 
 

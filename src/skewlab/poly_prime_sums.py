@@ -95,15 +95,17 @@ def prime_phase_sum(N: int, H: int, r: int, a: int, g: ShiftedPoly,
     _check_regime(g, H, r)
     total = 0j
     for *_, ps, logp in prime_windows(src, N + H, N):
-        if r > 1:
-            keep = ps % r == a % r
+        if r > 1:  # p <= N + H, so p mod r = p mod min(r, N + H + 1), within int64
+            keep = ps % min(r, N + H + 1) == a % r
             ps, logp = ps[keep], logp[keep]
         if len(ps):
             total += complex(np.sum(_phase_terms(g, ps, logp)))
     return total
 
 
-def _check_main_term(N: int, H: int):
+def _check_main_term(N: int, H: int, r: int):
+    if r < 1:
+        raise InvalidInputError("r must be >= 1")
     if H > MS_SUM_MAX_H:
         raise ResourceError(f"main term budget is H <= {MS_SUM_MAX_H}, got H={H}")
     if max(abs(N), abs(N + H)) >= 2**63:
@@ -113,9 +115,7 @@ def _check_main_term(N: int, H: int):
 def integer_phase_main_term(N: int, H: int, r: int, g: ShiftedPoly) -> complex:
     """(1/phi(r)) sum over integers n in [N, N+H] of e(g(n)), PHASE_CHUNK
     integers at a time, for H <= MS_SUM_MAX_H."""
-    if r < 1:
-        raise InvalidInputError("r must be >= 1")
-    _check_main_term(N, H)
+    _check_main_term(N, H, r)
     total = 0j
     for lo in range(N, N + H + 1, PHASE_CHUNK):
         ns = np.arange(lo, min(lo + PHASE_CHUNK, N + H + 1), dtype=np.int64)
@@ -134,10 +134,10 @@ def ms_gap(N: int, H: int, r: int, a: int, g: ShiftedPoly, eta: float, primes=No
     _check_window(N, H)
     if not 0 < eta < 1:
         raise InvalidInputError(f"need eta in (0, 1), got eta={eta}")
-    _check_main_term(N, H)  # before the prime sum
+    _check_main_term(N, H, r)  # before the prime sum, and so is euler_phi's budget on r
+    budget = eta * math.log(1.0 / eta) * H / euler_phi(r)
     s = prime_phase_sum(N, H, r, a, g, primes=primes)
     m = integer_phase_main_term(N, H, r, g)
-    budget = eta * math.log(1.0 / eta) * H / euler_phi(r)
     return abs(s - m), budget
 
 

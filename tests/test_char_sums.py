@@ -95,13 +95,13 @@ def test_rows_independent_of_access_order(q):
     assert np.array_equal(next(iter(tab)).values(), seq[0])
     assert all(np.array_equal(chi.values(), want)
                for chi, want in zip(reversed(list(tab)), reversed(seq)))
-    orders = [comp.order for comp in tab.components]
-    all_ks = list(itertools.product(*(range(o) for o in orders)))
+    # character n has the n-th exponent tuple of the mixed radix order, the last fastest
+    all_ks = list(itertools.product(*(range(comp.order) for comp in tab.components)))
+    assert [chi.ks for chi in tab] == all_ks and next(iter(tab)).is_principal()
     rng = np.random.default_rng(q)
     for n in rng.permutation(len(all_ks))[:50]:
-        # k and k + order_j name the same character
-        for ks in (all_ks[n], [k + o for k, o in zip(all_ks[n], orders)]):
-            assert np.array_equal(Character(tab, ks).values(), seq[n]), (q, ks)
+        chi = Character(tab, int(n))
+        assert chi.ks == all_ks[n] and np.array_equal(chi.values(), seq[n]), (q, n)
 
 
 def test_value_rows_are_read_only_and_built_once():
@@ -121,9 +121,8 @@ def test_iteration_builds_no_rows():
         for chi in tab:
             chars.append(chi)
             if len(chars) % 100 == 0:
-                # per character its object, exponents and list slot; once, the pools of
-                # itertools.product (an int per exponent, sum_j order_j < q): 100 rows
-                # would take 160 MB at the first check
+                # per character its object, index and list slot: 100 rows would take
+                # 160 MB at the first check
                 assert tracemalloc.get_traced_memory()[0] < 256 * len(chars) + 64 * q
     finally:
         tracemalloc.stop()
@@ -285,6 +284,22 @@ def test_progression_stat_preconditions():
         progression_char_stat(10, 5, chi)
     with pytest.raises(PreconditionError):
         progression_char_stat(10, 3, next(iter(tab)))
+
+
+def test_statistics_refuse_a_q_other_than_the_characters():
+    # progression once met a value row of the wrong length (numpy's ValueError), and
+    # windowed returned the statistic of q = 7 with the scale and H' bound of q = 10**6
+    chi = Character(build_characters(7), 1)
+    with pytest.raises(PreconditionError, match="modulus 7"):
+        progression_char_stat(5, 3, chi)
+    with pytest.raises(PreconditionError, match="modulus 7"):
+        windowed_twisted_stat(10**6, 2, chi)
+
+
+def test_progression_stat_takes_r_beyond_int64():
+    # r >= q puts each a < q in its own class: np.arange(q) % r overflowed for r >= 2**63
+    for chi in list(build_characters(101))[1:4]:
+        assert progression_char_stat(101, 10**23, chi) == progression_char_stat(101, 102, chi)
 
 
 def test_windowed_twisted_stat_calibrated_bound():

@@ -471,11 +471,46 @@ def test_identities_beyond_int64_exit_3(capsys):
     ["phase", "--m_samples", "1e10"],
     ["phase", "--x_grid", "1e5"],
     ["charsum", "--q", "31627", "--stat", "gauss"],  # the least prime q with phi(q) q > 1e9
-], ids=["n_max", "buchstab_windows", "k", "samples", "m_samples", "x_grid", "charsum-gauss-q"])
+    ["ms-sum", "--r", "1e29"],  # phi(r) needs r <= 1e12 factored, checked before the prime sum
+], ids=["n_max", "buchstab_windows", "k", "samples", "m_samples", "x_grid", "charsum-gauss-q",
+        "ms-sum-r"])
 def test_work_beyond_budget_exit_3(args, capsys):
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource error: ") and len(err.splitlines()) == 1
+
+
+# every integer key of every command, by its handler's signature
+INT_KEYS = [(command, key) for command, handler in sorted(HANDLERS.items())
+            for key, p in inspect.signature(handler).parameters.items()
+            if p.annotation in (int, tuple[int, ...])]
+
+
+@pytest.mark.parametrize("value", ["1e30", "-1e30"])
+@pytest.mark.parametrize("command, key", INT_KEYS, ids=[f"{c}-{k}" for c, k in INT_KEYS])
+def test_huge_integer_keys_exit_cleanly(command, key, value, tmp_path):
+    # a huge r once met int64 arithmetic (np.arange(q) % r, ps % r): exit 1 and a traceback
+    err = io.StringIO()
+    with (contextlib.chdir(tmp_path), contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(err)):
+        code = main([command, f"--{key}", value])
+    assert code in (0, 2, 3) and len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
+def test_charsum_windowed_builds_one_character(monkeypatch, capsys):
+    # the character is picked by its table index, not from a list of all phi(q) of them
+    from skewlab.char_sums import Character
+
+    built = []
+    init = Character.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Character, "__init__", counting_init)
+    assert main(["charsum", "--q", "99991", "--stat", "windowed", "--Hp", "2"]) == 0
+    assert len(built) <= 2
 
 
 @pytest.mark.parametrize("args", [

@@ -109,6 +109,20 @@ def test_main_term_refuses_beyond_its_budget():
         integer_phase_main_term(2**64, 100, 1, g)
 
 
+def test_a_huge_r_keeps_the_sum_or_is_refused_before_it(monkeypatch):
+    # p <= N + H < r: p mod r = p, where ps % r overflowed int64 for r >= 2**63
+    N, H = 100, 50
+    g = ShiftedPoly(N, (0.0, 0.001))  # in the guaranteed regime for every r
+    for a in (101, 103, 10**29 + 101):
+        want = prime_phase_sum(N, H, N + H + 1, a, g) if a <= N + H else 0j
+        assert prime_phase_sum(N, H, 10**30, a, g) == want
+    # ms_gap needs phi(r): beyond the factorization budget, refused before any sum
+    monkeypatch.setattr(poly_prime_sums, "prime_phase_sum", None)
+    for r in (10**13, 10**30):
+        with pytest.raises(ResourceError, match="factorization budget"):
+            ms_gap(N, H, r, 1, g, 0.05)
+
+
 def test_streamed_sums_match_whole_array():
     # the main term over three chunks and a few integers, the prime sum over three
     # prime windows, against one whole-array sum each: measured 2.7e-15 and 1.6e-15
