@@ -124,6 +124,8 @@ class Character:
     __slots__ = ("table", "q", "n", "_values")
 
     def __init__(self, table, n: int):
+        if not 0 <= n < table.phi:
+            raise RangeError(f"character index {n} outside [0, {table.phi})")
         self.table, self.q, self.n = table, table.q, n
         self._values = None
 

@@ -457,7 +457,7 @@ def cmd_counterexample(stages: int = 3, include_h: bool = False, mu_twist: bool 
                          "bump_average": st.bump_average(n)})
     if dump:
         with open(dump, "w") as fh:
-            fh.write(st.to_json(eps))
+            st.write_json(fh, eps)
     return rows
 
 

@@ -8,7 +8,8 @@ Each stage n contributes a sawtooth f_n supported on the intervals
 solve the target equation f_n(w alpha) = target - r_{w,n} and are linearly
 interpolated elsewhere.
 
-Evaluations at orbit points w*alpha run on whole int64 arrays of w.  For a
+Evaluations at orbit points w*alpha run on int64 arrays of w, PIECE points at a
+time, so a stage's transient memory does not grow with its window.  For a
 stage convergent p/q and rho = q alpha - p (exact), w alpha lies in the cell
 j = (w p + floor(w rho)) mod q, at residue index s = (w + floor(w rho) p^-1)
 mod q and offset frac(w rho)/q; the tent of q_l reads u = frac(w q_l alpha).
@@ -35,6 +36,10 @@ from skewlab.primes import mobius_upto
 GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
 BUMP_WIDTH = 0.25  # half-width of bump_average's triangle around y = 1/2
 Q_CAP = 4e11  # the automatic stage indices stop before a convergent denominator beyond this
+# points per evaluated piece of a window: orbit cells, stage values, slopes and gaps are formed
+# PIECE points at a time, so their transient memory stays fixed while the windows grow (100,406
+# squares at stage 3).  Each value depends on its own w alone, so the pieces change no bit
+PIECE = 1 << 14
 
 
 class AlmostSparseSet:
@@ -50,12 +55,23 @@ class AlmostSparseSet:
         return m
 
 
+def _pieces(size: int):
+    """Slices of [0, size), PIECE points each, the last one shorter."""
+    for a in range(0, size, PIECE):
+        yield slice(a, min(a + PIECE, size))
+
+
+def _min_gap(a: np.ndarray) -> int:
+    """min(a[i + 1] - a[i]) over an int64 array of at least two points, a piece at a time."""
+    return min(int((a[sl.start + 1:sl.stop + 1] - a[sl]).min()) for sl in _pieces(a.size - 1))
+
+
 def eps_n(A: AlmostSparseSet, n: int) -> Fraction:
     """Reciprocal minimal gap of A in [0, n] outside the bad set."""
-    gaps = np.diff(A.window(0, n))
-    if not gaps.size:
+    members = A.window(0, n)
+    if members.size < 2:
         raise InvalidInputError(f"A cap [0,{n}] minus bad set has < 2 elements")
-    return Fraction(1, int(gaps.min()))
+    return Fraction(1, _min_gap(members))
 
 
 def _int64_indices(w) -> np.ndarray:
@@ -290,24 +306,30 @@ class StageConstruction:
         if not ws.size:
             raise ConstructionError(f"stage {n}: empty window at q = {q}")
         # r_{w,n} = sum_{m<n} f_m(w alpha) [+ h_m(w alpha)] mod 1
-        r_window = self.birkhoff0_many(ws, n - 1) % 1.0
+        r_window = self.birkhoff0_many(ws, n - 1)
+        r_window %= 1.0
         if self.mu_twist:
-            roots = np.floor(np.sqrt(ws)).astype(np.int64)
-            roots -= roots * roots > ws  # the float sqrt may be one off either way
-            roots += (roots + 1) * (roots + 1) <= ws
-            targets = (7 + mobius_upto(int(roots[-1]))[roots].astype(np.float64)) / 4.0 - r_window
+            mu = mobius_upto(math.isqrt(int(ws[-1])))
+            targets = np.empty(ws.size)
+            for sl in _pieces(ws.size):
+                roots = np.floor(np.sqrt(ws[sl])).astype(np.int64)
+                roots -= roots * roots > ws[sl]  # the float sqrt may be one off either way
+                roots += (roots + 1) * (roots + 1) <= ws[sl]
+                targets[sl] = (7 + mu[roots].astype(np.float64)) / 4.0 - r_window[sl]
         else:
             targets = (2.0 if n % 2 == 0 else 1.5) - r_window
         # w alpha - w p_k/q_k = w rho / q_k with 0 < w rho < 1: the up-ramp of cell w p_k
-        floors, _, offsets, fallbacks = orbit_cells(ws, self.cf.value, q, self.cf.p(k))
-        self.exact_fallbacks[n] += fallbacks
-        if floors.any():
-            i = np.flatnonzero(floors)[0]
-            raise ConstructionError(f"stage {n}: w = {ws[i]} has floor(w rho) = {floors[i]}, "
-                                    f"outside the cell of w p_k")
-        L_window = targets / offsets
+        L_window = np.empty(ws.size)
+        for sl in _pieces(ws.size):
+            floors, _, offsets, fallbacks = orbit_cells(ws[sl], self.cf.value, q, self.cf.p(k))
+            self.exact_fallbacks[n] += fallbacks
+            if floors.any():
+                i = np.flatnonzero(floors)[0]
+                raise ConstructionError(f"stage {n}: w = {ws[sl][i]} has floor(w rho) = "
+                                        f"{floors[i]}, outside the cell of w p_k")
+            L_window[sl] = targets[sl] / offsets
         window_s = ws % q
-        if np.any(np.diff(window_s) <= 0):
+        if window_s.size > 1 and _min_gap(window_s) <= 0:
             raise ConstructionError(f"stage {n}: window residues not strictly sorted")
         f = RampFunction(q, q1, self.cf.p(k), window_s, L_window)
         st = {
@@ -333,34 +355,41 @@ class StageConstruction:
         ws = _int64_indices(ws)
         upto = self.solved() if upto is None else min(upto, self.solved())
         total = np.zeros(ws.size)
-        for m in range(1, upto + 1):
-            for term in self._stages[m]["terms"]:
-                values, fallbacks = term.at_multiples(ws, self.cf.value)
-                total += values
-                self.exact_fallbacks[m] += fallbacks
+        for sl in _pieces(ws.size):
+            for m in range(1, upto + 1):
+                for term in self._stages[m]["terms"]:
+                    values, fallbacks = term.at_multiples(ws[sl], self.cf.value)
+                    total[sl] += values
+                    self.exact_fallbacks[m] += fallbacks
         return total
 
     def _window_phases(self, n) -> np.ndarray:
         """S_w(g)(0) mod 1 over the stage-n window, read-only, once per solved-stage count."""
         key = (n, self.solved())
         if key not in self._phases:
-            phases = self.birkhoff0_many(self._stages[n]["window"]) % 1.0
+            phases = self.birkhoff0_many(self._stages[n]["window"])
+            phases %= 1.0
             phases.flags.writeable = False
             self._phases[key] = phases
         return self._phases[key]
 
     def _slope_steps(self, n):
-        """|L(s+1) - L(s)| at 0, the window residues and their successors, s < q - 1."""
+        """Yields (s, |L(s+1) - L(s)|) a piece of the window at a time, for s in 0, the window
+        residues and their successors below q - 1: ascending, each s once."""
         st = self._stages[n]
         q, ws = st["q"], st["window_s"]
-        # ws is strictly increasing, so 0, ws[0], ws[0] + 1, ws[1], ... is sorted and
-        # repeats a value only in adjacent entries
-        s = np.zeros(2 * len(ws) + 1, dtype=np.int64)
-        s[1::2], s[2::2] = ws, ws + 1
-        s = s[s < q - 1]
-        s = s[np.diff(s, prepend=-1) != 0]
         l_of = st["terms"][0].L_of_s
-        return s, np.abs(l_of(s + 1) - l_of(s))
+        last = -1  # the last s yielded
+        for sl in _pieces(ws.size):
+            # ws is strictly increasing, so 0 (or the last s), ws[0], ws[0] + 1, ws[1], ... is
+            # sorted and repeats a value only in adjacent entries, here or across the boundary
+            s = np.empty(2 * (sl.stop - sl.start) + 1, dtype=np.int64)
+            s[0], s[1::2], s[2::2] = max(last, 0), ws[sl], ws[sl] + 1
+            s = s[s < q - 1]
+            s = s[np.diff(s, prepend=last) != 0]
+            if s.size:
+                last = int(s[-1])
+                yield s, np.abs(l_of(s + 1) - l_of(s))
 
     def _log_q_lower(self, k: int) -> float:
         """Lower bound for log q_k, exact within depth, Fibonacci growth beyond."""
@@ -403,22 +432,23 @@ class StageConstruction:
             eps = 1.0
         cap = 12.0 * q1
         inc_cap = max(12.0 * eps * q1, 24.0 * q1 / q)
-        Ls = st["L_window"]
+        Ls, window_s = st["L_window"], st["window_s"]
         escapes = ~((q1 / 12.0 - 1e-9 <= Ls) & (Ls <= cap * (1 + 1e-12)))
         if escapes.any():
             w, L = st["window"][np.argmax(escapes)], Ls[np.argmax(escapes)]
             raise ConstructionError(f"stage {n}: L at w={w} escapes [q'/12, 12q']: {L}")
-        probes, steps = self._slope_steps(n)
-        over = steps >= inc_cap * (1 + 1e-12)
-        if over.any():
-            s = probes[np.argmax(over)]
-            raise ConstructionError(f"stage {n}: |L(s+1)-L(s)| at s={s} exceeds {inc_cap}")
+        for probes, steps in self._slope_steps(n):
+            over = steps >= inc_cap * (1 + 1e-12)
+            if over.any():
+                s = probes[np.argmax(over)]
+                raise ConstructionError(f"stage {n}: |L(s+1)-L(s)| at s={s} exceeds {inc_cap}")
         # endpoints reached exactly by the interpolation
-        L_at = st["terms"][0].L_of_s(st["window_s"])
-        miss = np.abs(L_at - Ls) > 1e-9 * np.maximum(1.0, np.abs(Ls))
-        if miss.any():
-            s = st["window_s"][np.argmax(miss)]
-            raise ConstructionError(f"stage {n}: interpolation misses window point {s}")
+        for sl in _pieces(Ls.size):
+            miss = (np.abs(st["terms"][0].L_of_s(window_s[sl]) - Ls[sl])
+                    > 1e-9 * np.maximum(1.0, np.abs(Ls[sl])))
+            if miss.any():
+                s = window_s[sl][np.argmax(miss)]
+                raise ConstructionError(f"stage {n}: interpolation misses window point {s}")
         return True
 
     def verify_phi(self, n, eps=0.05):
@@ -461,7 +491,8 @@ class StageConstruction:
 
     # -- dump ----------------------------------------------------------------
 
-    def to_json(self, eps=0.05) -> str:
+    def write_json(self, fh, eps=0.05):
+        """Write the construction to the text file fh as indented JSON, encoded as it goes."""
         stages = []
         for n, st in sorted(self._stages.items()):
             rec = {
@@ -490,4 +521,4 @@ class StageConstruction:
             "mu_twist": self.mu_twist,
             "stages": stages,
         }
-        return json.dumps(payload, indent=1)
+        json.dump(payload, fh, indent=1)

@@ -622,7 +622,7 @@ def continuity_certificate(st):
     for n in range(1, st.solved() + 1):
         stage = st._stages[n]
         q, q1 = stage["q"], stage["q_next"]
-        dmax = float(st._slope_steps(n)[1].max())
+        dmax = max(float(steps.max()) for _, steps in st._slope_steps(n))
         rows.append({"n": n, "sup_term": float(stage["L_window"].max()) / (q * q1),
                      "lip_term": dmax / q1})
     return rows

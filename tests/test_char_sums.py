@@ -104,6 +104,15 @@ def test_rows_independent_of_access_order(q):
         assert chi.ks == all_ks[n] and np.array_equal(chi.values(), seq[n]), (q, n)
 
 
+def test_character_index_is_checked():
+    # n = phi raised a bare IndexError on its first lookup, and n = -1 named character phi - 1
+    tab = build_characters(7)
+    for n in (-1, -6, 6, 7, 10**30):
+        with pytest.raises(RangeError):
+            Character(tab, n)
+    assert [Character(tab, n).order() for n in (0, 5)] == [1, 6]
+
+
 def test_value_rows_are_read_only_and_built_once():
     chi = list(build_characters(7))[3]
     vals = chi.values()

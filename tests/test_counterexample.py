@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 
 from lemmas import (continuity_certificate, g_truncated, prime_gap_filter, prime_sparse_window,
                     ramp_eval, rigidity_distribution_gap, tent_eval, tent_variation)
+from skewlab import counterexample
 from skewlab.counterexample import (Q_CAP, AlmostSparseSet, RampFunction, StageConstruction,
                                     TentFunction, eps_n, orbit_cells)
 from skewlab.dd import MULMOD_LIMIT
@@ -399,28 +401,118 @@ def _unique_slope_probes(q, ws):
     return s[s + 1 < q]
 
 
-def test_slope_probes_match_unique_oracle(solved3):
-    for n in (1, 2, 3):
+def _joined_slope_steps(st, n):
+    """The probes and steps _slope_steps yields piece by piece, each joined into one array."""
+    probes, steps = zip(*StageConstruction._slope_steps(st, n))
+    return np.concatenate(probes), np.concatenate(steps)
+
+
+def test_slope_probes_match_unique_oracle(solved3, monkeypatch):
+    for n in (1, 2, 3):  # the stage windows take 1, 1 and 7 pieces
         st = solved3._stages[n]
-        probes, steps = solved3._slope_steps(n)
+        probes, steps = _joined_slope_steps(solved3, n)
         want = _unique_slope_probes(st["q"], st["window_s"])
         assert probes.dtype == want.dtype and np.array_equal(probes, want), n
         l_of = st["terms"][0].L_of_s
         assert np.array_equal(steps, np.abs(l_of(want + 1) - l_of(want))), n
-    # seeded windows: some hold q - 1, 0 or runs of adjacent residues, one is all of [0, q)
+    # seeded windows: some hold q - 1, 0 or runs of adjacent residues, one is all of [0, q);
+    # in pieces of 1 and 2 residues every boundary has a repeat to drop
     rng = np.random.default_rng(16)
     cases = [(q, np.sort(rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False)))
              for q in (2, 3, 7, 50, 1000) for _ in range(30)]
     cases += [(q, np.array(ws)) for q, ws in ((9, [8]), (9, [0]), (9, [0, 1, 2, 6, 7, 8]),
                                               (9, range(9)), (2, [0, 1]))]
     square = SimpleNamespace(L_of_s=lambda s: s * s)
-    for q, ws in cases:
-        ws = ws.astype(np.int64)
-        fake = SimpleNamespace(_stages={1: {"q": q, "window_s": ws, "terms": (square,)}})
-        probes, steps = StageConstruction._slope_steps(fake, 1)
-        want = _unique_slope_probes(q, ws)
-        assert probes.dtype == want.dtype and np.array_equal(probes, want), (q, ws.tolist())
-        assert np.array_equal(steps, 2 * want + 1)
+    for piece in (1, 2, counterexample.PIECE):
+        monkeypatch.setattr(counterexample, "PIECE", piece)
+        for q, ws in cases:
+            ws = ws.astype(np.int64)
+            fake = SimpleNamespace(_stages={1: {"q": q, "window_s": ws, "terms": (square,)}})
+            probes, steps = _joined_slope_steps(fake, 1)
+            want = _unique_slope_probes(q, ws)
+            assert probes.dtype == want.dtype and np.array_equal(probes, want), (piece, q)
+            assert np.array_equal(steps, 2 * want + 1)
+
+
+def _fallback_indices(f, ws, alpha, lo=0):
+    """Indices (plus lo) of the points of ws whose f(w alpha) is recomputed exactly, by halving."""
+    if not orbit_cells(ws, alpha, f.q, f.p)[3]:
+        return []
+    if ws.size == 1:
+        return [lo]
+    mid = ws.size // 2
+    return (_fallback_indices(f, ws[:mid], alpha, lo)
+            + _fallback_indices(f, ws[mid:], alpha, lo + mid))
+
+
+def _birkhoff0_with_fallbacks(st, ws):
+    before = sum(st.exact_fallbacks.values())
+    return st.birkhoff0_many(ws), sum(st.exact_fallbacks.values()) - before
+
+
+def _stage_fields(st):
+    return [st._stages[n][field] for n in st._stages
+            for field in ("window_s", "r_window", "targets", "L_window")]
+
+
+def test_pieces_keep_every_bit(monkeypatch):
+    st = counterexample_stages(n_stages=3).solve_all()  # its own fallback counts
+    alpha = st.cf.value
+    windows = [st._stages[n]["window"] for n in (1, 2, 3)]
+    # the whole stage-3 window in the default pieces, against one piece
+    values, fallbacks = _birkhoff0_with_fallbacks(st, windows[2])
+    monkeypatch.setattr(counterexample, "PIECE", windows[2].size)
+    got = _birkhoff0_with_fallbacks(st, windows[2])
+    assert np.array_equal(got[0], values) and got[1] == fallbacks > 0
+    # in small pieces stage 3's window is sampled: its ends, a random draw, and the points
+    # recomputed exactly with their neighbours
+    size = windows[2].size
+    near = [i + d for i in _fallback_indices(st.f(1), windows[2], alpha) for d in range(-8, 9)]
+    keep = np.concatenate([np.arange(64), np.arange(size - 64, size), near,
+                           np.random.default_rng(40).choice(size, 200, replace=False)])
+    windows[2] = windows[2][np.unique(keep)]
+    want = [_birkhoff0_with_fallbacks(st, ws) for ws in windows]
+    assert want[2][1] > 0
+    cells = [orbit_cells(windows[2], alpha, st.f(m).q, st.f(m).p) for m in (1, 2, 3)]
+    head = {**st._stages[3], "window_s": st._stages[3]["window_s"][:300]}
+    sloped = [SimpleNamespace(_stages={1: rec}) for rec in (st._stages[1], st._stages[2], head)]
+    slopes = [_joined_slope_steps(fake, 1) for fake in sloped]
+    sets = [AlmostSparseSet(), ListedSet([1, 10, 12, 100, 103, 200]), ListedSet([5, 9]),
+            ListedSet(AlmostSparseSet().window(0, 10**6)[::7])]
+    gaps = [eps_n(A, 10**6) for A in sets]
+    variants = [{"n_stages": 2}, {"n_stages": 2, "mu_twist": True}]
+    stages = [_stage_fields(counterexample_stages(**kw).solve_all()) for kw in variants]
+    for piece in (1, 2, 3, 7):
+        monkeypatch.setattr(counterexample, "PIECE", piece)
+        for ws, (values, fallbacks) in zip(windows, want):
+            got = _birkhoff0_with_fallbacks(st, ws)
+            assert np.array_equal(got[0], values) and got[1] == fallbacks, piece
+        for m, whole in zip((1, 2, 3), cells):
+            parts = [orbit_cells(windows[2][sl], alpha, st.f(m).q, st.f(m).p)
+                     for sl in counterexample._pieces(windows[2].size)]
+            assert all(np.array_equal(np.concatenate(got), whole[i])
+                       for i, got in enumerate(list(zip(*parts))[:3])), piece
+            assert sum(part[3] for part in parts) == whole[3], piece
+        for fake, oracle in zip(sloped, slopes):
+            assert all(np.array_equal(a, b) for a, b in zip(_joined_slope_steps(fake, 1), oracle))
+        assert [eps_n(A, 10**6) for A in sets] == gaps
+        for kw, fields in zip(variants, stages):
+            got = _stage_fields(counterexample_stages(**kw).solve_all())
+            assert all(np.array_equal(a, b) for a, b in zip(got, fields)), (piece, kw)
+
+
+def test_stage_solving_peak_memory_is_bounded():
+    # window-sized steps run PIECE points at a time: whole-window arrays peaked at 20 MiB
+    tracemalloc.start()
+    try:
+        st = counterexample_stages(n_stages=3).solve_all()
+        for n in (1, 2, 3):
+            st.verify_phi(n)
+            st.bump_average(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
 
 
 def test_continuity_certificate_decays(solved):
@@ -515,7 +607,9 @@ def _replay(text):
 
 
 def test_json_roundtrip(solved):
-    text = solved.to_json()
+    fh = io.StringIO()
+    solved.write_json(fh)
+    text = fh.getvalue()
     replay = _replay(text)
     assert replay.stage_k == solved.stage_k
     for n in range(1, solved.solved() + 1):
